@@ -1,9 +1,18 @@
-"""Independence-oracle matroids with derived rank, closure and circuit services.
+"""Rank-oracle matroids with derived closure and circuit services.
 
-A matroid is handled as a ground set plus a pure independence predicate.
-Rank, closure, fundamental circuits, duals and minors are all derived
-through oracle calls; composed matroids are lazy wrappers and nothing is
-ever materialized unless an enumeration helper is asked for explicitly.
+A matroid is handled as a ground set plus one native oracle.  Every
+concrete family supplies a rank function; explicit set systems supply an
+independence predicate instead, and their rank comes from a greedy sweep.
+Duals and minors are lazy wrappers that answer through rank identities,
+
+    dual:   r*(X) = |X| + r(E - X) - r(E)
+    minor:  r'(X) = r(X + C) - r(C)   (C contracted),
+
+so each level of composition costs a constant number of rank queries one
+level down, with r(E) computed once per handle.  Input is validated once,
+by the public methods; everything below them works on frozensets already
+known to lie inside the ground set.  Nothing is ever materialized unless
+an enumeration helper is asked for explicitly.
 """
 
 from __future__ import annotations
@@ -91,26 +100,43 @@ def subsets_by_size(elements: Iterable[int]) -> Iterator[frozenset[int]]:
 
 
 class Matroid:
-    """Immutable matroid given by a pure independence predicate.
+    """Immutable matroid given by one native oracle: a rank function or an
+    independence predicate.
 
-    The predicate receives a validated ``frozenset`` of element ids and must
-    always return the same answer for the same subset.  Answers are memoized
-    per handle; the cache is invisible to callers and safe to share across
-    threads because entries are pure recomputable facts.
+    Every concrete family supplies a rank function, and a set is independent
+    exactly when its rank equals its size.  A handle built from a predicate
+    alone (explicit set systems) recovers rank by the greedy sweep, the one
+    fallback path.  The oracle receives a validated ``frozenset`` of element
+    ids and must always return the same answer for the same subset.  Its
+    answers are memoized per handle; the cache is unbounded, invisible to
+    callers and safe to share across threads because entries are pure
+    recomputable facts.  r(E) is computed once per handle.
+
+    The public methods validate their input once with ``GroundSet.subset``.
+    The underscore methods ``_independent``, ``_rank`` and ``_circuit`` skip
+    that check; they serve callers inside the package that already hold
+    frozensets of valid ids.
     """
 
-    __slots__ = ("_ground", "_predicate", "provenance", "_memo")
+    __slots__ = ("_ground", "_full", "_predicate", "_rank_fn", "provenance", "_memo", "_full_rank")
 
     def __init__(
         self,
         ground: GroundSet,
-        predicate: Callable[[frozenset[int]], bool],
+        predicate: Callable[[frozenset[int]], bool] | None = None,
         provenance: str = "oracle",
+        *,
+        rank: Callable[[frozenset[int]], int] | None = None,
     ):
+        if (predicate is None) == (rank is None):
+            raise InputError("a matroid takes exactly one oracle: a predicate or a rank function")
         self._ground = ground
+        self._full = ground.full()
         self._predicate = predicate
+        self._rank_fn = rank
         self.provenance = provenance
-        self._memo: dict[frozenset[int], bool] = {}
+        self._memo: dict[frozenset[int], int] = {}
+        self._full_rank: int | None = None
 
     def __repr__(self) -> str:
         return f"Matroid({self.provenance}, |E|={self._ground.size})"
@@ -126,44 +152,63 @@ class Matroid:
     def elements(self) -> range:
         return self._ground.elements()
 
-    # -- oracle ---------------------------------------------------------
+    # -- unvalidated oracle: arguments are frozensets of valid ids ----------
 
-    def is_independent(self, xs: Iterable[int]) -> bool:
-        s = self._ground.subset(xs)
+    def _independent(self, s: frozenset[int]) -> bool:
+        if self._rank_fn is not None:
+            return self._rank(s) == len(s)
         cached = self._memo.get(s)
         if cached is None:
-            cached = bool(self._predicate(s))
-            self._memo[s] = cached
+            cached = self._memo[s] = bool(self._predicate(s))
         return cached
 
-    # -- derived services ------------------------------------------------
+    def _rank(self, s: frozenset[int]) -> int:
+        if self._rank_fn is None:
+            return len(self._greedy_extend(frozenset(), s))
+        cached = self._memo.get(s)
+        if cached is None:
+            cached = self._memo[s] = self._rank_fn(s)
+        return cached
+
+    def _ground_rank(self) -> int:
+        if self._full_rank is None:
+            self._full_rank = self._rank(self._full)
+        return self._full_rank
 
     def _greedy_extend(self, start: frozenset[int], within: frozenset[int]) -> frozenset[int]:
-        current = set(start)
+        """Add the elements of ``within`` in increasing id order while independent."""
+        current = start
         for e in sorted(within - start):
-            current.add(e)
-            if not self.is_independent(current):
-                current.remove(e)
-        return frozenset(current)
+            grown = current | {e}
+            if self._independent(grown):
+                current = grown
+        return current
+
+    def _circuit(self, b: frozenset[int], x: int) -> frozenset[int]:
+        """The circuit inside ``b + x``, for independent ``b`` and dependent ``b + x``."""
+        # b + x holds exactly one circuit, so an element of b lies on it
+        # exactly when removing that element leaves b + x independent.
+        extended = b | {x}
+        return frozenset([x, *(e for e in sorted(b) if self._independent(extended - {e}))])
+
+    # -- public services: each validates its input once --------------------
+
+    def is_independent(self, xs: Iterable[int]) -> bool:
+        return self._independent(self._ground.subset(xs))
 
     def rank(self, xs: Iterable[int] | None = None) -> int:
-        """Size of a maximal independent subset of ``xs`` (default: all of E).
-
-        Computed by a greedy sweep in increasing id order, which is exact on
-        matroids and makes the answer deterministic.
-        """
-        target = self._ground.full() if xs is None else self._ground.subset(xs)
-        return len(self._greedy_extend(frozenset(), target))
+        """Size of a maximal independent subset of ``xs`` (default: all of E)."""
+        if xs is None:
+            return self._ground_rank()
+        return self._rank(self._ground.subset(xs))
 
     def closure(self, xs: Iterable[int]) -> frozenset[int]:
         """``xs`` plus every element whose addition does not raise the rank."""
         base = self._ground.subset(xs)
-        r = self.rank(base)
-        spanned = set(base)
-        for e in self._ground.elements():
-            if e not in base and self.rank(base | {e}) == r:
-                spanned.add(e)
-        return frozenset(spanned)
+        r = self._rank(base)
+        return base | frozenset(
+            e for e in self._ground.elements() if e not in base and self._rank(base | {e}) == r
+        )
 
     def fundamental_circuit(self, base: Iterable[int], x: int) -> frozenset[int]:
         """The unique circuit inside ``base + x`` for independent ``base``.
@@ -176,50 +221,43 @@ class Matroid:
             raise InputError(f"element {x!r} outside ground set")
         if x in b:
             raise InputError(f"element {x} already belongs to the given independent set")
-        if not self.is_independent(b):
+        if not self._independent(b):
             raise InputError("fundamental circuits are defined against independent sets only")
-        extended = b | {x}
-        if self.is_independent(extended):
+        if self._independent(b | {x}):
             raise NoFundamentalCircuit(
                 f"{self._ground.label(x)} extends the given set independently"
             )
-        # b belongs to the circuit exactly when removing b breaks it: the
-        # circuit is the unique one in base + x, so deletion leaves a forest.
-        circuit = {x}
-        for e in sorted(b):
-            if self.is_independent(extended - {e}):
-                circuit.add(e)
-        return frozenset(circuit)
+        return self._circuit(b, x)
 
     def maximal_extension(
         self, inside: Iterable[int], within: Iterable[int] | None = None
     ) -> frozenset[int]:
         """Greedily extend independent ``inside`` to a maximal set within ``within``."""
         start = self._ground.subset(inside)
-        target = self._ground.full() if within is None else self._ground.subset(within)
+        target = self._full if within is None else self._ground.subset(within)
         if not start <= target:
             raise InputError("extension must take place inside the given superset")
-        if not self.is_independent(start):
+        if not self._independent(start):
             raise InputError("cannot extend a dependent set")
         return self._greedy_extend(start, target)
 
     # -- composition ------------------------------------------------------
 
     def dual(self) -> "Matroid":
-        """Lazy dual: a set is independent iff its complement spans."""
+        """Lazy dual through the rank identity r*(X) = |X| + r(E - X) - r(E)."""
         parent = self
-        full = self._ground.full()
+        full = self._full
 
-        def indep(xs: frozenset[int]) -> bool:
-            return parent.rank(full - xs) == parent.rank()
+        def rank(xs: frozenset[int]) -> int:
+            return len(xs) + parent._rank(full - xs) - parent._ground_rank()
 
-        return Matroid(self._ground, indep, provenance=f"dual({self.provenance})")
+        return Matroid(self._ground, provenance=f"dual({self.provenance})", rank=rank)
 
     def minor(self, contract: Iterable[int] = (), delete: Iterable[int] = ()) -> "Matroid":
         """Contract and delete, re-indexing the surviving elements densely.
 
         Survivors keep their labels, so elements stay identifiable across
-        the re-indexing.  Independence is derived from the rank identity
+        the re-indexing.  Rank follows the identity
         rank(X in minor) = rank(X + contract) - rank(contract).
         """
         parent = self
@@ -229,17 +267,16 @@ class Matroid:
             raise InputError("contract and delete sets overlap")
         kept = tuple(e for e in self._ground.elements() if e not in c and e not in d)
         ground = GroundSet(tuple(self._ground.labels[e] for e in kept))
-        contracted_rank = self.rank(c)
+        contracted_rank = self._rank(c)
 
-        def indep(xs: frozenset[int]) -> bool:
-            mapped = frozenset(kept[e] for e in xs)
-            return parent.rank(mapped | c) - contracted_rank == len(xs)
+        def rank(xs: frozenset[int]) -> int:
+            return parent._rank(frozenset(kept[e] for e in xs) | c) - contracted_rank
 
         label = (
             f"minor({self.provenance}, contract={self._ground.labels_of(c)}, "
             f"delete={self._ground.labels_of(d)})"
         )
-        return Matroid(ground, indep, provenance=label)
+        return Matroid(ground, provenance=label, rank=rank)
 
     # -- exhaustive helpers ------------------------------------------------
 
@@ -252,7 +289,7 @@ class Matroid:
         for candidate in subsets_by_size(self._ground.elements()):
             if any(c <= candidate for c in found):
                 continue
-            if not self.is_independent(candidate):
+            if not self._independent(candidate):
                 found.append(candidate)
         return found
 

@@ -9,27 +9,40 @@ from .errors import InputError
 
 
 class UnionFind:
-    """Plain union-find with path compression; no ranks needed at this scale."""
+    """Plain union-find; the roots are the ids that ``parent`` does not map.
+
+    No ranks are needed at this scale: ``find`` compresses the paths it walks.
+    """
 
     def __init__(self):
         self.parent: dict[int, int] = {}
 
     def find(self, x: int) -> int:
-        self.parent.setdefault(x, x)
+        parent = self.parent
         root = x
-        while self.parent[root] != root:
-            root = self.parent[root]
-        while self.parent[x] != root:
-            self.parent[x], x = root, self.parent[x]
+        while root in parent:
+            root = parent[root]
+        while x != root:
+            parent[x], x = root, parent[x]
         return root
 
     def union(self, a: int, b: int) -> bool:
         """Merge the classes of a and b; False when already joined."""
-        ra, rb = self.find(a), self.find(b)
-        if ra == rb:
-            return False
-        self.parent[rb] = ra
-        return True
+        return self.merge_all(((a, b),)) == 1
+
+    def merge_all(self, pairs: Iterable[tuple[int, int]]) -> int:
+        """Union each pair in turn; returns how many pairs joined two classes."""
+        parent = self.parent
+        merged = 0
+        for a, b in pairs:
+            while a in parent:
+                a = parent[a]
+            while b in parent:
+                b = parent[b]
+            if a != b:
+                parent[b] = a
+                merged += 1
+        return merged
 
 
 @dataclass(frozen=True)

@@ -375,9 +375,9 @@ def verify_certificate(
         j2 = ground.subset(cert.j2)
     except InputError:
         return CheckResult(False, "certificate references unknown elements")
-    if not m1.is_independent(i):
+    if not m1._independent(i):
         return CheckResult(False, "I is dependent in the first matroid")
-    if not m2.is_independent(i):
+    if not m2._independent(i):
         return CheckResult(False, "I is dependent in the second matroid")
     if j1 & j2:
         return CheckResult(False, "parts overlap", tuple(sorted(j1 & j2)))

@@ -28,6 +28,12 @@ from .zoo import (
 )
 
 
+# Family specs nest through "dual", "minor" and "sum".  Every level adds
+# stack frames to each rank query on the built handle, so the depth is
+# capped well inside Python's recursion limit.
+MAX_SPEC_DEPTH = 64
+
+
 def canonical_dumps(payload: Any) -> str:
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
@@ -39,6 +45,8 @@ def loads(text: str) -> Any:
         raise InputError(
             f"malformed JSON at line {exc.lineno} column {exc.colno}: {exc.msg}"
         ) from None
+    except RecursionError:
+        raise InputError("JSON nested too deeply to parse") from None
 
 
 def _expect(obj: Any, key: str, kind: type) -> Any:
@@ -118,6 +126,13 @@ def spec_to_obj(spec: FamilySpec) -> dict:
 
 
 def spec_from_obj(obj: Any) -> FamilySpec:
+    """Parse a family spec, rejecting nesting deeper than MAX_SPEC_DEPTH levels."""
+    return _spec_from_obj(obj, 1)
+
+
+def _spec_from_obj(obj: Any, depth: int) -> FamilySpec:
+    if depth > MAX_SPEC_DEPTH:
+        raise InputError(f"family spec nested deeper than {MAX_SPEC_DEPTH} levels")
     kind = _expect(obj, "type", str)
     if kind == "uniform":
         labels = obj.get("labels")
@@ -150,12 +165,13 @@ def spec_from_obj(obj: Any) -> FamilySpec:
             independent=tuple(tuple(str(x) for x in m) for m in members),
         )
     if kind == "sum":
-        return Sum(parts=tuple(spec_from_obj(p) for p in _expect(obj, "parts", list)))
+        parts = _expect(obj, "parts", list)
+        return Sum(parts=tuple(_spec_from_obj(p, depth + 1) for p in parts))
     if kind == "dual":
-        return Dual(of=spec_from_obj(_expect(obj, "of", dict)))
+        return Dual(of=_spec_from_obj(_expect(obj, "of", dict), depth + 1))
     if kind == "minor":
         return Minor(
-            of=spec_from_obj(_expect(obj, "of", dict)),
+            of=_spec_from_obj(_expect(obj, "of", dict), depth + 1),
             contract=tuple(str(x) for x in obj.get("contract", [])),
             delete=tuple(str(x) for x in obj.get("delete", [])),
         )

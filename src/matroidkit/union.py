@@ -90,9 +90,17 @@ class ExchangeChain:
 
 
 def _is_circuit(matroid: Matroid, candidate: frozenset[int]) -> bool:
-    if matroid.is_independent(candidate):
+    if matroid._independent(candidate):
         return False
-    return all(matroid.is_independent(candidate - {e}) for e in candidate)
+    return all(matroid._independent(candidate - {e}) for e in candidate)
+
+
+def _check_entry(m1: Matroid, m2: Matroid, state: PairState) -> None:
+    """Validate a pair state handed in from outside, once, at a public entry."""
+    if m1.ground != m2.ground:
+        raise InputError("matroid union needs a common ground set")
+    m1.ground.subset(state.i1)
+    m1.ground.subset(state.i2)
 
 
 def validate_chain(m1: Matroid, m2: Matroid, state: PairState, chain: ExchangeChain) -> None:
@@ -100,9 +108,13 @@ def validate_chain(m1: Matroid, m2: Matroid, state: PairState, chain: ExchangeCh
 
     Checks every witness circuit (membership, containment in part + y_i,
     genuine circuit-ness) plus the terminal condition and the alternation
-    pattern of the interior elements.
+    pattern of the interior elements.  Elements and circuits outside the
+    ground set raise InputError.
     """
+    _check_entry(m1, m2, state)
     els = chain.elements
+    m1.ground.subset(els)
+    circuits = tuple(m1.ground.subset(c) for c in chain.circuits)
     if not els:
         raise ConsistencyError("empty chain")
     start_set = state.i1 if chain.parity == EVEN else state.i2
@@ -110,7 +122,7 @@ def validate_chain(m1: Matroid, m2: Matroid, state: PairState, chain: ExchangeCh
         raise ConsistencyError("chain start already belongs to the part it would enter")
     for link in range(chain.length):
         matroid, part = (m1, state.i1) if chain.link_uses_first(link) else (m2, state.i2)
-        circuit = chain.circuits[link]
+        circuit = circuits[link]
         if els[link] not in circuit or els[link + 1] not in circuit:
             raise ConsistencyError(f"link {link} circuit misses its endpoints")
         if not circuit <= part | {els[link]}:
@@ -135,7 +147,7 @@ def validate_chain(m1: Matroid, m2: Matroid, state: PairState, chain: ExchangeCh
         matroid, part = (m1, state.i1) if chain.receiver_is_first() else (m2, state.i2)
         if last in part:
             raise ConsistencyError("terminal marked 'add' already sits in the receiving part")
-        if not matroid.is_independent(part | {last}):
+        if not matroid._independent(part | {last}):
             raise ConsistencyError("terminal marked 'add' does not extend the receiver independently")
     else:  # SWAP: the last element leaves the part owned by the final link
         if chain.length == 0:
@@ -158,9 +170,9 @@ def apply_chain(m1: Matroid, m2: Matroid, state: PairState, chain: ExchangeChain
     if chain.terminal == ADD:
         (i1 if chain.receiver_is_first() else i2).add(els[-1])
     new_state = PairState(frozenset(i1), frozenset(i2))
-    if not m1.is_independent(new_state.i1):
+    if not m1._independent(new_state.i1):
         raise ConsistencyError("first part lost independence after the swaps")
-    if not m2.is_independent(new_state.i2):
+    if not m2._independent(new_state.i2):
         raise ConsistencyError("second part lost independence after the swaps")
     if chain.terminal in (COMMON, ADD):
         if new_state.union != state.union | {els[0]}:
@@ -187,7 +199,7 @@ def _search(m1: Matroid, m2: Matroid, state: PairState, y: int, parity: str):
     chain the lexicographically least among the shortest ones.
     """
     start_matroid, start_part = (m1, state.i1) if parity == EVEN else (m2, state.i2)
-    if start_matroid.is_independent(start_part | {y}):
+    if start_matroid._independent(start_part | {y}):
         return ExchangeChain((y,), parity, (), ADD)
 
     def expand(node: int):
@@ -201,9 +213,9 @@ def _search(m1: Matroid, m2: Matroid, state: PairState, y: int, parity: str):
             matroid, part = m2, state.i2
         else:
             matroid, part = m1, state.i1
-        if matroid.is_independent(part | {node}):
+        if matroid._independent(part | {node}):
             return ADD, None
-        return None, matroid.fundamental_circuit(part, node)
+        return None, matroid._circuit(part, node)
 
     parents: dict[int, tuple[int, frozenset[int]]] = {}
     seen = {y}
@@ -242,6 +254,9 @@ def find_chain(m1: Matroid, m2: Matroid, state: PairState, y: int) -> ExchangeCh
     Chains through the first matroid are preferred: the even parity is
     searched exhaustively before the odd one is tried.
     """
+    _check_entry(m1, m2, state)
+    if not (m1._independent(state.i1) and m2._independent(state.i2)):
+        raise InputError("each part of the pair state must be independent in its matroid")
     if y not in m1.ground.elements():
         raise InputError(f"element {y!r} outside ground set")
     if y in state.union:

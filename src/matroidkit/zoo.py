@@ -2,7 +2,9 @@
 
 Families: uniform, partition, graphic (acyclic edge sets of a multigraph),
 binary (column independence over GF(2)), explicit set systems, direct sums,
-plus dual and minor wrappers for composing them.
+plus dual and minor wrappers for composing them.  Every family except the
+explicit one supplies a native rank function; explicit systems keep their
+membership predicate and rank through the core's greedy sweep.
 """
 
 from __future__ import annotations
@@ -79,10 +81,10 @@ def _build_uniform(spec: Uniform) -> Matroid:
     ground = GroundSet(tuple(labels))
     k = spec.k
 
-    def indep(xs: frozenset[int]) -> bool:
-        return len(xs) <= k
+    def rank(xs: frozenset[int]) -> int:
+        return min(len(xs), k)
 
-    return Matroid(ground, indep, provenance=f"uniform({spec.n},{spec.k})")
+    return Matroid(ground, provenance=f"uniform({spec.n},{spec.k})", rank=rank)
 
 
 def _build_partition(spec: Partition) -> Matroid:
@@ -104,14 +106,16 @@ def _build_partition(spec: Partition) -> Matroid:
             block_of[ground.index(lbl)] = bi
     caps = spec.caps
 
-    def indep(xs: frozenset[int]) -> bool:
+    def rank(xs: frozenset[int]) -> int:
         counts = [0] * len(caps)
         for e in xs:
             counts[block_of[e]] += 1
-        return all(c <= cap for c, cap in zip(counts, caps))
+        return sum(min(c, cap) for c, cap in zip(counts, caps))
 
     blocks_repr = "|".join(",".join(b) for b in spec.blocks)
-    return Matroid(ground, indep, provenance=f"partition({blocks_repr};caps={list(spec.caps)})")
+    return Matroid(
+        ground, provenance=f"partition({blocks_repr};caps={list(spec.caps)})", rank=rank
+    )
 
 
 def _build_graphic(spec: Graphic) -> Matroid:
@@ -119,16 +123,12 @@ def _build_graphic(spec: Graphic) -> Matroid:
     ground = GroundSet(g.edge_labels)
     endpoints = g.endpoints
 
-    def indep(xs: frozenset[int]) -> bool:
-        uf = UnionFind()
-        for e in sorted(xs):
-            u, v = endpoints[e]
-            if u == v or not uf.union(u, v):
-                return False  # loop, or edge closing a cycle
-        return True
+    def rank(xs: frozenset[int]) -> int:
+        """Successful union-find merges; a loop never merges anything."""
+        return UnionFind().merge_all(map(endpoints.__getitem__, xs))
 
     return Matroid(
-        ground, indep, provenance=f"graphic(V={g.vertex_count},E={g.edge_count})"
+        ground, provenance=f"graphic(V={g.vertex_count},E={g.edge_count})", rank=rank
     )
 
 
@@ -151,9 +151,10 @@ def _build_binary(spec: Binary) -> Matroid:
         for c in range(width)
     )
 
-    def indep(xs: frozenset[int]) -> bool:
+    def rank(xs: frozenset[int]) -> int:
+        """Size of the GF(2) elimination basis, keyed by leading bit."""
         basis: dict[int, int] = {}
-        for e in sorted(xs):
+        for e in xs:
             v = columns[e]
             while v:
                 high = v.bit_length() - 1
@@ -161,13 +162,9 @@ def _build_binary(spec: Binary) -> Matroid:
                     basis[high] = v
                     break
                 v ^= basis[high]
-            if not v:
-                return False
-        return True
+        return len(basis)
 
-    return Matroid(
-        ground, indep, provenance=f"binary({len(spec.matrix)}x{width})"
-    )
+    return Matroid(ground, provenance=f"binary({len(spec.matrix)}x{width})", rank=rank)
 
 
 def _build_explicit(spec: Explicit) -> Matroid:
@@ -190,15 +187,14 @@ def _build_sum(spec: Sum) -> Matroid:
         slices.append((start, start + part.ground.size))
     ground = GroundSet(tuple(labels))  # rejects label clashes across parts
 
-    def indep(xs: frozenset[int]) -> bool:
-        for part, (start, stop) in zip(parts, slices):
-            local = frozenset(e - start for e in xs if start <= e < stop)
-            if not part.is_independent(local):
-                return False
-        return True
+    def rank(xs: frozenset[int]) -> int:
+        return sum(
+            part._rank(frozenset(e - start for e in xs if start <= e < stop))
+            for part, (start, stop) in zip(parts, slices)
+        )
 
     inner = ",".join(p.provenance for p in parts)
-    return Matroid(ground, indep, provenance=f"sum({inner})")
+    return Matroid(ground, provenance=f"sum({inner})", rank=rank)
 
 
 def explicit_system(spec: Explicit) -> ExplicitSystem:

@@ -137,6 +137,27 @@ class TestErrorPaths:
         assert code == 2
         assert "line 1 column" in err
 
+    @pytest.mark.parametrize(
+        "text",
+        [
+            '{"type": "dual", "of": ' * 400 + '{"type": "uniform", "n": 3, "k": 1}' + "}" * 400,
+            "[" * 3000 + "]" * 3000,
+        ],
+        ids=["spec-400-duals", "json-3000-levels"],
+    )
+    def test_deep_nesting_exits_two_with_one_line(self, tmp_path, text):
+        deep = tmp_path / "deep.json"
+        deep.write_text(text)
+        proc = subprocess.run(
+            [sys.executable, "-m", "matroidkit", "rank", "--matroid", str(deep)],
+            capture_output=True,
+            text=True,
+            check=False,
+        )
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+
     def test_unknown_label_exits_two(self, capsys):
         code = run(["rank", "--matroid", U24, "--set", "zz"])
         assert code == 2

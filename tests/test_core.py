@@ -7,6 +7,7 @@ from matroidkit import (
     Graphic,
     GroundSet,
     InputError,
+    Matroid,
     Multigraph,
     NoFundamentalCircuit,
     Partition,
@@ -43,6 +44,13 @@ class TestGroundSet:
         with pytest.raises(InputError):
             g.subset({0, 5})
 
+    def test_matroid_takes_exactly_one_oracle(self):
+        ground = GroundSet(("a",))
+        with pytest.raises(InputError):
+            Matroid(ground)
+        with pytest.raises(InputError):
+            Matroid(ground, lambda xs: True, rank=len)
+
     def test_label_round_trip(self):
         g = GroundSet(("x", "y", "z"))
         assert g.subset_from_labels(["z", "x"]) == frozenset({0, 2})
@@ -60,6 +68,40 @@ class TestIndependence:
     def test_out_of_range_is_input_error(self, u24):
         with pytest.raises(InputError):
             u24.is_independent({9})
+
+    @pytest.mark.parametrize("family", range(4), ids=["graphic", "dual", "partition", "binary"])
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda m: m.rank({0, 9}),
+            lambda m: m.rank({-1}),
+            lambda m: m.closure({9}),
+            lambda m: m.fundamental_circuit({9}, 0),
+            lambda m: m.fundamental_circuit({0}, 9),
+            lambda m: m.fundamental_circuit({0}, -1),
+            lambda m: m.maximal_extension({9}),
+            lambda m: m.maximal_extension(set(), {0, 9}),
+            lambda m: m.minor(contract={9}),
+            lambda m: m.is_independent({"a"}),
+        ],
+        ids=[
+            "rank", "rank-negative", "closure", "circuit-base", "circuit-x",
+            "circuit-x-negative", "extension-inside", "extension-within", "minor",
+            "independent-label",
+        ],
+    )
+    def test_out_of_range_ids_are_input_errors_everywhere(self, family, call):
+        graph = Multigraph.from_labels(
+            ["u", "v", "w"], [("a", "u", "v"), ("b", "v", "w"), ("c", "w", "u")]
+        )
+        handles = [
+            build(Graphic(graph)),
+            build(Graphic(graph)).dual(),
+            build(Partition((("a", "b"), ("c",)), (1, 0))),
+            build(Binary(((1, 0, 1), (0, 1, 1)))),
+        ]
+        with pytest.raises(InputError):
+            call(handles[family])
 
     def test_predicate_memoization_is_invisible(self, graphic_triangle):
         first = graphic_triangle.is_independent({0, 1})

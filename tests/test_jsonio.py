@@ -16,6 +16,7 @@ from matroidkit import (
     solve,
 )
 from matroidkit.jsonio import (
+    MAX_SPEC_DEPTH,
     canonical_dumps,
     graph_from_obj,
     graph_to_obj,
@@ -104,3 +105,19 @@ def test_unknown_family_type_rejected():
 def test_missing_fields_rejected():
     with pytest.raises(InputError, match="missing field"):
         spec_from_obj({"type": "uniform", "n": 3})
+
+
+def test_spec_nesting_is_capped_at_max_depth():
+    spec = {"type": "uniform", "n": 3, "k": 1}
+    for level in range(MAX_SPEC_DEPTH - 1):
+        spec = {"type": "sum", "parts": [spec]} if level % 3 == 0 else {"type": "dual", "of": spec}
+    deepest = build(spec_from_obj(spec))
+    assert deepest.rank() == 1  # 42 duals cancel out
+    for wrapper in ({"type": "dual", "of": spec}, {"type": "sum", "parts": [spec]}):
+        with pytest.raises(InputError, match="nested deeper"):
+            spec_from_obj(wrapper)
+
+
+def test_json_nested_past_the_parser_is_input_error():
+    with pytest.raises(InputError):
+        loads("[" * 3000 + "]" * 3000)

@@ -1,8 +1,21 @@
 """Property-based checks over randomly composed families."""
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
-from matroidkit import NoFundamentalCircuit, build
+from matroidkit import (
+    Binary,
+    Dual,
+    Explicit,
+    Graphic,
+    Minor,
+    Multigraph,
+    NoFundamentalCircuit,
+    Partition,
+    Sum,
+    Uniform,
+    build,
+)
 from matroidkit.generate import random_family, random_matroid_pairs
 from matroidkit.oracles import brute_union_max
 from matroidkit.union import maximize_union
@@ -83,3 +96,156 @@ def test_union_reaches_the_exhaustive_maximum(seed):
     state = maximize_union(m1, m2, observer=observer)
     assert all(b == a - 1 for b, a in sizes)
     assert len(state.union) == brute_union_max(m1, m2)
+
+
+# -- native rank against independence predicates written here ----------------
+#
+# Each case pairs a handle with a reference predicate on its element ids that
+# never consults a matroidkit rank.  The reference rank of X is the size of a
+# largest subset of X the predicate accepts, found by trying every subset.
+
+
+def _all_subsets(xs):
+    pool = sorted(xs)
+    return [frozenset(e for i, e in enumerate(pool) if mask >> i & 1) for mask in range(1 << len(pool))]
+
+
+def _reference_rank(indep, xs):
+    return max(len(s) for s in _all_subsets(xs) if indep(s))
+
+
+def _cached(indep):
+    memo = {}
+
+    def cached(xs):
+        if xs not in memo:
+            memo[xs] = indep(xs)
+        return memo[xs]
+
+    return cached
+
+
+def _ref_uniform(k):
+    return lambda xs: len(xs) <= k
+
+
+def _ref_partition(block_of, caps):
+    def indep(xs):
+        counts = [0] * len(caps)
+        for e in xs:
+            counts[block_of[e]] += 1
+        return all(c <= cap for c, cap in zip(counts, caps))
+
+    return indep
+
+
+def _ref_forest(endpoints):
+    """Acyclic edge sets: no edge joins two vertices already connected (loops included)."""
+
+    def indep(xs):
+        parent = {}
+
+        def root(v):
+            while parent.get(v, v) != v:
+                v = parent[v]
+            return v
+
+        for e in xs:
+            a, b = root(endpoints[e][0]), root(endpoints[e][1])
+            if a == b:
+                return False
+            parent[a] = b
+        return True
+
+    return indep
+
+
+def _ref_gf2(columns):
+    """No nonempty subset of the columns sums to zero over GF(2)."""
+
+    def indep(xs):
+        for sub in _all_subsets(xs):
+            total = 0
+            for e in sub:
+                total ^= columns[e]
+            if sub and total == 0:
+                return False
+        return True
+
+    return indep
+
+
+def _ref_dual(indep, n):
+    full = frozenset(range(n))
+    full_rank = _reference_rank(indep, full)
+    return lambda xs: _reference_rank(indep, full - xs) == full_rank
+
+
+def _ref_minor(indep, n, contract, delete):
+    kept = [e for e in range(n) if e not in contract and e not in delete]
+    contracted = _reference_rank(indep, contract)
+    return lambda xs: (
+        _reference_rank(indep, frozenset(kept[e] for e in xs) | contract) - contracted == len(xs)
+    )
+
+
+def _rank_cases():
+    # u-v twice (parallel), v-w, a loop at w, w-u.
+    graph = Multigraph.from_labels(
+        ["u", "v", "w"],
+        [("g0", "u", "v"), ("g1", "u", "v"), ("g2", "v", "w"), ("g3", "w", "w"), ("g4", "w", "u")],
+    )
+    graph_ref = _cached(_ref_forest(((0, 1), (0, 1), (1, 2), (2, 2), (2, 0))))
+    # Columns (1,0), zero, (1,1), (1,0) again, (0,1).
+    matrix = ((1, 0, 1, 1, 0), (0, 0, 1, 0, 1))
+    binary_ref = _cached(_ref_gf2((0b01, 0b00, 0b11, 0b01, 0b10)))
+    partition = Partition((("p0", "p1"), ("p2",), ("p3", "p4")), (1, 0, 2))
+    partition_ref = _cached(_ref_partition((0, 0, 1, 2, 2), (1, 0, 2)))
+    explicit_members = tuple(
+        tuple(f"x{e}" for e in sorted(s))
+        for s in _all_subsets(range(4))
+        if len(s) <= 2 and s != frozenset({0, 1})
+    )
+    explicit_ref = _cached(lambda xs: len(xs) <= 2 and xs != frozenset({0, 1}))
+    sum_spec = Sum((Uniform(2, 1, labels=("s0", "s1")), Partition((("s2", "s3"), ("s4",)), (1, 0))))
+    sum_ref = _cached(lambda xs: len(xs & {0, 1}) <= 1 and len(xs & {2, 3}) <= 1 and 4 not in xs)
+    contract, delete = frozenset({0}), frozenset({3})
+    return [
+        ("uniform", Uniform(5, 2), _cached(_ref_uniform(2))),
+        ("partition-cap-0", partition, partition_ref),
+        ("graphic-loop-parallel", Graphic(graph), graph_ref),
+        ("binary-zero-repeated", Binary(matrix), binary_ref),
+        ("sum", sum_spec, sum_ref),
+        (
+            "explicit",
+            Explicit(ground=("x0", "x1", "x2", "x3"), independent=explicit_members),
+            explicit_ref,
+        ),
+        ("dual", Dual(Graphic(graph)), _cached(_ref_dual(graph_ref, 5))),
+        (
+            "minor",
+            Minor(Binary(matrix), contract=("e0",), delete=("e3",)),
+            _cached(_ref_minor(binary_ref, 5, contract, delete)),
+        ),
+        ("dual-dual", Dual(Dual(partition)), partition_ref),
+        (
+            "minor-dual",
+            Minor(Dual(Graphic(graph)), contract=("g0",), delete=("g3",)),
+            _cached(_ref_minor(_cached(_ref_dual(graph_ref, 5)), 5, contract, delete)),
+        ),
+    ]
+
+
+_RANK_CASES = _rank_cases()
+
+
+@pytest.mark.parametrize(
+    "spec,reference", [case[1:] for case in _RANK_CASES], ids=[case[0] for case in _RANK_CASES]
+)
+def test_native_rank_matches_a_largest_independent_subset(spec, reference):
+    m = build(spec)
+    for xs in _all_subsets(m.elements()):
+        rank = m.rank(xs)
+        assert rank == _reference_rank(reference, xs), sorted(xs)
+        assert m.is_independent(xs) == reference(xs) == (rank == len(xs)), sorted(xs)
+    assert m.rank() == _reference_rank(reference, frozenset(m.elements()))

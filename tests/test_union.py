@@ -99,6 +99,30 @@ class TestApplyChain:
         with pytest.raises(ConsistencyError):
             apply_chain(m1, m2, state, forged)
 
+    @pytest.mark.parametrize(
+        "forged",
+        [
+            ExchangeChain((9,), EVEN, (), ADD),
+            ExchangeChain((1, 9), EVEN, (fs({1, 9}),), SWAP),
+            ExchangeChain((1, 0), EVEN, (fs({0, 1, 9}),), SWAP),
+        ],
+        ids=["start", "terminal", "circuit"],
+    )
+    def test_forged_element_outside_ground_is_rejected(self, forged):
+        m1, m2 = u12_pair()
+        state = PairState(fs({0}), fs())
+        with pytest.raises((InputError, ConsistencyError)):
+            validate_chain(m1, m2, state, forged)
+        with pytest.raises((InputError, ConsistencyError)):
+            apply_chain(m1, m2, state, forged)
+
+    def test_state_outside_ground_is_rejected(self):
+        m1, m2 = u12_pair()
+        with pytest.raises(InputError):
+            find_chain(m1, m2, PairState(fs({9}), fs()), 1)
+        with pytest.raises(InputError):
+            validate_chain(m1, m2, PairState(fs(), fs({9})), ExchangeChain((1,), EVEN, (), ADD))
+
     def test_plain_swap_terminal(self):
         m1, m2 = u12_pair()
         state = PairState(fs({0}), fs())
