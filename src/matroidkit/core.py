@@ -1,4 +1,4 @@
-"""Rank-oracle matroids with derived closure and circuit services.
+"""Rank-oracle matroids with closure and fundamental-circuit services.
 
 A matroid is handled as a ground set plus one native oracle.  Every
 concrete family supplies a rank function; explicit set systems supply an
@@ -9,10 +9,22 @@ Duals and minors are lazy wrappers that answer through rank identities,
     minor:  r'(X) = r(X + C) - r(C)   (C contracted),
 
 so each level of composition costs a constant number of rank queries one
-level down, with r(E) computed once per handle.  Input is validated once,
-by the public methods; everything below them works on frozensets already
-known to lie inside the ground set.  Nothing is ever materialized unless
-an enumeration helper is asked for explicitly.
+level down, with r(E) computed once per handle.
+
+Closure and fundamental circuits are derived from rank unless the handle
+was given a native closure or circuit oracle next to its rank: graphic and
+partition matroids supply both, each answered in one pass.  Duals answer
+every fundamental circuit with one closure of the primal,
+
+    C*(B, x) = {x} + (B - cl(E - B - x)),
+
+since e in B lies on that cocircuit exactly when r(A + e) = r(A) + 1 for
+A = E - B - x.  Explicit, binary, sum and minor handles keep the
+rank-derived fallback, the one path for those inputs.
+
+Input is validated once, by the public methods; everything below them
+works on frozensets already known to lie inside the ground set.  Nothing
+is ever materialized unless an enumeration helper is asked for explicitly.
 """
 
 from __future__ import annotations
@@ -112,13 +124,29 @@ class Matroid:
     callers and safe to share across threads because entries are pure
     recomputable facts.  r(E) is computed once per handle.
 
+    A rank handle may also take a native ``closure(A)`` and a native
+    ``circuit(B, x)``, the circuit inside ``B + x`` for independent ``B``
+    and dependent ``B + x``.  Both must agree with the rank function; when
+    either is absent it is derived from rank.  Chains built from circuits
+    are still re-checked against rank before they are applied.
+
     The public methods validate their input once with ``GroundSet.subset``.
-    The underscore methods ``_independent``, ``_rank`` and ``_circuit`` skip
-    that check; they serve callers inside the package that already hold
-    frozensets of valid ids.
+    The underscore methods ``_independent``, ``_rank``, ``_closure`` and
+    ``_circuit`` skip that check; they serve callers inside the package that
+    already hold frozensets of valid ids.
     """
 
-    __slots__ = ("_ground", "_full", "_predicate", "_rank_fn", "provenance", "_memo", "_full_rank")
+    __slots__ = (
+        "_ground",
+        "_full",
+        "_predicate",
+        "_rank_fn",
+        "_closure_fn",
+        "_circuit_fn",
+        "provenance",
+        "_memo",
+        "_full_rank",
+    )
 
     def __init__(
         self,
@@ -127,6 +155,8 @@ class Matroid:
         provenance: str = "oracle",
         *,
         rank: Callable[[frozenset[int]], int] | None = None,
+        closure: Callable[[frozenset[int]], frozenset[int]] | None = None,
+        circuit: Callable[[frozenset[int], int], frozenset[int]] | None = None,
     ):
         if (predicate is None) == (rank is None):
             raise InputError("a matroid takes exactly one oracle: a predicate or a rank function")
@@ -134,6 +164,8 @@ class Matroid:
         self._full = ground.full()
         self._predicate = predicate
         self._rank_fn = rank
+        self._closure_fn = closure
+        self._circuit_fn = circuit
         self.provenance = provenance
         self._memo: dict[frozenset[int], int] = {}
         self._full_rank: int | None = None
@@ -184,8 +216,16 @@ class Matroid:
                 current = grown
         return current
 
+    def _closure(self, a: frozenset[int]) -> frozenset[int]:
+        if self._closure_fn is not None:
+            return self._closure_fn(a)
+        r = self._rank(a)
+        return a | frozenset(e for e in self._full - a if self._rank(a | {e}) == r)
+
     def _circuit(self, b: frozenset[int], x: int) -> frozenset[int]:
         """The circuit inside ``b + x``, for independent ``b`` and dependent ``b + x``."""
+        if self._circuit_fn is not None:
+            return self._circuit_fn(b, x)
         # b + x holds exactly one circuit, so an element of b lies on it
         # exactly when removing that element leaves b + x independent.
         extended = b | {x}
@@ -204,11 +244,7 @@ class Matroid:
 
     def closure(self, xs: Iterable[int]) -> frozenset[int]:
         """``xs`` plus every element whose addition does not raise the rank."""
-        base = self._ground.subset(xs)
-        r = self._rank(base)
-        return base | frozenset(
-            e for e in self._ground.elements() if e not in base and self._rank(base | {e}) == r
-        )
+        return self._closure(self._ground.subset(xs))
 
     def fundamental_circuit(self, base: Iterable[int], x: int) -> frozenset[int]:
         """The unique circuit inside ``base + x`` for independent ``base``.
@@ -244,14 +280,23 @@ class Matroid:
     # -- composition ------------------------------------------------------
 
     def dual(self) -> "Matroid":
-        """Lazy dual through the rank identity r*(X) = |X| + r(E - X) - r(E)."""
+        """Lazy dual through the rank identity r*(X) = |X| + r(E - X) - r(E).
+
+        Fundamental circuits take one primal closure each:
+        C*(B, x) = {x} + (B - cl(E - B - x)).
+        """
         parent = self
         full = self._full
 
         def rank(xs: frozenset[int]) -> int:
             return len(xs) + parent._rank(full - xs) - parent._ground_rank()
 
-        return Matroid(self._ground, provenance=f"dual({self.provenance})", rank=rank)
+        def circuit(b: frozenset[int], x: int) -> frozenset[int]:
+            return (b - parent._closure(full - b - {x})) | {x}
+
+        return Matroid(
+            self._ground, provenance=f"dual({self.provenance})", rank=rank, circuit=circuit
+        )
 
     def minor(self, contract: Iterable[int] = (), delete: Iterable[int] = ()) -> "Matroid":
         """Contract and delete, re-indexing the surviving elements densely.

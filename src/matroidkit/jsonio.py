@@ -49,13 +49,24 @@ def loads(text: str) -> Any:
         raise InputError("JSON nested too deeply to parse") from None
 
 
+def _typed(value: Any, kind: type | tuple[type, ...], what: str) -> Any:
+    """``value`` when it has the JSON type ``kind``; a bool never counts as an int."""
+    if isinstance(value, bool) or not isinstance(value, kind):
+        kinds = kind if isinstance(kind, tuple) else (kind,)
+        names = " or ".join(k.__name__ for k in kinds)
+        raise InputError(f"{what} must be {names}, got {value!r}")
+    return value
+
+
 def _expect(obj: Any, key: str, kind: type) -> Any:
     if not isinstance(obj, dict) or key not in obj:
         raise InputError(f"missing field {key!r} in {obj!r}")
-    value = obj[key]
-    if not isinstance(value, kind):
-        raise InputError(f"field {key!r} must be {kind.__name__}, got {value!r}")
-    return value
+    return _typed(obj[key], kind, f"field {key!r}")
+
+
+def _labels(values: Any, what: str = "label list") -> tuple[str, ...]:
+    """Element or vertex labels: JSON strings, or integers rendered with ``str``."""
+    return tuple(str(_typed(x, (str, int), "a label")) for x in _typed(values, list, what))
 
 
 # -- graphs ----------------------------------------------------------------
@@ -78,8 +89,8 @@ def graph_from_obj(obj: Any) -> Multigraph:
     for entry in edges:
         if not (isinstance(entry, list) and len(entry) == 3):
             raise InputError(f"edge entries must be [label, endpoint, endpoint]: {entry!r}")
-        triples.append(tuple(str(x) for x in entry))
-    return Multigraph.from_labels([str(v) for v in vertices], triples)
+        triples.append(_labels(entry))
+    return Multigraph.from_labels(_labels(vertices), triples)
 
 
 # -- family specs ------------------------------------------------------------
@@ -139,14 +150,14 @@ def _spec_from_obj(obj: Any, depth: int) -> FamilySpec:
         return Uniform(
             n=_expect(obj, "n", int),
             k=_expect(obj, "k", int),
-            labels=tuple(str(x) for x in labels) if labels is not None else None,
+            labels=_labels(labels) if labels is not None else None,
         )
     if kind == "partition":
         blocks = _expect(obj, "blocks", list)
         caps = _expect(obj, "caps", list)
         return Partition(
-            blocks=tuple(tuple(str(x) for x in b) for b in blocks),
-            caps=tuple(int(c) for c in caps),
+            blocks=tuple(_labels(b, "a partition block") for b in blocks),
+            caps=tuple(_typed(c, int, "a partition cap") for c in caps),
         )
     if kind == "graphic":
         return Graphic(graph_from_obj(_expect(obj, "graph", dict)))
@@ -154,15 +165,18 @@ def _spec_from_obj(obj: Any, depth: int) -> FamilySpec:
         matrix = _expect(obj, "matrix", list)
         labels = obj.get("labels")
         return Binary(
-            matrix=tuple(tuple(int(x) for x in row) for row in matrix),
-            labels=tuple(str(x) for x in labels) if labels is not None else None,
+            matrix=tuple(
+                tuple(_typed(x, int, "a matrix entry") for x in _typed(row, list, "a matrix row"))
+                for row in matrix
+            ),
+            labels=_labels(labels) if labels is not None else None,
         )
     if kind == "explicit":
         ground = _expect(obj, "ground", list)
         members = _expect(obj, "independent", list)
         return Explicit(
-            ground=tuple(str(x) for x in ground),
-            independent=tuple(tuple(str(x) for x in m) for m in members),
+            ground=_labels(ground),
+            independent=tuple(_labels(m, "an independent set") for m in members),
         )
     if kind == "sum":
         parts = _expect(obj, "parts", list)
@@ -172,8 +186,8 @@ def _spec_from_obj(obj: Any, depth: int) -> FamilySpec:
     if kind == "minor":
         return Minor(
             of=_spec_from_obj(_expect(obj, "of", dict), depth + 1),
-            contract=tuple(str(x) for x in obj.get("contract", [])),
-            delete=tuple(str(x) for x in obj.get("delete", [])),
+            contract=_labels(obj.get("contract", [])),
+            delete=_labels(obj.get("delete", [])),
         )
     raise InputError(f"unknown family type {kind!r}")
 
@@ -192,9 +206,9 @@ def intersection_cert_to_obj(cert: IntersectionCertificate, ground: GroundSet) -
 
 def intersection_cert_from_obj(obj: Any, ground: GroundSet) -> IntersectionCertificate:
     return IntersectionCertificate(
-        i=ground.subset_from_labels(str(x) for x in _expect(obj, "I", list)),
-        j1=ground.subset_from_labels(str(x) for x in _expect(obj, "J1", list)),
-        j2=ground.subset_from_labels(str(x) for x in _expect(obj, "J2", list)),
+        i=ground.subset_from_labels(_labels(_expect(obj, "I", list))),
+        j1=ground.subset_from_labels(_labels(_expect(obj, "J1", list))),
+        j2=ground.subset_from_labels(_labels(_expect(obj, "J2", list))),
     )
 
 
@@ -219,8 +233,8 @@ def menger_cert_from_obj(obj: Any, g: Multigraph) -> MengerCertificate:
     paths = _expect(obj, "paths", list)
     separator = _expect(obj, "separator", list)
     return MengerCertificate(
-        paths=tuple(tuple(g.vertex_index(str(v)) for v in p) for p in paths),
-        separator=frozenset(g.vertex_index(str(v)) for v in separator),
+        paths=tuple(tuple(map(g.vertex_index, _labels(p, "a path"))) for p in paths),
+        separator=frozenset(map(g.vertex_index, _labels(separator))),
     )
 
 
@@ -236,6 +250,6 @@ def menger_instance_from_obj(obj: Any) -> MengerInstance:
     g = graph_from_obj(_expect(obj, "graph", dict))
     return MengerInstance.from_labels(
         g,
-        [str(v) for v in _expect(obj, "s", list)],
-        [str(v) for v in _expect(obj, "t", list)],
+        _labels(_expect(obj, "s", list)),
+        _labels(_expect(obj, "t", list)),
     )

@@ -4,7 +4,8 @@ Families: uniform, partition, graphic (acyclic edge sets of a multigraph),
 binary (column independence over GF(2)), explicit set systems, direct sums,
 plus dual and minor wrappers for composing them.  Every family except the
 explicit one supplies a native rank function; explicit systems keep their
-membership predicate and rank through the core's greedy sweep.
+membership predicate and rank through the core's greedy sweep.  Partition
+and graphic matroids also supply a native closure and fundamental circuit.
 """
 
 from __future__ import annotations
@@ -100,21 +101,35 @@ def _build_partition(spec: Partition) -> Matroid:
     if len(set(labels)) != len(labels):
         raise InputError("partition blocks overlap")
     ground = GroundSet(tuple(sorted(labels)))
-    block_of: dict[int, int] = {}
-    for bi, block in enumerate(spec.blocks):
-        for lbl in block:
-            block_of[ground.index(lbl)] = bi
+    members = tuple(frozenset(ground.index(lbl) for lbl in block) for block in spec.blocks)
+    block_of = {e: bi for bi, block in enumerate(members) for e in block}
     caps = spec.caps
 
-    def rank(xs: frozenset[int]) -> int:
-        counts = [0] * len(caps)
+    def counts(xs: frozenset[int]) -> list[int]:
+        per_block = [0] * len(caps)
         for e in xs:
-            counts[block_of[e]] += 1
-        return sum(min(c, cap) for c, cap in zip(counts, caps))
+            per_block[block_of[e]] += 1
+        return per_block
+
+    def rank(xs: frozenset[int]) -> int:
+        return sum(min(c, cap) for c, cap in zip(counts(xs), caps))
+
+    def closure(xs: frozenset[int]) -> frozenset[int]:
+        """``xs`` plus every block whose count has reached its cap."""
+        full = [members[bi] for bi, (c, cap) in enumerate(zip(counts(xs), caps)) if c >= cap]
+        return xs.union(*full)
+
+    def circuit(b: frozenset[int], x: int) -> frozenset[int]:
+        """``x`` plus the members of ``b`` in its (full) block."""
+        return (b & members[block_of[x]]) | {x}
 
     blocks_repr = "|".join(",".join(b) for b in spec.blocks)
     return Matroid(
-        ground, provenance=f"partition({blocks_repr};caps={list(spec.caps)})", rank=rank
+        ground,
+        provenance=f"partition({blocks_repr};caps={list(spec.caps)})",
+        rank=rank,
+        closure=closure,
+        circuit=circuit,
     )
 
 
@@ -127,8 +142,46 @@ def _build_graphic(spec: Graphic) -> Matroid:
         """Successful union-find merges; a loop never merges anything."""
         return UnionFind().merge_all(map(endpoints.__getitem__, xs))
 
+    def closure(xs: frozenset[int]) -> frozenset[int]:
+        """``xs`` plus every other edge whose endpoints ``xs`` already connects."""
+        uf = UnionFind()
+        uf.merge_all(map(endpoints.__getitem__, xs))
+        find = uf.find
+        return xs | frozenset(
+            e for e, (u, v) in enumerate(endpoints) if e not in xs and find(u) == find(v)
+        )
+
+    def circuit(b: frozenset[int], x: int) -> frozenset[int]:
+        """``x`` plus the path in the forest ``b`` between the ends of ``x``."""
+        source, target = endpoints[x]
+        adjacent: dict[int, list[tuple[int, int]]] = {}
+        for e in b:
+            u, v = endpoints[e]
+            adjacent.setdefault(u, []).append((v, e))
+            adjacent.setdefault(v, []).append((u, e))
+        # Search outward from ``source``; ``via`` maps each reached vertex to
+        # the tree edge it was reached by.  A loop finds ``target`` at once.
+        via: dict[int, tuple[int, int]] = {}
+        stack = [source]
+        while target != source and target not in via:
+            node = stack.pop()
+            for nxt, e in adjacent.get(node, ()):
+                if nxt != source and nxt not in via:
+                    via[nxt] = (node, e)
+                    stack.append(nxt)
+        path = {x}
+        node = target
+        while node != source:
+            node, e = via[node]
+            path.add(e)
+        return frozenset(path)
+
     return Matroid(
-        ground, provenance=f"graphic(V={g.vertex_count},E={g.edge_count})", rank=rank
+        ground,
+        provenance=f"graphic(V={g.vertex_count},E={g.edge_count})",
+        rank=rank,
+        closure=closure,
+        circuit=circuit,
     )
 
 

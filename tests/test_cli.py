@@ -1,5 +1,6 @@
 """End-to-end command tests: exit codes, round trips, byte determinism."""
 
+import hashlib
 import json
 import subprocess
 import sys
@@ -158,6 +159,33 @@ class TestErrorPaths:
         assert proc.stdout == ""
         assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
 
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            {"type": "partition", "blocks": [["a"]], "caps": ["x"]},
+            {"type": "partition", "blocks": [["a", "b"]], "caps": [1.5]},
+            {"type": "partition", "blocks": [["a"]], "caps": [True]},
+            {"type": "binary", "matrix": [[1, "q"]]},
+            {"type": "partition", "blocks": [[[1]]], "caps": [1]},
+        ],
+        ids=["cap-string", "cap-float", "cap-bool", "matrix-string", "label-list"],
+    )
+    def test_non_integer_scalars_and_list_labels_exit_two(self, tmp_path, capsys, spec):
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(spec))
+        code = run(["rank", "--matroid", str(path)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+    def test_integer_labels_keep_their_string_rendering(self, tmp_path, capsys):
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps({"type": "partition", "blocks": [[1, "b"]], "caps": [1]}))
+        code, out = invoke(["rank", "--matroid", str(path), "--set", "1,b"], capsys)
+        assert code == 0
+        assert json.loads(out) == {"rank": 1, "set": ["1", "b"]}
+
     def test_unknown_label_exits_two(self, capsys):
         code = run(["rank", "--matroid", U24, "--set", "zz"])
         assert code == 2
@@ -217,3 +245,43 @@ class TestByteDeterminism:
         ]
         assert runs[0].stdout == runs[1].stdout
         assert runs[0].returncode == runs[1].returncode
+
+
+class TestGenCorpusBytes:
+    """Every output byte of ``intersect``, ``union`` and ``menger`` on a seeded
+    ``gen`` corpus, pinned as one digest."""
+
+    # sha256 over the corpus below, recorded before the native circuit and
+    # closure oracles and the single-pass union scan went in.
+    DIGEST = "6a16b3fe6fe364f75ece191a9ae926f7bdeb6bcf56cc8512b3e89924141ffdcc"
+
+    def _corpus_outputs(self, tmp_path, capsys):
+        def emit(argv):
+            code = run(argv)
+            captured = capsys.readouterr()
+            return f"{argv[0]} {code}\n{captured.out}{captured.err}".encode()
+
+        chunks = []
+        assert run(["gen", "--kind", "pairs", "--seed", "7", "--count", "40"]) == 0
+        pairs = json.loads(capsys.readouterr().out)["instances"]
+        for i, pair in enumerate(pairs):
+            m1, m2 = tmp_path / f"m1_{i}.json", tmp_path / f"m2_{i}.json"
+            m1.write_text(json.dumps(pair["m1"]))
+            m2.write_text(json.dumps(pair["m2"]))
+            chunks.append(emit(["intersect", "--m1", str(m1), "--m2", str(m2)]))
+            chunks.append(emit(["union", "--m1", str(m1), "--m2", str(m2)]))
+        assert run(["gen", "--kind", "menger", "--seed", "7", "--count", "20"]) == 0
+        graphs = json.loads(capsys.readouterr().out)["instances"]
+        for i, inst in enumerate(graphs):
+            graph = tmp_path / f"g_{i}.json"
+            graph.write_text(json.dumps(inst["graph"]))
+            s, t = ",".join(inst["s"]), ",".join(inst["t"])
+            chunks.append(emit(["menger", "--graph", str(graph), "--s", s, "--t", t]))
+        return b"".join(chunks)
+
+    def test_outputs_match_the_recorded_digest(self, tmp_path, capsys):
+        digest = hashlib.sha256(self._corpus_outputs(tmp_path, capsys)).hexdigest()
+        assert digest == self.DIGEST, (
+            "CLI output changed on the seed-7 gen corpus; an intended change must be "
+            "recorded in CHANGES.md together with the new digest"
+        )

@@ -5,6 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from matroidkit import (
     Binary,
+    ConsistencyError,
     Dual,
     Explicit,
     Graphic,
@@ -16,6 +17,7 @@ from matroidkit import (
     Uniform,
     build,
 )
+from matroidkit.core import Matroid
 from matroidkit.generate import random_family, random_matroid_pairs
 from matroidkit.oracles import brute_union_max
 from matroidkit.union import maximize_union
@@ -249,3 +251,72 @@ def test_native_rank_matches_a_largest_independent_subset(spec, reference):
         assert rank == _reference_rank(reference, xs), sorted(xs)
         assert m.is_independent(xs) == reference(xs) == (rank == len(xs)), sorted(xs)
     assert m.rank() == _reference_rank(reference, frozenset(m.elements()))
+
+
+# -- native closure and circuits against their rank-derived definitions -------
+
+
+def _rank_closure(m, a):
+    r = m.rank(a)
+    return a | frozenset(e for e in m.elements() if e not in a and m.rank(a | {e}) == r)
+
+
+def _rank_circuit(m, b, x):
+    return frozenset({x} | {e for e in b if m.rank((b | {x}) - {e}) == len(b)})
+
+
+def _oracle_cases():
+    # u-v twice (parallel), v-w, a loop at w, w-u, and a separate edge z-y.
+    graph = Multigraph.from_labels(
+        ["u", "v", "w", "y", "z"],
+        [
+            ("g0", "u", "v"),
+            ("g1", "u", "v"),
+            ("g2", "v", "w"),
+            ("g3", "w", "w"),
+            ("g4", "w", "u"),
+            ("g5", "z", "y"),
+        ],
+    )
+    partition = Partition((("p0", "p3"), ("p1",), ("p2", "p4", "p5")), (1, 0, 2))
+    cases = []
+    for name, base in (("graphic", Graphic(graph)), ("partition", partition)):
+        first = build(base).ground.labels[0]
+        cases += [
+            (name, base),
+            (f"dual-{name}", Dual(base)),
+            (f"dual-dual-{name}", Dual(Dual(base))),
+            (f"minor-dual-{name}", Minor(Dual(base), contract=(first,))),
+        ]
+    return cases
+
+
+_ORACLE_CASES = _oracle_cases()
+
+
+@pytest.mark.parametrize(
+    "spec", [case[1] for case in _ORACLE_CASES], ids=[case[0] for case in _ORACLE_CASES]
+)
+def test_closure_and_circuits_match_their_rank_definitions(spec):
+    m = build(spec)
+    subsets = _all_subsets(m.elements())
+    for a in subsets:
+        assert m._closure(a) == _rank_closure(m, a), sorted(a)
+    for b in subsets:
+        if not m.is_independent(b):
+            continue
+        for x in m.elements():
+            if x in b or m.is_independent(b | {x}):
+                continue
+            assert m._circuit(b, x) == _rank_circuit(m, b, x), (sorted(b), x)
+
+
+def test_a_wrong_native_circuit_never_reaches_a_union():
+    honest = build(Partition((("a", "c"), ("b",)), (1, 1)))
+    # b + x itself, which is not a circuit once b holds the other block too.
+    faulty = Matroid(
+        honest.ground, provenance="faulty", rank=honest._rank, circuit=lambda b, x: b | {x}
+    )
+    partner = build(Uniform(3, 1, labels=("a", "b", "c")))
+    with pytest.raises(ConsistencyError):
+        maximize_union(faulty, partner)

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from matroidkit import (
@@ -5,12 +7,14 @@ from matroidkit import (
     Graphic,
     InputError,
     PairState,
+    Partition,
     Uniform,
     apply_chain,
     build,
     find_chain,
     maximize_union,
 )
+from matroidkit import union
 from matroidkit.oracles import brute_union_max
 from matroidkit.union import ADD, COMMON, EVEN, ODD, SWAP, ExchangeChain, validate_chain
 
@@ -196,3 +200,68 @@ class TestMaximizeUnion:
     def test_deterministic(self):
         g = build(Graphic(k4_graph()))
         assert maximize_union(g, g) == maximize_union(g, g)
+
+
+def _seeded_partition(rng, labels):
+    """Random blocks over ``labels`` with caps of at most half a block."""
+    pool = list(labels)
+    rng.shuffle(pool)
+    blocks, caps = [], []
+    while pool:
+        size = rng.randint(1, 4)
+        block, pool = tuple(pool[:size]), pool[size:]
+        blocks.append(block)
+        caps.append(rng.randint(0, len(block) // 2))
+    return build(Partition(tuple(blocks), tuple(caps)))
+
+
+def _restart_loop_union(m1, m2):
+    """Reference scan: after every augmentation, rescan from the smallest id.
+
+    Returns the parts extended to bases, the applied chains in order and the
+    number of chain searches made.
+    """
+    state = PairState(fs(), fs())
+    chains = []
+    searches = 0
+    progress = True
+    while progress:
+        progress = False
+        for y in m1.elements():
+            if y in state.union:
+                continue
+            searches += 1
+            chain = find_chain(m1, m2, state, y)
+            if chain is not None:
+                state = apply_chain(m1, m2, state, chain)
+                chains.append(chain)
+                progress = True
+                break
+    bases = PairState(m1.maximal_extension(state.i1), m2.maximal_extension(state.i2))
+    return bases, chains, searches
+
+
+class TestSinglePass:
+    @pytest.mark.parametrize("seed", [3, 11, 29])
+    def test_each_element_is_searched_at_most_once(self, monkeypatch, seed):
+        rng = random.Random(seed)
+        labels = tuple(f"p{i:02d}" for i in range(18))
+        m1, m2 = _seeded_partition(rng, labels), _seeded_partition(rng, labels)
+        reference, reference_chains, reference_searches = _restart_loop_union(m1, m2)
+        # The instance must leave elements out and retry them in the reference.
+        assert len(reference.union) < m1.size < reference_searches
+
+        searched = []
+        original = union.find_chain
+
+        def counting_find_chain(a, b, state, y):
+            searched.append(y)
+            return original(a, b, state, y)
+
+        monkeypatch.setattr(union, "find_chain", counting_find_chain)
+        chains = []
+        state = maximize_union(m1, m2, observer=lambda before, chain, after: chains.append(chain))
+        assert len(searched) <= m1.size
+        assert searched == sorted(set(searched))
+        assert chains == reference_chains
+        assert (state.i1, state.i2) == (reference.i1, reference.i2)
