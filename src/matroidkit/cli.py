@@ -1,21 +1,22 @@
 """Command-line front end.
 
 Exit codes: 0 success, 1 verification failure (with the reason in the JSON
-output), 2 malformed input.  Output bytes are deterministic for fixed
-inputs: canonical JSON on stdout or into --output, DOT drawings into the
-path given by --dot.
+output) or a failed internal invariant, 2 malformed input.  Output bytes
+are deterministic for fixed inputs: canonical JSON on stdout or into
+--output, DOT drawings into the path given by --dot.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from pathlib import Path
 
 from . import dot, generate, jsonio
 from .axioms import check_axioms, materialize
 from .core import check_orthogonality
-from .errors import CapacityError, ConsistencyError, InputError
+from .errors import CapacityError, ConsistencyError, InputError, InternalInvariantError
 from .intersection import min_rank_value, pipeline, verify_certificate
 from .menger import MengerInstance, solve, verify as verify_menger
 from .union import maximize_union
@@ -191,7 +192,14 @@ def _cmd_gen(args) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The one parser of this process, built on the first call.
+
+    Every caller gets the same object: parse with it, never change it.
+    Help and usage text are formatted when printed, so they still follow
+    the terminal width of the moment.
+    """
     parser = argparse.ArgumentParser(
         prog="matroidkit",
         description="Certificate-producing matroid union, intersection and "
@@ -262,6 +270,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def run(argv: list[str]) -> int:
+    """Run one command and return its exit code.
+
+    May be called any number of times in one process: the parser is shared
+    and only read, so no call sees another's arguments.
+    """
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
@@ -274,6 +287,9 @@ def run(argv: list[str]) -> int:
         return 2
     except ConsistencyError as exc:
         print(f"verification failure: {exc}", file=sys.stderr)
+        return 1
+    except InternalInvariantError as exc:
+        print(f"internal invariant failure: {exc}", file=sys.stderr)
         return 1
 
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 import random
 
 from .core import default_labels
+from .errors import InputError
 from .graphs import Multigraph
 from .menger import MengerInstance
 from .zoo import Binary, Dual, FamilySpec, Graphic, Minor, Partition, Sum, Uniform
@@ -85,9 +86,17 @@ def random_family(rng: random.Random, n: int) -> FamilySpec:
     return spec
 
 
+def _check_count(count: int) -> None:
+    if count < 0:
+        raise InputError(f"count must be at least 0, got {count}")
+
+
 def random_matroid_pairs(
     seed: int, count: int, max_elements: int = 8
 ) -> list[tuple[FamilySpec, FamilySpec]]:
+    _check_count(count)
+    if max_elements < 1:
+        raise InputError(f"max_elements must be at least 1, got {max_elements}")
     rng = random.Random(seed)
     pairs = []
     for _ in range(count):
@@ -105,6 +114,9 @@ def random_menger_instances(
     ones; graphs get a spanning-tree backbone plus random extra edges,
     occasionally parallel or looping.
     """
+    _check_count(count)
+    if max_vertices < 2:
+        raise InputError(f"max_vertices must be at least 2, got {max_vertices}")
     rng = random.Random(seed)
     out = []
     for _ in range(count):

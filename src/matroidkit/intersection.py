@@ -14,6 +14,7 @@ maximal union, and the reconstruction of that chain is implemented here.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from .core import CheckResult, Matroid, ENUMERATION_BOUND
 from .errors import (
@@ -63,23 +64,32 @@ class ExchangeDigraph:
     spanned_first: frozenset[int]
     spanned_second: frozenset[int]
 
-    def successors(self) -> dict[int, list[int]]:
+    @cached_property
+    def _adjacency(
+        self,
+    ) -> tuple[dict[int, list[int]], dict[int, list[int]], dict[tuple[int, int], int]]:
         out: dict[int, list[int]] = {v: [] for v in sorted(self.nodes)}
-        for tail, head, _ in self.arcs:
+        inc: dict[int, list[int]] = {v: [] for v in sorted(self.nodes)}
+        witnesses: dict[tuple[int, int], int] = {}
+        for tail, head, w in self.arcs:
             out[tail].append(head)
-        return out
+            inc[head].append(tail)
+            witnesses.setdefault((tail, head), w)
+        return out, inc, witnesses
+
+    def successors(self) -> dict[int, list[int]]:
+        """Heads of each node's arcs in arc order; built once, so do not mutate."""
+        return self._adjacency[0]
 
     def predecessors(self) -> dict[int, list[int]]:
-        inc: dict[int, list[int]] = {v: [] for v in sorted(self.nodes)}
-        for tail, head, _ in self.arcs:
-            inc[head].append(tail)
-        return inc
+        """Tails of each node's arcs in arc order; built once, so do not mutate."""
+        return self._adjacency[1]
 
     def witness(self, tail: int, head: int) -> int:
-        for t, h, w in self.arcs:
-            if t == tail and h == head:
-                return w
-        raise InputError(f"no arc ({tail}, {head}) in the exchange digraph")
+        try:
+            return self._adjacency[2][tail, head]
+        except KeyError:
+            raise InputError(f"no arc ({tail}, {head}) in the exchange digraph") from None
 
 
 @dataclass(frozen=True)

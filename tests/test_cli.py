@@ -1,5 +1,6 @@
 """End-to-end command tests: exit codes, round trips, byte determinism."""
 
+import argparse
 import hashlib
 import json
 import subprocess
@@ -7,7 +8,9 @@ import sys
 
 import pytest
 
+from matroidkit import cli
 from matroidkit.cli import run
+from matroidkit.errors import InternalInvariantError
 
 from conftest import FIXTURES
 
@@ -190,11 +193,137 @@ class TestErrorPaths:
         code = run(["rank", "--matroid", U24, "--set", "zz"])
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["gen", "--max-elements", "0"],
+            ["gen", "--kind", "menger", "--max-vertices", "1"],
+            ["gen", "--count", "-1"],
+        ],
+        ids=["max-elements-0", "max-vertices-1", "count-negative"],
+    )
+    def test_gen_bounds_exit_two_with_one_line(self, capsys, argv):
+        code = run(argv)
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+    def test_internal_invariant_failure_exits_one_with_one_line(self, monkeypatch, capsys):
+        def broken(m1, m2):
+            raise InternalInvariantError("coloring clash", payload=[1, 2])
+
+        monkeypatch.setattr(cli, "pipeline", broken)
+        code = run(["intersect", "--m1", M1, "--m2", M2])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err == "internal invariant failure: coloring clash\n"
+
     def test_missing_subcommand_exits_two(self, capsys):
         assert run([]) == 2
 
     def test_unknown_flag_exits_two(self, capsys):
         assert run(["rank", "--matroid", U24, "--bogus"]) == 2
+
+
+class TestSharedParser:
+    """``run`` reuses one parser per process; no request may see another's state."""
+
+    def test_min_rank_does_not_stick(self, capsys):
+        _, first = invoke(["intersect", "--m1", M1, "--m2", M2, "--min-rank"], capsys)
+        _, second = invoke(["intersect", "--m1", M1, "--m2", M2], capsys)
+        assert "min_rank" in json.loads(first)
+        assert "min_rank" not in json.loads(second)
+
+    def test_matroid_arguments_do_not_stick(self, tmp_path, capsys):
+        cert = tmp_path / "cert.json"
+        assert run(["intersect", "--m1", M1, "--m2", M2, "--output", str(cert)]) == 0
+        code, _ = invoke(
+            ["verify", "--kind", "intersection", "--m1", M1, "--m2", M2,
+             "--certificate", str(cert)],
+            capsys,
+        )
+        assert code == 0
+        menger = tmp_path / "menger.json"
+        st = ["--graph", PATH3, "--s", "a", "--t", "c"]
+        assert run(["menger", *st, "--output", str(menger)]) == 0
+        assert run(["verify", "--kind", "menger", *st, "--certificate", str(menger)]) == 0
+        capsys.readouterr()
+        code = run(["verify", "--kind", "intersection", "--certificate", str(cert)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.err == "error: intersection verification needs --m1 and --m2\n"
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--help"],
+            ["union", "--help"],
+            ["intersect", "--m1", M1],
+            ["frobnicate"],
+            [],
+            ["gen", "--count", "x"],
+        ],
+        ids=["help", "union-help", "intersect-usage", "unknown-command", "empty", "bad-int"],
+    )
+    def test_repeated_calls_match_a_fresh_parser(self, monkeypatch, capsys, argv):
+        # The reference is the unshared parser, built anew for the one call.
+        def outcome():
+            code = run(list(argv))
+            captured = capsys.readouterr()
+            return code, captured.out, captured.err
+
+        monkeypatch.setenv("COLUMNS", "80")
+        shared = [outcome(), outcome()]
+        with monkeypatch.context() as patch:
+            patch.setattr(cli, "build_parser", cli.build_parser.__wrapped__)
+            fresh = outcome()
+        assert shared == [fresh, fresh]
+        assert fresh[0] == (0 if "--help" in argv else 2)
+        assert fresh[1] or fresh[2]
+
+    def test_help_follows_the_terminal_width_of_each_call(self, monkeypatch, capsys):
+        widths = {}
+        for columns in ("60", "200", "60"):
+            monkeypatch.setenv("COLUMNS", columns)
+            assert run(["verify", "--help"]) == 0
+            out = capsys.readouterr().out
+            assert widths.setdefault(columns, out) == out
+        assert widths["60"] != widths["200"]
+
+    def test_parser_is_built_once_per_process(self, monkeypatch, tmp_path, capsys):
+        # One root parser plus one per subcommand, however many requests
+        # follow.  Building the parser per request would count 20 times that.
+        built = 0
+        init = argparse.ArgumentParser.__init__
+
+        def counting_init(self, *args, **kwargs):
+            nonlocal built
+            built += 1
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+        cli.build_parser.cache_clear()
+        cert = tmp_path / "cert.json"
+        requests = [
+            ["intersect", "--m1", M1, "--m2", M2, "--output", str(cert)],
+            ["verify", "--kind", "intersection", "--m1", M1, "--m2", M2,
+             "--certificate", str(cert)],
+            ["union", "--m1", M1, "--m2", M2],
+            ["rank", "--matroid", U24],
+            ["menger", "--graph", PATH3, "--s", "a", "--t", "c"],
+            ["gen", "--count", "1"],
+            ["--help"],
+            ["rank"],
+            ["frobnicate"],
+            ["rank", "--matroid", U24, "--set", "zz"],
+        ] * 2
+        codes = [run(argv) for argv in requests]
+        capsys.readouterr()
+        assert codes == [0, 0, 0, 0, 0, 0, 0, 2, 2, 2] * 2
+        assert built <= 9, f"{built} argparse parsers built for {len(requests)} requests"
+        assert cli.build_parser() is cli.build_parser()
 
 
 class TestDotExports:

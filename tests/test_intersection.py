@@ -18,6 +18,7 @@ from matroidkit import (
     violation_chain,
 )
 from matroidkit.intersection import (
+    ExchangeDigraph,
     build_digraph,
     build_state,
     divisive_coloring,
@@ -116,6 +117,25 @@ class TestDigraph:
             heads = {h for _, h, _ in dg.arcs}
             assert not (st.x & tails)
             assert not (st.y & heads)
+
+    def test_adjacency_and_witnesses_follow_the_arc_tuple(self):
+        # A hand-built digraph with a repeated arc: the maps keep arc order,
+        # the witness is the first one listed, and each map is built once.
+        dg = ExchangeDigraph(
+            nodes=fs({0, 1, 2, 3}),
+            arcs=((2, 0, 9), (0, 1, 5), (2, 1, 7), (1, 0, 4), (0, 1, 6)),
+            spanned_first=fs(),
+            spanned_second=fs(),
+        )
+        assert dg.successors() == {0: [1, 1], 1: [0], 2: [0, 1], 3: []}
+        assert dg.predecessors() == {0: [2, 1], 1: [0, 2, 0], 2: [], 3: []}
+        assert [dg.witness(t, h) for t, h, _ in dg.arcs] == [9, 5, 7, 4, 5]
+        assert dg.successors() is dg.successors()
+        assert dg.predecessors() is dg.predecessors()
+        with pytest.raises(InputError, match=r"no arc \(0, 2\)"):
+            dg.witness(0, 2)
+        with pytest.raises(InputError):
+            dg.witness(3, 3)
 
 
 class TestColoring:
