@@ -28,7 +28,7 @@ def _read_text(path: str) -> str:
         return sys.stdin.read()
     try:
         return Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise InputError(f"cannot read {path}: {exc}") from None
 
 
@@ -41,19 +41,19 @@ def _load_matroid(path: str):
     return spec, build(spec)
 
 
-def _emit(args, payload: dict) -> None:
-    text = jsonio.canonical_dumps(payload)
-    if args.output and args.output != "-":
-        Path(args.output).write_text(text, encoding="utf-8")
-    else:
+def _write(path: str | None, text: str) -> None:
+    """Write text to the file at path, or to stdout for no path or ``-``."""
+    if not path or path == "-":
         sys.stdout.write(text)
-
-
-def _write_dot(path: str, text: str) -> None:
-    if path == "-":
-        sys.stdout.write(text)
-    else:
+        return
+    try:
         Path(path).write_text(text, encoding="utf-8")
+    except OSError as exc:
+        raise InputError(f"cannot write {path}: {exc}") from None
+
+
+def _emit(args, payload: dict) -> None:
+    _write(args.output, jsonio.canonical_dumps(payload))
 
 
 def _labels_arg(raw: str) -> list[str]:
@@ -128,7 +128,7 @@ def _cmd_intersect(args) -> int:
     _, m2 = _load_matroid(args.m2)
     st, dg, coloring, cert = pipeline(m1, m2)
     if args.dot:
-        _write_dot(args.dot, dot.digraph_dot(m1.ground, st, dg, coloring))
+        _write(args.dot, dot.digraph_dot(m1.ground, st, dg, coloring))
     payload = jsonio.intersection_cert_to_obj(cert, m1.ground)
     if args.min_rank:
         payload["min_rank"] = min_rank_value(m1, m2)
@@ -141,7 +141,7 @@ def _cmd_menger(args) -> int:
     inst = MengerInstance.from_labels(g, _labels_arg(args.s), _labels_arg(args.t))
     cert = solve(inst)
     if args.dot:
-        _write_dot(args.dot, dot.menger_dot(inst, cert))
+        _write(args.dot, dot.menger_dot(inst, cert))
     _emit(args, jsonio.menger_cert_to_obj(cert, g))
     return 0
 

@@ -3,9 +3,43 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Callable, Iterable, Iterator
 
 from .errors import InputError
+
+
+def breadth_first(
+    starts: Iterable[int], successors: Callable[[int], Iterable[int]], parents: dict[int, int]
+) -> Iterator[list[int]]:
+    """Yield the breadth-first layers from ``starts``, each sorted by id.
+
+    A layer is expanded in increasing id order, and each node's successors
+    in the order ``successors`` gives them.  Every node reached after the
+    first layer is recorded in ``parents`` under the node that reached it
+    first; the starts never are.  A layer is expanded only when the next one
+    is requested, so a caller may stop at, or prune, the layer in hand.
+    """
+    layer = sorted(set(starts))
+    seen = set(layer)
+    while layer:
+        yield layer
+        reached = []
+        for node in layer:
+            for nxt in successors(node):
+                if nxt not in seen:
+                    seen.add(nxt)
+                    parents[nxt] = node
+                    reached.append(nxt)
+        layer = sorted(reached)
+
+
+def path_to(parents: dict[int, int], node: int) -> list[int]:
+    """The nodes from the start of the search down to ``node``."""
+    path = [node]
+    while path[-1] in parents:
+        path.append(parents[path[-1]])
+    path.reverse()
+    return path
 
 
 class UnionFind:

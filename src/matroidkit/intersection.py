@@ -22,6 +22,7 @@ from .errors import (
     InputError,
     InternalInvariantError,
 )
+from .graphs import breadth_first, path_to
 from .union import (
     COMMON,
     EVEN,
@@ -201,18 +202,6 @@ def build_digraph(m1: Matroid, m2: Matroid, st: IntersectionState) -> ExchangeDi
     )
 
 
-def _reach(starts: list[int], adjacency: dict[int, list[int]]) -> set[int]:
-    seen = set(starts)
-    stack = sorted(starts, reverse=True)
-    while stack:
-        node = stack.pop()
-        for nxt in adjacency[node]:
-            if nxt not in seen:
-                seen.add(nxt)
-                stack.append(nxt)
-    return seen
-
-
 def divisive_coloring(dg: ExchangeDigraph, st: IntersectionState) -> DivisiveColoring:
     """Two-color the digraph so the coloring is divisive.
 
@@ -232,8 +221,12 @@ def divisive_coloring(dg: ExchangeDigraph, st: IntersectionState) -> DivisiveCol
         )
     pre_blue = dg.spanned_first - dg.spanned_second
     pre_red = dg.spanned_second - dg.spanned_first
-    forward = _reach(sorted(pre_blue), dg.successors())
-    backward = _reach(sorted(pre_red), dg.predecessors())
+    forward = {
+        v for layer in breadth_first(pre_blue, dg.successors().__getitem__, {}) for v in layer
+    }
+    backward = {
+        v for layer in breadth_first(pre_red, dg.predecessors().__getitem__, {}) for v in layer
+    }
     clash = forward & backward
     if clash:
         path = _blue_to_red_path(dg, pre_blue, pre_red)
@@ -251,25 +244,11 @@ def _blue_to_red_path(
     dg: ExchangeDigraph, pre_blue: frozenset[int], pre_red: frozenset[int]
 ) -> list[int] | None:
     """Shortest path from a pre-blue node to a pre-red node, ids breaking ties."""
-    adjacency = dg.successors()
-    parents: dict[int, int | None] = {v: None for v in sorted(pre_blue)}
-    frontier = sorted(pre_blue)
-    while frontier:
-        hits = [v for v in frontier if v in pre_red]
-        if hits:
-            node = min(hits)
-            path = [node]
-            while parents[path[-1]] is not None:
-                path.append(parents[path[-1]])
-            path.reverse()
-            return path
-        next_frontier = []
-        for node in frontier:
-            for nxt in adjacency[node]:
-                if nxt not in parents:
-                    parents[nxt] = node
-                    next_frontier.append(nxt)
-        frontier = sorted(next_frontier)
+    parents: dict[int, int] = {}
+    for layer in breadth_first(pre_blue, dg.successors().__getitem__, parents):
+        for node in layer:
+            if node in pre_red:
+                return path_to(parents, node)
     return None
 
 

@@ -18,10 +18,12 @@ from .errors import ConsistencyError, InputError
 from .graphs import (
     Component,
     Multigraph,
+    breadth_first,
     connected_components,
     graphic_components,
     identify_vertices,
     induced_subgraph,
+    path_to,
     restrict_edges,
 )
 from .intersection import certify
@@ -118,36 +120,6 @@ def reduce(inst: MengerInstance) -> tuple[Matroid, Matroid, tuple[int, ...]]:
     return contracted(inst.s), contracted(inst.t), keep
 
 
-def _tree_path(g: Multigraph, comp: Component, start: int, goal: int) -> tuple[int, ...]:
-    """The unique path between two vertices of a tree component."""
-    parent: dict[int, int] = {start: start}
-    frontier = [start]
-    while frontier:
-        nxt = []
-        for v in sorted(frontier):
-            for e in sorted(comp.edges):
-                a, b = g.endpoints[e]
-                for u, w in ((a, b), (b, a)):
-                    if u == v and w not in parent:
-                        parent[w] = v
-                        nxt.append(w)
-        frontier = nxt
-    if goal not in parent:
-        raise ConsistencyError("component is not connected between its terminals")
-    path = [goal]
-    while path[-1] != start:
-        path.append(parent[path[-1]])
-    path.reverse()
-    return tuple(path)
-
-
-def _edge_between(g: Multigraph, comp: Component, u: int, v: int) -> int:
-    for e in sorted(comp.edges):
-        if set(g.endpoints[e]) == {u, v}:
-            return e
-    raise ConsistencyError(f"no tree edge between vertices {u} and {v}")
-
-
 def forest_structure(
     inst: MengerInstance,
     i_edges: Iterable[int],
@@ -189,16 +161,32 @@ def forest_structure(
         path = None
         pivot = None
         if s_hits and t_hits:
-            path = _tree_path(g, comp, min(s_hits), min(t_hits))
+            (s,), (t,) = s_hits, t_hits
+            edge_of: dict[tuple[int, int], int] = {}
+            neighbours: dict[int, list[int]] = {v: [] for v in comp.vertices}
+            for e in sorted(comp.edges):
+                a, b = g.endpoints[e]
+                edge_of[a, b] = edge_of[b, a] = e
+                neighbours[a].append(b)
+                neighbours[b].append(a)
+            parents: dict[int, int] = {}
+            order = [
+                v for layer in breadth_first((s,), neighbours.__getitem__, parents) for v in layer
+            ]
+            path = tuple(path_to(parents, t))
             pivot = path[0]
             for u, v in zip(path, path[1:]):
-                if _edge_between(g, comp, u, v) in jt:
+                if edge_of[u, v] in jt:
                     break
                 pivot = v
-            for branch, attach in _branches(g, comp, pivot):
-                target = k_s if attach in js else k_t
-                target.update(branch)
-                target.add(attach)
+            # Name each vertex's branch by its attaching edge, passed down in
+            # layer order; the branch holding s hangs off the pivot's parent edge.
+            branch = {s: edge_of[parents[pivot], pivot]} if pivot != s else {}
+            for v in order[1:]:
+                u = parents[v]
+                e = edge_of[u, v]
+                branch[v] = e if u == pivot else branch[u]
+                (k_s if branch[v] in js else k_t).add(e)
         elif s_hits:
             k_s.update(comp.edges)
         else:
@@ -225,49 +213,25 @@ def forest_structure(
     return fp
 
 
-def _branches(g: Multigraph, comp: Component, pivot: int):
-    """Branches hanging off the pivot: (edge set of the branch, attaching edge).
-
-    Each branch of a tree is attached to the pivot by exactly one edge.
-    """
-    away = [e for e in sorted(comp.edges) if pivot not in g.endpoints[e]]
-    attached = [e for e in sorted(comp.edges) if pivot in g.endpoints[e]]
-    seen_vertices: set[int] = set()
-    for root_edge in attached:
-        a, b = g.endpoints[root_edge]
-        root = b if a == pivot else a
-        if root in seen_vertices:
-            raise ConsistencyError("two attaching edges reach the same branch")
-        branch_vertices = {root}
-        branch_edges: set[int] = set()
-        grew = True
-        while grew:
-            grew = False
-            for e in away:
-                if e in branch_edges:
-                    continue
-                u, v = g.endpoints[e]
-                if u in branch_vertices or v in branch_vertices:
-                    branch_edges.add(e)
-                    branch_vertices.update((u, v))
-                    grew = True
-        seen_vertices.update(branch_vertices)
-        yield frozenset(branch_edges), root_edge
+def _vertex_sides(inst: MengerInstance, fp: ForestPartition) -> tuple[set[int], set[int]]:
+    """S plus the endpoints of K_S edges, and T plus the endpoints of K_T edges."""
+    g = inst.graph
+    v_s = set(inst.s)
+    v_t = set(inst.t)
+    for e in fp.k_s:
+        v_s.update(g.endpoints[e])
+    for e in fp.k_t:
+        v_t.update(g.endpoints[e])
+    return v_s, v_t
 
 
 def _check_pivot_uniqueness(inst: MengerInstance, fp: ForestPartition) -> None:
     """At most one vertex per through-component may touch both sides."""
-    g = inst.graph
-    s_touch = set(inst.s)
-    t_touch = set(inst.t)
-    for e in fp.k_s:
-        s_touch.update(g.endpoints[e])
-    for e in fp.k_t:
-        t_touch.update(g.endpoints[e])
+    v_s, v_t = _vertex_sides(inst, fp)
     for mc in fp.components:
         if mc.path is None:
             continue
-        both = mc.component.vertices & frozenset(s_touch) & frozenset(t_touch)
+        both = mc.component.vertices & v_s & v_t
         if len(both) > 1:
             raise ConsistencyError(
                 "repartition left more than one two-sided vertex in a component"
@@ -282,12 +246,7 @@ def separator_from_partition(inst: MengerInstance, fp: ForestPartition) -> Menge
     the repartition came from a genuine covering partition.
     """
     g = inst.graph
-    v_s = set(inst.s)
-    v_t = set(inst.t)
-    for e in fp.k_s:
-        v_s.update(g.endpoints[e])
-    for e in fp.k_t:
-        v_t.update(g.endpoints[e])
+    v_s, v_t = _vertex_sides(inst, fp)
     if v_s | v_t != set(g.vertices()):
         raise ConsistencyError("the two vertex sides fail to cover the graph")
     for e in g.edges():
@@ -399,16 +358,8 @@ def verify(inst: MengerInstance, cert: MengerCertificate) -> CheckResult:
         if len(separator & frozenset(p)) != 1:
             return CheckResult(False, "a path does not meet the separator exactly once", (p,))
     # Separation by traversal: no S-T path may survive deleting the separator.
-    frontier = sorted(inst.s - separator)
-    reachable = set(frontier)
-    while frontier:
-        nxt = []
-        for v in frontier:
-            for w in adjacency[v]:
-                if w not in separator and w not in reachable:
-                    reachable.add(w)
-                    nxt.append(w)
-        frontier = sorted(nxt)
+    layers = breadth_first(inst.s - separator, lambda v: adjacency[v] - separator, {})
+    reachable = {v for layer in layers for v in layer}
     if reachable & (inst.t - separator):
         return CheckResult(False, "not separating", tuple(sorted(reachable & inst.t)))
     return CheckResult(True)

@@ -19,6 +19,7 @@ from typing import Callable
 
 from .core import Matroid
 from .errors import ConsistencyError, InputError, InternalInvariantError
+from .graphs import breadth_first, path_to
 
 EVEN = "even"
 ODD = "odd"
@@ -180,16 +181,6 @@ def apply_chain(m1: Matroid, m2: Matroid, state: PairState, chain: ExchangeChain
     return new_state
 
 
-def _side_of(state: PairState, element: int) -> str:
-    if element in state.i1 and element in state.i2:
-        return "both"
-    if element in state.i1:
-        return "first"
-    if element in state.i2:
-        return "second"
-    return "outside"
-
-
 def _search(m1: Matroid, m2: Matroid, state: PairState, y: int, parity: str):
     """Breadth-first search for a shortest chain of the given parity.
 
@@ -199,52 +190,38 @@ def _search(m1: Matroid, m2: Matroid, state: PairState, y: int, parity: str):
     chain the lexicographically least among the shortest ones.
     """
     start_matroid, start_part = (m1, state.i1) if parity == EVEN else (m2, state.i2)
+    # Most searches end at y itself; answering that here skips setting up
+    # the layered search on the hot path.
     if start_matroid._independent(start_part | {y}):
         return ExchangeChain((y,), parity, (), ADD)
 
-    def expand(node: int):
-        """Terminal kind for the node, or its outgoing circuit."""
-        side = _side_of(state, node)
-        if side == "both":
-            return COMMON, None
-        if side == "outside":
-            matroid, part = start_matroid, start_part
-        elif side == "first":
-            matroid, part = m2, state.i2
-        else:
-            matroid, part = m1, state.i1
-        if matroid._independent(part | {node}):
-            return ADD, None
-        return None, matroid._circuit(part, node)
+    circuits: dict[int, frozenset[int]] = {}
+    parents: dict[int, int] = {}
 
-    parents: dict[int, tuple[int, frozenset[int]]] = {}
-    seen = {y}
-    frontier = [y]
-    while frontier:
+    def successors(node: int) -> list[int]:
+        return sorted(circuits[node] - {node}) if node in circuits else []
+
+    for layer in breadth_first((y,), successors, parents):
+        # Terminals are not expanded: a node without a circuit has no successors.
         terminals = []
-        next_frontier: list[int] = []
-        for node in sorted(frontier):
-            kind, circuit = expand(node)
-            if kind is not None:
-                terminals.append((node, kind))
+        for node in layer:
+            if node in state.i1 and node in state.i2:
+                terminals.append((node, COMMON))
                 continue
-            for target in sorted(circuit - {node}):
-                if target not in seen:
-                    seen.add(target)
-                    parents[target] = (node, circuit)
-                    next_frontier.append(target)
+            if node in state.i1:
+                matroid, part = m2, state.i2
+            elif node in state.i2:
+                matroid, part = m1, state.i1
+            else:
+                matroid, part = start_matroid, start_part
+            if matroid._independent(part | {node}):
+                terminals.append((node, ADD))
+            else:
+                circuits[node] = matroid._circuit(part, node)
         if terminals:
             node, kind = min(terminals)
-            path = [node]
-            circuits = []
-            while path[-1] != y:
-                parent, circuit = parents[path[-1]]
-                circuits.append(circuit)
-                path.append(parent)
-            path.reverse()
-            circuits.reverse()
-            return ExchangeChain(tuple(path), parity, tuple(circuits), kind)
-        frontier = next_frontier
+            path = path_to(parents, node)
+            return ExchangeChain(tuple(path), parity, tuple(circuits[v] for v in path[:-1]), kind)
     return None
 
 

@@ -220,6 +220,34 @@ class TestErrorPaths:
         assert captured.out == ""
         assert captured.err == "internal invariant failure: coloring clash\n"
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["rank", "--matroid", U24, "--output", "{tmp}/missing/x.json"],
+            ["rank", "--matroid", U24, "--output", "{tmp}"],
+            ["intersect", "--m1", M1, "--m2", M2, "--dot", "{tmp}/missing/x.dot"],
+            ["menger", "--graph", PATH3, "--s", "a", "--t", "c", "--dot", "{tmp}"],
+        ],
+        ids=["output-missing-dir", "output-directory", "intersect-dot", "menger-dot"],
+    )
+    def test_unwritable_output_exits_two_with_one_line(self, tmp_path, capsys, argv):
+        code = run([arg.format(tmp=tmp_path) for arg in argv])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: cannot write {tmp_path}")
+        assert captured.err.count("\n") == 1
+
+    def test_undecodable_input_file_exits_two_with_one_line(self, tmp_path, capsys):
+        bad = tmp_path / "bad.json"
+        bad.write_bytes(b"\xff\xfe")
+        code = run(["rank", "--matroid", str(bad)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: cannot read {bad}: 'utf-8' codec")
+        assert captured.err.count("\n") == 1
+
     def test_missing_subcommand_exits_two(self, capsys):
         assert run([]) == 2
 
@@ -413,4 +441,71 @@ class TestGenCorpusBytes:
         assert digest == self.DIGEST, (
             "CLI output changed on the seed-7 gen corpus; an intended change must be "
             "recorded in CHANGES.md together with the new digest"
+        )
+
+
+class TestGenCorpusDotAndVerifyBytes:
+    """The ``--dot`` drawings of ``intersect`` and ``menger`` and the ``verify``
+    verdict on every certificate they emit over the seed-7 ``gen`` corpus,
+    pinned as one digest.  Each Menger certificate is also verified with its
+    first path and that path's separator vertex dropped: a maximum set of
+    paths less one cannot separate, so this pins the failing separation
+    check as well."""
+
+    # sha256 over the corpus below, recorded before the traversals of
+    # union, intersection and menger moved onto graphs.breadth_first.
+    DIGEST = "40d9fc5e7bab27814f82a8539daf1f2288b8a14720f959a051585d78660d64b2"
+
+    def _corpus_outputs(self, tmp_path, capsys):
+        def emit(argv, *files):
+            code = run(argv)
+            captured = capsys.readouterr()
+            written = b"".join(f.read_bytes() for f in files)
+            return f"{argv[0]} {code}\n{captured.out}{captured.err}".encode() + written
+
+        chunks = []
+        cert, drawing = tmp_path / "cert.json", tmp_path / "out.dot"
+        assert run(["gen", "--kind", "pairs", "--seed", "7", "--count", "40"]) == 0
+        pairs = json.loads(capsys.readouterr().out)["instances"]
+        for i, pair in enumerate(pairs):
+            m1, m2 = tmp_path / f"m1_{i}.json", tmp_path / f"m2_{i}.json"
+            m1.write_text(json.dumps(pair["m1"]))
+            m2.write_text(json.dumps(pair["m2"]))
+            chunks.append(emit(
+                ["intersect", "--m1", str(m1), "--m2", str(m2), "--dot", str(drawing),
+                 "--output", str(cert)],
+                drawing, cert,
+            ))
+            chunks.append(emit(
+                ["verify", "--kind", "intersection", "--m1", str(m1), "--m2", str(m2),
+                 "--certificate", str(cert)]
+            ))
+        assert run(["gen", "--kind", "menger", "--seed", "7", "--count", "20"]) == 0
+        graphs = json.loads(capsys.readouterr().out)["instances"]
+        for i, inst in enumerate(graphs):
+            graph = tmp_path / f"g_{i}.json"
+            graph.write_text(json.dumps(inst["graph"]))
+            s, t = ",".join(inst["s"]), ",".join(inst["t"])
+            chunks.append(emit(
+                ["menger", "--graph", str(graph), "--s", s, "--t", t, "--dot", str(drawing),
+                 "--output", str(cert)],
+                drawing, cert,
+            ))
+            verify = ["verify", "--kind", "menger", "--graph", str(graph), "--s", s,
+                      "--t", t, "--certificate", str(cert)]
+            chunks.append(emit(verify))
+            payload = json.loads(cert.read_text())
+            if payload["paths"]:
+                dropped = payload["paths"].pop(0)
+                payload["separator"] = [v for v in payload["separator"] if v not in dropped]
+                payload["count"] -= 1
+                cert.write_text(json.dumps(payload))
+                chunks.append(emit(verify))
+        return b"".join(chunks)
+
+    def test_outputs_match_the_recorded_digest(self, tmp_path, capsys):
+        digest = hashlib.sha256(self._corpus_outputs(tmp_path, capsys)).hexdigest()
+        assert digest == self.DIGEST, (
+            "dot or verify output changed on the seed-7 gen corpus; an intended change "
+            "must be recorded in CHANGES.md together with the new digest"
         )

@@ -1,0 +1,53 @@
+"""The breadth-first helper every chain, digraph and forest search runs on."""
+
+from matroidkit.graphs import breadth_first, path_to
+
+# 5 -> 3 and 4 -> 3 race for 3; 5 -> 2 comes before 5 -> 0 on purpose.
+ARCS = {5: [2, 0, 3], 4: [3, 1], 3: [6], 2: [6], 0: [7], 1: [], 6: [], 7: []}
+
+
+def test_layers_come_out_sorted():
+    layers = list(breadth_first([5, 4], ARCS.__getitem__, {}))
+    assert layers == [[4, 5], [0, 1, 2, 3], [6, 7]]
+
+
+def test_parents_are_first_discoverers_in_layer_then_successor_order():
+    parents: dict[int, int] = {}
+    list(breadth_first([5, 4], ARCS.__getitem__, parents))
+    # 4 is expanded before 5, so it claims 3; 2 is expanded before 3, so it
+    # claims 6.  Within 5, the successor order puts 2 before 0; in the next
+    # layer 0 is expanded before 2, so 7 is recorded before 6.
+    assert parents == {3: 4, 1: 4, 2: 5, 0: 5, 6: 2, 7: 0}
+    assert list(parents) == [3, 1, 2, 0, 7, 6]
+
+
+def test_starts_never_appear_in_parents():
+    parents: dict[int, int] = {}
+    cyclic = {0: [1], 1: [2], 2: [0, 1]}
+    assert list(breadth_first([2, 0, 2], cyclic.__getitem__, parents)) == [[0, 2], [1]]
+    assert parents == {1: 0}
+
+
+def test_a_layer_is_expanded_only_when_the_next_is_requested():
+    calls: list[int] = []
+
+    def successors(node):
+        calls.append(node)
+        return ARCS[node]
+
+    layers = breadth_first([5], successors, {})
+    assert next(layers) == [5]
+    assert calls == []
+    assert next(layers) == [0, 2, 3]
+    assert calls == [5]
+    assert next(layers) == [6, 7]
+    assert calls == [5, 0, 2, 3]
+
+
+def test_path_to_walks_back_to_a_start():
+    parents: dict[int, int] = {}
+    list(breadth_first([5, 4], ARCS.__getitem__, parents))
+    assert path_to(parents, 6) == [5, 2, 6]
+    assert path_to(parents, 3) == [4, 3]
+    assert path_to(parents, 5) == [5]
+    assert path_to({}, 9) == [9]

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from matroidkit import (
@@ -102,6 +104,115 @@ class TestForestStructure:
         inst = MengerInstance.from_labels(triangle, ["u"], ["u", "w"])
         with pytest.raises(InputError):
             forest_structure(inst, fs(), fs(), fs())
+
+
+def reference_parts(g, edges, pivot, j_s):
+    """Delete the pivot; each remaining piece, with its attaching edge, joins
+    the part of that edge."""
+    k_s, k_t = set(), set()
+    away = [e for e in edges if pivot not in g.endpoints[e]]
+    for attach in (e for e in edges if pivot in g.endpoints[e]):
+        piece, grew = set(g.endpoints[attach]) - {pivot}, True
+        members = {attach}
+        while grew:
+            grew = False
+            for e in away:
+                if e not in members and piece & set(g.endpoints[e]):
+                    members.add(e)
+                    piece.update(g.endpoints[e])
+                    grew = True
+        (k_s if attach in j_s else k_t).update(members)
+    return fs(k_s), fs(k_t)
+
+
+def check_against_reference(inst, j_s, j_t):
+    g = inst.graph
+    fp = forest_structure(inst, j_s | j_t, j_s, j_t)
+    k_s, k_t = set(), set()
+    for mc in fp.components:
+        edges = sorted(mc.component.edges)
+        if mc.path is None:
+            (k_s if mc.s_vertices else k_t).update(edges)
+            continue
+        path = mc.path
+        assert path[0] in inst.s and path[-1] in inst.t and len(set(path)) == len(path)
+        links = [next(e for e in edges if set(g.endpoints[e]) == {u, v})
+                 for u, v in zip(path, path[1:])]
+        first_t = next((i for i, e in enumerate(links) if e in j_t), len(links))
+        assert mc.pivot == path[first_t]
+        ref_s, ref_t = reference_parts(g, edges, mc.pivot, j_s)
+        k_s |= ref_s
+        k_t |= ref_t
+    assert fp.k_s == fs(k_s) and fp.k_t == fs(k_t)
+    return fp
+
+
+class TestForestRepartition:
+    """Trees whose pivot is interior, with branches off the S side, the pivot
+    and the T side, including branches leaving the path at non-pivot vertices."""
+
+    # path s - a - p - b - t with branches off s, a, p (twice), b and t; the
+    # vertices are listed out of path order so ids do not follow the tree.
+    EDGES = [
+        ("sa", "s", "a"), ("ap", "a", "p"), ("pb", "p", "b"), ("bt", "b", "t"),
+        ("s1", "s", "s1"), ("a1", "a", "a1"), ("a2", "a1", "a2"), ("p1", "p", "p1"),
+        ("p2", "p", "p2"), ("p3", "p2", "p3"), ("b1", "b", "b1"), ("t1", "t", "t1"),
+        ("p4", "p1", "p4"),
+    ]
+    VERTICES = ["p3", "t", "b1", "a", "p", "s1", "t1", "a2", "s", "p2", "b", "a1", "p1", "p4"]
+
+    def instance(self):
+        g = Multigraph.from_labels(self.VERTICES, self.EDGES)
+        return MengerInstance.from_labels(g, ["s"], ["t"])
+
+    def split(self, t_part):
+        names = [name for name, _, _ in self.EDGES]
+        j_t = fs(names.index(name) for name in t_part)
+        return fs(range(len(names))) - j_t, j_t
+
+    def test_interior_pivot_with_branches_on_both_sides(self):
+        inst = self.instance()
+        # pb is the first T-part edge of the path, so p is the pivot; s1 and
+        # a2 sit in the T part but hang off the S side, bt and b1 sit in the
+        # S part but hang off the T side.
+        j_s, j_t = self.split(["pb", "s1", "a2", "p2", "p4"])
+        fp = check_against_reference(inst, j_s, j_t)
+        (mc,) = fp.components
+        label = inst.graph.vertex_labels
+        assert [label[v] for v in mc.path] == ["s", "a", "p", "b", "t"]
+        assert label[mc.pivot] == "p"
+        names = [name for name, _, _ in self.EDGES]
+        assert sorted(names[e] for e in fp.k_s) == ["a1", "a2", "ap", "p1", "p4", "s1", "sa"]
+        assert sorted(names[e] for e in fp.k_t) == ["b1", "bt", "p2", "p3", "pb", "t1"]
+
+    @pytest.mark.parametrize(
+        "t_part",
+        [[], ["sa"], ["ap", "p1"], ["bt", "s1", "a1"], ["pb", "bt", "b1", "t1", "p3"]],
+        ids=["pivot-t", "pivot-s", "pivot-a", "pivot-b", "pivot-p-t-side-whole"],
+    )
+    def test_every_pivot_position_matches_the_reference(self, t_part):
+        check_against_reference(self.instance(), *self.split(t_part))
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_random_forests_match_the_reference(self, seed):
+        rng = random.Random(seed)
+        order = rng.sample(range(16), 16)
+        edges, s, t, roles = [], [], [], "st"
+        while len(order) >= 2:
+            size = min(rng.randint(2, 6), len(order))
+            tree, order = order[:size], order[size:]
+            for i in range(1, size):
+                edges.append((f"e{len(edges)}", str(tree[i]), str(tree[rng.randrange(i)])))
+            a, b = rng.sample(tree, 2)
+            if "s" in roles:
+                s.append(str(a))
+            if "t" in roles:
+                t.append(str(b))
+            roles = rng.choice(["st", "s", "t"])
+        g = Multigraph.from_labels([str(v) for v in range(16)], edges)
+        inst = MengerInstance.from_labels(g, s, t)
+        j_t = fs(e for e in range(len(edges)) if rng.random() < 0.4)
+        check_against_reference(inst, fs(range(len(edges))) - j_t, j_t)
 
 
 class TestSeparatorFromPartition:
