@@ -24,10 +24,19 @@ from .zoo import Explicit, build, explicit_system
 
 
 def _read_text(path: str) -> str:
-    if path == "-":
-        return sys.stdin.read()
+    """The UTF-8 text of a file, or of stdin for ``-``, decoded strictly.
+
+    Stdin is decoded from its byte stream, so undecodable input fails as it
+    does in a file.  A text stream without one, put in place of stdin by a
+    caller, is read as it is.
+    """
     try:
-        return Path(path).read_text(encoding="utf-8")
+        if path != "-":
+            return Path(path).read_text(encoding="utf-8")
+        raw = getattr(sys.stdin, "buffer", None)
+        if raw is None:
+            return sys.stdin.read()
+        return raw.read().decode("utf-8")
     except (OSError, UnicodeDecodeError) as exc:
         raise InputError(f"cannot read {path}: {exc}") from None
 

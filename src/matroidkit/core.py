@@ -11,16 +11,21 @@ Duals and minors are lazy wrappers that answer through rank identities,
 so each level of composition costs a constant number of rank queries one
 level down, with r(E) computed once per handle.
 
-Closure and fundamental circuits are derived from rank unless the handle
-was given a native closure or circuit oracle next to its rank: graphic and
-partition matroids supply both, each answered in one pass.  Duals answer
-every fundamental circuit with one closure of the primal,
+Closure and fundamental circuits are answered by anchors.  An anchor is
+built once for a fixed set ``a`` and then answers, for many ``x``, whether
+``x`` raises the rank of ``a`` (``extends``) and the fundamental circuit of
+``x`` in ``base``, a maximal independent subset of ``a`` (``circuit``).
+Graphic and partition matroids supply a native ``anchor=`` hook: a rooted
+spanning forest, or block lookups with no build step.  The dual of a
+handle with a native anchor builds its own from one primal anchor on
+E - b with base B0, through the identity
 
-    C*(B, x) = {x} + (B - cl(E - B - x)),
+    C*(b, x) = {x} + {e in b : x in C(B0, e)},
 
-since e in B lies on that cocircuit exactly when r(A + e) = r(A) + 1 for
-A = E - B - x.  Explicit, binary, sum and minor handles keep the
-rank-derived fallback, the one path for those inputs.
+which holds whenever E - b spans the primal; a dependent ``b`` falls back
+to rank.  Every other handle gets the rank-derived anchor, which has no
+build step.  There is no per-call circuit hook: one rank and one anchor
+per family.
 
 Input is validated once, by the public methods; everything below them
 works on frozensets already known to lie inside the ground set.  Nothing
@@ -31,7 +36,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterable, Iterator, Protocol
 
 from .errors import CapacityError, InputError, NoFundamentalCircuit
 
@@ -111,6 +116,93 @@ def subsets_by_size(elements: Iterable[int]) -> Iterator[frozenset[int]]:
             yield frozenset(combo)
 
 
+class Anchor(Protocol):
+    """Queries against one fixed set ``a``, answered after a single build.
+
+    ``base`` is a maximal independent subset of ``a``, and ``a`` itself when
+    ``a`` is independent.  For ``x`` outside ``a``, ``extends(x)`` says
+    whether ``x`` raises the rank of ``a``, which for independent ``a`` is
+    "``a + x`` is independent".  For ``x`` outside ``base`` but inside the
+    closure of ``a``, ``circuit(x)`` is the fundamental circuit of ``x`` in
+    ``base``.  Other arguments are outside the contract.
+    """
+
+    base: frozenset[int]
+
+    def extends(self, x: int) -> bool: ...
+
+    def circuit(self, x: int) -> frozenset[int]: ...
+
+
+class RankAnchor:
+    """The anchor of a handle without a native one: every answer is a rank
+    query, and there is no build step beyond finding the base."""
+
+    __slots__ = ("_matroid", "_anchored", "_base")
+
+    def __init__(self, matroid: "Matroid", anchored: frozenset[int]):
+        self._matroid = matroid
+        self._anchored = anchored
+        self._base: frozenset[int] | None = None
+
+    @property
+    def base(self) -> frozenset[int]:
+        if self._base is None:
+            m, a = self._matroid, self._anchored
+            self._base = a if m._independent(a) else m._greedy_extend(frozenset(), a)
+        return self._base
+
+    def extends(self, x: int) -> bool:
+        return self._matroid._independent(self.base | {x})
+
+    def circuit(self, x: int) -> frozenset[int]:
+        # base + x holds exactly one circuit, so an element of base lies on it
+        # exactly when removing that element leaves base + x independent.
+        base = self.base
+        extended = base | {x}
+        independent = self._matroid._independent
+        return frozenset([x, *(e for e in sorted(base) if independent(extended - {e}))])
+
+
+class DualAnchor:
+    """Anchor of the dual at a co-independent ``b``, from the primal anchor
+    on ``E - b`` and its base B0, which spans the primal.
+
+    ``b + x`` stays co-independent exactly when ``E - b - x`` still spans:
+    ``x`` lies off B0, or on the circuit of some other element of E - b.
+    The cocircuit of ``x`` is ``{x} + {e in b : x in C(B0, e)}``.  Both
+    indexes are built on first use.
+    """
+
+    __slots__ = ("base", "_rest", "_primal", "_spanning", "_covered", "_cocircuits")
+
+    def __init__(self, b: frozenset[int], rest: frozenset[int], primal: Anchor):
+        self.base = b
+        self._rest = rest
+        self._primal = primal
+        self._spanning = primal.base
+        self._covered: set[int] | None = None
+        self._cocircuits: dict[int, list[int]] | None = None
+
+    def extends(self, x: int) -> bool:
+        if x not in self._spanning:
+            return True
+        if self._covered is None:
+            circuit = self._primal.circuit
+            covered = self._covered = set()
+            for f in self._rest - self._spanning:
+                covered.update(circuit(f))
+        return x in self._covered
+
+    def circuit(self, x: int) -> frozenset[int]:
+        if self._cocircuits is None:
+            index = self._cocircuits = {}
+            for e in self.base:
+                for y in self._primal.circuit(e):
+                    index.setdefault(y, []).append(e)
+        return frozenset(self._cocircuits.get(x, ())).union((x,))
+
+
 class Matroid:
     """Immutable matroid given by one native oracle: a rank function or an
     independence predicate.
@@ -124,15 +216,16 @@ class Matroid:
     callers and safe to share across threads because entries are pure
     recomputable facts.  r(E) is computed once per handle.
 
-    A rank handle may also take a native ``closure(A)`` and a native
-    ``circuit(B, x)``, the circuit inside ``B + x`` for independent ``B``
-    and dependent ``B + x``.  Both must agree with the rank function; when
-    either is absent it is derived from rank.  Chains built from circuits
+    A rank handle may also take a native ``anchor(a)`` hook that returns an
+    ``Anchor`` for the set ``a``, or None to fall back to ``RankAnchor``.
+    Closure and fundamental circuits are answered through the anchor, so
+    its answers must agree with the rank function; there is no separate
+    closure or per-call circuit hook.  Chains built from anchored circuits
     are still re-checked against rank before they are applied.
 
     The public methods validate their input once with ``GroundSet.subset``.
     The underscore methods ``_independent``, ``_rank``, ``_closure`` and
-    ``_circuit`` skip that check; they serve callers inside the package that
+    ``_anchor`` skip that check; they serve callers inside the package that
     already hold frozensets of valid ids.
     """
 
@@ -141,8 +234,7 @@ class Matroid:
         "_full",
         "_predicate",
         "_rank_fn",
-        "_closure_fn",
-        "_circuit_fn",
+        "_anchor_fn",
         "provenance",
         "_memo",
         "_full_rank",
@@ -155,8 +247,7 @@ class Matroid:
         provenance: str = "oracle",
         *,
         rank: Callable[[frozenset[int]], int] | None = None,
-        closure: Callable[[frozenset[int]], frozenset[int]] | None = None,
-        circuit: Callable[[frozenset[int], int], frozenset[int]] | None = None,
+        anchor: Callable[[frozenset[int]], Anchor | None] | None = None,
     ):
         if (predicate is None) == (rank is None):
             raise InputError("a matroid takes exactly one oracle: a predicate or a rank function")
@@ -164,8 +255,7 @@ class Matroid:
         self._full = ground.full()
         self._predicate = predicate
         self._rank_fn = rank
-        self._closure_fn = closure
-        self._circuit_fn = circuit
+        self._anchor_fn = anchor
         self.provenance = provenance
         self._memo: dict[frozenset[int], int] = {}
         self._full_rank: int | None = None
@@ -216,20 +306,17 @@ class Matroid:
                 current = grown
         return current
 
-    def _closure(self, a: frozenset[int]) -> frozenset[int]:
-        if self._closure_fn is not None:
-            return self._closure_fn(a)
-        r = self._rank(a)
-        return a | frozenset(e for e in self._full - a if self._rank(a | {e}) == r)
+    def _anchor(self, a: frozenset[int]) -> Anchor:
+        """The native anchor of ``a`` when the handle has one, else ``RankAnchor``."""
+        if self._anchor_fn is not None:
+            anchor = self._anchor_fn(a)
+            if anchor is not None:
+                return anchor
+        return RankAnchor(self, a)
 
-    def _circuit(self, b: frozenset[int], x: int) -> frozenset[int]:
-        """The circuit inside ``b + x``, for independent ``b`` and dependent ``b + x``."""
-        if self._circuit_fn is not None:
-            return self._circuit_fn(b, x)
-        # b + x holds exactly one circuit, so an element of b lies on it
-        # exactly when removing that element leaves b + x independent.
-        extended = b | {x}
-        return frozenset([x, *(e for e in sorted(b) if self._independent(extended - {e}))])
+    def _closure(self, a: frozenset[int]) -> frozenset[int]:
+        extends = self._anchor(a).extends
+        return a | frozenset(e for e in self._full - a if not extends(e))
 
     # -- public services: each validates its input once --------------------
 
@@ -259,11 +346,12 @@ class Matroid:
             raise InputError(f"element {x} already belongs to the given independent set")
         if not self._independent(b):
             raise InputError("fundamental circuits are defined against independent sets only")
-        if self._independent(b | {x}):
+        anchor = self._anchor(b)
+        if anchor.extends(x):
             raise NoFundamentalCircuit(
                 f"{self._ground.label(x)} extends the given set independently"
             )
-        return self._circuit(b, x)
+        return anchor.circuit(x)
 
     def maximal_extension(
         self, inside: Iterable[int], within: Iterable[int] | None = None
@@ -282,8 +370,9 @@ class Matroid:
     def dual(self) -> "Matroid":
         """Lazy dual through the rank identity r*(X) = |X| + r(E - X) - r(E).
 
-        Fundamental circuits take one primal closure each:
-        C*(B, x) = {x} + (B - cl(E - B - x)).
+        When this handle has a native anchor, the dual anchors a
+        co-independent ``b`` with ``DualAnchor`` over the primal anchor of
+        E - b; a dependent ``b`` falls back to rank.
         """
         parent = self
         full = self._full
@@ -291,11 +380,18 @@ class Matroid:
         def rank(xs: frozenset[int]) -> int:
             return len(xs) + parent._rank(full - xs) - parent._ground_rank()
 
-        def circuit(b: frozenset[int], x: int) -> frozenset[int]:
-            return (b - parent._closure(full - b - {x})) | {x}
+        def anchor(b: frozenset[int]) -> Anchor | None:
+            rest = full - b
+            primal = parent._anchor(rest)
+            if len(primal.base) < parent._ground_rank():
+                return None
+            return DualAnchor(b, rest, primal)
 
         return Matroid(
-            self._ground, provenance=f"dual({self.provenance})", rank=rank, circuit=circuit
+            self._ground,
+            provenance=f"dual({self.provenance})",
+            rank=rank,
+            anchor=anchor if self._anchor_fn is not None else None,
         )
 
     def minor(self, contract: Iterable[int] = (), delete: Iterable[int] = ()) -> "Matroid":

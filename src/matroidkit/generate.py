@@ -13,6 +13,7 @@ import random
 from .core import default_labels
 from .errors import InputError
 from .graphs import Multigraph
+from .jsonio import MAX_GROUND_SIZE
 from .menger import MengerInstance
 from .zoo import Binary, Dual, FamilySpec, Graphic, Minor, Partition, Sum, Uniform
 
@@ -68,13 +69,17 @@ def _random_base(rng: random.Random, labels: tuple[str, ...]) -> FamilySpec:
     return rng.choice(_BASE_MAKERS)(rng, labels)
 
 
+# A wrapped minor builds on up to this many elements beyond its own.
+MINOR_EXTRAS = 2
+
+
 def random_family(rng: random.Random, n: int) -> FamilySpec:
     """A family whose built ground set is exactly e0..e{n-1}."""
     labels = default_labels(n)
     roll = rng.random()
     if roll < 0.25 and n >= 1:
         # Wrap a minor: build on extra elements, then remove exactly those.
-        extras = tuple(f"x{i}" for i in range(rng.randint(1, 2)))
+        extras = tuple(f"x{i}" for i in range(rng.randint(1, MINOR_EXTRAS)))
         base = _random_base(rng, labels + extras)
         contract = tuple(x for x in extras if rng.random() < 0.5)
         delete = tuple(x for x in extras if x not in contract)
@@ -91,12 +96,17 @@ def _check_count(count: int) -> None:
         raise InputError(f"count must be at least 0, got {count}")
 
 
+def _check_bound(value: int, low: int, high: int, what: str) -> None:
+    """Keep every generated instance inside jsonio's ground-set cap, so it parses back."""
+    if not low <= value <= high:
+        raise InputError(f"{what} must be between {low} and {high}, got {value}")
+
+
 def random_matroid_pairs(
     seed: int, count: int, max_elements: int = 8
 ) -> list[tuple[FamilySpec, FamilySpec]]:
     _check_count(count)
-    if max_elements < 1:
-        raise InputError(f"max_elements must be at least 1, got {max_elements}")
+    _check_bound(max_elements, 1, MAX_GROUND_SIZE - MINOR_EXTRAS, "max_elements")
     rng = random.Random(seed)
     pairs = []
     for _ in range(count):
@@ -115,8 +125,8 @@ def random_menger_instances(
     occasionally parallel or looping.
     """
     _check_count(count)
-    if max_vertices < 2:
-        raise InputError(f"max_vertices must be at least 2, got {max_vertices}")
+    _check_bound(max_vertices, 2, MAX_GROUND_SIZE, "max_vertices")
+    _check_bound(max_edges, 0, MAX_GROUND_SIZE, "max_edges")
     rng = random.Random(seed)
     out = []
     for _ in range(count):

@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 
-from .core import CheckResult, Matroid, ENUMERATION_BOUND
+from .core import Anchor, CheckResult, Matroid, ENUMERATION_BOUND
 from .errors import (
     CapacityError,
     InputError,
@@ -57,7 +57,7 @@ class ExchangeDigraph:
     element of I; each arc stores the least such witness.
 
     ``spanned_first``/``spanned_second`` record which nodes I spans in each
-    matroid; they drive the coloring and cost nothing extra to compute here.
+    matroid, one closure of I each; they drive the coloring.
     """
 
     nodes: frozenset[int]
@@ -131,7 +131,11 @@ def state_from_bases(
         raise InputError("first set is not a base of the first matroid")
     if m2d.maximal_extension(b2star) != b2star:
         raise InputError("second set is not a base of the dual of the second matroid")
-    b2 = ground.full() - b2star
+    return _split(ground.full(), b1, b2star)
+
+
+def _split(full: frozenset[int], b1: frozenset[int], b2star: frozenset[int]) -> IntersectionState:
+    b2 = full - b2star
     i = b1 & b2
     x = b1 & b2star
     return IntersectionState(
@@ -155,11 +159,15 @@ def span_report(m1: Matroid, m2: Matroid, st: IntersectionState) -> list[str]:
 
 
 def build_state(m1: Matroid, m2: Matroid, observer: Observer | None = None) -> IntersectionState:
-    """Run the union construction against the dual and split the ground set."""
+    """Run the union construction against the dual and split the ground set.
+
+    ``maximize_union`` returns bases, so they are split without the base
+    checks of ``state_from_bases``; the span containments are still checked.
+    """
     if m1.ground != m2.ground:
         raise InputError("intersection needs a common ground set")
     pair = maximize_union(m1, m2.dual(), observer=observer)
-    st = state_from_bases(m1, m2, pair.i1, pair.i2)
+    st = _split(m1.ground.full(), pair.i1, pair.i2)
     problems = span_report(m1, m2, st)
     if problems:
         raise InternalInvariantError(
@@ -169,31 +177,41 @@ def build_state(m1: Matroid, m2: Matroid, observer: Observer | None = None) -> I
     return st
 
 
-def build_digraph(m1: Matroid, m2: Matroid, st: IntersectionState) -> ExchangeDigraph:
+def base_anchors(m1: Matroid, m2: Matroid, st: IntersectionState) -> tuple[Anchor, Anchor]:
+    """The anchors of B1 in the first matroid and of B2 in the second."""
+    return m1._anchor(st.b1), m2._anchor(st.b2)
+
+
+def build_digraph(
+    m1: Matroid,
+    m2: Matroid,
+    st: IntersectionState,
+    anchors: tuple[Anchor, Anchor] | None = None,
+) -> ExchangeDigraph:
     """Exchange digraph on the non-I elements.
 
-    Fundamental circuits are taken into B1 and B2; they do not exist for
-    the members of B1 resp. B2, which is exactly why X-nodes are sinks and
-    Y-nodes are sources.
+    Fundamental circuits are taken into B1 and B2, through ``anchors`` (from
+    ``base_anchors``, built here when absent); they do not exist for the
+    members of B1 resp. B2, which is exactly why X-nodes are sinks and
+    Y-nodes are sources.  Arcs come from an index of the heads whose
+    circuit holds each element of I, so only pairs that share one are met.
     """
+    first, second = anchors or base_anchors(m1, m2, st)
     nodes = m1.ground.full() - st.i
-    c1: dict[int, frozenset[int] | None] = {}
-    c2: dict[int, frozenset[int] | None] = {}
-    for v in sorted(nodes):
-        c1[v] = m1.fundamental_circuit(st.b1, v) if v not in st.b1 else None
-        c2[v] = m2.fundamental_circuit(st.b2, v) if v not in st.b2 else None
+    heads_through: dict[int, list[int]] = {}
+    for head in sorted(nodes - st.b2):
+        for w in second.circuit(head) & st.i:
+            heads_through.setdefault(w, []).append(head)
     arcs = []
-    for tail in sorted(nodes):
-        if c1[tail] is None:
-            continue
-        for head in sorted(nodes):
-            if head == tail or c2[head] is None:
-                continue
-            shared = c1[tail] & c2[head] & st.i
-            if shared:
-                arcs.append((tail, head, min(shared)))
-    spanned_first = frozenset(v for v in nodes if not m1.is_independent(st.i | {v}))
-    spanned_second = frozenset(v for v in nodes if not m2.is_independent(st.i | {v}))
+    for tail in sorted(nodes - st.b1):
+        witness: dict[int, int] = {}
+        for w in sorted(first.circuit(tail) & st.i):
+            for head in heads_through.get(w, ()):
+                if head != tail:
+                    witness.setdefault(head, w)
+        arcs.extend((tail, head, witness[head]) for head in sorted(witness))
+    spanned_first = nodes & m1._closure(st.i)
+    spanned_second = nodes & m2._closure(st.i)
     return ExchangeDigraph(
         nodes=frozenset(nodes),
         arcs=tuple(arcs),
@@ -314,9 +332,10 @@ def pipeline(
 ) -> tuple[IntersectionState, ExchangeDigraph, DivisiveColoring, IntersectionCertificate]:
     """Run the whole construction and expose the intermediate structures."""
     st = build_state(m1, m2, observer=observer)
-    dg = build_digraph(m1, m2, st)
+    anchors = base_anchors(m1, m2, st)
+    dg = build_digraph(m1, m2, st, anchors)
     coloring = divisive_coloring(dg, st)
-    cert = _assemble(m1, m2, st, coloring)
+    cert = _assemble(m1, m2, st, coloring, anchors)
     return st, dg, coloring, cert
 
 
@@ -326,14 +345,19 @@ def certify(m1: Matroid, m2: Matroid, observer: Observer | None = None) -> Inter
 
 
 def _assemble(
-    m1: Matroid, m2: Matroid, st: IntersectionState, coloring: DivisiveColoring
+    m1: Matroid,
+    m2: Matroid,
+    st: IntersectionState,
+    coloring: DivisiveColoring,
+    anchors: tuple[Anchor, Anchor],
 ) -> IntersectionCertificate:
+    first, second = anchors
     j1 = set()
     for v in sorted(coloring.blue):
-        j1.update(m1.fundamental_circuit(st.b1, v) & st.i)
+        j1.update(first.circuit(v) & st.i)
     j2 = set()
     for v in sorted(coloring.red):
-        j2.update(m2.fundamental_circuit(st.b2, v) & st.i)
+        j2.update(second.circuit(v) & st.i)
     if j1 & j2:
         raise InternalInvariantError(
             "divisive coloring produced overlapping parts", payload=(j1, j2)

@@ -33,6 +33,13 @@ from .zoo import (
 # capped well inside Python's recursion limit.
 MAX_SPEC_DEPTH = 64
 
+# A spec can name a huge ground set in a few bytes ("n" of a uniform
+# matroid), so ground sets are capped at this many elements and graphs at
+# this many vertices and edges, checked before any label tuple is built.
+# A sum counts all of its parts against one cap.  The cap sits far past
+# the sizes the algorithms handle in seconds (a 20 x 20 grid has 760 edges).
+MAX_GROUND_SIZE = 10_000
+
 
 def canonical_dumps(payload: Any) -> str:
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
@@ -64,6 +71,12 @@ def _expect(obj: Any, key: str, kind: type) -> Any:
     return _typed(obj[key], kind, f"field {key!r}")
 
 
+def _check_size(count: int, what: str) -> int:
+    if count > MAX_GROUND_SIZE:
+        raise InputError(f"{what} has {count} elements, more than the cap of {MAX_GROUND_SIZE}")
+    return count
+
+
 def _labels(values: Any, what: str = "label list") -> tuple[str, ...]:
     """Element or vertex labels: JSON strings, or integers rendered with ``str``."""
     return tuple(str(_typed(x, (str, int), "a label")) for x in _typed(values, list, what))
@@ -85,6 +98,8 @@ def graph_to_obj(g: Multigraph) -> dict:
 def graph_from_obj(obj: Any) -> Multigraph:
     vertices = _expect(obj, "vertices", list)
     edges = _expect(obj, "edges", list)
+    _check_size(len(vertices), "graph vertex list")
+    _check_size(len(edges), "graph edge list")
     triples = []
     for entry in edges:
         if not (isinstance(entry, list) and len(entry) == 3):
@@ -137,58 +152,75 @@ def spec_to_obj(spec: FamilySpec) -> dict:
 
 
 def spec_from_obj(obj: Any) -> FamilySpec:
-    """Parse a family spec, rejecting nesting deeper than MAX_SPEC_DEPTH levels."""
-    return _spec_from_obj(obj, 1)
+    """Parse a family spec, rejecting nesting deeper than MAX_SPEC_DEPTH levels
+    and ground sets larger than MAX_GROUND_SIZE elements."""
+    return _spec_from_obj(obj, 1)[0]
 
 
-def _spec_from_obj(obj: Any, depth: int) -> FamilySpec:
+def _spec_from_obj(obj: Any, depth: int) -> tuple[FamilySpec, int]:
+    """The spec and the size of the largest ground set building it makes."""
     if depth > MAX_SPEC_DEPTH:
         raise InputError(f"family spec nested deeper than {MAX_SPEC_DEPTH} levels")
     kind = _expect(obj, "type", str)
     if kind == "uniform":
+        n = _check_size(_expect(obj, "n", int), "uniform matroid")
         labels = obj.get("labels")
-        return Uniform(
-            n=_expect(obj, "n", int),
+        spec = Uniform(
+            n=n,
             k=_expect(obj, "k", int),
             labels=_labels(labels) if labels is not None else None,
         )
+        return spec, n
     if kind == "partition":
         blocks = _expect(obj, "blocks", list)
         caps = _expect(obj, "caps", list)
-        return Partition(
+        blocks = [_typed(b, list, "a partition block") for b in blocks]
+        size = _check_size(sum(map(len, blocks)), "partition")
+        spec = Partition(
             blocks=tuple(_labels(b, "a partition block") for b in blocks),
             caps=tuple(_typed(c, int, "a partition cap") for c in caps),
         )
+        return spec, size
     if kind == "graphic":
-        return Graphic(graph_from_obj(_expect(obj, "graph", dict)))
+        graph = graph_from_obj(_expect(obj, "graph", dict))
+        return Graphic(graph), graph.edge_count
     if kind == "binary":
-        matrix = _expect(obj, "matrix", list)
+        matrix = [_typed(row, list, "a matrix row") for row in _expect(obj, "matrix", list)]
+        width = _check_size(len(matrix[0]) if matrix else 0, "binary matrix")
         labels = obj.get("labels")
-        return Binary(
-            matrix=tuple(
-                tuple(_typed(x, int, "a matrix entry") for x in _typed(row, list, "a matrix row"))
-                for row in matrix
-            ),
+        spec = Binary(
+            matrix=tuple(tuple(_typed(x, int, "a matrix entry") for x in row) for row in matrix),
             labels=_labels(labels) if labels is not None else None,
         )
+        return spec, width
     if kind == "explicit":
         ground = _expect(obj, "ground", list)
+        size = _check_size(len(ground), "explicit system")
         members = _expect(obj, "independent", list)
-        return Explicit(
+        spec = Explicit(
             ground=_labels(ground),
             independent=tuple(_labels(m, "an independent set") for m in members),
         )
+        return spec, size
     if kind == "sum":
-        parts = _expect(obj, "parts", list)
-        return Sum(parts=tuple(_spec_from_obj(p, depth + 1) for p in parts))
+        parts = []
+        size = 0
+        for p in _expect(obj, "parts", list):
+            part, part_size = _spec_from_obj(p, depth + 1)
+            parts.append(part)
+            size = _check_size(size + part_size, "sum")
+        return Sum(parts=tuple(parts)), size
     if kind == "dual":
-        return Dual(of=_spec_from_obj(_expect(obj, "of", dict), depth + 1))
+        of, size = _spec_from_obj(_expect(obj, "of", dict), depth + 1)
+        return Dual(of=of), size
     if kind == "minor":
-        return Minor(
-            of=_spec_from_obj(_expect(obj, "of", dict), depth + 1),
+        of, size = _spec_from_obj(_expect(obj, "of", dict), depth + 1)
+        spec = Minor(
+            of=of,
             contract=_labels(obj.get("contract", [])),
             delete=_labels(obj.get("delete", [])),
         )
+        return spec, size
     raise InputError(f"unknown family type {kind!r}")
 
 

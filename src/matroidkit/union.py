@@ -8,8 +8,14 @@ swaps along a chain absorbs y0 into the union of the two parts.
 Searches are breadth-first, so returned chains are shortest; shortest
 chains are exactly the ones whose swaps can be applied simultaneously
 without re-checking intermediate states.  Every chain carries its witness
-circuits and is re-verified before use, so a stale or forged chain fails
-loudly instead of corrupting a state.
+circuits and is re-verified against rank before use, so a stale or forged
+chain fails loudly instead of corrupting a state.
+
+A search asks many "does part + x stay independent?" and "which circuit
+does x close in part?" questions against the same two parts, so it asks
+them of one anchor per part (``Matroid._anchor``).  A ``Session`` holds a
+state's two anchors, built on first use; ``maximize_union`` keeps one
+session for as long as its state stands.
 """
 
 from __future__ import annotations
@@ -17,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable
 
-from .core import Matroid
+from .core import Anchor, Matroid
 from .errors import ConsistencyError, InputError, InternalInvariantError
 from .graphs import breadth_first, path_to
 
@@ -90,6 +96,35 @@ class ExchangeChain:
         )
 
 
+class Session:
+    """The anchors of one pair state's parts, each built on first use.
+
+    A session vouches for its state: ``find_chain`` and ``apply_chain``
+    skip their entry checks when handed the very matroids and state object
+    the session was made for.
+    """
+
+    __slots__ = ("m1", "m2", "state", "_first", "_second")
+
+    def __init__(self, m1: Matroid, m2: Matroid, state: PairState):
+        self.m1, self.m2, self.state = m1, m2, state
+        self._first: Anchor | None = None
+        self._second: Anchor | None = None
+
+    def first(self) -> Anchor:
+        if self._first is None:
+            self._first = self.m1._anchor(self.state.i1)
+        return self._first
+
+    def second(self) -> Anchor:
+        if self._second is None:
+            self._second = self.m2._anchor(self.state.i2)
+        return self._second
+
+    def serves(self, m1: Matroid, m2: Matroid, state: PairState) -> bool:
+        return self.state is state and self.m1 is m1 and self.m2 is m2
+
+
 def _is_circuit(matroid: Matroid, candidate: frozenset[int]) -> bool:
     if matroid._independent(candidate):
         return False
@@ -113,9 +148,19 @@ def validate_chain(m1: Matroid, m2: Matroid, state: PairState, chain: ExchangeCh
     ground set raise InputError.
     """
     _check_entry(m1, m2, state)
+    m1.ground.subset(chain.elements)
+    _recheck_chain(m1, m2, state, chain, tuple(m1.ground.subset(c) for c in chain.circuits))
+
+
+def _recheck_chain(
+    m1: Matroid,
+    m2: Matroid,
+    state: PairState,
+    chain: ExchangeChain,
+    circuits: tuple[frozenset[int], ...],
+) -> None:
+    """``validate_chain`` without the range checks: every witness against rank."""
     els = chain.elements
-    m1.ground.subset(els)
-    circuits = tuple(m1.ground.subset(c) for c in chain.circuits)
     if not els:
         raise ConsistencyError("empty chain")
     start_set = state.i1 if chain.parity == EVEN else state.i2
@@ -159,9 +204,23 @@ def validate_chain(m1: Matroid, m2: Matroid, state: PairState, chain: ExchangeCh
             raise ConsistencyError("swap terminal must lie in the donating part only")
 
 
-def apply_chain(m1: Matroid, m2: Matroid, state: PairState, chain: ExchangeChain) -> PairState:
-    """Perform the alternating swaps along a chain and return the new state."""
-    validate_chain(m1, m2, state, chain)
+def apply_chain(
+    m1: Matroid,
+    m2: Matroid,
+    state: PairState,
+    chain: ExchangeChain,
+    session: Session | None = None,
+) -> PairState:
+    """Perform the alternating swaps along a chain and return the new state.
+
+    The chain is always re-checked against rank first.  A ``session`` made
+    for this very state vouches for the state and for the range of the
+    chain it found, so ``validate_chain``'s range checks are skipped.
+    """
+    if session is not None and session.serves(m1, m2, state):
+        _recheck_chain(m1, m2, state, chain, chain.circuits)
+    else:
+        validate_chain(m1, m2, state, chain)
     els = chain.elements
     i1, i2 = set(state.i1), set(state.i2)
     for link in range(chain.length):
@@ -181,7 +240,7 @@ def apply_chain(m1: Matroid, m2: Matroid, state: PairState, chain: ExchangeChain
     return new_state
 
 
-def _search(m1: Matroid, m2: Matroid, state: PairState, y: int, parity: str):
+def _search(session: Session, y: int, parity: str):
     """Breadth-first search for a shortest chain of the given parity.
 
     Nodes are elements; the matroid used out of a node is forced by which
@@ -189,10 +248,11 @@ def _search(m1: Matroid, m2: Matroid, state: PairState, y: int, parity: str):
     links are assigned in increasing id order, which makes the returned
     chain the lexicographically least among the shortest ones.
     """
-    start_matroid, start_part = (m1, state.i1) if parity == EVEN else (m2, state.i2)
+    state = session.state
+    start = session.first() if parity == EVEN else session.second()
     # Most searches end at y itself; answering that here skips setting up
     # the layered search on the hot path.
-    if start_matroid._independent(start_part | {y}):
+    if start.extends(y):
         return ExchangeChain((y,), parity, (), ADD)
 
     circuits: dict[int, frozenset[int]] = {}
@@ -209,15 +269,15 @@ def _search(m1: Matroid, m2: Matroid, state: PairState, y: int, parity: str):
                 terminals.append((node, COMMON))
                 continue
             if node in state.i1:
-                matroid, part = m2, state.i2
+                anchor = session.second()
             elif node in state.i2:
-                matroid, part = m1, state.i1
+                anchor = session.first()
             else:
-                matroid, part = start_matroid, start_part
-            if matroid._independent(part | {node}):
+                anchor = start
+            if anchor.extends(node):
                 terminals.append((node, ADD))
             else:
-                circuits[node] = matroid._circuit(part, node)
+                circuits[node] = anchor.circuit(node)
         if terminals:
             node, kind = min(terminals)
             path = path_to(parents, node)
@@ -225,21 +285,27 @@ def _search(m1: Matroid, m2: Matroid, state: PairState, y: int, parity: str):
     return None
 
 
-def find_chain(m1: Matroid, m2: Matroid, state: PairState, y: int) -> ExchangeChain | None:
+def find_chain(
+    m1: Matroid, m2: Matroid, state: PairState, y: int, session: Session | None = None
+) -> ExchangeChain | None:
     """Shortest chain absorbing y into the union, or None when impossible.
 
     Chains through the first matroid are preferred: the even parity is
-    searched exhaustively before the odd one is tried.
+    searched exhaustively before the odd one is tried.  A ``session`` made
+    for this very state supplies its anchors and vouches for the state and
+    for ``y``; without one, both are checked and a fresh session is used.
     """
-    _check_entry(m1, m2, state)
-    if not (m1._independent(state.i1) and m2._independent(state.i2)):
-        raise InputError("each part of the pair state must be independent in its matroid")
-    if y not in m1.ground.elements():
-        raise InputError(f"element {y!r} outside ground set")
-    if y in state.union:
-        raise InputError(f"element {m1.ground.label(y)} already belongs to the union")
+    if session is None or not session.serves(m1, m2, state):
+        _check_entry(m1, m2, state)
+        if not (m1._independent(state.i1) and m2._independent(state.i2)):
+            raise InputError("each part of the pair state must be independent in its matroid")
+        if y not in m1.ground.elements():
+            raise InputError(f"element {y!r} outside ground set")
+        if y in state.union:
+            raise InputError(f"element {m1.ground.label(y)} already belongs to the union")
+        session = Session(m1, m2, state)
     for parity in (EVEN, ODD):
-        chain = _search(m1, m2, state, y, parity)
+        chain = _search(session, y, parity)
         if chain is not None:
             return chain
     return None
@@ -262,19 +328,28 @@ def maximize_union(m1: Matroid, m2: Matroid, observer: Observer | None = None) -
     Extending the parts to bases cannot enlarge the final union: an outside
     element addable to a base extension would already have been a
     one-element chain.
+
+    The loop validates nothing it built itself: each state's session skips
+    the entry checks, and its anchors serve every search until the next
+    augmentation.  Every chain is still re-checked against rank before it
+    is applied.
     """
     if m1.ground != m2.ground:
         raise InputError("matroid union needs a common ground set")
     state = PairState(frozenset(), frozenset())
+    session = Session(m1, m2, state)
     for y in m1.ground.elements():
-        chain = find_chain(m1, m2, state, y)
+        chain = find_chain(m1, m2, state, y, session)
         if chain is None:
             continue
-        new_state = apply_chain(m1, m2, state, chain)
+        new_state = apply_chain(m1, m2, state, chain, session)
         if observer is not None:
             observer(state, chain, new_state)
         state = new_state
-    bases = PairState(m1.maximal_extension(state.i1), m2.maximal_extension(state.i2))
+        session = Session(m1, m2, state)
+    bases = PairState(
+        m1._greedy_extend(state.i1, m1._full), m2._greedy_extend(state.i2, m2._full)
+    )
     if bases.union != state.union:
         raise InternalInvariantError(
             "extending the parts to bases escaped the maximal union", payload=(state, bases)

@@ -5,12 +5,14 @@ binary (column independence over GF(2)), explicit set systems, direct sums,
 plus dual and minor wrappers for composing them.  Every family except the
 explicit one supplies a native rank function; explicit systems keep their
 membership predicate and rank through the core's greedy sweep.  Partition
-and graphic matroids also supply a native closure and fundamental circuit.
+and graphic matroids also supply a native anchor, which answers closure
+and fundamental circuits against one fixed set.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Union
 
 from .axioms import ExplicitSystem
@@ -73,6 +75,116 @@ class Minor:
 FamilySpec = Union[Uniform, Partition, Graphic, Binary, Explicit, Sum, Dual, Minor]
 
 
+class BlockAnchor:
+    """Partition anchor: answers from ``a & members[block(x)]``, nothing built up front.
+
+    Where ``a`` overfills a block, its base keeps the least ids there.
+    """
+
+    __slots__ = ("_members", "_block_of", "_caps", "_anchored", "_base")
+
+    def __init__(self, members, block_of, caps, a: frozenset[int]):
+        self._members = members
+        self._block_of = block_of
+        self._caps = caps
+        self._anchored = a
+        self._base: frozenset[int] | None = None
+
+    @property
+    def base(self) -> frozenset[int]:
+        if self._base is None:
+            caps, block_of = self._caps, self._block_of
+            kept = [0] * len(caps)
+            base = []
+            for e in sorted(self._anchored):
+                bi = block_of[e]
+                if kept[bi] < caps[bi]:
+                    kept[bi] += 1
+                    base.append(e)
+            self._base = frozenset(base)
+        return self._base
+
+    def extends(self, x: int) -> bool:
+        bi = self._block_of[x]
+        return len(self._anchored & self._members[bi]) < self._caps[bi]
+
+    def circuit(self, x: int) -> frozenset[int]:
+        bi = self._block_of[x]
+        inside = self._anchored & self._members[bi]
+        if len(inside) > self._caps[bi]:
+            inside = inside & self.base
+        return inside | {x}
+
+
+class ForestAnchor:
+    """Graphic anchor: a rooted spanning forest of ``a`` with depths, built
+    in one search.
+
+    ``root`` names each vertex's tree (-1 off the forest), and ``up`` maps a
+    vertex to its parent and the tree edge between them.  ``extends`` is a
+    component test; ``circuit`` climbs the two tree paths from the ends of
+    ``x`` to where they meet.
+    """
+
+    __slots__ = ("_endpoints", "_root", "_depth", "_up", "_base")
+
+    def __init__(self, endpoints, vertex_count: int, a: frozenset[int]):
+        adjacent: dict[int, list[tuple[int, int]]] = {}
+        for e in a:
+            u, v = endpoints[e]
+            if u != v:
+                adjacent.setdefault(u, []).append((v, e))
+                adjacent.setdefault(v, []).append((u, e))
+        root = [-1] * vertex_count
+        depth = [0] * vertex_count
+        up: dict[int, tuple[int, int]] = {}
+        for start in adjacent:
+            if root[start] >= 0:
+                continue
+            root[start] = start
+            stack = [start]
+            while stack:
+                node = stack.pop()
+                below = depth[node] + 1
+                for nxt, e in adjacent[node]:
+                    if root[nxt] < 0:
+                        root[nxt] = start
+                        depth[nxt] = below
+                        up[nxt] = (node, e)
+                        stack.append(nxt)
+        self._endpoints = endpoints
+        self._root, self._depth, self._up = root, depth, up
+        self._base: frozenset[int] | None = None
+
+    @property
+    def base(self) -> frozenset[int]:
+        if self._base is None:
+            self._base = frozenset(e for _, e in self._up.values())
+        return self._base
+
+    def extends(self, x: int) -> bool:
+        u, v = self._endpoints[x]
+        root = self._root
+        return root[u] != root[v] or (root[u] < 0 and u != v)
+
+    def circuit(self, x: int) -> frozenset[int]:
+        u, v = self._endpoints[x]
+        depth, up = self._depth, self._up
+        path = [x]
+        while depth[u] > depth[v]:
+            u, e = up[u]
+            path.append(e)
+        while depth[v] > depth[u]:
+            v, e = up[v]
+            path.append(e)
+        while u != v:
+            u, e = up[u]
+            path.append(e)
+            v, e = up[v]
+            path.append(e)
+        return frozenset(path)
+
+
 def _build_uniform(spec: Uniform) -> Matroid:
     if spec.n < 0 or spec.k < 0:
         raise InputError("uniform matroid needs n >= 0 and k >= 0")
@@ -105,31 +217,18 @@ def _build_partition(spec: Partition) -> Matroid:
     block_of = {e: bi for bi, block in enumerate(members) for e in block}
     caps = spec.caps
 
-    def counts(xs: frozenset[int]) -> list[int]:
+    def rank(xs: frozenset[int]) -> int:
         per_block = [0] * len(caps)
         for e in xs:
             per_block[block_of[e]] += 1
-        return per_block
-
-    def rank(xs: frozenset[int]) -> int:
-        return sum(min(c, cap) for c, cap in zip(counts(xs), caps))
-
-    def closure(xs: frozenset[int]) -> frozenset[int]:
-        """``xs`` plus every block whose count has reached its cap."""
-        full = [members[bi] for bi, (c, cap) in enumerate(zip(counts(xs), caps)) if c >= cap]
-        return xs.union(*full)
-
-    def circuit(b: frozenset[int], x: int) -> frozenset[int]:
-        """``x`` plus the members of ``b`` in its (full) block."""
-        return (b & members[block_of[x]]) | {x}
+        return sum(min(c, cap) for c, cap in zip(per_block, caps))
 
     blocks_repr = "|".join(",".join(b) for b in spec.blocks)
     return Matroid(
         ground,
         provenance=f"partition({blocks_repr};caps={list(spec.caps)})",
         rank=rank,
-        closure=closure,
-        circuit=circuit,
+        anchor=partial(BlockAnchor, members, block_of, caps),
     )
 
 
@@ -142,46 +241,11 @@ def _build_graphic(spec: Graphic) -> Matroid:
         """Successful union-find merges; a loop never merges anything."""
         return UnionFind().merge_all(map(endpoints.__getitem__, xs))
 
-    def closure(xs: frozenset[int]) -> frozenset[int]:
-        """``xs`` plus every other edge whose endpoints ``xs`` already connects."""
-        uf = UnionFind()
-        uf.merge_all(map(endpoints.__getitem__, xs))
-        find = uf.find
-        return xs | frozenset(
-            e for e, (u, v) in enumerate(endpoints) if e not in xs and find(u) == find(v)
-        )
-
-    def circuit(b: frozenset[int], x: int) -> frozenset[int]:
-        """``x`` plus the path in the forest ``b`` between the ends of ``x``."""
-        source, target = endpoints[x]
-        adjacent: dict[int, list[tuple[int, int]]] = {}
-        for e in b:
-            u, v = endpoints[e]
-            adjacent.setdefault(u, []).append((v, e))
-            adjacent.setdefault(v, []).append((u, e))
-        # Search outward from ``source``; ``via`` maps each reached vertex to
-        # the tree edge it was reached by.  A loop finds ``target`` at once.
-        via: dict[int, tuple[int, int]] = {}
-        stack = [source]
-        while target != source and target not in via:
-            node = stack.pop()
-            for nxt, e in adjacent.get(node, ()):
-                if nxt != source and nxt not in via:
-                    via[nxt] = (node, e)
-                    stack.append(nxt)
-        path = {x}
-        node = target
-        while node != source:
-            node, e = via[node]
-            path.add(e)
-        return frozenset(path)
-
     return Matroid(
         ground,
         provenance=f"graphic(V={g.vertex_count},E={g.edge_count})",
         rank=rank,
-        closure=closure,
-        circuit=circuit,
+        anchor=partial(ForestAnchor, endpoints, g.vertex_count),
     )
 
 

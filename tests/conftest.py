@@ -2,7 +2,7 @@ from pathlib import Path
 
 import pytest
 
-from matroidkit import Graphic, Multigraph, Partition, Uniform, build
+from matroidkit import Graphic, MengerInstance, Multigraph, Partition, Uniform, build
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -21,6 +21,27 @@ def k22_graph() -> Multigraph:
     return Multigraph.from_labels(
         ["u1", "u2", "w1", "w2"],
         [("e0", "u1", "w1"), ("e1", "u1", "w2"), ("e2", "u2", "w1"), ("e3", "u2", "w2")],
+    )
+
+
+def grid_instance(w: int) -> MengerInstance:
+    """The plain w x w grid from its left column to its right column: exactly w
+    disjoint paths, w straight rows."""
+
+    def v(r, c):
+        return f"r{r}c{c}"
+
+    vertices = [v(r, c) for r in range(w) for c in range(w)]
+    edges = []
+    for r in range(w):
+        for c in range(w):
+            if c + 1 < w:
+                edges.append((f"h{r}.{c}", v(r, c), v(r, c + 1)))
+            if r + 1 < w:
+                edges.append((f"v{r}.{c}", v(r, c), v(r + 1, c)))
+    graph = Multigraph.from_labels(vertices, edges)
+    return MengerInstance.from_labels(
+        graph, [v(r, 0) for r in range(w)], [v(r, w - 1) for r in range(w)]
     )
 
 

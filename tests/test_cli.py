@@ -2,15 +2,18 @@
 
 import argparse
 import hashlib
+import io
 import json
 import subprocess
 import sys
+import tracemalloc
 
 import pytest
 
 from matroidkit import cli
 from matroidkit.cli import run
 from matroidkit.errors import InternalInvariantError
+from matroidkit.jsonio import MAX_GROUND_SIZE
 
 from conftest import FIXTURES
 
@@ -199,8 +202,16 @@ class TestErrorPaths:
             ["gen", "--max-elements", "0"],
             ["gen", "--kind", "menger", "--max-vertices", "1"],
             ["gen", "--count", "-1"],
+            ["gen", "--max-elements", str(MAX_GROUND_SIZE)],
+            ["gen", "--kind", "menger", "--max-vertices", str(MAX_GROUND_SIZE + 1)],
         ],
-        ids=["max-elements-0", "max-vertices-1", "count-negative"],
+        ids=[
+            "max-elements-0",
+            "max-vertices-1",
+            "count-negative",
+            "max-elements-past-cap",
+            "max-vertices-past-cap",
+        ],
     )
     def test_gen_bounds_exit_two_with_one_line(self, capsys, argv):
         code = run(argv)
@@ -247,6 +258,43 @@ class TestErrorPaths:
         assert captured.out == ""
         assert captured.err.startswith(f"error: cannot read {bad}: 'utf-8' codec")
         assert captured.err.count("\n") == 1
+
+    def test_undecodable_stdin_exits_two_with_one_line(self):
+        proc = subprocess.run(
+            [sys.executable, "-m", "matroidkit", "rank", "--matroid", "-"],
+            input=b'{"type":"uniform","n":2,"k":1,"labels":["\xff","b"]}',
+            capture_output=True,
+            check=False,
+        )
+        assert proc.returncode == 2
+        assert proc.stdout == b""
+        assert proc.stderr.startswith(b"error: cannot read -: 'utf-8' codec")
+        assert proc.stderr.count(b"\n") == 1
+
+    def test_a_text_stream_in_place_of_stdin_is_still_read(self, monkeypatch, capsys):
+        monkeypatch.setattr(sys, "stdin", io.StringIO('{"type":"uniform","n":3,"k":2}'))
+        code, out = invoke(["rank", "--matroid", "-"], capsys)
+        assert code == 0
+        assert json.loads(out) == {"rank": 2, "set": ["e0", "e1", "e2"]}
+
+    def test_a_huge_uniform_matroid_exits_two_without_building_labels(self, tmp_path, capsys):
+        spec = tmp_path / "huge.json"
+        spec.write_text('{"type":"uniform","n":100000000,"k":1}\n')
+        tracemalloc.start()
+        try:
+            code = run(["rank", "--matroid", str(spec)])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == (
+            f"error: uniform matroid has 100000000 elements, more than the cap of "
+            f"{MAX_GROUND_SIZE}\n"
+        )
+        # A hundred million labels would take gigabytes.
+        assert peak < 1_000_000
 
     def test_missing_subcommand_exits_two(self, capsys):
         assert run([]) == 2

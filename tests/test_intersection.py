@@ -25,6 +25,7 @@ from matroidkit.intersection import (
     span_report,
     state_from_bases,
 )
+from matroidkit.generate import random_matroid_pairs
 from matroidkit.oracles import brute_max_common_independent
 from matroidkit.union import COMMON, EVEN
 
@@ -117,6 +118,30 @@ class TestDigraph:
             heads = {h for _, h, _ in dg.arcs}
             assert not (st.x & tails)
             assert not (st.y & heads)
+
+    def test_indexed_arcs_match_the_pairwise_definition(self):
+        # Every (tail, head) pair whose circuits into B1 and B2 share an
+        # element of I, in id order, witnessed by the least shared element;
+        # spanned nodes are those I + v makes dependent.
+        arcs = 0
+        for spec1, spec2 in random_matroid_pairs(3, 40, max_elements=10):
+            m1, m2 = build(spec1), build(spec2)
+            st = build_state(m1, m2)
+            dg = build_digraph(m1, m2, st)
+            nodes = sorted(m1.ground.full() - st.i)
+            expected = []
+            for tail in (v for v in nodes if v not in st.b1):
+                c1 = m1.fundamental_circuit(st.b1, tail)
+                for head in (v for v in nodes if v not in st.b2 and v != tail):
+                    shared = c1 & m2.fundamental_circuit(st.b2, head) & st.i
+                    if shared:
+                        expected.append((tail, head, min(shared)))
+            assert dg.arcs == tuple(expected)
+            first = fs(v for v in nodes if not m1.is_independent(st.i | {v}))
+            second = fs(v for v in nodes if not m2.is_independent(st.i | {v}))
+            assert (dg.spanned_first, dg.spanned_second) == (first, second)
+            arcs += len(expected)
+        assert arcs > 50
 
     def test_adjacency_and_witnesses_follow_the_arc_tuple(self):
         # A hand-built digraph with a repeated arc: the maps keep arc order,

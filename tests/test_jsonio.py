@@ -16,6 +16,7 @@ from matroidkit import (
     solve,
 )
 from matroidkit.jsonio import (
+    MAX_GROUND_SIZE,
     MAX_SPEC_DEPTH,
     canonical_dumps,
     graph_from_obj,
@@ -121,3 +122,48 @@ def test_spec_nesting_is_capped_at_max_depth():
 def test_json_nested_past_the_parser_is_input_error():
     with pytest.raises(InputError):
         loads("[" * 3000 + "]" * 3000)
+
+
+def _labels(n, prefix="e"):
+    return [f"{prefix}{i}" for i in range(n)]
+
+
+def _graph(vertices, edges):
+    loops = [[f"g{i}", "v0", "v0"] for i in range(edges)]
+    return {"vertices": _labels(vertices, "v"), "edges": loops}
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda n: {"type": "uniform", "n": n, "k": 1},
+        lambda n: {"type": "partition", "blocks": [_labels(n)], "caps": [1]},
+        lambda n: {"type": "binary", "matrix": [[1] * n]},
+        lambda n: {"type": "explicit", "ground": _labels(n), "independent": [[]]},
+        lambda n: {"type": "graphic", "graph": _graph(1, n)},
+        lambda n: {"type": "graphic", "graph": _graph(n, 1)},
+        lambda n: {
+            "type": "sum",
+            "parts": [
+                {"type": "uniform", "n": n // 2, "k": 1, "labels": _labels(n // 2, "a")},
+                {"type": "uniform", "n": n - n // 2, "k": 1, "labels": _labels(n - n // 2, "b")},
+            ],
+        },
+        lambda n: {"type": "dual", "of": {"type": "uniform", "n": n, "k": 1}},
+        lambda n: {"type": "minor", "of": {"type": "uniform", "n": n, "k": 1}, "delete": ["e0"]},
+    ],
+    ids=[
+        "uniform", "partition", "binary", "explicit", "graph-edges", "graph-vertices",
+        "sum", "dual", "minor",
+    ],
+)
+def test_ground_sets_are_capped_at_max_ground_size(make):
+    spec_from_obj(make(MAX_GROUND_SIZE))
+    with pytest.raises(InputError, match=f"more than the cap of {MAX_GROUND_SIZE}"):
+        spec_from_obj(make(MAX_GROUND_SIZE + 1))
+
+
+def test_graphs_in_menger_instances_are_capped():
+    obj = {"graph": _graph(MAX_GROUND_SIZE + 1, 0), "s": ["v0"], "t": ["v1"]}
+    with pytest.raises(InputError, match="graph vertex list"):
+        menger_instance_from_obj(obj)

@@ -278,7 +278,7 @@ def _oracle_cases():
             ("g5", "z", "y"),
         ],
     )
-    partition = Partition((("p0", "p3"), ("p1",), ("p2", "p4", "p5")), (1, 0, 2))
+    partition = Partition((("p0", "p3"), ("p1",), ("p2", "p4", "p5", "p6")), (1, 0, 2))
     cases = []
     for name, base in (("graphic", Graphic(graph)), ("partition", partition)):
         first = build(base).ground.labels[0]
@@ -308,14 +308,71 @@ def test_closure_and_circuits_match_their_rank_definitions(spec):
         for x in m.elements():
             if x in b or m.is_independent(b | {x}):
                 continue
-            assert m._circuit(b, x) == _rank_circuit(m, b, x), (sorted(b), x)
+            assert m.fundamental_circuit(b, x) == _rank_circuit(m, b, x), (sorted(b), x)
 
 
-def test_a_wrong_native_circuit_never_reaches_a_union():
+@pytest.mark.parametrize(
+    "spec", [case[1] for case in _ORACLE_CASES], ids=[case[0] for case in _ORACLE_CASES]
+)
+def test_anchors_match_their_rank_definitions(spec):
+    """Every anchored answer, against every independent set, equals its rank definition."""
+    m = build(spec)
+    for b in _all_subsets(m.elements()):
+        if not m.is_independent(b):
+            continue
+        anchor = m._anchor(b)
+        assert anchor.base == b
+        for x in m.elements():
+            if x in b:
+                continue
+            extends = m.rank(b | {x}) == len(b) + 1
+            assert anchor.extends(x) == extends, (sorted(b), x)
+            if not extends:
+                assert anchor.circuit(x) == _rank_circuit(m, b, x), (sorted(b), x)
+
+
+@pytest.mark.parametrize(
+    "spec", [case[1] for case in _ORACLE_CASES], ids=[case[0] for case in _ORACLE_CASES]
+)
+def test_anchors_on_dependent_sets_answer_through_a_maximal_independent_base(spec):
+    """A dual anchors its primal on E - b, which is usually dependent."""
+    m = build(spec)
+    for a in _all_subsets(m.elements()):
+        anchor = m._anchor(a)
+        base = anchor.base
+        assert base <= a and m.is_independent(base) and m.rank(a) == len(base), sorted(a)
+        for x in m.elements():
+            if x in base:
+                continue
+            raises = m.rank(a | {x}) > m.rank(a)
+            if x not in a:
+                assert anchor.extends(x) == raises, (sorted(a), x)
+            if not raises:
+                assert anchor.circuit(x) == _rank_circuit(m, base, x), (sorted(a), x)
+
+
+class _FaultyAnchor:
+    """Circuits answer ``b + x`` itself, which is no circuit once ``b`` holds
+    the other block too; independence answers stay honest."""
+
+    def __init__(self, matroid, b):
+        self.base = b
+        self._matroid = matroid
+
+    def extends(self, x):
+        return self._matroid._independent(self.base | {x})
+
+    def circuit(self, x):
+        return self.base | {x}
+
+
+def test_a_wrong_native_anchor_never_reaches_a_union():
     honest = build(Partition((("a", "c"), ("b",)), (1, 1)))
-    # b + x itself, which is not a circuit once b holds the other block too.
     faulty = Matroid(
-        honest.ground, provenance="faulty", rank=honest._rank, circuit=lambda b, x: b | {x}
+        honest.ground,
+        provenance="faulty",
+        rank=honest._rank,
+        anchor=lambda b: _FaultyAnchor(honest, b),
     )
     partner = build(Uniform(3, 1, labels=("a", "b", "c")))
     with pytest.raises(ConsistencyError):

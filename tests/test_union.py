@@ -254,9 +254,9 @@ class TestSinglePass:
         searched = []
         original = union.find_chain
 
-        def counting_find_chain(a, b, state, y):
+        def counting_find_chain(a, b, state, y, *session):
             searched.append(y)
-            return original(a, b, state, y)
+            return original(a, b, state, y, *session)
 
         monkeypatch.setattr(union, "find_chain", counting_find_chain)
         chains = []
