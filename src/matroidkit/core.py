@@ -25,7 +25,8 @@ E - b with base B0, through the identity
 which holds whenever E - b spans the primal; a dependent ``b`` falls back
 to rank.  Every other handle gets the rank-derived anchor, which has no
 build step.  There is no per-call circuit hook: one rank and one anchor
-per family.
+per family.  Anchors may also be grown or exchanged by one element, so a
+caller whose set changes one element at a time need not build a new one.
 
 Input is validated once, by the public methods; everything below them
 works on frozensets already known to lie inside the ground set.  Nothing
@@ -34,7 +35,7 @@ is ever materialized unless an enumeration helper is asked for explicitly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import combinations
 from typing import Callable, Iterable, Iterator, Protocol
 
@@ -54,11 +55,14 @@ class GroundSet:
     """Dense element ids ``0 .. size-1`` with pairwise-distinct labels."""
 
     labels: tuple[str, ...]
+    _ids: dict[str, int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "labels", tuple(self.labels))
-        if len(set(self.labels)) != len(self.labels):
-            raise InputError(f"ground-set labels are not pairwise distinct: {self.labels!r}")
+        labels = tuple(self.labels)
+        object.__setattr__(self, "labels", labels)
+        object.__setattr__(self, "_ids", {lbl: e for e, lbl in enumerate(labels)})
+        if len(self._ids) != len(labels):
+            raise InputError(f"ground-set labels are not pairwise distinct: {labels!r}")
 
     @property
     def size(self) -> int:
@@ -72,8 +76,8 @@ class GroundSet:
 
     def index(self, label: str) -> int:
         try:
-            return self.labels.index(label)
-        except ValueError:
+            return self._ids[label]
+        except (KeyError, TypeError):
             raise InputError(f"unknown element label {label!r}") from None
 
     def subset(self, xs: Iterable[int]) -> frozenset[int]:
@@ -125,6 +129,20 @@ class Anchor(Protocol):
     "``a + x`` is independent".  For ``x`` outside ``base`` but inside the
     closure of ``a``, ``circuit(x)`` is the fundamental circuit of ``x`` in
     ``base``.  Other arguments are outside the contract.
+
+    Two optional updates carry the build over to a neighbouring set, and
+    each returns the updated anchor, or None when the caller should build
+    a fresh one:
+
+    - ``grow(x)``, for an ``x`` with ``extends(x)``: the anchor of
+      ``a + x``, with base ``base + x``;
+    - ``exchange(y, z)``, for a ``y`` outside ``base`` and a ``z`` on its
+      circuit: the anchor of ``a - z + y``, with base ``base - z + y``.
+
+    An update may reuse the anchor's own structures in place, so whoever
+    updates an anchor owns it and never asks the old one again.  A union
+    ``Session`` owns the anchors of its state's parts, and
+    ``Session.advance`` moves them on to the next state.
     """
 
     base: frozenset[int]
@@ -134,16 +152,30 @@ class Anchor(Protocol):
     def circuit(self, x: int) -> frozenset[int]: ...
 
 
+def grown(anchor: Anchor, x: int) -> Anchor | None:
+    """``anchor.grow(x)``, or None for an anchor without updates."""
+    grow = getattr(anchor, "grow", None)
+    return None if grow is None else grow(x)
+
+
+def exchanged(anchor: Anchor, y: int, z: int) -> Anchor | None:
+    """``anchor.exchange(y, z)``, or None for an anchor without updates."""
+    exchange = getattr(anchor, "exchange", None)
+    return None if exchange is None else exchange(y, z)
+
+
 class RankAnchor:
     """The anchor of a handle without a native one: every answer is a rank
     query, and there is no build step beyond finding the base."""
 
     __slots__ = ("_matroid", "_anchored", "_base")
 
-    def __init__(self, matroid: "Matroid", anchored: frozenset[int]):
+    def __init__(
+        self, matroid: "Matroid", anchored: frozenset[int], base: frozenset[int] | None = None
+    ):
         self._matroid = matroid
         self._anchored = anchored
-        self._base: frozenset[int] | None = None
+        self._base = base
 
     @property
     def base(self) -> frozenset[int]:
@@ -163,44 +195,107 @@ class RankAnchor:
         independent = self._matroid._independent
         return frozenset([x, *(e for e in sorted(base) if independent(extended - {e}))])
 
+    def grow(self, x: int) -> "RankAnchor":
+        base = None if self._base is None else self._base | {x}
+        return RankAnchor(self._matroid, self._anchored | {x}, base)
+
+    def exchange(self, y: int, z: int) -> "RankAnchor":
+        base = None if self._base is None else self._base - {z} | {y}
+        return RankAnchor(self._matroid, self._anchored - {z} | {y}, base)
+
 
 class DualAnchor:
     """Anchor of the dual at a co-independent ``b``, from the primal anchor
     on ``E - b`` and its base B0, which spans the primal.
 
-    ``b + x`` stays co-independent exactly when ``E - b - x`` still spans:
-    ``x`` lies off B0, or on the circuit of some other element of E - b.
-    The cocircuit of ``x`` is ``{x} + {e in b : x in C(B0, e)}``.  Both
-    indexes are built on first use.
+    One index, built on first use, answers both queries: the circuit
+    C(B0, g) of every ``g`` off B0, and for each ``y`` on B0 the ``g``
+    whose circuit holds it.  ``b + x`` stays co-independent exactly when
+    ``E - b - x`` still spans: ``x`` lies off B0, or on the circuit of some
+    ``g`` outside ``b``.  The cocircuit of ``x`` is
+    ``{x} + {g in b : x in C(B0, g)}``.
+
+    Every answer depends on B0 and ``b`` alone.  An update that keeps B0
+    keeps the primal anchor and the index; one that trades an element of
+    B0 for another exchanges the primal anchor and recomputes only the
+    circuits that held the element leaving B0.
     """
 
-    __slots__ = ("base", "_rest", "_primal", "_spanning", "_covered", "_cocircuits")
+    __slots__ = ("base", "_full", "_primal", "_spanning", "_circuits", "_through")
 
-    def __init__(self, b: frozenset[int], rest: frozenset[int], primal: Anchor):
+    def __init__(self, b: frozenset[int], full: frozenset[int], primal: Anchor):
         self.base = b
-        self._rest = rest
+        self._full = full
         self._primal = primal
         self._spanning = primal.base
-        self._covered: set[int] | None = None
-        self._cocircuits: dict[int, list[int]] | None = None
+        self._circuits: dict[int, frozenset[int]] | None = None
+        self._through: dict[int, set[int]] = {}
+
+    def _index(self) -> dict[int, set[int]]:
+        if self._circuits is None:
+            self._circuits = {}
+            for g in self._full - self._spanning:
+                self._enter(g)
+        return self._through
+
+    def _enter(self, g: int) -> None:
+        circuit = self._circuits[g] = self._primal.circuit(g)
+        through = self._through
+        for y in circuit:
+            if y != g:
+                through.setdefault(y, set()).add(g)
 
     def extends(self, x: int) -> bool:
         if x not in self._spanning:
             return True
-        if self._covered is None:
-            circuit = self._primal.circuit
-            covered = self._covered = set()
-            for f in self._rest - self._spanning:
-                covered.update(circuit(f))
-        return x in self._covered
+        b = self.base
+        return any(g not in b for g in self._index().get(x, ()))
 
     def circuit(self, x: int) -> frozenset[int]:
-        if self._cocircuits is None:
-            index = self._cocircuits = {}
-            for e in self.base:
-                for y in self._primal.circuit(e):
-                    index.setdefault(y, []).append(e)
-        return frozenset(self._cocircuits.get(x, ())).union((x,))
+        b = self.base
+        return frozenset([x, *(g for g in self._index().get(x, ()) if g in b)])
+
+    def grow(self, z: int) -> "DualAnchor | None":
+        """``b + z``: B0 still spans E - b - z when ``z`` lies off it, and
+        otherwise B0 - z + g does, for a ``g`` outside ``b`` whose circuit
+        holds ``z``."""
+        b = self.base | {z}
+        if z not in self._spanning:
+            return self._moved(b, self._primal)
+        g = next(g for g in self._index()[z] if g not in self.base)
+        return self._rebased(b, z, g)
+
+    def exchange(self, y: int, z: int) -> "DualAnchor | None":
+        """``b - z + y``: ``y`` lies on B0, or it would extend ``b``, and on
+        the circuit of ``z``, so B0 - y + z spans E - b + z - y."""
+        return self._rebased(self.base - {z} | {y}, y, z)
+
+    def _moved(self, b: frozenset[int], primal: Anchor) -> "DualAnchor":
+        moved = DualAnchor(b, self._full, primal)
+        moved._circuits, moved._through = self._circuits, self._through
+        return moved
+
+    def _rebased(self, b: frozenset[int], out: int, into: int) -> "DualAnchor | None":
+        """The anchor at ``b`` once B0 trades ``out`` for ``into``, which
+        holds ``out`` on its circuit.  Only the circuits that held ``out``
+        change, and ``out`` gets one in place of ``into``."""
+        primal = exchanged(self._primal, into, out)
+        if primal is None:
+            return None
+        if self._circuits is None:
+            return DualAnchor(b, self._full, primal)
+        circuits, through = self._circuits, self._through
+        stale = through.pop(out)
+        for g in stale:
+            for y in circuits.pop(g):
+                if y != g and y != out:
+                    through[y].discard(g)
+        moved = self._moved(b, primal)
+        stale.discard(into)
+        stale.add(out)
+        for g in stale:
+            moved._enter(g)
+        return moved
 
 
 class Matroid:
@@ -385,7 +480,7 @@ class Matroid:
             primal = parent._anchor(rest)
             if len(primal.base) < parent._ground_rank():
                 return None
-            return DualAnchor(b, rest, primal)
+            return DualAnchor(b, full, primal)
 
         return Matroid(
             self._ground,

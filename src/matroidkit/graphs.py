@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Iterable, Iterator
 
 from .errors import InputError
@@ -86,9 +86,12 @@ class Multigraph:
     vertex_labels: tuple[str, ...]
     endpoints: tuple[tuple[int, int], ...]
     edge_labels: tuple[str, ...]
+    _vertex_ids: dict[str, int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if len(set(self.vertex_labels)) != len(self.vertex_labels):
+        ids = {lbl: v for v, lbl in enumerate(self.vertex_labels)}
+        object.__setattr__(self, "_vertex_ids", ids)
+        if len(ids) != len(self.vertex_labels):
             raise InputError("vertex labels are not pairwise distinct")
         if len(set(self.edge_labels)) != len(self.edge_labels):
             raise InputError("edge labels are not pairwise distinct")
@@ -133,8 +136,8 @@ class Multigraph:
 
     def vertex_index(self, label: str) -> int:
         try:
-            return self.vertex_labels.index(label)
-        except ValueError:
+            return self._vertex_ids[label]
+        except (KeyError, TypeError):
             raise InputError(f"unknown vertex label {label!r}") from None
 
     def vertex_subset(self, xs: Iterable[int]) -> frozenset[int]:

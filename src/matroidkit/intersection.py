@@ -143,11 +143,18 @@ def _split(full: frozenset[int], b1: frozenset[int], b2star: frozenset[int]) -> 
     )
 
 
-def span_report(m1: Matroid, m2: Matroid, st: IntersectionState) -> list[str]:
+def span_report(
+    m1: Matroid,
+    m2: Matroid,
+    st: IntersectionState,
+    closures: tuple[frozenset[int], frozenset[int]] | None = None,
+) -> list[str]:
     """Containment checks the split must satisfy when the base pair is maximal:
-    X inside cl_2(I), Y inside cl_1(I), Z inside their union."""
-    cl1 = m1.closure(st.i)
-    cl2 = m2.closure(st.i)
+    X inside cl_2(I), Y inside cl_1(I), Z inside their union.
+
+    ``closures`` are cl_1(I) and cl_2(I) when the caller already has them.
+    """
+    cl1, cl2 = closures or (m1.closure(st.i), m2.closure(st.i))
     problems = []
     if not st.x <= cl2:
         problems.append("X escapes cl_2(I)")
@@ -162,19 +169,14 @@ def build_state(m1: Matroid, m2: Matroid, observer: Observer | None = None) -> I
     """Run the union construction against the dual and split the ground set.
 
     ``maximize_union`` returns bases, so they are split without the base
-    checks of ``state_from_bases``; the span containments are still checked.
+    checks of ``state_from_bases``.  The span containments are left to the
+    caller (``span_report``); ``pipeline`` checks them with the closures it
+    goes on to use.
     """
     if m1.ground != m2.ground:
         raise InputError("intersection needs a common ground set")
     pair = maximize_union(m1, m2.dual(), observer=observer)
-    st = _split(m1.ground.full(), pair.i1, pair.i2)
-    problems = span_report(m1, m2, st)
-    if problems:
-        raise InternalInvariantError(
-            "maximal base pair violates its span containments: " + "; ".join(problems),
-            payload=st,
-        )
-    return st
+    return _split(m1.ground.full(), pair.i1, pair.i2)
 
 
 def base_anchors(m1: Matroid, m2: Matroid, st: IntersectionState) -> tuple[Anchor, Anchor]:
@@ -187,6 +189,7 @@ def build_digraph(
     m2: Matroid,
     st: IntersectionState,
     anchors: tuple[Anchor, Anchor] | None = None,
+    closures: tuple[frozenset[int], frozenset[int]] | None = None,
 ) -> ExchangeDigraph:
     """Exchange digraph on the non-I elements.
 
@@ -195,6 +198,7 @@ def build_digraph(
     members of B1 resp. B2, which is exactly why X-nodes are sinks and
     Y-nodes are sources.  Arcs come from an index of the heads whose
     circuit holds each element of I, so only pairs that share one are met.
+    ``closures`` are cl_1(I) and cl_2(I), computed here when absent.
     """
     first, second = anchors or base_anchors(m1, m2, st)
     nodes = m1.ground.full() - st.i
@@ -210,13 +214,12 @@ def build_digraph(
                 if head != tail:
                     witness.setdefault(head, w)
         arcs.extend((tail, head, witness[head]) for head in sorted(witness))
-    spanned_first = nodes & m1._closure(st.i)
-    spanned_second = nodes & m2._closure(st.i)
+    cl1, cl2 = closures or (m1._closure(st.i), m2._closure(st.i))
     return ExchangeDigraph(
         nodes=frozenset(nodes),
         arcs=tuple(arcs),
-        spanned_first=spanned_first,
-        spanned_second=spanned_second,
+        spanned_first=nodes & cl1,
+        spanned_second=nodes & cl2,
     )
 
 
@@ -332,8 +335,15 @@ def pipeline(
 ) -> tuple[IntersectionState, ExchangeDigraph, DivisiveColoring, IntersectionCertificate]:
     """Run the whole construction and expose the intermediate structures."""
     st = build_state(m1, m2, observer=observer)
+    closures = m1._closure(st.i), m2._closure(st.i)
+    problems = span_report(m1, m2, st, closures)
+    if problems:
+        raise InternalInvariantError(
+            "maximal base pair violates its span containments: " + "; ".join(problems),
+            payload=st,
+        )
     anchors = base_anchors(m1, m2, st)
-    dg = build_digraph(m1, m2, st, anchors)
+    dg = build_digraph(m1, m2, st, anchors, closures)
     coloring = divisive_coloring(dg, st)
     cert = _assemble(m1, m2, st, coloring, anchors)
     return st, dg, coloring, cert

@@ -14,8 +14,10 @@ chain fails loudly instead of corrupting a state.
 A search asks many "does part + x stay independent?" and "which circuit
 does x close in part?" questions against the same two parts, so it asks
 them of one anchor per part (``Matroid._anchor``).  A ``Session`` holds a
-state's two anchors, built on first use; ``maximize_union`` keeps one
-session for as long as its state stands.
+state's two anchors, built on first use.  An augmentation changes most
+parts by one element, so ``maximize_union`` does not rebuild them: it
+advances the session to the new state, and each anchor is grown or
+exchanged to follow its part (``Anchor.grow``, ``Anchor.exchange``).
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable
 
-from .core import Anchor, Matroid
+from .core import Anchor, Matroid, exchanged, grown
 from .errors import ConsistencyError, InputError, InternalInvariantError
 from .graphs import breadth_first, path_to
 
@@ -101,7 +103,9 @@ class Session:
 
     A session vouches for its state: ``find_chain`` and ``apply_chain``
     skip their entry checks when handed the very matroids and state object
-    the session was made for.
+    the session was made for.  It owns its anchors, and ``advance`` hands
+    them on to the session of the next state; after that it answers
+    nothing.
     """
 
     __slots__ = ("m1", "m2", "state", "_first", "_second")
@@ -113,16 +117,55 @@ class Session:
 
     def first(self) -> Anchor:
         if self._first is None:
-            self._first = self.m1._anchor(self.state.i1)
+            self._first = self.m1._anchor(self._live().i1)
         return self._first
 
     def second(self) -> Anchor:
         if self._second is None:
-            self._second = self.m2._anchor(self.state.i2)
+            self._second = self.m2._anchor(self._live().i2)
         return self._second
+
+    def _live(self) -> PairState:
+        if self.state is None:
+            raise InternalInvariantError("an advanced session answers nothing")
+        return self.state
 
     def serves(self, m1: Matroid, m2: Matroid, state: PairState) -> bool:
         return self.state is state and self.m1 is m1 and self.m2 is m2
+
+    def advance(self, state: PairState) -> "Session":
+        """The session of ``state``, made by applying a chain this session
+        found, with this session's anchors carried over.
+
+        A part that did not change keeps its anchor; one that gained an
+        element grows it, and one that traded an element for another on its
+        circuit exchanges it.  Any other part is rebuilt on first use, as
+        are anchors without updates.  The updates work in place, so this
+        session is retired and answers nothing afterwards.
+        """
+        after = Session(self.m1, self.m2, state)
+        before = self._live()
+        after._first = _carried(self._first, before.i1, state.i1)
+        after._second = _carried(self._second, before.i2, state.i2)
+        self.state = self._first = self._second = None
+        return after
+
+
+def _carried(anchor: Anchor | None, old: frozenset[int], new: frozenset[int]) -> Anchor | None:
+    """The anchor of ``old`` updated to ``new``, or None to build afresh."""
+    if anchor is None or new == old:
+        return anchor
+    added = new - old
+    if len(added) != 1:
+        return None
+    (y,) = added
+    removed = old - new
+    if not removed:
+        return grown(anchor, y)
+    if len(removed) == 1:
+        (z,) = removed
+        return exchanged(anchor, y, z)
+    return None
 
 
 def _is_circuit(matroid: Matroid, candidate: frozenset[int]) -> bool:
@@ -330,9 +373,12 @@ def maximize_union(m1: Matroid, m2: Matroid, observer: Observer | None = None) -
     one-element chain.
 
     The loop validates nothing it built itself: each state's session skips
-    the entry checks, and its anchors serve every search until the next
-    augmentation.  Every chain is still re-checked against rank before it
-    is applied.
+    the entry checks, and after each augmentation the session is advanced,
+    so the anchors follow the parts instead of being rebuilt.  Every chain
+    is still re-checked against rank before it is applied.  The final parts
+    are extended through the same anchors, in increasing id order as the
+    greedy sweep does, and each extension is checked to be a base with one
+    rank evaluation.
     """
     if m1.ground != m2.ground:
         raise InputError("matroid union needs a common ground set")
@@ -346,12 +392,30 @@ def maximize_union(m1: Matroid, m2: Matroid, observer: Observer | None = None) -
         if observer is not None:
             observer(state, chain, new_state)
         state = new_state
-        session = Session(m1, m2, state)
+        session = session.advance(state)
     bases = PairState(
-        m1._greedy_extend(state.i1, m1._full), m2._greedy_extend(state.i2, m2._full)
+        _extend_to_base(m1, state.i1, session.first()),
+        _extend_to_base(m2, state.i2, session.second()),
     )
     if bases.union != state.union:
         raise InternalInvariantError(
             "extending the parts to bases escaped the maximal union", payload=(state, bases)
         )
     return bases
+
+
+def _extend_to_base(matroid: Matroid, part: frozenset[int], anchor: Anchor) -> frozenset[int]:
+    """Add every element that extends ``part``, in increasing id order,
+    growing ``anchor`` (which it uses up) along; the result must pass one
+    rank check as a base."""
+    base = set(part)
+    for e in matroid.elements():
+        if e not in base and anchor.extends(e):
+            base.add(e)
+            anchor = grown(anchor, e)
+            if anchor is None:
+                anchor = matroid._anchor(frozenset(base))
+    extended = frozenset(base)
+    if len(extended) != matroid._ground_rank() or not matroid._independent(extended):
+        raise ConsistencyError("a part extended through its anchor is not a base")
+    return extended

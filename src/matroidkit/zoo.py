@@ -6,7 +6,8 @@ plus dual and minor wrappers for composing them.  Every family except the
 explicit one supplies a native rank function; explicit systems keep their
 membership predicate and rank through the core's greedy sweep.  Partition
 and graphic matroids also supply a native anchor, which answers closure
-and fundamental circuits against one fixed set.
+and fundamental circuits against one fixed set and follows that set
+through one-element updates.
 """
 
 from __future__ import annotations
@@ -78,17 +79,18 @@ FamilySpec = Union[Uniform, Partition, Graphic, Binary, Explicit, Sum, Dual, Min
 class BlockAnchor:
     """Partition anchor: answers from ``a & members[block(x)]``, nothing built up front.
 
-    Where ``a`` overfills a block, its base keeps the least ids there.
+    Where ``a`` overfills a block, its base keeps the least ids there, and
+    an update keeps a base already found.
     """
 
     __slots__ = ("_members", "_block_of", "_caps", "_anchored", "_base")
 
-    def __init__(self, members, block_of, caps, a: frozenset[int]):
+    def __init__(self, members, block_of, caps, a: frozenset[int], base=None):
         self._members = members
         self._block_of = block_of
         self._caps = caps
         self._anchored = a
-        self._base: frozenset[int] | None = None
+        self._base: frozenset[int] | None = base
 
     @property
     def base(self) -> frozenset[int]:
@@ -115,6 +117,15 @@ class BlockAnchor:
             inside = inside & self.base
         return inside | {x}
 
+    def grow(self, x: int) -> "BlockAnchor":
+        base = None if self._base is None else self._base | {x}
+        return BlockAnchor(self._members, self._block_of, self._caps, self._anchored | {x}, base)
+
+    def exchange(self, y: int, z: int) -> "BlockAnchor":
+        base = None if self._base is None else self._base - {z} | {y}
+        a = self._anchored - {z} | {y}
+        return BlockAnchor(self._members, self._block_of, self._caps, a, base)
+
 
 class ForestAnchor:
     """Graphic anchor: a rooted spanning forest of ``a`` with depths, built
@@ -124,9 +135,15 @@ class ForestAnchor:
     vertex to its parent and the tree edge between them.  ``extends`` is a
     component test; ``circuit`` climbs the two tree paths from the ends of
     ``x`` to where they meet.
+
+    The updates work in place on the forest, through its tree edges and
+    tree sizes, which the first update collects.  ``grow`` hangs the
+    smaller of the two trees it joins from the other one; ``exchange``
+    cuts ``z`` and hangs the part that falls off back on through ``y``.
+    Either way only the re-hung vertices change their parent and depth.
     """
 
-    __slots__ = ("_endpoints", "_root", "_depth", "_up", "_base")
+    __slots__ = ("_endpoints", "_root", "_depth", "_up", "_base", "_tree", "_size")
 
     def __init__(self, endpoints, vertex_count: int, a: frozenset[int]):
         adjacent: dict[int, list[tuple[int, int]]] = {}
@@ -155,6 +172,8 @@ class ForestAnchor:
         self._endpoints = endpoints
         self._root, self._depth, self._up = root, depth, up
         self._base: frozenset[int] | None = None
+        self._tree: dict[int, dict[int, int]] | None = None
+        self._size: dict[int, int] | None = None
 
     @property
     def base(self) -> frozenset[int]:
@@ -183,6 +202,72 @@ class ForestAnchor:
             v, e = up[v]
             path.append(e)
         return frozenset(path)
+
+    def _edges(self) -> dict[int, dict[int, int]]:
+        """Each forest vertex's tree edges, mapped to their far ends; the
+        first call also counts the vertices of each tree."""
+        if self._tree is None:
+            tree: dict[int, dict[int, int]] = {}
+            for v, (p, e) in self._up.items():
+                tree.setdefault(v, {})[e] = p
+                tree.setdefault(p, {})[e] = v
+            size: dict[int, int] = {}
+            for r in self._root:
+                if r >= 0:
+                    size[r] = size.get(r, 0) + 1
+            self._tree, self._size = tree, size
+        return self._tree
+
+    def _hang(self, top: int, parent: int, edge: int) -> None:
+        """Link ``top`` to ``parent`` by tree edge ``edge`` and re-root the
+        tree hanging from ``top`` below it: parent, depth and tree name."""
+        tree, root, depth, up = self._edges(), self._root, self._depth, self._up
+        tree.setdefault(top, {})[edge] = parent
+        tree.setdefault(parent, {})[edge] = top
+        name = root[parent]
+        up[top] = (parent, edge)
+        depth[top] = depth[parent] + 1
+        root[top] = name
+        stack = [(top, edge)]
+        while stack:
+            node, came = stack.pop()
+            below = depth[node] + 1
+            for e, nxt in tree[node].items():
+                if e != came:
+                    up[nxt] = (node, e)
+                    depth[nxt] = below
+                    root[nxt] = name
+                    stack.append((nxt, e))
+        self._base = None
+
+    def grow(self, x: int) -> "ForestAnchor":
+        u, v = self._endpoints[x]
+        self._edges()
+        root, size = self._root, self._size
+        for w in (u, v):
+            if root[w] < 0:  # off the forest: a tree of its own
+                root[w] = w
+                size[w] = 1
+        if size[root[u]] < size[root[v]]:
+            u, v = v, u
+        size[root[u]] += size.pop(root[v])
+        self._hang(v, u, x)
+        return self
+
+    def exchange(self, y: int, z: int) -> "ForestAnchor":
+        depth, up = self._depth, self._up
+        a, b = self._endpoints[z]
+        cut = a if depth[a] > depth[b] else b  # the lower end of z
+        tree = self._edges()
+        del tree[a][z], tree[b][z]
+        top, parent = self._endpoints[y]
+        w = top
+        while depth[w] > depth[cut]:
+            w = up[w][0]
+        if w != cut:  # exactly one end of y lies below the cut; hang it from the other
+            top, parent = parent, top
+        self._hang(top, parent, y)
+        return self
 
 
 def _build_uniform(spec: Uniform) -> Matroid:

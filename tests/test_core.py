@@ -56,6 +56,33 @@ class TestGroundSet:
         assert g.subset_from_labels(["z", "x"]) == frozenset({0, 2})
         assert g.labels_of({2, 0}) == ["x", "z"]
 
+    def test_label_lookups_take_a_bounded_number_of_comparisons_each(self):
+        """A scan per lookup would compare about n^2 / 2 = 180,000 label pairs here."""
+        n = 600
+        comparisons = [0]
+
+        class Label(str):
+            __hash__ = str.__hash__
+
+            def __eq__(self, other):
+                comparisons[0] += 1
+                return str.__eq__(self, other)
+
+        labels = [Label(f"p{i:04d}") for i in range(n)]
+        copies = [Label(lbl) for lbl in labels]  # equal, but never identical
+        blocks = tuple(tuple(labels[i : i + 3]) for i in range(0, n, 3))
+        m = build(Partition(blocks, (1,) * len(blocks)))
+        path = [(f"e{i}", labels[i], labels[i + 1]) for i in range(n - 1)]
+        graph = Multigraph.from_labels(labels, path)
+        comparisons[0] = 0
+        assert m.ground.subset_from_labels(copies) == m.ground.full()
+        assert [graph.vertex_index(lbl) for lbl in copies] == list(range(n))
+        with pytest.raises(InputError):
+            m.ground.index(Label("missing"))
+        with pytest.raises(InputError):
+            graph.vertex_index(Label("missing"))
+        assert comparisons[0] <= 4 * n
+
 
 class TestIndependence:
     def test_uniform_pairs(self, u24):

@@ -5,9 +5,11 @@ The counts are evaluations of the graphic family's native oracles during
 where exactly w disjoint paths exist.  The first count adds rank
 evaluations and anchor builds, the work below every memo and wrapper.
 The second counts the queries answered by those anchors (``extends`` and
-``circuit``), so no work can hide inside a session.  Each bound is the
-count the current code makes; lower it when a change saves work, and
-never raise it.
+``circuit``), so no work can hide inside a session.  The third counts the
+updates (``grow`` and ``exchange``) that carry an anchor from one set to
+the next instead of building it again.  Each bound is the count the
+current code makes; lower it when a change saves work, and never raise
+it.
 """
 
 import pytest
@@ -37,10 +39,21 @@ class CountedAnchor:
         self._counts["queries"] += 1
         return self._inner.circuit(x)
 
+    def grow(self, x):
+        self._counts["updates"] += 1
+        return self._wrapped(self._inner.grow(x))
+
+    def exchange(self, y, z):
+        self._counts["updates"] += 1
+        return self._wrapped(self._inner.exchange(y, z))
+
+    def _wrapped(self, inner):
+        return None if inner is None else CountedAnchor(inner, self._counts)
+
 
 def graphic_oracle_evaluations(monkeypatch, inst: MengerInstance):
     """Solve ``inst`` while counting the native oracle work of every graphic handle."""
-    counts = {"oracles": 0, "queries": 0}
+    counts = {"oracles": 0, "queries": 0, "updates": 0}
 
     def counted_rank(rank):
         def oracle(xs):
@@ -70,9 +83,14 @@ def graphic_oracle_evaluations(monkeypatch, inst: MengerInstance):
     return cert, counts
 
 
-@pytest.mark.parametrize("w,oracle_bound,query_bound", [(5, 201, 328), (6, 339, 700)])
-def test_grid_solve_graphic_oracle_evaluations(monkeypatch, w, oracle_bound, query_bound):
+@pytest.mark.parametrize(
+    "w,oracle_bound,query_bound,update_bound", [(5, 127, 208, 38), (6, 221, 347, 60)]
+)
+def test_grid_solve_graphic_oracle_evaluations(
+    monkeypatch, w, oracle_bound, query_bound, update_bound
+):
     cert, counts = graphic_oracle_evaluations(monkeypatch, grid_instance(w))
     assert cert.count == w
     assert counts["oracles"] <= oracle_bound
     assert counts["queries"] <= query_bound
+    assert counts["updates"] <= update_bound

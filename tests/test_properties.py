@@ -9,6 +9,7 @@ from matroidkit import (
     Dual,
     Explicit,
     Graphic,
+    InternalInvariantError,
     Minor,
     Multigraph,
     NoFundamentalCircuit,
@@ -17,7 +18,7 @@ from matroidkit import (
     Uniform,
     build,
 )
-from matroidkit.core import Matroid
+from matroidkit.core import DualAnchor, Matroid
 from matroidkit.generate import random_family, random_matroid_pairs
 from matroidkit.oracles import brute_union_max
 from matroidkit.union import maximize_union
@@ -351,6 +352,110 @@ def test_anchors_on_dependent_sets_answer_through_a_maximal_independent_base(spe
                 assert anchor.circuit(x) == _rank_circuit(m, base, x), (sorted(a), x)
 
 
+# -- anchors carried through grow and exchange ---------------------------------
+
+
+def _carried_graph(rng):
+    """Two components with a loop and a parallel pair, plus an isolated vertex."""
+    sides = (range(0, 4), range(4, 7))
+    edges = [("g0", "v0", "v0"), ("g1", "v1", "v2"), ("g2", "v2", "v1")]
+    for i in range(3, 13):
+        side = rng.choice(sides)
+        edges.append((f"g{i}", f"v{rng.choice(side)}", f"v{rng.choice(side)}"))
+    return Multigraph.from_labels([f"v{i}" for i in range(8)], edges)
+
+
+def _carried_partition(rng):
+    """Random blocks over ten labels, after a block of two with capacity 0
+    and one of three with capacity 1."""
+    pool = [f"p{i}" for i in range(10)]
+    rng.shuffle(pool)
+    blocks, caps = [tuple(pool[:2]), tuple(pool[2:5])], [0, 1]
+    pool = pool[5:]
+    while pool:
+        size = rng.randint(1, 4)
+        blocks.append(tuple(pool[:size]))
+        caps.append(rng.randint(0, size))
+        pool = pool[size:]
+    return Partition(tuple(blocks), tuple(caps))
+
+
+_BINARY = Binary(((1, 0, 1, 1, 0, 1, 0), (0, 1, 1, 0, 1, 1, 0), (0, 0, 0, 1, 1, 1, 1)))
+
+
+def _carried_cases():
+    cases = []
+    for seed in range(4):
+        graphic = Graphic(_carried_graph(random.Random(seed)))
+        partition = _carried_partition(random.Random(seed))
+        cases += [
+            (f"graphic-{seed}", graphic),
+            (f"partition-{seed}", partition),
+            (f"dual-graphic-{seed}", Dual(graphic)),
+            (f"dual-partition-{seed}", Dual(partition)),
+        ]
+    return cases + [("rank-binary", _BINARY), ("rank-dual-binary", Dual(_BINARY))]
+
+
+_CARRIED_CASES = _carried_cases()
+
+
+def _assert_same_answers(m, carried, a):
+    fresh = m._anchor(a)
+    assert carried.base == fresh.base == a
+    for x in m.elements():
+        if x in a:
+            continue
+        assert carried.extends(x) == fresh.extends(x), (sorted(a), x)
+        if not fresh.extends(x):
+            assert carried.circuit(x) == fresh.circuit(x), (sorted(a), x)
+
+
+@pytest.mark.parametrize(
+    "spec", [case[1] for case in _CARRIED_CASES], ids=[case[0] for case in _CARRIED_CASES]
+)
+def test_carried_anchors_answer_as_anchors_built_afresh(spec):
+    """Seeded walks of grow and exchange updates from the empty set.  Moves
+    are chosen from a fresh anchor's answers; the carried anchor is compared
+    with it after most steps, and some updates meet it before it has been
+    asked anything."""
+    m = build(spec)
+    rng = random.Random(7)
+    counts = {"grow": 0, "exchange": 0, "base": 0}
+    for _ in range(3):
+        a = frozenset()
+        carried = m._anchor(a)
+        for _ in range(25):
+            fresh = m._anchor(a)
+            outside = [x for x in m.elements() if x not in a]
+            grows = [x for x in outside if fresh.extends(x)]
+            swaps = [
+                (y, z)
+                for y in outside
+                if not fresh.extends(y)
+                for z in sorted(fresh.circuit(y) - {y})
+            ]
+            if grows and (not swaps or rng.random() < 0.5):
+                x = rng.choice(grows)
+                if isinstance(carried, DualAnchor) and x in carried._spanning:
+                    counts["base"] += 1  # x leaves B0, which the primal must trade
+                carried, a = carried.grow(x), a | {x}
+                counts["grow"] += 1
+            elif swaps:
+                y, z = rng.choice(swaps)
+                carried, a = carried.exchange(y, z), a - {z} | {y}
+                counts["exchange"] += 1
+            else:
+                break
+            assert carried is not None
+            if rng.random() < 0.7:
+                _assert_same_answers(m, carried, a)
+        _assert_same_answers(m, carried, a)
+    assert counts["grow"] and counts["exchange"]
+    if isinstance(m._anchor(frozenset()), DualAnchor):
+        assert counts["base"]
+
+
 class _FaultyAnchor:
     """Circuits answer ``b + x`` itself, which is no circuit once ``b`` holds
     the other block too; independence answers stay honest."""
@@ -376,4 +481,49 @@ def test_a_wrong_native_anchor_never_reaches_a_union():
     )
     partner = build(Uniform(3, 1, labels=("a", "b", "c")))
     with pytest.raises(ConsistencyError):
+        maximize_union(faulty, partner)
+
+
+class _StaleAnchor:
+    """Honest answers for its own set, but the update named ``stale`` hands
+    back the anchor unchanged, so it goes on answering for the old set."""
+
+    def __init__(self, matroid, b, stale):
+        self.base = b
+        self._matroid = matroid
+        self._stale = stale
+
+    def extends(self, x):
+        return self._matroid._independent(self.base | {x})
+
+    def circuit(self, x):
+        extended = self.base | {x}
+        independent = self._matroid._independent
+        return frozenset({x} | {e for e in self.base if independent(extended - {e})})
+
+    def grow(self, x):
+        if self._stale == "grow":
+            return self
+        return _StaleAnchor(self._matroid, self.base | {x}, self._stale)
+
+    def exchange(self, y, z):
+        if self._stale == "exchange":
+            return self
+        return _StaleAnchor(self._matroid, self.base - {z} | {y}, self._stale)
+
+
+@pytest.mark.parametrize("stale", ["grow", "exchange"])
+def test_a_wrong_anchor_update_never_reaches_a_union(stale):
+    """Both parts take one of a and b.  A stale grow lets b into the first
+    part next to a; a stale exchange, after b has swapped a out of the first
+    part, lets a back in while the part is extended to a base."""
+    honest = build(Uniform(2, 1, labels=("a", "b")))
+    faulty = Matroid(
+        honest.ground,
+        provenance="faulty",
+        rank=honest._rank,
+        anchor=lambda b: _StaleAnchor(honest, b, stale),
+    )
+    partner = build(Uniform(2, 1, labels=("a", "b")))
+    with pytest.raises((ConsistencyError, InternalInvariantError)):
         maximize_union(faulty, partner)

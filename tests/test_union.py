@@ -4,8 +4,11 @@ import pytest
 
 from matroidkit import (
     ConsistencyError,
+    Dual,
     Graphic,
     InputError,
+    InternalInvariantError,
+    Multigraph,
     PairState,
     Partition,
     Uniform,
@@ -265,3 +268,51 @@ class TestSinglePass:
         assert searched == sorted(set(searched))
         assert chains == reference_chains
         assert (state.i1, state.i2) == (reference.i1, reference.i2)
+
+
+def _fresh_session_union(m1, m2):
+    """The one-pass union with a fresh session for every search, so no anchor
+    is carried; returns the parts extended to bases and the applied chains."""
+    state = PairState(fs(), fs())
+    chains = []
+    for y in m1.elements():
+        chain = find_chain(m1, m2, state, y)
+        if chain is not None:
+            state = apply_chain(m1, m2, state, chain)
+            chains.append(chain)
+    bases = PairState(m1.maximal_extension(state.i1), m2.maximal_extension(state.i2))
+    return bases, chains
+
+
+def _seeded_graph(rng, vertices=7, edges=14):
+    names = [f"v{i}" for i in range(vertices)]
+    return Multigraph.from_labels(
+        names, [(f"g{i}", rng.choice(names), rng.choice(names)) for i in range(edges)]
+    )
+
+
+class TestSession:
+    def test_an_advanced_session_answers_nothing(self):
+        g = build(Graphic(k4_graph()))
+        state = PairState(fs(), fs())
+        session = union.Session(g, g, state)
+        chain = find_chain(g, g, state, 0, session)
+        after = apply_chain(g, g, state, chain, session)
+        successor = session.advance(after)
+        assert successor.serves(g, g, after) and not session.serves(g, g, state)
+        for ask in (session.first, session.second, lambda: session.advance(after)):
+            with pytest.raises(InternalInvariantError):
+                ask()
+        assert successor.first().extends(1)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_carried_anchors_apply_the_chains_of_fresh_ones(self, seed):
+        """Graphic against the dual of graphic, the Menger reduction's pair."""
+        rng = random.Random(seed)
+        m1 = build(Graphic(_seeded_graph(rng)))
+        m2 = build(Dual(Graphic(_seeded_graph(rng))))
+        chains = []
+        state = maximize_union(m1, m2, observer=lambda before, chain, after: chains.append(chain))
+        reference, reference_chains = _fresh_session_union(m1, m2)
+        assert chains == reference_chains
+        assert state == reference
