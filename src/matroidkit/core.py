@@ -9,7 +9,9 @@ Duals and minors are lazy wrappers that answer through rank identities,
     minor:  r'(X) = r(X + C) - r(C)   (C contracted),
 
 so each level of composition costs a constant number of rank queries one
-level down, with r(E) computed once per handle.
+level down, with r(E) computed once per handle.  Nothing else is cached:
+every query reaches the native oracle, so a caller that asks the same set
+twice pays twice, and callers avoid asking what they have already proved.
 
 Closure and fundamental circuits are answered by anchors.  An anchor is
 built once for a fixed set ``a`` and then answers, for many ``x``, whether
@@ -306,10 +308,9 @@ class Matroid:
     exactly when its rank equals its size.  A handle built from a predicate
     alone (explicit set systems) recovers rank by the greedy sweep, the one
     fallback path.  The oracle receives a validated ``frozenset`` of element
-    ids and must always return the same answer for the same subset.  Its
-    answers are memoized per handle; the cache is unbounded, invisible to
-    callers and safe to share across threads because entries are pure
-    recomputable facts.  r(E) is computed once per handle.
+    ids and must always return the same answer for the same subset.  The
+    only answer a handle keeps is r(E), computed once; every other query
+    calls the oracle.
 
     A rank handle may also take a native ``anchor(a)`` hook that returns an
     ``Anchor`` for the set ``a``, or None to fall back to ``RankAnchor``.
@@ -331,7 +332,6 @@ class Matroid:
         "_rank_fn",
         "_anchor_fn",
         "provenance",
-        "_memo",
         "_full_rank",
     )
 
@@ -352,7 +352,6 @@ class Matroid:
         self._rank_fn = rank
         self._anchor_fn = anchor
         self.provenance = provenance
-        self._memo: dict[frozenset[int], int] = {}
         self._full_rank: int | None = None
 
     def __repr__(self) -> str:
@@ -373,19 +372,13 @@ class Matroid:
 
     def _independent(self, s: frozenset[int]) -> bool:
         if self._rank_fn is not None:
-            return self._rank(s) == len(s)
-        cached = self._memo.get(s)
-        if cached is None:
-            cached = self._memo[s] = bool(self._predicate(s))
-        return cached
+            return self._rank_fn(s) == len(s)
+        return bool(self._predicate(s))
 
     def _rank(self, s: frozenset[int]) -> int:
         if self._rank_fn is None:
             return len(self._greedy_extend(frozenset(), s))
-        cached = self._memo.get(s)
-        if cached is None:
-            cached = self._memo[s] = self._rank_fn(s)
-        return cached
+        return self._rank_fn(s)
 
     def _ground_rank(self) -> int:
         if self._full_rank is None:

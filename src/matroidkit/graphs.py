@@ -62,21 +62,11 @@ class UnionFind:
 
     def union(self, a: int, b: int) -> bool:
         """Merge the classes of a and b; False when already joined."""
-        return self.merge_all(((a, b),)) == 1
-
-    def merge_all(self, pairs: Iterable[tuple[int, int]]) -> int:
-        """Union each pair in turn; returns how many pairs joined two classes."""
-        parent = self.parent
-        merged = 0
-        for a, b in pairs:
-            while a in parent:
-                a = parent[a]
-            while b in parent:
-                b = parent[b]
-            if a != b:
-                parent[b] = a
-                merged += 1
-        return merged
+        a, b = self.find(a), self.find(b)
+        if a == b:
+            return False
+        self.parent[b] = a
+        return True
 
 
 @dataclass(frozen=True)

@@ -168,10 +168,13 @@ def _carried(anchor: Anchor | None, old: frozenset[int], new: frozenset[int]) ->
     return None
 
 
-def _is_circuit(matroid: Matroid, candidate: frozenset[int]) -> bool:
+def _is_circuit(matroid: Matroid, candidate: frozenset[int], known: int | None = None) -> bool:
+    """Whether ``candidate`` is dependent with every one-smaller subset
+    independent; ``candidate - {known}`` is taken as already proved
+    independent and not evaluated."""
     if matroid._independent(candidate):
         return False
-    return all(matroid._independent(candidate - {e}) for e in candidate)
+    return all(matroid._independent(candidate - {e}) for e in candidate if e != known)
 
 
 def _check_entry(m1: Matroid, m2: Matroid, state: PairState) -> None:
@@ -201,8 +204,17 @@ def _recheck_chain(
     state: PairState,
     chain: ExchangeChain,
     circuits: tuple[frozenset[int], ...],
+    vouched: bool = False,
 ) -> None:
-    """``validate_chain`` without the range checks: every witness against rank."""
+    """``validate_chain`` without the range checks: every witness against rank.
+
+    Each link's circuit is checked dependent, and independent once any one
+    element is removed.  When ``vouched`` (a session vouches that both parts
+    of ``state`` are independent), the set C - y_link is not evaluated: the
+    containment check has just placed it inside the part, and a subset of an
+    independent set is independent.  Every other set is evaluated, the
+    'add' terminal's ``part + last`` included.
+    """
     els = chain.elements
     if not els:
         raise ConsistencyError("empty chain")
@@ -216,7 +228,7 @@ def _recheck_chain(
             raise ConsistencyError(f"link {link} circuit misses its endpoints")
         if not circuit <= part | {els[link]}:
             raise ConsistencyError(f"link {link} circuit leaks outside part + y_{link}")
-        if not _is_circuit(matroid, circuit):
+        if not _is_circuit(matroid, circuit, els[link] if vouched else None):
             raise ConsistencyError(f"link {link} witness is not a circuit any more")
     # Interior elements alternate between the two parts and may not sit in
     # both; only the terminal element may.
@@ -256,12 +268,22 @@ def apply_chain(
 ) -> PairState:
     """Perform the alternating swaps along a chain and return the new state.
 
-    The chain is always re-checked against rank first.  A ``session`` made
-    for this very state vouches for the state and for the range of the
-    chain it found, so ``validate_chain``'s range checks are skipped.
+    The chain is always re-checked against rank first, and each new part is
+    then checked independent.  A ``session`` made for this very state
+    vouches for the state and for the range of the chain it found, so
+    ``validate_chain``'s range checks are skipped, and so are the
+    evaluations that the session or the re-check already imply:
+
+    - C - y_link of each link, which lies inside an independent part;
+    - a new part equal to its old part, which the session holds independent;
+    - a new part equal to ``part + last`` for an 'add' terminal, which the
+      re-check has just evaluated.
+
+    Without a session every one of these sets is evaluated.
     """
-    if session is not None and session.serves(m1, m2, state):
-        _recheck_chain(m1, m2, state, chain, chain.circuits)
+    vouched = session is not None and session.serves(m1, m2, state)
+    if vouched:
+        _recheck_chain(m1, m2, state, chain, chain.circuits, vouched=True)
     else:
         validate_chain(m1, m2, state, chain)
     els = chain.elements
@@ -273,9 +295,19 @@ def apply_chain(
     if chain.terminal == ADD:
         (i1 if chain.receiver_is_first() else i2).add(els[-1])
     new_state = PairState(frozenset(i1), frozenset(i2))
-    if not m1._independent(new_state.i1):
+    # The sets each part is already known to be independent in its own matroid.
+    known1: tuple[frozenset[int], ...] = ()
+    known2: tuple[frozenset[int], ...] = ()
+    if vouched:
+        known1, known2 = (state.i1,), (state.i2,)
+        if chain.terminal == ADD:
+            if chain.receiver_is_first():
+                known1 += (state.i1 | {els[-1]},)
+            else:
+                known2 += (state.i2 | {els[-1]},)
+    if new_state.i1 not in known1 and not m1._independent(new_state.i1):
         raise ConsistencyError("first part lost independence after the swaps")
-    if not m2._independent(new_state.i2):
+    if new_state.i2 not in known2 and not m2._independent(new_state.i2):
         raise ConsistencyError("second part lost independence after the swaps")
     if chain.terminal in (COMMON, ADD):
         if new_state.union != state.union | {els[0]}:
@@ -377,8 +409,8 @@ def maximize_union(m1: Matroid, m2: Matroid, observer: Observer | None = None) -
     so the anchors follow the parts instead of being rebuilt.  Every chain
     is still re-checked against rank before it is applied.  The final parts
     are extended through the same anchors, in increasing id order as the
-    greedy sweep does, and each extension is checked to be a base with one
-    rank evaluation.
+    greedy sweep does, and each extension is checked to be a base: its size
+    against r(E), and with one rank evaluation when anything was added.
     """
     if m1.ground != m2.ground:
         raise InputError("matroid union needs a common ground set")
@@ -406,8 +438,9 @@ def maximize_union(m1: Matroid, m2: Matroid, observer: Observer | None = None) -
 
 def _extend_to_base(matroid: Matroid, part: frozenset[int], anchor: Anchor) -> frozenset[int]:
     """Add every element that extends ``part``, in increasing id order,
-    growing ``anchor`` (which it uses up) along; the result must pass one
-    rank check as a base."""
+    growing ``anchor`` (which it uses up) along; the result must have the
+    size r(E), and unless nothing was added, pass one rank check as
+    independent (``part`` itself was proved independent when it was made)."""
     base = set(part)
     for e in matroid.elements():
         if e not in base and anchor.extends(e):
@@ -416,6 +449,8 @@ def _extend_to_base(matroid: Matroid, part: frozenset[int], anchor: Anchor) -> f
             if anchor is None:
                 anchor = matroid._anchor(frozenset(base))
     extended = frozenset(base)
-    if len(extended) != matroid._ground_rank() or not matroid._independent(extended):
+    if len(extended) != matroid._ground_rank() or (
+        len(extended) != len(part) and not matroid._independent(extended)
+    ):
         raise ConsistencyError("a part extended through its anchor is not a base")
     return extended

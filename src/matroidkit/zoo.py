@@ -19,7 +19,7 @@ from typing import Union
 from .axioms import ExplicitSystem
 from .core import GroundSet, Matroid, default_labels
 from .errors import InputError
-from .graphs import Multigraph, UnionFind
+from .graphs import Multigraph
 
 
 @dataclass(frozen=True)
@@ -299,14 +299,20 @@ def _build_partition(spec: Partition) -> Matroid:
         raise InputError("partition blocks overlap")
     ground = GroundSet(tuple(sorted(labels)))
     members = tuple(frozenset(ground.index(lbl) for lbl in block) for block in spec.blocks)
-    block_of = {e: bi for bi, block in enumerate(members) for e in block}
+    block_index = {lbl: bi for bi, block in enumerate(spec.blocks) for lbl in block}
+    block_of = tuple(block_index[lbl] for lbl in ground.labels)
     caps = spec.caps
 
     def rank(xs: frozenset[int]) -> int:
-        per_block = [0] * len(caps)
+        """Count down each block's remaining capacity over ``xs`` alone."""
+        left = list(caps)
+        taken = 0
         for e in xs:
-            per_block[block_of[e]] += 1
-        return sum(min(c, cap) for c, cap in zip(per_block, caps))
+            bi = block_of[e]
+            if left[bi]:
+                left[bi] -= 1
+                taken += 1
+        return taken
 
     blocks_repr = "|".join(",".join(b) for b in spec.blocks)
     return Matroid(
@@ -321,10 +327,23 @@ def _build_graphic(spec: Graphic) -> Matroid:
     g = spec.graph
     ground = GroundSet(g.edge_labels)
     endpoints = g.endpoints
+    roots = tuple(g.vertices())  # list(range(n)) per call would make every int past 256 anew
 
     def rank(xs: frozenset[int]) -> int:
-        """Successful union-find merges; a loop never merges anything."""
-        return UnionFind().merge_all(map(endpoints.__getitem__, xs))
+        """Successful merges of an array union-find with path halving; a
+        loop never merges anything."""
+        parent = list(roots)
+        merged = 0
+        for e in xs:
+            u, v = endpoints[e]
+            while parent[u] != u:
+                parent[u] = u = parent[parent[u]]
+            while parent[v] != v:
+                parent[v] = v = parent[parent[v]]
+            if u != v:
+                parent[v] = u
+                merged += 1
+        return merged
 
     return Matroid(
         ground,

@@ -130,9 +130,18 @@ class TestIndependence:
         with pytest.raises(InputError):
             call(handles[family])
 
-    def test_predicate_memoization_is_invisible(self, graphic_triangle):
-        first = graphic_triangle.is_independent({0, 1})
-        assert graphic_triangle.is_independent({0, 1}) == first
+    def test_every_query_reaches_the_oracle_except_the_rank_of_e(self):
+        """A handle caches r(E) and nothing else."""
+        asked = []
+
+        def rank(xs):
+            asked.append(xs)
+            return min(len(xs), 2)
+
+        m = Matroid(GroundSet(("a", "b", "c")), provenance="counted", rank=rank)
+        assert m.is_independent({0, 1}) is m.is_independent({0, 1}) is True
+        assert m.rank() == m.rank() == 2
+        assert asked == [frozenset({0, 1})] * 2 + [frozenset({0, 1, 2})]
 
 
 class TestRank:

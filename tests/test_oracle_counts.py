@@ -3,7 +3,9 @@
 The counts are evaluations of the graphic family's native oracles during
 ``solve`` on plain w x w grids from the left column to the right column,
 where exactly w disjoint paths exist.  The first count adds rank
-evaluations and anchor builds, the work below every memo and wrapper.
+evaluations and anchor builds, the work of the family itself below every
+wrapper (a handle keeps no cache besides r(E), so every evaluation a
+wrapper asks for reaches it).
 The second counts the queries answered by those anchors (``extends`` and
 ``circuit``), so no work can hide inside a session.  The third counts the
 updates (``grow`` and ``exchange``) that carry an anchor from one set to
@@ -84,7 +86,7 @@ def graphic_oracle_evaluations(monkeypatch, inst: MengerInstance):
 
 
 @pytest.mark.parametrize(
-    "w,oracle_bound,query_bound,update_bound", [(5, 127, 208, 38), (6, 221, 347, 60)]
+    "w,oracle_bound,query_bound,update_bound", [(5, 117, 208, 38), (6, 203, 347, 60)]
 )
 def test_grid_solve_graphic_oracle_evaluations(
     monkeypatch, w, oracle_bound, query_bound, update_bound

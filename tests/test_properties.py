@@ -212,11 +212,26 @@ def _rank_cases():
     explicit_ref = _cached(lambda xs: len(xs) <= 2 and xs != frozenset({0, 1}))
     sum_spec = Sum((Uniform(2, 1, labels=("s0", "s1")), Partition((("s2", "s3"), ("s4",)), (1, 0))))
     sum_ref = _cached(lambda xs: len(xs & {0, 1}) <= 1 and len(xs & {2, 3}) <= 1 and 4 not in xs)
+    # Seven vertices: v0 isolated, a triangle on v4-v5-v6 with v5-v6 doubled,
+    # and a path v1-v2-v3 with a loop at v3; the edges reach up to vertex id 6.
+    forest_ends = ((5, 6), (5, 6), (6, 4), (4, 5), (3, 3), (2, 3), (1, 2))
+    forest = Multigraph(
+        tuple(f"v{i}" for i in range(7)), forest_ends, tuple(f"f{i}" for i in range(7))
+    )
+    # Blocks interleaved by id: {0, 3, 5} cap 1 and {2, 6, 7} cap 2 overfill,
+    # {1, 4} has cap 0.
+    blocks = Partition((("q0", "q3", "q5"), ("q1", "q4"), ("q2", "q6", "q7")), (1, 0, 2))
     contract, delete = frozenset({0}), frozenset({3})
     return [
         ("uniform", Uniform(5, 2), _cached(_ref_uniform(2))),
         ("partition-cap-0", partition, partition_ref),
+        (
+            "partition-overfilled",
+            blocks,
+            _cached(_ref_partition((0, 1, 2, 0, 1, 0, 2, 2), (1, 0, 2))),
+        ),
         ("graphic-loop-parallel", Graphic(graph), graph_ref),
+        ("graphic-two-components-isolated", Graphic(forest), _cached(_ref_forest(forest_ends))),
         ("binary-zero-repeated", Binary(matrix), binary_ref),
         ("sum", sum_spec, sum_ref),
         (
@@ -527,3 +542,38 @@ def test_a_wrong_anchor_update_never_reaches_a_union(stale):
     partner = build(Uniform(2, 1, labels=("a", "b")))
     with pytest.raises((ConsistencyError, InternalInvariantError)):
         maximize_union(faulty, partner)
+
+
+class _OverEagerAnchor:
+    """Honest, except that ``b`` (id 1) always extends its set."""
+
+    def __init__(self, matroid, b):
+        self.base = b
+        self._matroid = matroid
+
+    def extends(self, x):
+        return x == 1 or self._matroid._independent(self.base | {x})
+
+    def circuit(self, x):
+        extended = self.base | {x}
+        independent = self._matroid._independent
+        return frozenset({x} | {e for e in self.base if independent(extended - {e})})
+
+    def grow(self, x):
+        return _OverEagerAnchor(self._matroid, self.base | {x})
+
+
+def test_a_dependent_base_extension_never_leaves_the_union():
+    """The loop ends with the second part {a}, which the anchor extends to
+    {a, b}: the size of a base, but dependent, as a and b share a block of
+    capacity 1.  Only the base's own rank evaluation can see that."""
+    honest = build(Partition((("a", "b"), ("c",)), (1, 1)))
+    faulty = Matroid(
+        honest.ground,
+        provenance="faulty",
+        rank=honest._rank,
+        anchor=lambda b: _OverEagerAnchor(honest, b),
+    )
+    partner = build(Uniform(3, 2, labels=("a", "b", "c")))
+    with pytest.raises(ConsistencyError, match="not a base"):
+        maximize_union(partner, faulty)

@@ -1,34 +1,59 @@
-"""Scale tier: instances past the brute-force range, with closed-form answers.
+"""Scale tier: instances past the brute-force range, with answers known
+from closed form or from an independent algorithm written here.
 
-The plain w x w grid from its left column to its right column has exactly
-w disjoint paths, and ``verify`` re-checks the certificate from scratch.
-The peak of memory that tracemalloc sees while ``solve`` runs is pinned:
-it is the peak the current code reaches, so lower it when a change saves
-memory, and never raise it.
+- The plain w x w grid from its left column to its right column has
+  exactly w disjoint paths, and ``verify`` re-checks the certificate from
+  scratch.
+- Two partition matroids on one ground set have, as their largest common
+  independent set, a maximum b-matching between the two block systems,
+  which a max flow finds.
+- Two partition matroids whose blocks are the edges at each left vertex
+  and at each right vertex of a bipartite graph, every capacity 1, have a
+  maximum matching as their largest common independent set, which an
+  augmenting-path search finds.
+
+The peak of memory that tracemalloc sees while each instance runs is
+pinned: it is the peak the current code reaches plus a small margin, so
+lower it when a change saves memory, and never raise it.
 """
 
+import gc
+import random
 import tracemalloc
+from collections import deque
 
-from matroidkit import solve
+import pytest
+
+from matroidkit import Partition, build, certify, solve, verify_certificate
 from matroidkit.menger import verify
 
 from conftest import grid_instance
 
-# Measured at 4.15 MB (6.25 MB before the union carried its anchors from
-# state to state, 19.0 MB before the anchored sessions went in).
-GRID_12_PEAK_BYTES = 4_300_000
-# Measured at 12.6 MB (16.7 MB before the union carried its anchors).
-GRID_16_PEAK_BYTES = 13_000_000
+# Each ceiling is the peak measured on the current code plus about 3%.
+GRID_12_PEAK_BYTES = 690_000  # measured 0.665 MB
+GRID_16_PEAK_BYTES = 1_550_000  # measured 1.505 MB
+
+
+def _peak_of(run):
+    """``run()`` and the tracemalloc peak, in bytes, reached while it ran.
+
+    A full collection runs first.  It also empties the interpreter's free
+    lists, so every allocation of ``run`` is traced, whatever ran before it
+    in the process; without it the peak moved by a few per cent with the
+    tests that ran earlier."""
+    gc.collect()
+    tracemalloc.start()
+    try:
+        result = run()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return result, peak
 
 
 def _solve_within(w: int, ceiling: int) -> None:
     inst = grid_instance(w)
-    tracemalloc.start()
-    try:
-        cert = solve(inst)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    cert, peak = _peak_of(lambda: solve(inst))
     assert cert.count == w
     assert verify(inst, cert)
     assert peak <= ceiling
@@ -40,3 +65,138 @@ def test_grid_12_solve_finds_12_paths_within_its_memory_ceiling():
 
 def test_grid_16_solve_finds_16_paths_within_its_memory_ceiling():
     _solve_within(16, GRID_16_PEAK_BYTES)
+
+
+# -- partition pairs against a max-flow b-matching ----------------------------
+
+
+def _random_blocks(labels, rng):
+    """Shuffle ``labels`` into blocks of 1-4 elements with capacities 0-2."""
+    pool = list(labels)
+    rng.shuffle(pool)
+    blocks, caps = [], []
+    while pool:
+        take = rng.randint(1, 4)
+        blocks.append(tuple(sorted(pool[:take])))
+        del pool[:take]
+        caps.append(rng.randint(0, 2))
+    return tuple(blocks), tuple(caps)
+
+
+def _max_b_matching(blocks1, caps1, blocks2, caps2):
+    """Largest set of elements taking at most cap(B) from every block B of
+    either side: a maximum flow from a source through the first blocks, one
+    unit arc per element, and the second blocks to a sink.  Breadth-first
+    augmenting paths (Edmonds-Karp) on a residual capacity dict."""
+    first = {lbl: i for i, block in enumerate(blocks1) for lbl in block}
+    second = {lbl: len(blocks1) + j for j, block in enumerate(blocks2) for lbl in block}
+    source, sink = -1, -2
+    residual = {}
+    neighbours = {}
+
+    def arc(u, v, cap):
+        residual[u, v] = residual.get((u, v), 0) + cap
+        residual.setdefault((v, u), 0)
+        neighbours.setdefault(u, set()).add(v)
+        neighbours.setdefault(v, set()).add(u)
+
+    for i, cap in enumerate(caps1):
+        arc(source, i, cap)
+    for j, cap in enumerate(caps2):
+        arc(len(blocks1) + j, sink, cap)
+    for lbl in first:
+        arc(first[lbl], second[lbl], 1)
+    flow = 0
+    while True:
+        came_from = {source: None}
+        queue = deque([source])
+        while queue and sink not in came_from:
+            u = queue.popleft()
+            for v in neighbours[u]:
+                if v not in came_from and residual[u, v] > 0:
+                    came_from[v] = u
+                    queue.append(v)
+        if sink not in came_from:
+            return flow
+        path = []
+        v = sink
+        while came_from[v] is not None:
+            path.append((came_from[v], v))
+            v = came_from[v]
+        pushed = min(residual[a] for a in path)
+        for u, v in path:
+            residual[u, v] -= pushed
+            residual[v, u] += pushed
+        flow += pushed
+
+
+def _certify_within(m1, m2, expected, ceiling):
+    cert, peak = _peak_of(lambda: certify(m1, m2))
+    assert len(cert.i) == expected
+    assert verify_certificate(m1, m2, cert)
+    assert peak <= ceiling
+    return cert
+
+
+# Measured at 0.157 and 0.316 MB.
+@pytest.mark.parametrize("n,ceiling", [(200, 162_000), (400, 326_000)])
+def test_partition_pair_reaches_the_max_flow_b_matching_within_its_memory_ceiling(n, ceiling):
+    rng = random.Random(n)
+    labels = [f"e{i}" for i in range(n)]
+    blocks1, caps1 = _random_blocks(labels, rng)
+    blocks2, caps2 = _random_blocks(labels, rng)
+    expected = _max_b_matching(blocks1, caps1, blocks2, caps2)
+    assert expected > n // 4  # the instance is not trivially small
+    m1 = build(Partition(blocks1, caps1))
+    m2 = build(Partition(blocks2, caps2))
+    _certify_within(m1, m2, expected, ceiling)
+
+
+# -- bipartite matching as the intersection of two partition matroids ---------
+
+
+def _max_matching(left_count, edges):
+    """Size of a maximum matching of a bipartite graph given as (left,
+    right) pairs: one augmenting-path search from each left vertex (Kuhn)."""
+    adjacent = [[] for _ in range(left_count)]
+    for u, v in edges:
+        adjacent[u].append(v)
+    partner = {}
+
+    def augment(u, seen):
+        for v in adjacent[u]:
+            if v not in seen:
+                seen.add(v)
+                if v not in partner or augment(partner[v], seen):
+                    partner[v] = u
+                    return True
+        return False
+
+    return sum(augment(u, set()) for u in range(left_count))
+
+
+def _blocks_by(labels, key):
+    groups = {}
+    for lbl in labels:
+        groups.setdefault(key(lbl), []).append(lbl)
+    return tuple(tuple(groups[k]) for k in sorted(groups))
+
+
+BIPARTITE_PEAK_BYTES = 195_000  # measured 0.188 MB
+
+
+def test_bipartite_matching_is_the_intersection_of_two_unit_partition_matroids():
+    rng = random.Random(7)
+    side = 60
+    edges = sorted({(rng.randrange(side), rng.randrange(side)) for _ in range(200)})
+    labels = [f"x{u}y{v}" for u, v in edges]
+    ends = dict(zip(labels, edges))
+    by_left = _blocks_by(labels, lambda lbl: ends[lbl][0])
+    by_right = _blocks_by(labels, lambda lbl: ends[lbl][1])
+    m1 = build(Partition(by_left, (1,) * len(by_left)))
+    m2 = build(Partition(by_right, (1,) * len(by_right)))
+    expected = _max_matching(side, edges)
+    assert expected > side // 2  # the instance is not trivially small
+    cert = _certify_within(m1, m2, expected, BIPARTITE_PEAK_BYTES)
+    chosen = [ends[m1.ground.label(e)] for e in cert.i]
+    assert len({u for u, _ in chosen}) == len({v for _, v in chosen}) == len(chosen)

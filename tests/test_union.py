@@ -18,6 +18,7 @@ from matroidkit import (
     maximize_union,
 )
 from matroidkit import union
+from matroidkit.core import Matroid
 from matroidkit.oracles import brute_union_max
 from matroidkit.union import ADD, COMMON, EVEN, ODD, SWAP, ExchangeChain, validate_chain
 
@@ -136,6 +137,51 @@ class TestApplyChain:
         chain = ExchangeChain((1, 0), EVEN, (fs({0, 1}),), SWAP)
         after = apply_chain(m1, m2, state, chain)
         assert after.i1 == fs({1}) and after.union == fs({1})
+
+
+def _recorded_evaluations(monkeypatch, names):
+    """Record every independence evaluation as (handle name, sorted ids)."""
+    seen = []
+    evaluate = Matroid._independent
+
+    def recording(self, s):
+        seen.append((names[id(self)], tuple(sorted(s))))
+        return evaluate(self, s)
+
+    monkeypatch.setattr(Matroid, "_independent", recording)
+    return seen
+
+
+class TestVouchedEvaluations:
+    """A session lets ``apply_chain`` skip exactly the evaluations its state
+    and the re-check imply; without one, every set is evaluated."""
+
+    @pytest.mark.parametrize(
+        "terminal,state,chain,skipped",
+        [
+            # C - y0 = {0} lies in the first part, and the new second part
+            # {0} is the 'add' set the re-check has just evaluated.
+            (ADD, (fs({0}), fs()), (1, 0), [("m1", (0,)), ("m2", (0,))]),
+            # C - y0 = {1} lies in the first part, and the second part is
+            # unchanged.
+            (COMMON, (fs({1}), fs({1})), (0, 1), [("m1", (1,)), ("m2", (1,))]),
+        ],
+    )
+    def test_a_session_skips_only_what_it_implies(self, monkeypatch, terminal, state, chain, skipped):
+        m1 = build(Uniform(2, 1, labels=("a", "b")))
+        m2 = build(Uniform(2, 1 if terminal == ADD else 2, labels=("a", "b")))
+        state = PairState(*state)
+        chain = ExchangeChain(chain, EVEN, (fs(chain),), terminal)
+        seen = _recorded_evaluations(monkeypatch, {id(m1): "m1", id(m2): "m2"})
+        unvouched = apply_chain(m1, m2, state, chain)
+        everything = sorted(seen)
+        seen.clear()
+        vouched = apply_chain(m1, m2, state, chain, union.Session(m1, m2, state))
+        assert vouched == unvouched
+        remaining = list(everything)
+        for evaluation in sorted(seen) + skipped:
+            remaining.remove(evaluation)
+        assert remaining == []
 
 
 class TestSubchains:
