@@ -320,9 +320,9 @@ class Matroid:
     are still re-checked against rank before they are applied.
 
     The public methods validate their input once with ``GroundSet.subset``.
-    The underscore methods ``_independent``, ``_rank``, ``_closure`` and
-    ``_anchor`` skip that check; they serve callers inside the package that
-    already hold frozensets of valid ids.
+    The underscore methods ``_independent``, ``_rank`` and ``_anchor`` skip
+    that check; they serve callers inside the package that already hold
+    frozensets of valid ids.
     """
 
     __slots__ = (
@@ -402,10 +402,6 @@ class Matroid:
                 return anchor
         return RankAnchor(self, a)
 
-    def _closure(self, a: frozenset[int]) -> frozenset[int]:
-        extends = self._anchor(a).extends
-        return a | frozenset(e for e in self._full - a if not extends(e))
-
     # -- public services: each validates its input once --------------------
 
     def is_independent(self, xs: Iterable[int]) -> bool:
@@ -419,7 +415,9 @@ class Matroid:
 
     def closure(self, xs: Iterable[int]) -> frozenset[int]:
         """``xs`` plus every element whose addition does not raise the rank."""
-        return self._closure(self._ground.subset(xs))
+        a = self._ground.subset(xs)
+        extends = self._anchor(a).extends
+        return a | frozenset(e for e in self._full - a if not extends(e))
 
     def fundamental_circuit(self, base: Iterable[int], x: int) -> frozenset[int]:
         """The unique circuit inside ``base + x`` for independent ``base``.

@@ -42,33 +42,6 @@ def path_to(parents: dict[int, int], node: int) -> list[int]:
     return path
 
 
-class UnionFind:
-    """Plain union-find; the roots are the ids that ``parent`` does not map.
-
-    No ranks are needed at this scale: ``find`` compresses the paths it walks.
-    """
-
-    def __init__(self):
-        self.parent: dict[int, int] = {}
-
-    def find(self, x: int) -> int:
-        parent = self.parent
-        root = x
-        while root in parent:
-            root = parent[root]
-        while x != root:
-            parent[x], x = root, parent[x]
-        return root
-
-    def union(self, a: int, b: int) -> bool:
-        """Merge the classes of a and b; False when already joined."""
-        a, b = self.find(a), self.find(b)
-        if a == b:
-            return False
-        self.parent[b] = a
-        return True
-
-
 @dataclass(frozen=True)
 class Multigraph:
     """Vertices and edges carry dense ids; labels are for display and I/O."""
@@ -158,6 +131,25 @@ class Component:
     is_tree: bool
 
 
+def _components(
+    vertices: Iterable[int], edges: Iterable[int], endpoints: tuple[tuple[int, int], ...]
+) -> list[frozenset[int]]:
+    """Vertex sets of the components that ``edges`` span on ``vertices``,
+    ordered by least vertex; every edge end must be one of ``vertices``."""
+    adjacent: dict[int, list[int]] = {v: [] for v in vertices}
+    for e in edges:
+        u, v = endpoints[e]
+        adjacent[u].append(v)
+        adjacent[v].append(u)
+    seen: set[int] = set()
+    out = []
+    for v in sorted(adjacent):
+        if v not in seen:
+            out.append(frozenset().union(*breadth_first((v,), adjacent.__getitem__, {})))
+            seen |= out[-1]
+    return out
+
+
 def graphic_components(g: Multigraph, edge_subset: Iterable[int]) -> list[Component]:
     """Connected components of the subgraph spanned by the given edges.
 
@@ -165,38 +157,22 @@ def graphic_components(g: Multigraph, edge_subset: Iterable[int]) -> list[Compon
     edge count is one less than its vertex count (loops therefore never
     appear in trees).
     """
-    chosen = sorted(g.edge_subset(edge_subset))
-    uf = UnionFind()
-    touched: set[int] = set()
+    chosen = g.edge_subset(edge_subset)
+    touched = {v for e in chosen for v in g.endpoints[e]}
+    parts = _components(touched, chosen, g.endpoints)
+    index = {v: k for k, vs in enumerate(parts) for v in vs}
+    edges: list[set[int]] = [set() for _ in parts]
     for e in chosen:
-        u, v = g.endpoints[e]
-        touched.add(u)
-        touched.add(v)
-        uf.union(u, v)
-    groups: dict[int, dict] = {}
-    for v in sorted(touched):
-        groups.setdefault(uf.find(v), {"vertices": set(), "edges": set()})["vertices"].add(v)
-    for e in chosen:
-        groups[uf.find(g.endpoints[e][0])]["edges"].add(e)
-    out = []
-    for root in sorted(groups, key=lambda r: min(groups[r]["vertices"])):
-        vs = frozenset(groups[root]["vertices"])
-        es = frozenset(groups[root]["edges"])
-        out.append(Component(vs, es, is_tree=len(es) == len(vs) - 1))
-    return out
+        edges[index[g.endpoints[e][0]]].add(e)
+    return [
+        Component(vs, frozenset(es), is_tree=len(es) == len(vs) - 1)
+        for vs, es in zip(parts, edges)
+    ]
 
 
 def connected_components(g: Multigraph) -> list[frozenset[int]]:
     """Vertex partition into connected components, isolated vertices included."""
-    uf = UnionFind()
-    for v in g.vertices():
-        uf.find(v)
-    for u, v in g.endpoints:
-        uf.union(u, v)
-    groups: dict[int, set[int]] = {}
-    for v in g.vertices():
-        groups.setdefault(uf.find(v), set()).add(v)
-    return [frozenset(groups[r]) for r in sorted(groups, key=lambda r: min(groups[r]))]
+    return _components(g.vertices(), g.edges(), g.endpoints)
 
 
 def identify_vertices(g: Multigraph, merge: Iterable[int]) -> tuple[Multigraph, dict[int, int]]:

@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 
-from .core import Anchor, CheckResult, Matroid, ENUMERATION_BOUND
+from .core import CheckResult, Matroid, ENUMERATION_BOUND
 from .errors import (
     CapacityError,
     InputError,
@@ -57,7 +57,7 @@ class ExchangeDigraph:
     element of I; each arc stores the least such witness.
 
     ``spanned_first``/``spanned_second`` record which nodes I spans in each
-    matroid, one closure of I each; they drive the coloring.
+    matroid, read off the same circuits; they drive the coloring.
     """
 
     nodes: frozenset[int]
@@ -143,18 +143,14 @@ def _split(full: frozenset[int], b1: frozenset[int], b2star: frozenset[int]) -> 
     )
 
 
-def span_report(
-    m1: Matroid,
-    m2: Matroid,
-    st: IntersectionState,
-    closures: tuple[frozenset[int], frozenset[int]] | None = None,
-) -> list[str]:
+def span_report(m1: Matroid, m2: Matroid, st: IntersectionState) -> list[str]:
     """Containment checks the split must satisfy when the base pair is maximal:
     X inside cl_2(I), Y inside cl_1(I), Z inside their union.
 
-    ``closures`` are cl_1(I) and cl_2(I) when the caller already has them.
+    Computed from scratch through the public closure; ``divisive_coloring``
+    enforces the same containments on the digraph's spanned sets.
     """
-    cl1, cl2 = closures or (m1.closure(st.i), m2.closure(st.i))
+    cl1, cl2 = m1.closure(st.i), m2.closure(st.i)
     problems = []
     if not st.x <= cl2:
         problems.append("X escapes cl_2(I)")
@@ -169,9 +165,8 @@ def build_state(m1: Matroid, m2: Matroid, observer: Observer | None = None) -> I
     """Run the union construction against the dual and split the ground set.
 
     ``maximize_union`` returns bases, so they are split without the base
-    checks of ``state_from_bases``.  The span containments are left to the
-    caller (``span_report``); ``pipeline`` checks them with the closures it
-    goes on to use.
+    checks of ``state_from_bases``.  The span containments are not checked
+    here: ``divisive_coloring`` rejects any node spanned in neither matroid.
     """
     if m1.ground != m2.ground:
         raise InputError("intersection needs a common ground set")
@@ -179,47 +174,46 @@ def build_state(m1: Matroid, m2: Matroid, observer: Observer | None = None) -> I
     return _split(m1.ground.full(), pair.i1, pair.i2)
 
 
-def base_anchors(m1: Matroid, m2: Matroid, st: IntersectionState) -> tuple[Anchor, Anchor]:
-    """The anchors of B1 in the first matroid and of B2 in the second."""
-    return m1._anchor(st.b1), m2._anchor(st.b2)
-
-
-def build_digraph(
-    m1: Matroid,
-    m2: Matroid,
-    st: IntersectionState,
-    anchors: tuple[Anchor, Anchor] | None = None,
-    closures: tuple[frozenset[int], frozenset[int]] | None = None,
-) -> ExchangeDigraph:
+def build_digraph(m1: Matroid, m2: Matroid, st: IntersectionState) -> ExchangeDigraph:
     """Exchange digraph on the non-I elements.
 
-    Fundamental circuits are taken into B1 and B2, through ``anchors`` (from
-    ``base_anchors``, built here when absent); they do not exist for the
-    members of B1 resp. B2, which is exactly why X-nodes are sinks and
-    Y-nodes are sources.  Arcs come from an index of the heads whose
-    circuit holds each element of I, so only pairs that share one are met.
-    ``closures`` are cl_1(I) and cl_2(I), computed here when absent.
+    Fundamental circuits are taken into B1 and B2, each through one anchor
+    of the base; they do not exist for the members of B1 resp. B2, which is
+    exactly why X-nodes are sinks and Y-nodes are sources.  Arcs come from
+    an index of the heads whose circuit holds each element of I, so only
+    pairs that share one are met.  As I lies inside both bases, a node off
+    B1 is spanned by I in the first matroid exactly when its circuit lies
+    inside I plus itself, and no member of B1 is (likewise B2, the second).
     """
-    first, second = anchors or base_anchors(m1, m2, st)
+    first, second = m1._anchor(st.b1), m2._anchor(st.b2)
     nodes = m1.ground.full() - st.i
     heads_through: dict[int, list[int]] = {}
+    spanned_second = set()
     for head in sorted(nodes - st.b2):
-        for w in second.circuit(head) & st.i:
+        circuit = second.circuit(head)
+        shared = circuit & st.i
+        if len(shared) == len(circuit) - 1:
+            spanned_second.add(head)
+        for w in shared:
             heads_through.setdefault(w, []).append(head)
     arcs = []
+    spanned_first = set()
     for tail in sorted(nodes - st.b1):
+        circuit = first.circuit(tail)
+        shared = circuit & st.i
+        if len(shared) == len(circuit) - 1:
+            spanned_first.add(tail)
         witness: dict[int, int] = {}
-        for w in sorted(first.circuit(tail) & st.i):
+        for w in sorted(shared):
             for head in heads_through.get(w, ()):
                 if head != tail:
                     witness.setdefault(head, w)
         arcs.extend((tail, head, witness[head]) for head in sorted(witness))
-    cl1, cl2 = closures or (m1._closure(st.i), m2._closure(st.i))
     return ExchangeDigraph(
         nodes=frozenset(nodes),
         arcs=tuple(arcs),
-        spanned_first=nodes & cl1,
-        spanned_second=nodes & cl2,
+        spanned_first=frozenset(spanned_first),
+        spanned_second=frozenset(spanned_second),
     )
 
 
@@ -318,12 +312,12 @@ def violation_chain(
         circuits.append(dual_circuit(witness))
         elements.append(head)
     last_node = path[-1]
-    if last_node in st.x:
-        pass  # already ends inside both bases
-    else:
-        end = min(m1.fundamental_circuit(st.b1, last_node) & st.x)
-        circuits.append(m1.fundamental_circuit(st.b1, last_node))
-        elements.append(end)
+    if last_node not in st.x:
+        # A red end off X is spanned only in the second matroid, so its
+        # circuit into B1 must leave I and meet X; leave through that element.
+        circuit = m1.fundamental_circuit(st.b1, last_node)
+        circuits.append(circuit)
+        elements.append(min(circuit & st.x))
 
     chain = ExchangeChain(tuple(elements), parity, tuple(circuits), COMMON)
     validate_chain(m1, m2d, PairState(st.b1, st.b2star), chain)
@@ -335,17 +329,9 @@ def pipeline(
 ) -> tuple[IntersectionState, ExchangeDigraph, DivisiveColoring, IntersectionCertificate]:
     """Run the whole construction and expose the intermediate structures."""
     st = build_state(m1, m2, observer=observer)
-    closures = m1._closure(st.i), m2._closure(st.i)
-    problems = span_report(m1, m2, st, closures)
-    if problems:
-        raise InternalInvariantError(
-            "maximal base pair violates its span containments: " + "; ".join(problems),
-            payload=st,
-        )
-    anchors = base_anchors(m1, m2, st)
-    dg = build_digraph(m1, m2, st, anchors, closures)
+    dg = build_digraph(m1, m2, st)
     coloring = divisive_coloring(dg, st)
-    cert = _assemble(m1, m2, st, coloring, anchors)
+    cert = _assemble(m1, m2, st, coloring)
     return st, dg, coloring, cert
 
 
@@ -359,9 +345,8 @@ def _assemble(
     m2: Matroid,
     st: IntersectionState,
     coloring: DivisiveColoring,
-    anchors: tuple[Anchor, Anchor],
 ) -> IntersectionCertificate:
-    first, second = anchors
+    first, second = m1._anchor(st.b1), m2._anchor(st.b2)
     j1 = set()
     for v in sorted(coloring.blue):
         j1.update(first.circuit(v) & st.i)

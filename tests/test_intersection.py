@@ -1,4 +1,8 @@
+import random
+
 import pytest
+
+from matroidkit import intersection
 
 from matroidkit import (
     CapacityError,
@@ -32,6 +36,40 @@ from matroidkit.union import COMMON, EVEN
 from conftest import crossing_pair, triangle_graph
 
 fs = frozenset
+
+
+def random_base(m, rng):
+    """A base of ``m`` grown greedily in a shuffled element order."""
+    order = list(m.elements())
+    rng.shuffle(order)
+    base = fs()
+    for e in order:
+        if m.is_independent(base | {e}):
+            base |= {e}
+    return base
+
+
+def escaping_elements(m1, m2, st):
+    """The elements ``span_report`` finds outside their required closures."""
+    cl1, cl2 = m1.closure(st.i), m2.closure(st.i)
+    return (st.x - cl2) | (st.y - cl1) | (st.z - cl1 - cl2)
+
+
+def assert_digraph_matches_definition(m1, m2, st, dg):
+    """Check ``dg`` against the pairwise arc and spanning definitions; count arcs."""
+    nodes = sorted(m1.ground.full() - st.i)
+    expected = []
+    for tail in (v for v in nodes if v not in st.b1):
+        c1 = m1.fundamental_circuit(st.b1, tail)
+        for head in (v for v in nodes if v not in st.b2 and v != tail):
+            shared = c1 & m2.fundamental_circuit(st.b2, head) & st.i
+            if shared:
+                expected.append((tail, head, min(shared)))
+    assert dg.arcs == tuple(expected)
+    first = fs(v for v in nodes if not m1.is_independent(st.i | {v}))
+    second = fs(v for v in nodes if not m2.is_independent(st.i | {v}))
+    assert (dg.spanned_first, dg.spanned_second) == (first, second)
+    return len(expected)
 
 
 def rank1_triple():
@@ -122,26 +160,37 @@ class TestDigraph:
     def test_indexed_arcs_match_the_pairwise_definition(self):
         # Every (tail, head) pair whose circuits into B1 and B2 share an
         # element of I, in id order, witnessed by the least shared element;
-        # spanned nodes are those I + v makes dependent.
-        arcs = 0
+        # spanned nodes are those I + v makes dependent.  The spanned sets
+        # are read off the base circuits, so the same must hold for base
+        # pairs that are not maximal, and there the coloring must reject
+        # exactly the elements that escape the closures of I.
+        arcs = [0, 0]
+        escapes = 0
+        rng = random.Random(11)
         for spec1, spec2 in random_matroid_pairs(3, 40, max_elements=10):
             m1, m2 = build(spec1), build(spec2)
-            st = build_state(m1, m2)
-            dg = build_digraph(m1, m2, st)
-            nodes = sorted(m1.ground.full() - st.i)
-            expected = []
-            for tail in (v for v in nodes if v not in st.b1):
-                c1 = m1.fundamental_circuit(st.b1, tail)
-                for head in (v for v in nodes if v not in st.b2 and v != tail):
-                    shared = c1 & m2.fundamental_circuit(st.b2, head) & st.i
-                    if shared:
-                        expected.append((tail, head, min(shared)))
-            assert dg.arcs == tuple(expected)
-            first = fs(v for v in nodes if not m1.is_independent(st.i | {v}))
-            second = fs(v for v in nodes if not m2.is_independent(st.i | {v}))
-            assert (dg.spanned_first, dg.spanned_second) == (first, second)
-            arcs += len(expected)
-        assert arcs > 50
+            states = [
+                build_state(m1, m2),
+                state_from_bases(m1, m2, random_base(m1, rng), random_base(m2.dual(), rng)),
+            ]
+            for k, st in enumerate(states):
+                dg = build_digraph(m1, m2, st)
+                arcs[k] += assert_digraph_matches_definition(m1, m2, st, dg)
+                escaping = escaping_elements(m1, m2, st)
+                assert bool(escaping) == bool(span_report(m1, m2, st))
+                if escaping:
+                    escapes += 1
+                    with pytest.raises(InternalInvariantError, match="neither") as info:
+                        divisive_coloring(dg, st)
+                    assert info.value.payload == sorted(escaping)
+                else:
+                    try:
+                        divisive_coloring(dg, st)
+                    except InternalInvariantError as exc:
+                        assert "neither" not in str(exc)
+            assert not escaping_elements(m1, m2, states[0])
+        assert arcs[0] > 50 and arcs[1] > 5
+        assert escapes > 5
 
     def test_adjacency_and_witnesses_follow_the_arc_tuple(self):
         # A hand-built digraph with a repeated arc: the maps keep arc order,
@@ -319,6 +368,20 @@ class TestViolationChain:
         st = state_from_bases(m1, m2, idx("ac"), idx("ab"))
         with pytest.raises(InternalInvariantError):
             divisive_coloring(build_digraph(m1, m2, st), st)
+
+    def test_pipeline_rejects_a_non_maximal_base_pair_naming_the_unspanned(
+        self, monkeypatch
+    ):
+        # With the union search forced to stop at (ac, ab), b is spanned by
+        # I = {c} in neither matroid; the pipeline fails on it, not later.
+        m1, m2 = crossing_pair()
+        idx = m1.ground.subset_from_labels
+        monkeypatch.setattr(
+            intersection, "maximize_union", lambda *a, **k: PairState(idx("ac"), idx("ab"))
+        )
+        with pytest.raises(InternalInvariantError, match="neither") as info:
+            intersection.pipeline(m1, m2)
+        assert info.value.payload == sorted(idx("b"))
 
     def test_maximal_states_have_no_violation(self):
         for m1, m2 in [crossing_pair(), rank1_triple()]:

@@ -317,7 +317,7 @@ def test_closure_and_circuits_match_their_rank_definitions(spec):
     m = build(spec)
     subsets = _all_subsets(m.elements())
     for a in subsets:
-        assert m._closure(a) == _rank_closure(m, a), sorted(a)
+        assert m.closure(a) == _rank_closure(m, a), sorted(a)
     for b in subsets:
         if not m.is_independent(b):
             continue
