@@ -141,11 +141,11 @@ def check_axioms(system: ExplicitSystem) -> AxiomReport:
     )
 
 
-def materialize(matroid: Matroid, bound: int = AXIOM_CHECK_BOUND) -> ExplicitSystem:
+def materialize(matroid: Matroid) -> ExplicitSystem:
     """List every independent set of a small matroid as an explicit system."""
-    if matroid.ground.size > bound:
+    if matroid.ground.size > AXIOM_CHECK_BOUND:
         raise CapacityError(
-            f"materialization requires |E| <= {bound}, got {matroid.ground.size}"
+            f"materialization requires |E| <= {AXIOM_CHECK_BOUND}, got {matroid.ground.size}"
         )
     members = tuple(
         s for s in subsets_by_size(matroid.elements()) if matroid.is_independent(s)

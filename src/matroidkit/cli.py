@@ -46,8 +46,7 @@ def _load_json(path: str):
 
 
 def _load_matroid(path: str):
-    spec = jsonio.spec_from_obj(_load_json(path))
-    return spec, build(spec)
+    return build(jsonio.spec_from_obj(_load_json(path)))
 
 
 def _write(path: str | None, text: str) -> None:
@@ -100,7 +99,7 @@ def _cmd_check_axioms(args) -> int:
 
 
 def _cmd_rank(args) -> int:
-    _, matroid = _load_matroid(args.matroid)
+    matroid = _load_matroid(args.matroid)
     if args.set is None:
         subset = matroid.ground.full()
     else:
@@ -113,7 +112,7 @@ def _cmd_rank(args) -> int:
 
 
 def _cmd_orthogonality(args) -> int:
-    _, matroid = _load_matroid(args.matroid)
+    matroid = _load_matroid(args.matroid)
     result = check_orthogonality(matroid)
     payload = {"ok": result.ok}
     if not result.ok:
@@ -125,16 +124,16 @@ def _cmd_orthogonality(args) -> int:
 
 
 def _cmd_union(args) -> int:
-    _, m1 = _load_matroid(args.m1)
-    _, m2 = _load_matroid(args.m2)
+    m1 = _load_matroid(args.m1)
+    m2 = _load_matroid(args.m2)
     state = maximize_union(m1, m2)
     _emit(args, jsonio.union_state_to_obj(state, m1.ground))
     return 0
 
 
 def _cmd_intersect(args) -> int:
-    _, m1 = _load_matroid(args.m1)
-    _, m2 = _load_matroid(args.m2)
+    m1 = _load_matroid(args.m1)
+    m2 = _load_matroid(args.m2)
     st, dg, coloring, cert = pipeline(m1, m2)
     if args.dot:
         _write(args.dot, dot.digraph_dot(m1.ground, st, dg, coloring))
@@ -159,8 +158,8 @@ def _cmd_verify(args) -> int:
     if args.kind == "intersection":
         if not (args.m1 and args.m2):
             raise InputError("intersection verification needs --m1 and --m2")
-        _, m1 = _load_matroid(args.m1)
-        _, m2 = _load_matroid(args.m2)
+        m1 = _load_matroid(args.m1)
+        m2 = _load_matroid(args.m2)
         cert = jsonio.intersection_cert_from_obj(_load_json(args.certificate), m1.ground)
         result = verify_certificate(m1, m2, cert)
     else:

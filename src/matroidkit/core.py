@@ -48,8 +48,8 @@ from .errors import CapacityError, InputError, NoFundamentalCircuit
 ENUMERATION_BOUND = 12
 
 
-def default_labels(n: int, prefix: str = "e") -> tuple[str, ...]:
-    return tuple(f"{prefix}{i}" for i in range(n))
+def default_labels(n: int) -> tuple[str, ...]:
+    return tuple(f"e{i}" for i in range(n))
 
 
 @dataclass(frozen=True)
@@ -507,11 +507,11 @@ class Matroid:
 
     # -- exhaustive helpers ------------------------------------------------
 
-    def circuits(self, bound: int = ENUMERATION_BOUND) -> list[frozenset[int]]:
+    def circuits(self) -> list[frozenset[int]]:
         """All minimal dependent sets, canonically ordered by (size, ids)."""
         n = self._ground.size
-        if n > bound:
-            raise CapacityError(f"circuit enumeration requires |E| <= {bound}, got {n}")
+        if n > ENUMERATION_BOUND:
+            raise CapacityError(f"circuit enumeration requires |E| <= {ENUMERATION_BOUND}, got {n}")
         found: list[frozenset[int]] = []
         for candidate in subsets_by_size(self._ground.elements()):
             if any(c <= candidate for c in found):
@@ -521,15 +521,15 @@ class Matroid:
         return found
 
 
-def check_orthogonality(matroid: Matroid, bound: int = ENUMERATION_BOUND) -> CheckResult:
+def check_orthogonality(matroid: Matroid) -> CheckResult:
     """Every circuit meets every cocircuit in a number of elements != 1.
 
     Returns a falsy result carrying the offending (circuit, cocircuit) pair
     when the property fails; that can only happen for handles that are not
     actually matroids.
     """
-    circuits = matroid.circuits(bound=bound)
-    cocircuits = matroid.dual().circuits(bound=bound)
+    circuits = matroid.circuits()
+    cocircuits = matroid.dual().circuits()
     for c in circuits:
         for c_star in cocircuits:
             if len(c & c_star) == 1:

@@ -72,6 +72,9 @@ def _random_base(rng: random.Random, labels: tuple[str, ...]) -> FamilySpec:
 # A wrapped minor builds on up to this many elements beyond its own.
 MINOR_EXTRAS = 2
 
+# A Menger graph gets extra edges until it has up to this many.
+MAX_EDGES = 20
+
 
 def random_family(rng: random.Random, n: int) -> FamilySpec:
     """A family whose built ground set is exactly e0..e{n-1}."""
@@ -116,7 +119,7 @@ def random_matroid_pairs(
 
 
 def random_menger_instances(
-    seed: int, count: int, max_vertices: int = 10, max_edges: int = 20
+    seed: int, count: int, max_vertices: int = 10
 ) -> list[MengerInstance]:
     """Connected multigraphs with random terminal sets.
 
@@ -126,7 +129,6 @@ def random_menger_instances(
     """
     _check_count(count)
     _check_bound(max_vertices, 2, MAX_GROUND_SIZE, "max_vertices")
-    _check_bound(max_edges, 0, MAX_GROUND_SIZE, "max_edges")
     rng = random.Random(seed)
     out = []
     for _ in range(count):
@@ -136,7 +138,7 @@ def random_menger_instances(
         for v in range(1, n):
             u = rng.randrange(v)
             edges.append((f"e{len(edges)}", vertices[u], vertices[v]))
-        extra = rng.randint(0, max(0, max_edges - len(edges)))
+        extra = rng.randint(0, max(0, MAX_EDGES - len(edges)))
         for _ in range(extra):
             u = rng.randrange(n)
             v = u if rng.random() < 0.08 else rng.randrange(n)

@@ -199,20 +199,6 @@ def identify_vertices(g: Multigraph, merge: Iterable[int]) -> tuple[Multigraph, 
     return Multigraph(tuple(labels), ends, g.edge_labels), vmap
 
 
-def restrict_edges(g: Multigraph, keep: Iterable[int]) -> tuple[Multigraph, dict[int, int]]:
-    """Keep only the given edges (all vertices stay); returns old-to-new edge map."""
-    kept = sorted(g.edge_subset(keep))
-    emap = {old: new for new, old in enumerate(kept)}
-    return (
-        Multigraph(
-            g.vertex_labels,
-            tuple(g.endpoints[e] for e in kept),
-            tuple(g.edge_labels[e] for e in kept),
-        ),
-        emap,
-    )
-
-
 def induced_subgraph(
     g: Multigraph, vertices: Iterable[int]
 ) -> tuple[Multigraph, dict[int, int], dict[int, int]]:

@@ -28,7 +28,6 @@ from .union import (
     EVEN,
     ODD,
     ExchangeChain,
-    Observer,
     PairState,
     maximize_union,
     validate_chain,
@@ -100,8 +99,6 @@ class DivisiveColoring:
 
     blue: frozenset[int]
     red: frozenset[int]
-    pre_blue: frozenset[int]
-    pre_red: frozenset[int]
 
 
 @dataclass(frozen=True)
@@ -161,7 +158,7 @@ def span_report(m1: Matroid, m2: Matroid, st: IntersectionState) -> list[str]:
     return problems
 
 
-def build_state(m1: Matroid, m2: Matroid, observer: Observer | None = None) -> IntersectionState:
+def build_state(m1: Matroid, m2: Matroid) -> IntersectionState:
     """Run the union construction against the dual and split the ground set.
 
     ``maximize_union`` returns bases, so they are split without the base
@@ -170,7 +167,7 @@ def build_state(m1: Matroid, m2: Matroid, observer: Observer | None = None) -> I
     """
     if m1.ground != m2.ground:
         raise InputError("intersection needs a common ground set")
-    pair = maximize_union(m1, m2.dual(), observer=observer)
+    pair = maximize_union(m1, m2.dual())
     return _split(m1.ground.full(), pair.i1, pair.i2)
 
 
@@ -252,7 +249,7 @@ def divisive_coloring(dg: ExchangeDigraph, st: IntersectionState) -> DivisiveCol
         )
     blue = frozenset(forward | (dg.nodes - backward))
     red = frozenset(backward)
-    return DivisiveColoring(blue=blue, red=red, pre_blue=pre_blue, pre_red=pre_red)
+    return DivisiveColoring(blue=blue, red=red)
 
 
 def _blue_to_red_path(
@@ -325,19 +322,19 @@ def violation_chain(
 
 
 def pipeline(
-    m1: Matroid, m2: Matroid, observer: Observer | None = None
+    m1: Matroid, m2: Matroid
 ) -> tuple[IntersectionState, ExchangeDigraph, DivisiveColoring, IntersectionCertificate]:
     """Run the whole construction and expose the intermediate structures."""
-    st = build_state(m1, m2, observer=observer)
+    st = build_state(m1, m2)
     dg = build_digraph(m1, m2, st)
     coloring = divisive_coloring(dg, st)
     cert = _assemble(m1, m2, st, coloring)
     return st, dg, coloring, cert
 
 
-def certify(m1: Matroid, m2: Matroid, observer: Observer | None = None) -> IntersectionCertificate:
+def certify(m1: Matroid, m2: Matroid) -> IntersectionCertificate:
     """Produce the covering-partition certificate for a matroid pair."""
-    return pipeline(m1, m2, observer=observer)[3]
+    return pipeline(m1, m2)[3]
 
 
 def _assemble(
@@ -399,13 +396,13 @@ def verify_certificate(
     return CheckResult(True)
 
 
-def min_rank_value(m1: Matroid, m2: Matroid, bound: int = ENUMERATION_BOUND) -> int:
+def min_rank_value(m1: Matroid, m2: Matroid) -> int:
     """Exact minimum of rank_1(X) + rank_2(E - X) over all X; brute force."""
     if m1.ground != m2.ground:
         raise InputError("intersection needs a common ground set")
     n = m1.ground.size
-    if n > bound:
-        raise CapacityError(f"min-rank sweep requires |E| <= {bound}, got {n}")
+    if n > ENUMERATION_BOUND:
+        raise CapacityError(f"min-rank sweep requires |E| <= {ENUMERATION_BOUND}, got {n}")
     full = m1.ground.full()
     best = None
     elements = sorted(full)

@@ -21,13 +21,10 @@ from .graphs import (
     breadth_first,
     connected_components,
     graphic_components,
-    identify_vertices,
     induced_subgraph,
     path_to,
-    restrict_edges,
 )
 from .intersection import certify
-from .union import Observer
 from .zoo import Graphic, build
 
 
@@ -93,29 +90,29 @@ class ForestPartition:
     components: tuple[MarkedComponent, ...]
 
 
-def _internal_edges(g: Multigraph, vertices: frozenset[int]) -> frozenset[int]:
-    return frozenset(
-        e for e in g.edges() if set(g.endpoints[e]) <= vertices
-    )
-
-
 def reduce(inst: MengerInstance) -> tuple[Matroid, Matroid, tuple[int, ...]]:
     """Build the matroid pair (M_S, M_T) over the shared edge ground set.
 
     M_S is the graphic matroid of the graph with S identified to a single
     vertex, restricted to the edges that are internal to neither S nor T;
-    M_T is symmetric.  The returned tuple maps ground ids back to edge ids
-    of the instance graph.
+    M_T is symmetric.  The edges of S are moved onto its least vertex, and
+    the rest of S stays behind isolated, which leaves the graphic matroid
+    unchanged.  The returned tuple maps ground ids back to edge ids of the
+    instance graph.
     """
     g = inst.graph
-    dropped = _internal_edges(g, inst.s) | _internal_edges(g, inst.t)
-    keep = tuple(e for e in g.edges() if e not in dropped)
+    keep = tuple(
+        e for e in g.edges() if not any(set(g.endpoints[e]) <= side for side in (inst.s, inst.t))
+    )
+    labels = tuple(g.edge_labels[e] for e in keep)
 
     def contracted(side: frozenset[int]) -> Matroid:
-        merged, _ = identify_vertices(g, side)
-        sub, emap = restrict_edges(merged, keep)
-        assert [emap[e] for e in keep] == list(range(len(keep)))
-        return build(Graphic(sub))
+        hub = min(side)
+        ends = []
+        for e in keep:
+            u, v = g.endpoints[e]
+            ends.append((hub if u in side else u, hub if v in side else v))
+        return build(Graphic(Multigraph(g.vertex_labels, tuple(ends), labels)))
 
     return contracted(inst.s), contracted(inst.t), keep
 
@@ -270,14 +267,13 @@ def separator_from_partition(inst: MengerInstance, fp: ForestPartition) -> Menge
     return MengerCertificate(paths=paths, separator=separator)
 
 
-def solve(inst: MengerInstance, observer: Observer | None = None) -> MengerCertificate:
+def solve(inst: MengerInstance) -> MengerCertificate:
     """Full pipeline: peel shared terminals, reduce, certify, repartition.
 
     Vertices in both S and T are forced into any separator; they are taken
     as single-vertex paths and removed before the reduction.  The remaining
     graph is handled one connected component at a time, and only components
-    touching both terminal sets can contribute paths.  An observer, when
-    given, sees every augmentation step of the underlying union searches.
+    touching both terminal sets can contribute paths.
     """
     g = inst.graph
     shared = inst.s & inst.t
@@ -295,7 +291,7 @@ def solve(inst: MengerInstance, observer: Observer | None = None) -> MengerCerti
         t_local = comp_vertices & t_rest
         if not s_local or not t_local:
             continue
-        piece, pmap, emap_piece = induced_subgraph(sub, comp_vertices)
+        piece, pmap, _ = induced_subgraph(sub, comp_vertices)
         piece_back = {new: back[old] for old, new in pmap.items()}
         local = MengerInstance(
             piece,
@@ -303,7 +299,7 @@ def solve(inst: MengerInstance, observer: Observer | None = None) -> MengerCerti
             frozenset(pmap[v] for v in t_local),
         )
         m_s, m_t, ground_edges = reduce(local)
-        cert = certify(m_s, m_t, observer=observer)
+        cert = certify(m_s, m_t)
         i_edges = frozenset(ground_edges[e] for e in cert.i)
         j_s = frozenset(ground_edges[e] for e in cert.j1)
         j_t = frozenset(ground_edges[e] for e in cert.j2)

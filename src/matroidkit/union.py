@@ -23,7 +23,6 @@ exchanged to follow its part (``Anchor.grow``, ``Anchor.exchange``).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable
 
 from .core import Anchor, Matroid, exchanged, grown
 from .errors import ConsistencyError, InputError, InternalInvariantError
@@ -386,10 +385,7 @@ def find_chain(
     return None
 
 
-Observer = Callable[[PairState, ExchangeChain, PairState], None]
-
-
-def maximize_union(m1: Matroid, m2: Matroid, observer: Observer | None = None) -> PairState:
+def maximize_union(m1: Matroid, m2: Matroid) -> PairState:
     """Grow a pair state in one increasing pass, then extend the parts to bases.
 
     Starting from two empty parts, each element is offered to ``find_chain``
@@ -420,10 +416,7 @@ def maximize_union(m1: Matroid, m2: Matroid, observer: Observer | None = None) -
         chain = find_chain(m1, m2, state, y, session)
         if chain is None:
             continue
-        new_state = apply_chain(m1, m2, state, chain, session)
-        if observer is not None:
-            observer(state, chain, new_state)
-        state = new_state
+        state = apply_chain(m1, m2, state, chain, session)
         session = session.advance(state)
     bases = PairState(
         _extend_to_base(m1, state.i1, session.first()),

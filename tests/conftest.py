@@ -1,8 +1,9 @@
 from pathlib import Path
+from unittest.mock import patch
 
 import pytest
 
-from matroidkit import Graphic, MengerInstance, Multigraph, Partition, Uniform, build
+from matroidkit import Graphic, MengerInstance, Multigraph, Partition, Uniform, build, union
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -57,6 +58,26 @@ def crossing_pair():
     m1 = build(Partition((("a", "b"), ("c", "d")), (1, 1)))
     m2 = build(Partition((("a", "c"), ("b", "d")), (1, 1)))
     return m1, m2
+
+
+def augmenting(m1, m2):
+    """Return ``maximize_union(m1, m2)`` and the ``(before, chain, after)`` of
+    each chain it applied, in order, recorded by a spy on ``union.apply_chain``.
+
+    The spy is patched for this call only, so it also works under ``@given``,
+    whose examples share one function-scoped ``monkeypatch``.
+    """
+    steps = []
+    original = union.apply_chain
+
+    def recording_apply_chain(a, b, before, chain, *session):
+        after = original(a, b, before, chain, *session)
+        steps.append((before, chain, after))
+        return after
+
+    with patch.object(union, "apply_chain", recording_apply_chain):
+        state = union.maximize_union(m1, m2)
+    return state, steps
 
 
 @pytest.fixture

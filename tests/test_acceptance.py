@@ -28,7 +28,6 @@ from matroidkit import (
     check_axioms,
     check_orthogonality,
     materialize,
-    maximize_union,
     min_rank_value,
     solve,
     verify_certificate,
@@ -50,7 +49,7 @@ from matroidkit.oracles import (
 )
 from matroidkit.union import COMMON, PairState, apply_chain
 
-from conftest import FIXTURES, crossing_pair, k4_graph, path3_graph, triangle_graph
+from conftest import FIXTURES, augmenting, crossing_pair, k4_graph, path3_graph, triangle_graph
 
 fs = frozenset
 
@@ -249,15 +248,11 @@ def test_criterion_6_exchange_chain_soundness(pair_corpus, menger_corpus):
 
     def checked_run(m1, m2):
         nonlocal augmentations
-        steps = []
-
-        def observer(before, chain, after):
-            steps.append(None)
+        state, steps = augmenting(m1, m2)
+        for before, _, after in steps:
             assert len(after.union) == len(before.union) + 1
             assert m1.is_independent(after.i1)
             assert m2.is_independent(after.i2)
-
-        state = maximize_union(m1, m2, observer=observer)
         augmentations += len(steps)
         return state
 

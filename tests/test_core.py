@@ -1,3 +1,5 @@
+import re
+
 import pytest
 
 from matroidkit import (
@@ -14,8 +16,11 @@ from matroidkit import (
     Uniform,
     build,
     check_orthogonality,
+    materialize,
+    min_rank_value,
 )
-from matroidkit.core import subsets_by_size
+from matroidkit.axioms import AXIOM_CHECK_BOUND
+from matroidkit.core import ENUMERATION_BOUND, subsets_by_size
 
 from conftest import triangle_graph
 
@@ -323,6 +328,23 @@ class TestOrthogonality:
     def test_all_small_handles(self):
         for m in small_handles():
             assert check_orthogonality(m)
+
+
+@pytest.mark.parametrize(
+    "run, cap, what",
+    [
+        (lambda m: m.circuits(), ENUMERATION_BOUND, "circuit enumeration"),
+        (check_orthogonality, ENUMERATION_BOUND, "circuit enumeration"),
+        (lambda m: min_rank_value(m, m), ENUMERATION_BOUND, "min-rank sweep"),
+        (materialize, AXIOM_CHECK_BOUND, "materialization"),
+    ],
+    ids=["circuits", "orthogonality", "min-rank", "materialize"],
+)
+def test_each_exhaustive_helper_runs_at_its_cap_and_refuses_one_more(run, cap, what):
+    run(build(Uniform(cap, 1)))
+    message = f"{what} requires |E| <= {cap}, got {cap + 1}"
+    with pytest.raises(CapacityError, match=re.escape(message)):
+        run(build(Uniform(cap + 1, 1)))
 
 
 class TestConcurrentReads:

@@ -23,6 +23,8 @@ from matroidkit.generate import random_family, random_matroid_pairs
 from matroidkit.oracles import brute_union_max
 from matroidkit.union import maximize_union
 
+from conftest import augmenting
+
 import random
 
 # A fixed pool of handles keeps example generation cheap and reproducible.
@@ -90,14 +92,10 @@ def test_fundamental_circuits_are_circuits(m, mask, x):
 def test_union_reaches_the_exhaustive_maximum(seed):
     ((spec1, spec2),) = random_matroid_pairs(seed, 1, max_elements=6)
     m1, m2 = build(spec1), build(spec2)
-    sizes = []
-
-    def observer(before, chain, after):
-        sizes.append((len(before.union), len(after.union)))
+    state, steps = augmenting(m1, m2)
+    for before, _, after in steps:
+        assert len(after.union) == len(before.union) + 1
         assert m1.is_independent(after.i1) and m2.is_independent(after.i2)
-
-    state = maximize_union(m1, m2, observer=observer)
-    assert all(b == a - 1 for b, a in sizes)
     assert len(state.union) == brute_union_max(m1, m2)
 
 

@@ -22,7 +22,7 @@ from matroidkit.core import Matroid
 from matroidkit.oracles import brute_union_max
 from matroidkit.union import ADD, COMMON, EVEN, ODD, SWAP, ExchangeChain, validate_chain
 
-from conftest import k4_graph
+from conftest import augmenting, k4_graph
 
 fs = frozenset
 
@@ -187,14 +187,9 @@ class TestVouchedEvaluations:
 class TestSubchains:
     def test_every_contiguous_piece_revalidates(self):
         g = build(Graphic(k4_graph()))
-        collected = []
-
-        def observer(before, chain, after):
-            collected.append((before, chain))
-
-        maximize_union(g, g, observer=observer)
-        assert collected
-        for state, chain in collected:
+        _, steps = augmenting(g, g)
+        assert steps
+        for state, chain, _ in steps:
             for start in range(chain.length + 1):
                 for stop in range(start, chain.length + 1):
                     piece = chain.subchain(start, stop)
@@ -237,13 +232,11 @@ class TestMaximizeUnion:
     def test_augmentations_grow_by_one_and_stay_independent(self):
         g = build(Graphic(k4_graph()))
         u = build(Uniform(6, 3))
-
-        def observer(before, chain, after):
+        state, steps = augmenting(g, u)
+        for before, _, after in steps:
             assert len(after.union) == len(before.union) + 1
             assert g.is_independent(after.i1)
             assert u.is_independent(after.i2)
-
-        state = maximize_union(g, u, observer=observer)
         assert len(state.union) == brute_union_max(g, u)
 
     def test_deterministic(self):
@@ -308,11 +301,10 @@ class TestSinglePass:
             return original(a, b, state, y, *session)
 
         monkeypatch.setattr(union, "find_chain", counting_find_chain)
-        chains = []
-        state = maximize_union(m1, m2, observer=lambda before, chain, after: chains.append(chain))
+        state, steps = augmenting(m1, m2)
         assert len(searched) <= m1.size
         assert searched == sorted(set(searched))
-        assert chains == reference_chains
+        assert [chain for _, chain, _ in steps] == reference_chains
         assert (state.i1, state.i2) == (reference.i1, reference.i2)
 
 
@@ -357,8 +349,7 @@ class TestSession:
         rng = random.Random(seed)
         m1 = build(Graphic(_seeded_graph(rng)))
         m2 = build(Dual(Graphic(_seeded_graph(rng))))
-        chains = []
-        state = maximize_union(m1, m2, observer=lambda before, chain, after: chains.append(chain))
+        state, steps = augmenting(m1, m2)
         reference, reference_chains = _fresh_session_union(m1, m2)
-        assert chains == reference_chains
+        assert [chain for _, chain, _ in steps] == reference_chains
         assert state == reference

@@ -16,7 +16,7 @@ from matroidkit import (
     materialize,
 )
 from matroidkit.core import subsets_by_size
-from matroidkit.graphs import connected_components, induced_subgraph, restrict_edges
+from matroidkit.graphs import connected_components, induced_subgraph
 
 from conftest import path3_graph, triangle_graph
 
@@ -202,11 +202,6 @@ class TestGraphHelpers:
     def test_connected_components_include_isolated(self):
         g = Multigraph.from_labels(["a", "b", "c"], [("e", "a", "b")])
         assert connected_components(g) == [frozenset({0, 1}), frozenset({2})]
-
-    def test_restrict_edges_preserves_labels(self):
-        sub, emap = restrict_edges(triangle_graph(), {2, 0})
-        assert sub.edge_labels == ("e1", "e3")
-        assert emap == {0: 0, 2: 1}
 
     def test_induced_subgraph_maps(self):
         sub, vmap, emap = induced_subgraph(path3_graph(), {1, 2})
