@@ -3,23 +3,28 @@
 A matroid is handled as a ground set plus one native oracle.  Every
 concrete family supplies a rank function; explicit set systems supply an
 independence predicate instead, and their rank comes from a greedy sweep.
-Duals and minors are lazy wrappers that answer through rank identities,
+Minors, and the duals of most families, are lazy wrappers that answer
+through rank identities,
 
     dual:   r*(X) = |X| + r(E - X) - r(E)
     minor:  r'(X) = r(X + C) - r(C)   (C contracted),
 
 so each level of composition costs a constant number of rank queries one
-level down, with r(E) computed once per handle.  Nothing else is cached:
-every query reaches the native oracle, so a caller that asks the same set
-twice pays twice, and callers avoid asking what they have already proved.
+level down, with r(E) computed once per handle.  A family closed under
+duality supplies a native ``dual=`` hook instead: the dual of a partition
+or uniform matroid is again one, whose rank of X reads X alone rather
+than E - X, and whose anchor needs no ``DualAnchor``.  Nothing else is
+cached: every query reaches the native oracle, so a caller that asks the
+same set twice pays twice, and callers avoid asking what they have
+already proved.
 
 Closure and fundamental circuits are answered by anchors.  An anchor is
 built once for a fixed set ``a`` and then answers, for many ``x``, whether
 ``x`` raises the rank of ``a`` (``extends``) and the fundamental circuit of
 ``x`` in ``base``, a maximal independent subset of ``a`` (``circuit``).
 Graphic and partition matroids supply a native ``anchor=`` hook: a rooted
-spanning forest, or block lookups with no build step.  The dual of a
-handle with a native anchor builds its own from one primal anchor on
+spanning forest, or block lookups with no build step.  The dual wrapper
+of a handle with a native anchor builds its own from one primal anchor on
 E - b with base B0, through the identity
 
     C*(b, x) = {x} + {e in b : x in C(B0, e)},
@@ -319,6 +324,10 @@ class Matroid:
     closure or per-call circuit hook.  Chains built from anchored circuits
     are still re-checked against rank before they are applied.
 
+    A family whose dual is again a family of its own may take a native
+    ``dual=`` hook, a callable that builds that handle; its rank must be
+    the rank identity of the dual wrapper, which every other handle gets.
+
     The public methods validate their input once with ``GroundSet.subset``.
     The underscore methods ``_independent``, ``_rank`` and ``_anchor`` skip
     that check; they serve callers inside the package that already hold
@@ -331,6 +340,7 @@ class Matroid:
         "_predicate",
         "_rank_fn",
         "_anchor_fn",
+        "_dual_fn",
         "provenance",
         "_full_rank",
     )
@@ -343,6 +353,7 @@ class Matroid:
         *,
         rank: Callable[[frozenset[int]], int] | None = None,
         anchor: Callable[[frozenset[int]], Anchor | None] | None = None,
+        dual: Callable[[], "Matroid"] | None = None,
     ):
         if (predicate is None) == (rank is None):
             raise InputError("a matroid takes exactly one oracle: a predicate or a rank function")
@@ -351,6 +362,7 @@ class Matroid:
         self._predicate = predicate
         self._rank_fn = rank
         self._anchor_fn = anchor
+        self._dual_fn = dual
         self.provenance = provenance
         self._full_rank: int | None = None
 
@@ -454,12 +466,16 @@ class Matroid:
     # -- composition ------------------------------------------------------
 
     def dual(self) -> "Matroid":
-        """Lazy dual through the rank identity r*(X) = |X| + r(E - X) - r(E).
+        """The dual: the handle the native ``dual=`` hook builds, if any.
 
-        When this handle has a native anchor, the dual anchors a
-        co-independent ``b`` with ``DualAnchor`` over the primal anchor of
-        E - b; a dependent ``b`` falls back to rank.
+        Without the hook, a lazy wrapper through the rank identity
+        r*(X) = |X| + r(E - X) - r(E).  When this handle has a native
+        anchor, the wrapper anchors a co-independent ``b`` with
+        ``DualAnchor`` over the primal anchor of E - b; a dependent ``b``
+        falls back to rank.
         """
+        if self._dual_fn is not None:
+            return self._dual_fn()
         parent = self
         full = self._full
 

@@ -8,6 +8,12 @@ membership predicate and rank through the core's greedy sweep.  Partition
 and graphic matroids also supply a native anchor, which answers closure
 and fundamental circuits against one fixed set and follows that set
 through one-element updates.
+
+Partition and uniform matroids also supply a native dual: the partition
+on the same blocks with caps |B| - min(c, |B|), and U(n, n - min(k, n)).
+Each keeps the ``dual(...)`` provenance, and its own dual is the original
+family again.  Every other family's dual is the core's wrapper, answered
+by rank identity and, over a native anchor, by ``DualAnchor``.
 """
 
 from __future__ import annotations
@@ -276,13 +282,24 @@ def _build_uniform(spec: Uniform) -> Matroid:
     labels = spec.labels if spec.labels is not None else default_labels(spec.n)
     if len(labels) != spec.n:
         raise InputError("uniform labels must match the element count")
-    ground = GroundSet(tuple(labels))
-    k = spec.k
+    provenance = f"uniform({spec.n},{spec.k})"
+    co_k = spec.n - min(spec.k, spec.n)
+    return _uniform_matroid(
+        GroundSet(tuple(labels)), spec.k, co_k, provenance, f"dual({provenance})"
+    )
+
+
+def _uniform_matroid(
+    ground: GroundSet, k: int, co_k: int, provenance: str, dual_provenance: str
+) -> Matroid:
+    """U(n, k), whose dual U(n, co_k) is built from the same plain data with
+    the two ranks and the two provenances swapped."""
 
     def rank(xs: frozenset[int]) -> int:
         return min(len(xs), k)
 
-    return Matroid(ground, provenance=f"uniform({spec.n},{spec.k})", rank=rank)
+    dual = partial(_uniform_matroid, ground, co_k, k, dual_provenance, provenance)
+    return Matroid(ground, provenance=provenance, rank=rank, dual=dual)
 
 
 def _build_partition(spec: Partition) -> Matroid:
@@ -301,7 +318,26 @@ def _build_partition(spec: Partition) -> Matroid:
     members = tuple(frozenset(ground.index(lbl) for lbl in block) for block in spec.blocks)
     block_index = {lbl: bi for bi, block in enumerate(spec.blocks) for lbl in block}
     block_of = tuple(block_index[lbl] for lbl in ground.labels)
-    caps = spec.caps
+    blocks_repr = "|".join(",".join(b) for b in spec.blocks)
+    provenance = f"partition({blocks_repr};caps={list(spec.caps)})"
+    co_caps = tuple(len(block) - min(c, len(block)) for block, c in zip(members, spec.caps))
+    return _partition_matroid(
+        ground, members, block_of, spec.caps, co_caps, provenance, f"dual({provenance})"
+    )
+
+
+def _partition_matroid(
+    ground: GroundSet,
+    members: tuple[frozenset[int], ...],
+    block_of: tuple[int, ...],
+    caps: tuple[int, ...],
+    co_caps: tuple[int, ...],
+    provenance: str,
+    dual_provenance: str,
+) -> Matroid:
+    """The partition handle; its dual is the partition on the same blocks
+    with caps ``co_caps``, built from the same plain data with the two cap
+    tuples and the two provenances swapped."""
 
     def rank(xs: frozenset[int]) -> int:
         """Count down each block's remaining capacity over ``xs`` alone."""
@@ -314,12 +350,15 @@ def _build_partition(spec: Partition) -> Matroid:
                 taken += 1
         return taken
 
-    blocks_repr = "|".join(",".join(b) for b in spec.blocks)
+    dual = partial(
+        _partition_matroid, ground, members, block_of, co_caps, caps, dual_provenance, provenance
+    )
     return Matroid(
         ground,
-        provenance=f"partition({blocks_repr};caps={list(spec.caps)})",
+        provenance=provenance,
         rank=rank,
         anchor=partial(BlockAnchor, members, block_of, caps),
+        dual=dual,
     )
 
 

@@ -1,3 +1,4 @@
+import random
 from pathlib import Path
 from unittest.mock import patch
 
@@ -44,6 +45,26 @@ def grid_instance(w: int) -> MengerInstance:
     return MengerInstance.from_labels(
         graph, [v(r, 0) for r in range(w)], [v(r, w - 1) for r in range(w)]
     )
+
+
+def random_partition_pair(n: int):
+    """Two seeded block systems over the labels e0..e{n-1}, each as
+    ``(blocks, caps)``: the labels shuffled into blocks of 1-4 elements with
+    capacities 0-2, twice from ``random.Random(n)``."""
+    rng = random.Random(n)
+    labels = [f"e{i}" for i in range(n)]
+    pair = []
+    for _ in range(2):
+        pool = list(labels)
+        rng.shuffle(pool)
+        blocks, caps = [], []
+        while pool:
+            take = rng.randint(1, 4)
+            blocks.append(tuple(sorted(pool[:take])))
+            del pool[:take]
+            caps.append(rng.randint(0, 2))
+        pair.append((tuple(blocks), tuple(caps)))
+    return pair
 
 
 def k4_graph() -> Multigraph:

@@ -20,7 +20,8 @@ from matroidkit import (
     min_rank_value,
 )
 from matroidkit.axioms import AXIOM_CHECK_BOUND
-from matroidkit.core import ENUMERATION_BOUND, subsets_by_size
+from matroidkit.core import ENUMERATION_BOUND, DualAnchor, RankAnchor, subsets_by_size
+from matroidkit.zoo import BlockAnchor
 
 from conftest import triangle_graph
 
@@ -240,6 +241,18 @@ class TestDual:
     def test_rank_sum_equals_ground_size(self):
         for m in small_handles():
             assert m.rank() + m.dual().rank() == m.ground.size
+
+    def test_partition_and_uniform_duals_are_native_and_keep_their_provenance(self):
+        partition = build(Partition((("a", "b"), ("c",)), (1, 1)))
+        uniform = build(Uniform(3, 1))
+        for m, anchor in ((partition, BlockAnchor), (uniform, RankAnchor)):
+            d = m.dual()
+            assert d.provenance == f"dual({m.provenance})"
+            assert repr(d.dual()) == repr(m)
+            assert type(d._anchor(frozenset())) is anchor
+        wrapped = build(Graphic(triangle_graph())).dual()
+        assert type(wrapped._anchor(frozenset())) is DualAnchor
+        assert wrapped.dual().provenance == f"dual({wrapped.provenance})"
 
 
 class TestMinor:

@@ -1,6 +1,6 @@
 """Deterministic oracle-work pins: a count regression fails without timing noise.
 
-The counts are evaluations of the graphic family's native oracles during
+The grid counts are evaluations of the graphic family's native oracles during
 ``solve`` on plain w x w grids from the left column to the right column,
 where exactly w disjoint paths exist.  The first count adds rank
 evaluations and anchor builds, the work of the family itself below every
@@ -9,17 +9,23 @@ wrapper asks for reaches it).
 The second counts the queries answered by those anchors (``extends`` and
 ``circuit``), so no work can hide inside a session.  The third counts the
 updates (``grow`` and ``exchange``) that carry an anchor from one set to
-the next instead of building it again.  Each bound is the count the
-current code makes; lower it when a change saves work, and never raise
-it.
+the next instead of building it again.
+
+The partition counts are the rank evaluations of the partition family
+during ``certify`` on the seeded pair of 400 elements of the scale tier,
+and the summed size of the sets those evaluations read.  The dual of a
+partition matroid is a partition handle of its own, so both sides count.
+
+Each bound is the count the current code makes; lower it when a change
+saves work, and never raise it.
 """
 
 import pytest
 
-from matroidkit import MengerInstance, solve, zoo
+from matroidkit import MengerInstance, Partition, build, certify, solve, zoo
 from matroidkit.core import Matroid
 
-from conftest import grid_instance
+from conftest import grid_instance, random_partition_pair
 
 
 class CountedAnchor:
@@ -96,3 +102,32 @@ def test_grid_solve_graphic_oracle_evaluations(
     assert counts["oracles"] <= oracle_bound
     assert counts["queries"] <= query_bound
     assert counts["updates"] <= update_bound
+
+
+EVALUATION_BOUND = 822
+ELEMENT_BOUND = 51_551
+
+
+def test_partition_pair_certify_rank_evaluations(monkeypatch):
+    counts = {"evaluations": 0, "elements": 0}
+
+    def counted_rank(rank):
+        def oracle(xs):
+            counts["evaluations"] += 1
+            counts["elements"] += len(xs)
+            return rank(xs)
+
+        return oracle
+
+    def counting_matroid(ground, predicate=None, provenance="oracle", **oracles):
+        if provenance.startswith(("partition(", "dual(partition(")):
+            oracles["rank"] = counted_rank(oracles["rank"])
+        return Matroid(ground, predicate, provenance, **oracles)
+
+    monkeypatch.setattr(zoo, "Matroid", counting_matroid)
+    (blocks1, caps1), (blocks2, caps2) = random_partition_pair(400)
+    m1, m2 = build(Partition(blocks1, caps1)), build(Partition(blocks2, caps2))
+    cert = certify(m1, m2)
+    assert len(cert.i) == 107  # the max-flow b-matching of tests/test_scale.py
+    assert counts["evaluations"] <= EVALUATION_BOUND
+    assert counts["elements"] <= ELEMENT_BOUND

@@ -219,9 +219,16 @@ def _rank_cases():
     # Blocks interleaved by id: {0, 3, 5} cap 1 and {2, 6, 7} cap 2 overfill,
     # {1, 4} has cap 0.
     blocks = Partition((("q0", "q3", "q5"), ("q1", "q4"), ("q2", "q6", "q7")), (1, 0, 2))
+    # Caps 3 above a block of two, 0 on a block of one, and 2 inside a block
+    # of three: the co-caps are 0, 1 and 1.
+    capped = Partition((("r0", "r3"), ("r1",), ("r2", "r4", "r5")), (3, 0, 2))
+    capped_ref = _cached(_ref_partition((0, 1, 2, 0, 2, 2), (3, 0, 2)))
     contract, delete = frozenset({0}), frozenset({3})
     return [
         ("uniform", Uniform(5, 2), _cached(_ref_uniform(2))),
+        ("dual-uniform", Dual(Uniform(5, 2)), _cached(_ref_dual(_ref_uniform(2), 5))),
+        ("uniform-k-above-n", Uniform(4, 6), _cached(_ref_uniform(6))),
+        ("dual-uniform-k-above-n", Dual(Uniform(4, 6)), _cached(_ref_dual(_ref_uniform(6), 4))),
         ("partition-cap-0", partition, partition_ref),
         (
             "partition-overfilled",
@@ -244,6 +251,7 @@ def _rank_cases():
             _cached(_ref_minor(binary_ref, 5, contract, delete)),
         ),
         ("dual-dual", Dual(Dual(partition)), partition_ref),
+        ("dual-partition-cap-above-block", Dual(capped), _cached(_ref_dual(capped_ref, 6))),
         (
             "minor-dual",
             Minor(Dual(Graphic(graph)), contract=("g0",), delete=("g3",)),
@@ -265,6 +273,18 @@ def test_native_rank_matches_a_largest_independent_subset(spec, reference):
         assert rank == _reference_rank(reference, xs), sorted(xs)
         assert m.is_independent(xs) == reference(xs) == (rank == len(xs)), sorted(xs)
     assert m.rank() == _reference_rank(reference, frozenset(m.elements()))
+
+
+@pytest.mark.parametrize(
+    "spec", [case[1] for case in _RANK_CASES], ids=[case[0] for case in _RANK_CASES]
+)
+def test_the_dual_of_the_dual_has_the_rank_of_the_handle(spec):
+    """Partition and uniform handles build their duals natively, and so does
+    each such dual; every other dual is the rank-identity wrapper."""
+    m = build(spec)
+    dd = m.dual().dual()
+    for xs in _all_subsets(m.elements()):
+        assert dd.rank(xs) == m.rank(xs), sorted(xs)
 
 
 # -- native closure and circuits against their rank-derived definitions -------
@@ -302,7 +322,7 @@ def _oracle_cases():
             (f"dual-dual-{name}", Dual(Dual(base))),
             (f"minor-dual-{name}", Minor(Dual(base), contract=(first,))),
         ]
-    return cases
+    return cases + [("dual-uniform", Dual(Uniform(6, 2)))]
 
 
 _ORACLE_CASES = _oracle_cases()
@@ -407,7 +427,11 @@ def _carried_cases():
             (f"dual-graphic-{seed}", Dual(graphic)),
             (f"dual-partition-{seed}", Dual(partition)),
         ]
-    return cases + [("rank-binary", _BINARY), ("rank-dual-binary", Dual(_BINARY))]
+    return cases + [
+        ("rank-binary", _BINARY),
+        ("rank-dual-binary", Dual(_BINARY)),
+        ("rank-dual-uniform", Dual(Uniform(9, 3))),
+    ]
 
 
 _CARRIED_CASES = _carried_cases()

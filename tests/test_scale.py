@@ -27,7 +27,7 @@ import pytest
 from matroidkit import Partition, build, certify, solve, verify_certificate
 from matroidkit.menger import verify
 
-from conftest import grid_instance
+from conftest import grid_instance, random_partition_pair
 
 # Each ceiling is the peak measured on the current code plus about 3%.
 GRID_12_PEAK_BYTES = 690_000  # measured 0.665 MB
@@ -68,19 +68,6 @@ def test_grid_16_solve_finds_16_paths_within_its_memory_ceiling():
 
 
 # -- partition pairs against a max-flow b-matching ----------------------------
-
-
-def _random_blocks(labels, rng):
-    """Shuffle ``labels`` into blocks of 1-4 elements with capacities 0-2."""
-    pool = list(labels)
-    rng.shuffle(pool)
-    blocks, caps = [], []
-    while pool:
-        take = rng.randint(1, 4)
-        blocks.append(tuple(sorted(pool[:take])))
-        del pool[:take]
-        caps.append(rng.randint(0, 2))
-    return tuple(blocks), tuple(caps)
 
 
 def _max_b_matching(blocks1, caps1, blocks2, caps2):
@@ -138,13 +125,10 @@ def _certify_within(m1, m2, expected, ceiling):
     return cert
 
 
-# Measured at 0.157 and 0.316 MB.
-@pytest.mark.parametrize("n,ceiling", [(200, 162_000), (400, 326_000)])
+# Measured at 0.129 and 0.278 MB.
+@pytest.mark.parametrize("n,ceiling", [(200, 133_000), (400, 287_000)])
 def test_partition_pair_reaches_the_max_flow_b_matching_within_its_memory_ceiling(n, ceiling):
-    rng = random.Random(n)
-    labels = [f"e{i}" for i in range(n)]
-    blocks1, caps1 = _random_blocks(labels, rng)
-    blocks2, caps2 = _random_blocks(labels, rng)
+    (blocks1, caps1), (blocks2, caps2) = random_partition_pair(n)
     expected = _max_b_matching(blocks1, caps1, blocks2, caps2)
     assert expected > n // 4  # the instance is not trivially small
     m1 = build(Partition(blocks1, caps1))
