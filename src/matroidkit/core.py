@@ -22,10 +22,10 @@ Closure and fundamental circuits are answered by anchors.  An anchor is
 built once for a fixed set ``a`` and then answers, for many ``x``, whether
 ``x`` raises the rank of ``a`` (``extends``) and the fundamental circuit of
 ``x`` in ``base``, a maximal independent subset of ``a`` (``circuit``).
-Graphic and partition matroids supply a native ``anchor=`` hook: a rooted
-spanning forest, or block lookups with no build step.  The dual wrapper
-of a handle with a native anchor builds its own from one primal anchor on
-E - b with base B0, through the identity
+Graphic, partition and uniform matroids supply a native ``anchor=`` hook:
+a rooted spanning forest, or block lookups with no build step.  The dual
+wrapper of a handle with a native anchor builds its own from one primal
+anchor on E - b with base B0, through the identity
 
     C*(b, x) = {x} + {e in b : x in C(B0, e)},
 

@@ -4,7 +4,10 @@ The pipeline: maximize the union of the first matroid with the dual of the
 second, read off the base pair (B1, B2*), and split the ground set into
 I = B1 and B2, X = B1 and B2*, Y = B2 less I, Z = B2* less X.  A two-colored
 exchange digraph on the non-I elements then yields the covering partition
-I = J1 + J2 with cl_1(J1) together with cl_2(J2) covering everything.
+I = J1 + J2 with cl_1(J1) together with cl_2(J2) covering everything.  The
+digraph is kept as its nodes' fundamental circuits cut down to I, which the
+coloring searches through and the assembly reads J1 and J2 from; its arcs
+are built only when read.
 
 The coloring invariants double as a bug detector: a forbidden blue-to-red
 path can be rewound into an exchange chain that grows the supposedly
@@ -15,8 +18,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from typing import Iterable
 
-from .core import CheckResult, Matroid, ENUMERATION_BOUND
+from .core import Anchor, CheckResult, Matroid, ENUMERATION_BOUND
 from .errors import (
     CapacityError,
     InputError,
@@ -52,44 +56,55 @@ class IntersectionState:
 
 @dataclass(frozen=True)
 class ExchangeDigraph:
-    """Arcs (u, v) whenever the fundamental circuits C1(u) and C2(v) share an
-    element of I; each arc stores the least such witness.
+    """The exchange digraph, kept as the fundamental circuits that define it.
 
+    ``first[t]`` is C1(t) cut down to I for each node t off B1, ``second[h]``
+    is C2(h) cut down to I for each node h off B2; each is a sorted tuple,
+    stored only when non-empty.  An arc (t, h) runs whenever the two share an
+    element of I, so searches pass through I and no arc is built for them.
     ``spanned_first``/``spanned_second`` record which nodes I spans in each
     matroid, read off the same circuits; they drive the coloring.
     """
 
     nodes: frozenset[int]
-    arcs: tuple[tuple[int, int, int], ...]
+    first: dict[int, tuple[int, ...]]
+    second: dict[int, tuple[int, ...]]
     spanned_first: frozenset[int]
     spanned_second: frozenset[int]
 
     @cached_property
-    def _adjacency(
-        self,
-    ) -> tuple[dict[int, list[int]], dict[int, list[int]], dict[tuple[int, int], int]]:
-        out: dict[int, list[int]] = {v: [] for v in sorted(self.nodes)}
-        inc: dict[int, list[int]] = {v: [] for v in sorted(self.nodes)}
-        witnesses: dict[tuple[int, int], int] = {}
-        for tail, head, w in self.arcs:
-            out[tail].append(head)
-            inc[head].append(tail)
-            witnesses.setdefault((tail, head), w)
-        return out, inc, witnesses
+    def arcs(self) -> tuple[tuple[int, int, int], ...]:
+        """Every arc (tail, head, least shared element of I), sorted by tail
+        then head; built on first read, for drawings and the failure path."""
+        heads_through = _through(self.second)
+        arcs = []
+        for tail in sorted(self.first):
+            witness: dict[int, int] = {}
+            for w in self.first[tail]:
+                for head in heads_through.get(w, ()):
+                    if head != tail:
+                        witness.setdefault(head, w)
+            arcs.extend((tail, head, witness[head]) for head in sorted(witness))
+        return tuple(arcs)
 
-    def successors(self) -> dict[int, list[int]]:
-        """Heads of each node's arcs in arc order; built once, so do not mutate."""
-        return self._adjacency[0]
+    def reach(self, starts: Iterable[int], forward: bool = True) -> frozenset[int]:
+        """The nodes reached from ``starts``, themselves included, along the
+        arcs, or against them when ``forward`` is false; each element of I
+        is passed through once."""
+        out, into = (self.first, self.second) if forward else (self.second, self.first)
+        adjacent: dict[int, Iterable[int]] = _through(into)
+        adjacent.update(out)  # nodes lie off I, so no key is shared
+        layers = breadth_first(starts, lambda v: adjacent.get(v, ()), {})
+        return frozenset(v for layer in layers for v in layer if v in self.nodes)
 
-    def predecessors(self) -> dict[int, list[int]]:
-        """Tails of each node's arcs in arc order; built once, so do not mutate."""
-        return self._adjacency[1]
 
-    def witness(self, tail: int, head: int) -> int:
-        try:
-            return self._adjacency[2][tail, head]
-        except KeyError:
-            raise InputError(f"no arc ({tail}, {head}) in the exchange digraph") from None
+def _through(cut: dict[int, tuple[int, ...]]) -> dict[int, list[int]]:
+    """Each element of I to the nodes whose cut circuit holds it, in id order."""
+    index: dict[int, list[int]] = {}
+    for v in sorted(cut):
+        for w in cut[v]:
+            index.setdefault(w, []).append(v)
+    return index
 
 
 @dataclass(frozen=True)
@@ -172,46 +187,36 @@ def build_state(m1: Matroid, m2: Matroid) -> IntersectionState:
 
 
 def build_digraph(m1: Matroid, m2: Matroid, st: IntersectionState) -> ExchangeDigraph:
-    """Exchange digraph on the non-I elements.
+    """Exchange digraph on the non-I elements, kept as circuits cut down to I.
 
     Fundamental circuits are taken into B1 and B2, each through one anchor
     of the base; they do not exist for the members of B1 resp. B2, which is
-    exactly why X-nodes are sinks and Y-nodes are sources.  Arcs come from
-    an index of the heads whose circuit holds each element of I, so only
-    pairs that share one are met.  As I lies inside both bases, a node off
-    B1 is spanned by I in the first matroid exactly when its circuit lies
-    inside I plus itself, and no member of B1 is (likewise B2, the second).
+    exactly why X-nodes are sinks and Y-nodes are sources.  As I lies inside
+    both bases, a node off B1 is spanned by I in the first matroid exactly
+    when its circuit lies inside I plus itself, and no member of B1 is
+    (likewise B2, the second).  No arc is built here: see
+    ``ExchangeDigraph.arcs``.
     """
-    first, second = m1._anchor(st.b1), m2._anchor(st.b2)
     nodes = m1.ground.full() - st.i
-    heads_through: dict[int, list[int]] = {}
-    spanned_second = set()
-    for head in sorted(nodes - st.b2):
-        circuit = second.circuit(head)
-        shared = circuit & st.i
+    first, spanned_first = _cut_circuits(m1._anchor(st.b1), nodes - st.b1, st.i)
+    second, spanned_second = _cut_circuits(m2._anchor(st.b2), nodes - st.b2, st.i)
+    return ExchangeDigraph(nodes, first, second, spanned_first, spanned_second)
+
+
+def _cut_circuits(
+    anchor: Anchor, outside: frozenset[int], i: frozenset[int]
+) -> tuple[dict[int, tuple[int, ...]], frozenset[int]]:
+    """The anchor's circuit of each node of ``outside`` cut down to I, kept
+    when non-empty, and the nodes whose circuit lies inside I plus itself."""
+    cut, spanned = {}, set()
+    for v in sorted(outside):
+        circuit = anchor.circuit(v)
+        shared = circuit & i
         if len(shared) == len(circuit) - 1:
-            spanned_second.add(head)
-        for w in shared:
-            heads_through.setdefault(w, []).append(head)
-    arcs = []
-    spanned_first = set()
-    for tail in sorted(nodes - st.b1):
-        circuit = first.circuit(tail)
-        shared = circuit & st.i
-        if len(shared) == len(circuit) - 1:
-            spanned_first.add(tail)
-        witness: dict[int, int] = {}
-        for w in sorted(shared):
-            for head in heads_through.get(w, ()):
-                if head != tail:
-                    witness.setdefault(head, w)
-        arcs.extend((tail, head, witness[head]) for head in sorted(witness))
-    return ExchangeDigraph(
-        nodes=frozenset(nodes),
-        arcs=tuple(arcs),
-        spanned_first=frozenset(spanned_first),
-        spanned_second=frozenset(spanned_second),
-    )
+            spanned.add(v)
+        if shared:
+            cut[v] = tuple(sorted(shared))
+    return cut, frozenset(spanned)
 
 
 def divisive_coloring(dg: ExchangeDigraph, st: IntersectionState) -> DivisiveColoring:
@@ -233,12 +238,8 @@ def divisive_coloring(dg: ExchangeDigraph, st: IntersectionState) -> DivisiveCol
         )
     pre_blue = dg.spanned_first - dg.spanned_second
     pre_red = dg.spanned_second - dg.spanned_first
-    forward = {
-        v for layer in breadth_first(pre_blue, dg.successors().__getitem__, {}) for v in layer
-    }
-    backward = {
-        v for layer in breadth_first(pre_red, dg.predecessors().__getitem__, {}) for v in layer
-    }
+    forward = dg.reach(pre_blue)
+    backward = dg.reach(pre_red, forward=False)
     clash = forward & backward
     if clash:
         path = _blue_to_red_path(dg, pre_blue, pre_red)
@@ -247,17 +248,18 @@ def divisive_coloring(dg: ExchangeDigraph, st: IntersectionState) -> DivisiveCol
             "maximal (rewind the path with violation_chain for the witness)",
             payload=path,
         )
-    blue = frozenset(forward | (dg.nodes - backward))
-    red = frozenset(backward)
-    return DivisiveColoring(blue=blue, red=red)
+    return DivisiveColoring(blue=forward | (dg.nodes - backward), red=backward)
 
 
 def _blue_to_red_path(
     dg: ExchangeDigraph, pre_blue: frozenset[int], pre_red: frozenset[int]
 ) -> list[int] | None:
     """Shortest path from a pre-blue node to a pre-red node, ids breaking ties."""
+    heads: dict[int, list[int]] = {}
+    for tail, head, _ in dg.arcs:
+        heads.setdefault(tail, []).append(head)
     parents: dict[int, int] = {}
-    for layer in breadth_first(pre_blue, dg.successors().__getitem__, parents):
+    for layer in breadth_first(pre_blue, lambda v: heads.get(v, ()), parents):
         for node in layer:
             if node in pre_red:
                 return path_to(parents, node)
@@ -303,7 +305,7 @@ def violation_chain(
         circuits.append(dual_circuit(start))
         elements.append(first_node)
     for tail, head in zip(path, path[1:]):
-        witness = dg.witness(tail, head)
+        witness = min(set(dg.first[tail]).intersection(dg.second[head]))
         circuits.append(m1.fundamental_circuit(st.b1, tail))
         elements.append(witness)
         circuits.append(dual_circuit(witness))
@@ -328,7 +330,7 @@ def pipeline(
     st = build_state(m1, m2)
     dg = build_digraph(m1, m2, st)
     coloring = divisive_coloring(dg, st)
-    cert = _assemble(m1, m2, st, coloring)
+    cert = _assemble(m1, m2, st, dg, coloring)
     return st, dg, coloring, cert
 
 
@@ -341,15 +343,11 @@ def _assemble(
     m1: Matroid,
     m2: Matroid,
     st: IntersectionState,
+    dg: ExchangeDigraph,
     coloring: DivisiveColoring,
 ) -> IntersectionCertificate:
-    first, second = m1._anchor(st.b1), m2._anchor(st.b2)
-    j1 = set()
-    for v in sorted(coloring.blue):
-        j1.update(first.circuit(v) & st.i)
-    j2 = set()
-    for v in sorted(coloring.red):
-        j2.update(second.circuit(v) & st.i)
+    j1 = {w for v in coloring.blue for w in dg.first.get(v, ())}
+    j2 = {w for v in coloring.red for w in dg.second.get(v, ())}
     if j1 & j2:
         raise InternalInvariantError(
             "divisive coloring produced overlapping parts", payload=(j1, j2)

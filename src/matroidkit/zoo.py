@@ -4,10 +4,11 @@ Families: uniform, partition, graphic (acyclic edge sets of a multigraph),
 binary (column independence over GF(2)), explicit set systems, direct sums,
 plus dual and minor wrappers for composing them.  Every family except the
 explicit one supplies a native rank function; explicit systems keep their
-membership predicate and rank through the core's greedy sweep.  Partition
-and graphic matroids also supply a native anchor, which answers closure
-and fundamental circuits against one fixed set and follows that set
-through one-element updates.
+membership predicate and rank through the core's greedy sweep.  Uniform,
+partition and graphic matroids also supply a native anchor, which answers
+closure and fundamental circuits against one fixed set and follows that
+set through one-element updates; U(n, k) uses the partition anchor on one
+block of cap k.
 
 Partition and uniform matroids also supply a native dual: the partition
 on the same blocks with caps |B| - min(c, |B|), and U(n, n - min(k, n)).
@@ -293,13 +294,21 @@ def _uniform_matroid(
     ground: GroundSet, k: int, co_k: int, provenance: str, dual_provenance: str
 ) -> Matroid:
     """U(n, k), whose dual U(n, co_k) is built from the same plain data with
-    the two ranks and the two provenances swapped."""
+    the two ranks and the two provenances swapped.  The anchor is the block
+    anchor of the whole ground set as one block of cap k; the rank kernel
+    stays O(1) rather than counting down that block."""
 
     def rank(xs: frozenset[int]) -> int:
         return min(len(xs), k)
 
     dual = partial(_uniform_matroid, ground, co_k, k, dual_provenance, provenance)
-    return Matroid(ground, provenance=provenance, rank=rank, dual=dual)
+    return Matroid(
+        ground,
+        provenance=provenance,
+        rank=rank,
+        anchor=partial(BlockAnchor, (ground.full(),), (0,) * ground.size, (k,)),
+        dual=dual,
+    )
 
 
 def _build_partition(spec: Partition) -> Matroid:

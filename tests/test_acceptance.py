@@ -287,9 +287,8 @@ def test_criterion_7_structural_assertions(pair_corpus):
         assert not (st.x & tails), "an X node has positive out-degree"
         assert not (st.y & heads), "a Y node has positive in-degree"
         coloring = divisive_coloring(dg, st)  # raises if blue reaches red
-        succ = dg.successors()
-        for blue in coloring.blue:
-            assert all(nxt not in coloring.red for nxt in succ[blue])
+        for tail, head, _ in dg.arcs:
+            assert not (tail in coloring.blue and head in coloring.red)
 
     # A deliberately non-maximal base pair must yield a chain whose
     # application grows the union, ending in an element of both bases.

@@ -20,7 +20,7 @@ from matroidkit import (
     min_rank_value,
 )
 from matroidkit.axioms import AXIOM_CHECK_BOUND
-from matroidkit.core import ENUMERATION_BOUND, DualAnchor, RankAnchor, subsets_by_size
+from matroidkit.core import ENUMERATION_BOUND, DualAnchor, subsets_by_size
 from matroidkit.zoo import BlockAnchor
 
 from conftest import triangle_graph
@@ -245,7 +245,7 @@ class TestDual:
     def test_partition_and_uniform_duals_are_native_and_keep_their_provenance(self):
         partition = build(Partition((("a", "b"), ("c",)), (1, 1)))
         uniform = build(Uniform(3, 1))
-        for m, anchor in ((partition, BlockAnchor), (uniform, RankAnchor)):
+        for m, anchor in ((partition, BlockAnchor), (uniform, BlockAnchor)):
             d = m.dual()
             assert d.provenance == f"dual({m.provenance})"
             assert repr(d.dual()) == repr(m)

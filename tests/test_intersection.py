@@ -55,20 +55,41 @@ def escaping_elements(m1, m2, st):
     return (st.x - cl2) | (st.y - cl1) | (st.z - cl1 - cl2)
 
 
+def reach_by_arcs(arcs, starts, forward=True):
+    """The nodes a plain search along (or against) the listed arcs reaches."""
+    step = {}
+    for tail, head, _ in arcs:
+        a, b = (tail, head) if forward else (head, tail)
+        step.setdefault(a, set()).add(b)
+    seen = set(starts)
+    frontier = list(seen)
+    while frontier:
+        frontier = [v for u in frontier for v in step.get(u, ()) if v not in seen]
+        seen.update(frontier)
+    return seen
+
+
 def assert_digraph_matches_definition(m1, m2, st, dg):
-    """Check ``dg`` against the pairwise arc and spanning definitions; count arcs."""
+    """Check ``dg`` against the pairwise arc, circuit, spanning and reach
+    definitions; count arcs."""
     nodes = sorted(m1.ground.full() - st.i)
+    c1 = {v: m1.fundamental_circuit(st.b1, v) & st.i for v in nodes if v not in st.b1}
+    c2 = {v: m2.fundamental_circuit(st.b2, v) & st.i for v in nodes if v not in st.b2}
+    assert dg.first == {v: tuple(sorted(c)) for v, c in c1.items() if c}
+    assert dg.second == {v: tuple(sorted(c)) for v, c in c2.items() if c}
     expected = []
-    for tail in (v for v in nodes if v not in st.b1):
-        c1 = m1.fundamental_circuit(st.b1, tail)
-        for head in (v for v in nodes if v not in st.b2 and v != tail):
-            shared = c1 & m2.fundamental_circuit(st.b2, head) & st.i
+    for tail in c1:
+        for head in (v for v in c2 if v != tail):
+            shared = c1[tail] & c2[head]
             if shared:
                 expected.append((tail, head, min(shared)))
     assert dg.arcs == tuple(expected)
     first = fs(v for v in nodes if not m1.is_independent(st.i | {v}))
     second = fs(v for v in nodes if not m2.is_independent(st.i | {v}))
     assert (dg.spanned_first, dg.spanned_second) == (first, second)
+    for starts in [first - second, second - first, *({v} for v in nodes)]:
+        for forward in (True, False):
+            assert dg.reach(starts, forward) == reach_by_arcs(expected, starts, forward)
     return len(expected)
 
 
@@ -192,24 +213,27 @@ class TestDigraph:
         assert arcs[0] > 50 and arcs[1] > 5
         assert escapes > 5
 
-    def test_adjacency_and_witnesses_follow_the_arc_tuple(self):
-        # A hand-built digraph with a repeated arc: the maps keep arc order,
-        # the witness is the first one listed, and each map is built once.
+    def test_arcs_and_reach_run_through_the_shared_elements_of_i(self):
+        # Nodes 0-3 and I = {5, 7}: no self-arc at 0, the least shared
+        # element witnesses (0, 1), and 3 shares nothing with anyone.
         dg = ExchangeDigraph(
             nodes=fs({0, 1, 2, 3}),
-            arcs=((2, 0, 9), (0, 1, 5), (2, 1, 7), (1, 0, 4), (0, 1, 6)),
+            first={0: (5, 7), 2: (5,)},
+            second={0: (7,), 1: (5, 7)},
             spanned_first=fs(),
             spanned_second=fs(),
         )
-        assert dg.successors() == {0: [1, 1], 1: [0], 2: [0, 1], 3: []}
-        assert dg.predecessors() == {0: [2, 1], 1: [0, 2, 0], 2: [], 3: []}
-        assert [dg.witness(t, h) for t, h, _ in dg.arcs] == [9, 5, 7, 4, 5]
-        assert dg.successors() is dg.successors()
-        assert dg.predecessors() is dg.predecessors()
-        with pytest.raises(InputError, match=r"no arc \(0, 2\)"):
-            dg.witness(0, 2)
-        with pytest.raises(InputError):
-            dg.witness(3, 3)
+        assert dg.arcs == ((0, 1, 5), (2, 1, 5))
+        assert dg.reach({2}) == {1, 2}
+        assert dg.reach({1}, forward=False) == {0, 1, 2}
+        assert dg.reach({0}, forward=False) == {0}
+        assert dg.reach({3}) == dg.reach({3}, forward=False) == {3}
+
+    def test_a_successful_pipeline_builds_no_arc_tuple(self):
+        for spec1, spec2 in random_matroid_pairs(5, 20, max_elements=10):
+            m1, m2 = build(spec1), build(spec2)
+            dg = intersection.pipeline(m1, m2)[1]
+            assert "arcs" not in vars(dg)
 
 
 class TestColoring:

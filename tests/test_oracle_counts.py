@@ -92,7 +92,7 @@ def graphic_oracle_evaluations(monkeypatch, inst: MengerInstance):
 
 
 @pytest.mark.parametrize(
-    "w,oracle_bound,query_bound,update_bound", [(5, 117, 184, 38), (6, 203, 307, 60)]
+    "w,oracle_bound,query_bound,update_bound", [(5, 115, 172, 38), (6, 201, 287, 60)]
 )
 def test_grid_solve_graphic_oracle_evaluations(
     monkeypatch, w, oracle_bound, query_bound, update_bound
