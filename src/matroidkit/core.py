@@ -25,15 +25,16 @@ built once for a fixed set ``a`` and then answers, for many ``x``, whether
 Graphic, partition and uniform matroids supply a native ``anchor=`` hook:
 a rooted spanning forest, or block lookups with no build step.  The dual
 wrapper of a handle with a native anchor builds its own from one primal
-anchor on E - b with base B0, through the identity
+anchor on E - b with base B0, through the fundamental cocircuits
 
-    C*(b, x) = {x} + {e in b : x in C(B0, e)},
+    C*(B0, y) = {y} + {g not in B0 : y in C(B0, g)},
 
-which holds whenever E - b spans the primal; a dependent ``b`` falls back
-to rank.  Every other handle gets the rank-derived anchor, which has no
-build step.  There is no per-call circuit hook: one rank and one anchor
-per family.  Anchors may also be grown or exchanged by one element, so a
-caller whose set changes one element at a time need not build a new one.
+which the primal anchor answers whenever E - b spans the primal; a
+dependent ``b`` falls back to rank.  Every other handle gets the
+rank-derived anchor, which has no build step.  There is no per-call
+circuit hook: one rank and one anchor per family.  Anchors may also be
+grown or exchanged by one element, so a caller whose set changes one
+element at a time need not build a new one.
 
 Input is validated once, by the public methods; everything below them
 works on frozensets already known to lie inside the ground set.  Nothing
@@ -150,6 +151,10 @@ class Anchor(Protocol):
     updates an anchor owns it and never asks the old one again.  A union
     ``Session`` owns the anchors of its state's parts, and
     ``Session.advance`` moves them on to the next state.
+
+    An anchor that ``DualAnchor`` wraps has both updates, and for ``y`` on
+    a ``base`` that spans the matroid answers ``cocircuit(y)``: ``y`` and
+    every ``g`` off ``base`` with ``base - y + g`` independent.
     """
 
     base: frozenset[int]
@@ -202,6 +207,11 @@ class RankAnchor:
         independent = self._matroid._independent
         return frozenset([x, *(e for e in sorted(base) if independent(extended - {e}))])
 
+    def cocircuit(self, y: int) -> frozenset[int]:
+        base, independent = self.base, self._matroid._independent
+        rest = base - {y}
+        return frozenset([y, *(g for g in self._matroid._full - base if independent(rest | {g}))])
+
     def grow(self, x: int) -> "RankAnchor":
         base = None if self._base is None else self._base | {x}
         return RankAnchor(self._matroid, self._anchored | {x}, base)
@@ -215,94 +225,60 @@ class DualAnchor:
     """Anchor of the dual at a co-independent ``b``, from the primal anchor
     on ``E - b`` and its base B0, which spans the primal.
 
-    One index, built on first use, answers both queries: the circuit
-    C(B0, g) of every ``g`` off B0, and for each ``y`` on B0 the ``g``
-    whose circuit holds it.  ``b + x`` stays co-independent exactly when
-    ``E - b - x`` still spans: ``x`` lies off B0, or on the circuit of some
-    ``g`` outside ``b``.  The cocircuit of ``x`` is
-    ``{x} + {g in b : x in C(B0, g)}``.
+    Both queries read the cocircuit C*(B0, x) of an ``x`` on B0, asked of
+    the primal once and kept.  ``b + x`` stays co-independent exactly when
+    ``E - b - x`` still spans: ``x`` lies off B0, or C*(B0, x) - x leaves
+    ``b``.  The circuit of ``x`` is ``(C*(B0, x) & b) + x``.
 
-    Every answer depends on B0 and ``b`` alone.  An update that keeps B0
-    keeps the primal anchor and the index; one that trades an element of
-    B0 for another exchanges the primal anchor and recomputes only the
-    circuits that held the element leaving B0.
+    An update that keeps B0 keeps the primal anchor and the cocircuits.
     """
 
-    __slots__ = ("base", "_full", "_primal", "_spanning", "_circuits", "_through")
+    __slots__ = ("base", "_primal", "_spanning", "_cocircuits")
 
-    def __init__(self, b: frozenset[int], full: frozenset[int], primal: Anchor):
+    def __init__(self, b: frozenset[int], primal: Anchor, cocircuits: dict | None = None):
         self.base = b
-        self._full = full
         self._primal = primal
         self._spanning = primal.base
-        self._circuits: dict[int, frozenset[int]] | None = None
-        self._through: dict[int, set[int]] = {}
+        self._cocircuits = {} if cocircuits is None else cocircuits
 
-    def _index(self) -> dict[int, set[int]]:
-        if self._circuits is None:
-            self._circuits = {}
-            for g in self._full - self._spanning:
-                self._enter(g)
-        return self._through
-
-    def _enter(self, g: int) -> None:
-        circuit = self._circuits[g] = self._primal.circuit(g)
-        through = self._through
-        for y in circuit:
-            if y != g:
-                through.setdefault(y, set()).add(g)
+    def _cocircuit(self, y: int) -> frozenset[int]:
+        if y not in self._cocircuits:
+            self._cocircuits[y] = self._primal.cocircuit(y)
+        return self._cocircuits[y]
 
     def extends(self, x: int) -> bool:
-        if x not in self._spanning:
-            return True
-        b = self.base
-        return any(g not in b for g in self._index().get(x, ()))
+        return x not in self._spanning or not self._cocircuit(x) - {x} <= self.base
 
     def circuit(self, x: int) -> frozenset[int]:
-        b = self.base
-        return frozenset([x, *(g for g in self._index().get(x, ()) if g in b)])
+        return self._cocircuit(x) & self.base | {x}
 
-    def grow(self, z: int) -> "DualAnchor | None":
+    def cocircuit(self, y: int) -> frozenset[int]:
+        # b is a base of the dual, so E - b is B0.
+        return self._primal.circuit(y)
+
+    def grow(self, z: int) -> "DualAnchor":
         """``b + z``: B0 still spans E - b - z when ``z`` lies off it, and
-        otherwise B0 - z + g does, for a ``g`` outside ``b`` whose circuit
-        holds ``z``."""
+        otherwise B0 - z + g does, for a ``g`` off ``b`` on its cocircuit."""
         b = self.base | {z}
         if z not in self._spanning:
-            return self._moved(b, self._primal)
-        g = next(g for g in self._index()[z] if g not in self.base)
+            return DualAnchor(b, self._primal, self._cocircuits)
+        g = next(g for g in self._cocircuit(z) if g != z and g not in self.base)
         return self._rebased(b, z, g)
 
-    def exchange(self, y: int, z: int) -> "DualAnchor | None":
-        """``b - z + y``: ``y`` lies on B0, or it would extend ``b``, and on
-        the circuit of ``z``, so B0 - y + z spans E - b + z - y."""
+    def exchange(self, y: int, z: int) -> "DualAnchor":
+        """``b - z + y``: ``y`` lies on B0, or it would extend ``b``, and
+        ``z`` on its cocircuit, so B0 - y + z spans E - b + z - y."""
         return self._rebased(self.base - {z} | {y}, y, z)
 
-    def _moved(self, b: frozenset[int], primal: Anchor) -> "DualAnchor":
-        moved = DualAnchor(b, self._full, primal)
-        moved._circuits, moved._through = self._circuits, self._through
-        return moved
-
-    def _rebased(self, b: frozenset[int], out: int, into: int) -> "DualAnchor | None":
-        """The anchor at ``b`` once B0 trades ``out`` for ``into``, which
-        holds ``out`` on its circuit.  Only the circuits that held ``out``
-        change, and ``out`` gets one in place of ``into``."""
-        primal = exchanged(self._primal, into, out)
-        if primal is None:
-            return None
-        if self._circuits is None:
-            return DualAnchor(b, self._full, primal)
-        circuits, through = self._circuits, self._through
-        stale = through.pop(out)
-        for g in stale:
-            for y in circuits.pop(g):
-                if y != g and y != out:
-                    through[y].discard(g)
-        moved = self._moved(b, primal)
-        stale.discard(into)
-        stale.add(out)
-        for g in stale:
-            moved._enter(g)
-        return moved
+    def _rebased(self, b: frozenset[int], out: int, into: int) -> "DualAnchor":
+        """The anchor at ``b`` once B0 trades ``out`` for ``into``, on the
+        cocircuit of ``out``.  A cocircuit that misses ``into`` stays as it
+        was, and ``into`` takes over the cocircuit of ``out``."""
+        primal = self._primal.exchange(into, out)
+        kept = {y: c for y, c in self._cocircuits.items() if into not in c}
+        if out in self._cocircuits:
+            kept[into] = self._cocircuits[out]
+        return DualAnchor(b, primal, kept)
 
 
 class Matroid:
@@ -483,11 +459,10 @@ class Matroid:
             return len(xs) + parent._rank(full - xs) - parent._ground_rank()
 
         def anchor(b: frozenset[int]) -> Anchor | None:
-            rest = full - b
-            primal = parent._anchor(rest)
+            primal = parent._anchor(full - b)
             if len(primal.base) < parent._ground_rank():
                 return None
-            return DualAnchor(b, full, primal)
+            return DualAnchor(b, primal)
 
         return Matroid(
             self._ground,

@@ -14,7 +14,7 @@ Partition and uniform matroids also supply a native dual: the partition
 on the same blocks with caps |B| - min(c, |B|), and U(n, n - min(k, n)).
 Each keeps the ``dual(...)`` provenance, and its own dual is the original
 family again.  Every other family's dual is the core's wrapper, answered
-by rank identity and, over a native anchor, by ``DualAnchor``.
+by rank identity and, over the graphic forest's cocircuits, by ``DualAnchor``.
 """
 
 from __future__ import annotations
@@ -84,20 +84,23 @@ FamilySpec = Union[Uniform, Partition, Graphic, Binary, Explicit, Sum, Dual, Min
 
 
 class BlockAnchor:
-    """Partition anchor: answers from ``a & members[block(x)]``, nothing built up front.
+    """Partition anchor: answers from how many elements of ``a`` the block
+    of ``x`` holds, counted on the first query of that block.
 
-    Where ``a`` overfills a block, its base keeps the least ids there, and
-    an update keeps a base already found.
+    Where ``a`` overfills a block, its base keeps the least ids there.  The
+    updates work in place: they keep a base already found, and advance
+    the counts taken so far.
     """
 
-    __slots__ = ("_members", "_block_of", "_caps", "_anchored", "_base")
+    __slots__ = ("_members", "_block_of", "_caps", "_anchored", "_base", "_held")
 
-    def __init__(self, members, block_of, caps, a: frozenset[int], base=None):
+    def __init__(self, members, block_of, caps, a: frozenset[int]):
         self._members = members
         self._block_of = block_of
         self._caps = caps
         self._anchored = a
-        self._base: frozenset[int] | None = base
+        self._base: frozenset[int] | None = None
+        self._held: list[int | None] = [None] * len(caps)
 
     @property
     def base(self) -> frozenset[int]:
@@ -115,7 +118,10 @@ class BlockAnchor:
 
     def extends(self, x: int) -> bool:
         bi = self._block_of[x]
-        return len(self._anchored & self._members[bi]) < self._caps[bi]
+        held = self._held[bi]
+        if held is None:
+            held = self._held[bi] = len(self._anchored & self._members[bi])
+        return held < self._caps[bi]
 
     def circuit(self, x: int) -> frozenset[int]:
         bi = self._block_of[x]
@@ -125,13 +131,24 @@ class BlockAnchor:
         return inside | {x}
 
     def grow(self, x: int) -> "BlockAnchor":
-        base = None if self._base is None else self._base | {x}
-        return BlockAnchor(self._members, self._block_of, self._caps, self._anchored | {x}, base)
+        if self._base is not None:
+            self._base = self._base | {x}
+        self._anchored = self._anchored | {x}
+        self._advance(x, 1)
+        return self
 
     def exchange(self, y: int, z: int) -> "BlockAnchor":
-        base = None if self._base is None else self._base - {z} | {y}
-        a = self._anchored - {z} | {y}
-        return BlockAnchor(self._members, self._block_of, self._caps, a, base)
+        if self._base is not None:
+            self._base = self._base - {z} | {y}
+        self._anchored = self._anchored - {z} | {y}
+        self._advance(z, -1)
+        self._advance(y, 1)
+        return self
+
+    def _advance(self, x: int, step: int) -> None:
+        bi = self._block_of[x]
+        if self._held[bi] is not None:
+            self._held[bi] += step
 
 
 class ForestAnchor:
@@ -150,17 +167,17 @@ class ForestAnchor:
     Either way only the re-hung vertices change their parent and depth.
     """
 
-    __slots__ = ("_endpoints", "_root", "_depth", "_up", "_base", "_tree", "_size")
+    __slots__ = ("_endpoints", "_incident", "_root", "_depth", "_up", "_base", "_tree", "_size")
 
-    def __init__(self, endpoints, vertex_count: int, a: frozenset[int]):
+    def __init__(self, endpoints, incident, a: frozenset[int]):
         adjacent: dict[int, list[tuple[int, int]]] = {}
         for e in a:
             u, v = endpoints[e]
             if u != v:
                 adjacent.setdefault(u, []).append((v, e))
                 adjacent.setdefault(v, []).append((u, e))
-        root = [-1] * vertex_count
-        depth = [0] * vertex_count
+        root = [-1] * len(incident)
+        depth = [0] * len(incident)
         up: dict[int, tuple[int, int]] = {}
         for start in adjacent:
             if root[start] >= 0:
@@ -176,7 +193,7 @@ class ForestAnchor:
                         depth[nxt] = below
                         up[nxt] = (node, e)
                         stack.append(nxt)
-        self._endpoints = endpoints
+        self._endpoints, self._incident = endpoints, incident
         self._root, self._depth, self._up = root, depth, up
         self._base: frozenset[int] | None = None
         self._tree: dict[int, dict[int, int]] | None = None
@@ -209,6 +226,24 @@ class ForestAnchor:
             v, e = up[v]
             path.append(e)
         return frozenset(path)
+
+    def cocircuit(self, y: int) -> frozenset[int]:
+        """The edges that leave the subtree below tree edge ``y``, which
+        spans the rest of its component once the forest spans the graph,
+        read from ``incident``: each vertex's ``(edge, far end)`` pairs over
+        the graph's non-loop edges."""
+        u, v = self._endpoints[y]
+        top = u if self._depth[u] > self._depth[v] else v
+        tree, incident = self._edges(), self._incident
+        below = {top}
+        stack = [(top, y)]
+        while stack:
+            node, came = stack.pop()
+            for e, nxt in tree[node].items():
+                if e != came:
+                    below.add(nxt)
+                    stack.append((nxt, e))
+        return frozenset(e for w in below for e, far in incident[w] if far not in below)
 
     def _edges(self) -> dict[int, dict[int, int]]:
         """Each forest vertex's tree edges, mapped to their far ends; the
@@ -376,6 +411,11 @@ def _build_graphic(spec: Graphic) -> Matroid:
     ground = GroundSet(g.edge_labels)
     endpoints = g.endpoints
     roots = tuple(g.vertices())  # list(range(n)) per call would make every int past 256 anew
+    incident: tuple[list[tuple[int, int]], ...] = tuple([] for _ in roots)
+    for e, (u, v) in enumerate(endpoints):
+        if u != v:
+            incident[u].append((e, v))
+            incident[v].append((e, u))
 
     def rank(xs: frozenset[int]) -> int:
         """Successful merges of an array union-find with path halving; a
@@ -397,7 +437,7 @@ def _build_graphic(spec: Graphic) -> Matroid:
         ground,
         provenance=f"graphic(V={g.vertex_count},E={g.edge_count})",
         rank=rank,
-        anchor=partial(ForestAnchor, endpoints, g.vertex_count),
+        anchor=partial(ForestAnchor, endpoints, incident),
     )
 
 

@@ -6,10 +6,11 @@ where exactly w disjoint paths exist.  The first count adds rank
 evaluations and anchor builds, the work of the family itself below every
 wrapper (a handle keeps no cache besides r(E), so every evaluation a
 wrapper asks for reaches it).
-The second counts the queries answered by those anchors (``extends`` and
-``circuit``), so no work can hide inside a session.  The third counts the
-updates (``grow`` and ``exchange``) that carry an anchor from one set to
-the next instead of building it again.
+The second counts the queries answered by those anchors (``extends``,
+``circuit`` and ``cocircuit``, which the dual's anchor asks of them), so
+no work can hide inside a session.  The third counts the updates
+(``grow`` and ``exchange``) that carry an anchor from one set to the next
+instead of building it again.
 
 The partition counts are the rank evaluations of the partition family
 during ``certify`` on the seeded pair of 400 elements of the scale tier,
@@ -46,6 +47,10 @@ class CountedAnchor:
     def circuit(self, x):
         self._counts["queries"] += 1
         return self._inner.circuit(x)
+
+    def cocircuit(self, y):
+        self._counts["queries"] += 1
+        return self._inner.cocircuit(y)
 
     def grow(self, x):
         self._counts["updates"] += 1
@@ -92,7 +97,7 @@ def graphic_oracle_evaluations(monkeypatch, inst: MengerInstance):
 
 
 @pytest.mark.parametrize(
-    "w,oracle_bound,query_bound,update_bound", [(5, 115, 172, 38), (6, 201, 287, 60)]
+    "w,oracle_bound,query_bound,update_bound", [(5, 115, 159, 37), (6, 201, 254, 60)]
 )
 def test_grid_solve_graphic_oracle_evaluations(
     monkeypatch, w, oracle_bound, query_bound, update_bound

@@ -385,6 +385,36 @@ def test_anchors_on_dependent_sets_answer_through_a_maximal_independent_base(spe
                 assert anchor.circuit(x) == _rank_circuit(m, base, x), (sorted(a), x)
 
 
+_BINARY = Binary(((1, 0, 1, 1, 0, 1, 0), (0, 1, 1, 0, 1, 1, 0), (0, 0, 0, 1, 1, 1, 1)))
+
+_ISOLATED = next(case[1] for case in _RANK_CASES if case[0] == "graphic-two-components-isolated")
+
+# Every handle whose anchors answer ``cocircuit``; the block anchor has none.
+_COCIRCUIT_CASES = [
+    (name, spec)
+    for name, spec in _ORACLE_CASES
+    + [("graphic-two-components-isolated", _ISOLATED), ("dual-dual-binary", Dual(Dual(_BINARY)))]
+    if hasattr(build(spec)._anchor(frozenset()), "cocircuit")
+]
+
+
+@pytest.mark.parametrize(
+    "spec", [case[1] for case in _COCIRCUIT_CASES], ids=[case[0] for case in _COCIRCUIT_CASES]
+)
+def test_cocircuits_match_their_rank_definition(spec):
+    """At every base B, the cocircuit of each y on B is y and every g off B
+    for which B - y + g is independent."""
+    m = build(spec)
+    for b in _all_subsets(m.elements()):
+        if len(b) != m.rank() or not m.is_independent(b):
+            continue
+        anchor = m._anchor(b)
+        for y in b:
+            rest = b - {y}
+            expected = {y} | {g for g in m.elements() if g not in b and m.is_independent(rest | {g})}
+            assert anchor.cocircuit(y) == expected, (sorted(b), y)
+
+
 # -- anchors carried through grow and exchange ---------------------------------
 
 
@@ -411,9 +441,6 @@ def _carried_partition(rng):
         caps.append(rng.randint(0, size))
         pool = pool[size:]
     return Partition(tuple(blocks), tuple(caps))
-
-
-_BINARY = Binary(((1, 0, 1, 1, 0, 1, 0), (0, 1, 1, 0, 1, 1, 0), (0, 0, 0, 1, 1, 1, 1)))
 
 
 def _carried_cases():

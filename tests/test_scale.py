@@ -34,8 +34,8 @@ from matroidkit.menger import verify
 from conftest import grid_instance, random_partition_pair
 
 # Each ceiling is the peak measured on the current code plus about 3%.
-GRID_12_PEAK_BYTES = 690_000  # measured 0.665 MB
-GRID_16_PEAK_BYTES = 1_550_000  # measured 1.505 MB
+GRID_12_PEAK_BYTES = 591_000  # measured 0.574 MB
+GRID_16_PEAK_BYTES = 1_257_000  # measured 1.220 MB
 
 
 def _peak_of(run, warm_up):
