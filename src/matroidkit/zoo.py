@@ -164,7 +164,8 @@ class ForestAnchor:
     tree sizes, which the first update collects.  ``grow`` hangs the
     smaller of the two trees it joins from the other one; ``exchange``
     cuts ``z`` and hangs the part that falls off back on through ``y``.
-    Either way only the re-hung vertices change their parent and depth.
+    Either way only the re-hung vertices change their parent and depth, and
+    a base already read is carried along as ``base + x`` or ``base - z + y``.
     """
 
     __slots__ = ("_endpoints", "_incident", "_root", "_depth", "_up", "_base", "_tree", "_size")
@@ -280,7 +281,6 @@ class ForestAnchor:
                     depth[nxt] = below
                     root[nxt] = name
                     stack.append((nxt, e))
-        self._base = None
 
     def grow(self, x: int) -> "ForestAnchor":
         u, v = self._endpoints[x]
@@ -294,6 +294,8 @@ class ForestAnchor:
             u, v = v, u
         size[root[u]] += size.pop(root[v])
         self._hang(v, u, x)
+        if self._base is not None:
+            self._base = self._base | {x}
         return self
 
     def exchange(self, y: int, z: int) -> "ForestAnchor":
@@ -309,6 +311,8 @@ class ForestAnchor:
         if w != cut:  # exactly one end of y lies below the cut; hang it from the other
             top, parent = parent, top
         self._hang(top, parent, y)
+        if self._base is not None:
+            self._base = self._base - {z} | {y}
         return self
 
 

@@ -4,6 +4,8 @@ import argparse
 import hashlib
 import io
 import json
+import os
+import stat
 import subprocess
 import sys
 import tracemalloc
@@ -424,6 +426,80 @@ class TestDotExports:
         text = dot_path.read_text()
         assert text.startswith("digraph exchange {")
         assert "fillcolor=lightblue" in text
+
+
+class TestOutputFiles:
+    """``--output`` and ``--dot`` overwrite a file in place and cut it to the
+    new length; devices are written without the cut."""
+
+    MENGER = ["menger", "--graph", PATH3, "--s", "a", "--t", "c"]
+
+    def test_shorter_output_leaves_no_stale_tail(self, tmp_path, capsys):
+        code, expected = invoke(["rank", "--matroid", TRIANGLE], capsys)
+        assert code == 0
+        target = tmp_path / "out.json"
+        target.write_text("x" * 10_000 + "\n")
+        assert run(["rank", "--matroid", TRIANGLE, "--output", str(target)]) == 0
+        assert capsys.readouterr().out == ""
+        assert target.read_bytes() == expected.encode()
+
+    def test_shorter_dot_leaves_no_stale_tail(self, tmp_path, capsys):
+        fresh, target = tmp_path / "fresh.dot", tmp_path / "out.dot"
+        assert run(self.MENGER + ["--dot", str(fresh)]) == 0
+        target.write_text("x" * 10_000 + "\n")
+        assert run(self.MENGER + ["--dot", str(target)]) == 0
+        capsys.readouterr()
+        assert target.read_bytes() == fresh.read_bytes()
+
+    def test_new_file_takes_its_mode_from_the_umask(self, tmp_path, capsys):
+        target = tmp_path / "out.json"
+        old = os.umask(0o027)
+        try:
+            assert run(["rank", "--matroid", TRIANGLE, "--output", str(target)]) == 0
+        finally:
+            os.umask(old)
+        assert stat.S_IMODE(target.stat().st_mode) == 0o666 & ~0o027
+
+    @pytest.mark.skipif(not os.path.exists("/dev/null"), reason="no /dev/null")
+    def test_dev_null_is_written_without_truncation(self, capsys):
+        assert run(["rank", "--matroid", TRIANGLE, "--output", "/dev/null"]) == 0
+        assert run(self.MENGER + ["--dot", "/dev/null", "--output", "/dev/null"]) == 0
+        captured = capsys.readouterr()
+        assert captured.out == captured.err == ""
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+    def test_a_failed_write_exits_two_with_one_line(self, capsys):
+        code = run(["rank", "--matroid", TRIANGLE, "--output", "/dev/full"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith("error: cannot write /dev/full: ")
+        assert captured.err.count("\n") == 1
+
+    def test_read_only_output_exits_two_with_one_line(self, tmp_path, capsys):
+        target = tmp_path / "out.json"
+        target.write_text("old\n")
+        target.chmod(0o444)
+        if os.access(target, os.W_OK):
+            pytest.skip("this user writes through file modes")
+        code = run(["rank", "--matroid", TRIANGLE, "--output", str(target)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: cannot write {target}")
+        assert captured.err.count("\n") == 1
+        assert target.read_text() == "old\n"
+
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="no /proc/self/fd")
+    def test_rewrites_leave_no_open_file(self, tmp_path, capsys):
+        cert, drawing = tmp_path / "cert.json", tmp_path / "out.dot"
+        argv = self.MENGER + ["--output", str(cert), "--dot", str(drawing)]
+        assert run(argv) == 0
+        before = len(os.listdir("/proc/self/fd"))
+        for _ in range(100):  # 200 rewrites, of --output and --dot
+            assert run(argv) == 0
+        capsys.readouterr()
+        assert len(os.listdir("/proc/self/fd")) == before
 
 
 class TestByteDeterminism:
