@@ -13,7 +13,10 @@ so each level of composition costs a constant number of rank queries one
 level down, with r(E) computed once per handle.  A family closed under
 duality supplies a native ``dual=`` hook instead: the dual of a partition
 or uniform matroid is again one, whose rank of X reads X alone rather
-than E - X, and whose anchor needs no ``DualAnchor``.  Nothing else is
+than E - X, and whose anchor needs no ``DualAnchor``.  The dual of any
+dual is the original handle (M** = M): a wrapper's dual is the very
+handle it wraps, and a native dual's dual is an equal native handle, so
+wrappers never stack two deep.  Nothing else is
 cached: every query reaches the native oracle, so a caller that asks the
 same set twice pays twice, and callers avoid asking what they have
 already proved.
@@ -24,17 +27,19 @@ built once for a fixed set ``a`` and then answers, for many ``x``, whether
 ``x`` in ``base``, a maximal independent subset of ``a`` (``circuit``).
 Graphic, partition and uniform matroids supply a native ``anchor=`` hook:
 a rooted spanning forest, or block lookups with no build step.  The dual
-wrapper of a handle with a native anchor builds its own from one primal
-anchor on E - b with base B0, through the fundamental cocircuits
+wrapper of a handle with a native anchor, which in the zoo is the graphic
+forest, builds its own from one forest on E - b with base B0, through the
+fundamental cocircuits
 
     C*(B0, y) = {y} + {g not in B0 : y in C(B0, g)},
 
-which the primal anchor answers whenever E - b spans the primal; a
-dependent ``b`` falls back to rank.  Every other handle gets the
-rank-derived anchor, which has no build step.  There is no per-call
-circuit hook: one rank and one anchor per family.  Anchors may also be
-grown or exchanged by one element, so a caller whose set changes one
-element at a time need not build a new one.
+which only the forest answers (``cocircuit``), whenever E - b spans the
+primal; a dependent ``b``, or a set the hook declines, falls back to
+rank.  Every other handle gets the rank-derived anchor, which has no
+build step.  There is no per-call circuit hook: one rank and one anchor
+per family.  Every anchor can also be grown or exchanged by one element,
+so a caller whose set changes one element at a time need not build a new
+one.
 
 Input is validated once, by the public methods; everything below them
 works on frozensets already known to lie inside the ground set.  Nothing
@@ -138,9 +143,8 @@ class Anchor(Protocol):
     closure of ``a``, ``circuit(x)`` is the fundamental circuit of ``x`` in
     ``base``.  Other arguments are outside the contract.
 
-    Two optional updates carry the build over to a neighbouring set, and
-    each returns the updated anchor, or None when the caller should build
-    a fresh one:
+    Two updates carry the build over to a neighbouring set, and each
+    returns the updated anchor:
 
     - ``grow(x)``, for an ``x`` with ``extends(x)``: the anchor of
       ``a + x``, with base ``base + x``;
@@ -152,9 +156,10 @@ class Anchor(Protocol):
     ``Session`` owns the anchors of its state's parts, and
     ``Session.advance`` moves them on to the next state.
 
-    An anchor that ``DualAnchor`` wraps has both updates, and for ``y`` on
-    a ``base`` that spans the matroid answers ``cocircuit(y)``: ``y`` and
-    every ``g`` off ``base`` with ``base - y + g`` independent.
+    The graphic forest, the one anchor that ``DualAnchor`` wraps, also
+    answers ``cocircuit(y)`` for ``y`` on a ``base`` that spans the
+    matroid: ``y`` and every ``g`` off ``base`` with ``base - y + g``
+    independent.
     """
 
     base: frozenset[int]
@@ -163,17 +168,9 @@ class Anchor(Protocol):
 
     def circuit(self, x: int) -> frozenset[int]: ...
 
+    def grow(self, x: int) -> "Anchor": ...
 
-def grown(anchor: Anchor, x: int) -> Anchor | None:
-    """``anchor.grow(x)``, or None for an anchor without updates."""
-    grow = getattr(anchor, "grow", None)
-    return None if grow is None else grow(x)
-
-
-def exchanged(anchor: Anchor, y: int, z: int) -> Anchor | None:
-    """``anchor.exchange(y, z)``, or None for an anchor without updates."""
-    exchange = getattr(anchor, "exchange", None)
-    return None if exchange is None else exchange(y, z)
+    def exchange(self, y: int, z: int) -> "Anchor": ...
 
 
 class RankAnchor:
@@ -207,11 +204,6 @@ class RankAnchor:
         independent = self._matroid._independent
         return frozenset([x, *(e for e in sorted(base) if independent(extended - {e}))])
 
-    def cocircuit(self, y: int) -> frozenset[int]:
-        base, independent = self.base, self._matroid._independent
-        rest = base - {y}
-        return frozenset([y, *(g for g in self._matroid._full - base if independent(rest | {g}))])
-
     def grow(self, x: int) -> "RankAnchor":
         base = None if self._base is None else self._base | {x}
         return RankAnchor(self._matroid, self._anchored | {x}, base)
@@ -222,8 +214,9 @@ class RankAnchor:
 
 
 class DualAnchor:
-    """Anchor of the dual at a co-independent ``b``, from the primal anchor
-    on ``E - b`` and its base B0, which spans the primal.
+    """Anchor of the dual at a co-independent ``b``, from the primal's
+    native anchor on ``E - b`` (the graphic forest, the one anchor that
+    answers ``cocircuit``) and its base B0, which spans the primal.
 
     Both queries read the cocircuit C*(B0, x) of an ``x`` on B0, asked of
     the primal once and kept.  ``b + x`` stays co-independent exactly when
@@ -251,10 +244,6 @@ class DualAnchor:
 
     def circuit(self, x: int) -> frozenset[int]:
         return self._cocircuit(x) & self.base | {x}
-
-    def cocircuit(self, y: int) -> frozenset[int]:
-        # b is a base of the dual, so E - b is B0.
-        return self._primal.circuit(y)
 
     def grow(self, z: int) -> "DualAnchor":
         """``b + z``: B0 still spans E - b - z when ``z`` lies off it, and
@@ -303,6 +292,7 @@ class Matroid:
     A family whose dual is again a family of its own may take a native
     ``dual=`` hook, a callable that builds that handle; its rank must be
     the rank identity of the dual wrapper, which every other handle gets.
+    The wrapper takes the same hook, returning the handle it wraps.
 
     The public methods validate their input once with ``GroundSet.subset``.
     The underscore methods ``_independent``, ``_rank`` and ``_anchor`` skip
@@ -445,10 +435,11 @@ class Matroid:
         """The dual: the handle the native ``dual=`` hook builds, if any.
 
         Without the hook, a lazy wrapper through the rank identity
-        r*(X) = |X| + r(E - X) - r(E).  When this handle has a native
-        anchor, the wrapper anchors a co-independent ``b`` with
-        ``DualAnchor`` over the primal anchor of E - b; a dependent ``b``
-        falls back to rank.
+        r*(X) = |X| + r(E - X) - r(E), whose own dual is this very handle.
+        When this handle has a native anchor, the wrapper anchors a
+        co-independent ``b`` with ``DualAnchor`` over the native anchor of
+        E - b; where the hook declines, or E - b does not span, it falls
+        back to rank.
         """
         if self._dual_fn is not None:
             return self._dual_fn()
@@ -459,8 +450,8 @@ class Matroid:
             return len(xs) + parent._rank(full - xs) - parent._ground_rank()
 
         def anchor(b: frozenset[int]) -> Anchor | None:
-            primal = parent._anchor(full - b)
-            if len(primal.base) < parent._ground_rank():
+            primal = parent._anchor_fn(full - b)
+            if primal is None or len(primal.base) < parent._ground_rank():
                 return None
             return DualAnchor(b, primal)
 
@@ -469,6 +460,7 @@ class Matroid:
             provenance=f"dual({self.provenance})",
             rank=rank,
             anchor=anchor if self._anchor_fn is not None else None,
+            dual=lambda: parent,
         )
 
     def minor(self, contract: Iterable[int] = (), delete: Iterable[int] = ()) -> "Matroid":

@@ -35,14 +35,17 @@ def menger_dot(inst: MengerInstance, cert: MengerCertificate) -> str:
         if v in cert.separator:
             attrs.append("peripheries=2")
         lines.append(f"  v{v} [{' '.join(attrs)}];")
+    # Each path step is drawn on the least-id edge between its two ends; the
+    # paths are vertex-disjoint, so no two steps share a pair of ends.
+    least: dict[tuple[int, int], int] = {}
+    for e in g.edges():
+        u, v = g.endpoints[e]
+        least.setdefault((min(u, v), max(u, v)), e)
     colored: dict[int, str] = {}
     for idx, path in enumerate(cert.paths):
         color = _PATH_COLORS[idx % len(_PATH_COLORS)]
         for u, v in zip(path, path[1:]):
-            for e in g.edges():
-                if e not in colored and set(g.endpoints[e]) == {u, v}:
-                    colored[e] = color
-                    break
+            colored[least[min(u, v), max(u, v)]] = color
     for e in g.edges():
         u, v = g.endpoints[e]
         attrs = [f'label="{g.edge_labels[e]}"']

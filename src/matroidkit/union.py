@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .core import Anchor, Matroid, exchanged, grown
+from .core import Anchor, Matroid
 from .errors import ConsistencyError, InputError, InternalInvariantError
 from .graphs import breadth_first, path_to
 
@@ -138,9 +138,9 @@ class Session:
 
         A part that did not change keeps its anchor; one that gained an
         element grows it, and one that traded an element for another on its
-        circuit exchanges it.  Any other part is rebuilt on first use, as
-        are anchors without updates.  The updates work in place, so this
-        session is retired and answers nothing afterwards.
+        circuit exchanges it.  Any other part is rebuilt on first use.  The
+        updates work in place, so this session is retired and answers
+        nothing afterwards.
         """
         after = Session(self.m1, self.m2, state)
         before = self._live()
@@ -160,10 +160,10 @@ def _carried(anchor: Anchor | None, old: frozenset[int], new: frozenset[int]) ->
     (y,) = added
     removed = old - new
     if not removed:
-        return grown(anchor, y)
+        return anchor.grow(y)
     if len(removed) == 1:
         (z,) = removed
-        return exchanged(anchor, y, z)
+        return anchor.exchange(y, z)
     return None
 
 
@@ -438,9 +438,7 @@ def _extend_to_base(matroid: Matroid, part: frozenset[int], anchor: Anchor) -> f
     for e in matroid.elements():
         if e not in base and anchor.extends(e):
             base.add(e)
-            anchor = grown(anchor, e)
-            if anchor is None:
-                anchor = matroid._anchor(frozenset(base))
+            anchor = anchor.grow(e)
     extended = frozenset(base)
     if len(extended) != matroid._ground_rank() or (
         len(extended) != len(part) and not matroid._independent(extended)

@@ -12,9 +12,11 @@ block of cap k.
 
 Partition and uniform matroids also supply a native dual: the partition
 on the same blocks with caps |B| - min(c, |B|), and U(n, n - min(k, n)).
-Each keeps the ``dual(...)`` provenance, and its own dual is the original
-family again.  Every other family's dual is the core's wrapper, answered
-by rank identity and, over the graphic forest's cocircuits, by ``DualAnchor``.
+Each keeps the ``dual(...)`` provenance, and its own dual is an equal
+handle of the original family.  Every other family's dual is the core's
+wrapper, answered by rank identity and, over the graphic forest's
+cocircuits, by ``DualAnchor``; the wrapper's own dual is the very handle
+it wraps.
 """
 
 from __future__ import annotations

@@ -12,12 +12,14 @@ import tracemalloc
 
 import pytest
 
-from matroidkit import cli
+from matroidkit import MengerInstance, Multigraph, cli
 from matroidkit.cli import run
+from matroidkit.dot import menger_dot
 from matroidkit.errors import InternalInvariantError
 from matroidkit.jsonio import MAX_GROUND_SIZE
+from matroidkit.menger import solve
 
-from conftest import FIXTURES
+from conftest import FIXTURES, grid_instance
 
 M1 = str(FIXTURES / "crossing_m1.json")
 M2 = str(FIXTURES / "crossing_m2.json")
@@ -416,6 +418,24 @@ class TestDotExports:
         assert text.startswith("graph menger {")
         assert "peripheries=2" in text  # separator marking
         assert "color=red" in text  # one path color class
+
+    def test_menger_dot_draws_each_step_on_its_least_id_edge(self):
+        """a-b and b-c are each doubled, the later copy written reversed."""
+        graph = Multigraph.from_labels(
+            ["a", "b", "c"],
+            [("p0", "a", "b"), ("p1", "b", "a"), ("p2", "c", "b"), ("p3", "b", "c")],
+        )
+        inst = MengerInstance.from_labels(graph, ["a"], ["c"])
+        drawn = [line for line in menger_dot(inst, solve(inst)).splitlines() if "--" in line]
+        assert [("color=red" in line) for line in drawn] == [True, False, True, False]
+
+    def test_menger_dot_colors_exactly_the_path_edges_of_a_grid(self):
+        """The 8 x 8 grid's paths are its rows, so the drawing colors every
+        horizontal edge once and no vertical one."""
+        inst = grid_instance(8)
+        drawn = [line for line in menger_dot(inst, solve(inst)).splitlines() if "--" in line]
+        colored = sorted(line.split('"')[1] for line in drawn if "penwidth=2" in line)
+        assert colored == sorted(f"h{r}.{c}" for r in range(8) for c in range(7))
 
     def test_intersect_dot(self, tmp_path, capsys):
         dot_path = tmp_path / "out.dot"

@@ -13,6 +13,7 @@ from matroidkit import (
     Multigraph,
     NoFundamentalCircuit,
     Partition,
+    Sum,
     Uniform,
     build,
     check_orthogonality,
@@ -227,8 +228,18 @@ class TestDual:
             assert d.is_independent(xs) == u23.is_independent(xs)
 
     def test_involution_exhaustive(self):
-        for m in small_handles():
+        """The dual of a wrapper dual is the very handle it wraps; partition
+        and uniform duals are native, and their duals equal handles."""
+        extra = [
+            build(Sum((Uniform(2, 1, labels=("s0", "s1")), Graphic(triangle_graph())))),
+            build(Binary(((1, 0, 1), (0, 1, 1)))).minor(contract={0}),
+        ]
+        for m in small_handles() + extra:
             dd = m.dual().dual()
+            if m.provenance.startswith(("uniform(", "partition(")):
+                assert repr(dd) == repr(m)
+            else:
+                assert dd is m, m.provenance
             for xs in subsets_by_size(m.elements()):
                 assert dd.is_independent(xs) == m.is_independent(xs)
 
@@ -250,9 +261,10 @@ class TestDual:
             assert d.provenance == f"dual({m.provenance})"
             assert repr(d.dual()) == repr(m)
             assert type(d._anchor(frozenset())) is anchor
-        wrapped = build(Graphic(triangle_graph())).dual()
+        graphic = build(Graphic(triangle_graph()))
+        wrapped = graphic.dual()
         assert type(wrapped._anchor(frozenset())) is DualAnchor
-        assert wrapped.dual().provenance == f"dual({wrapped.provenance})"
+        assert wrapped.dual() is graphic
 
 
 class TestMinor:

@@ -54,14 +54,11 @@ class CountedAnchor:
 
     def grow(self, x):
         self._counts["updates"] += 1
-        return self._wrapped(self._inner.grow(x))
+        return CountedAnchor(self._inner.grow(x), self._counts)
 
     def exchange(self, y, z):
         self._counts["updates"] += 1
-        return self._wrapped(self._inner.exchange(y, z))
-
-    def _wrapped(self, inner):
-        return None if inner is None else CountedAnchor(inner, self._counts)
+        return CountedAnchor(self._inner.exchange(y, z), self._counts)
 
 
 def graphic_oracle_evaluations(monkeypatch, inst: MengerInstance):
