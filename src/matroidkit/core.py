@@ -10,33 +10,27 @@ through rank identities,
     minor:  r'(X) = r(X + C) - r(C)   (C contracted),
 
 so each level of composition costs a constant number of rank queries one
-level down, with r(E) computed once per handle.  A family closed under
-duality supplies a native ``dual=`` hook instead: the dual of a partition
-or uniform matroid is again one, whose rank of X reads X alone rather
-than E - X, and whose anchor needs no ``DualAnchor``.  The dual of any
-dual is the original handle (M** = M): a wrapper's dual is the very
-handle it wraps, and a native dual's dual is an equal native handle, so
-wrappers never stack two deep.  Nothing else is
-cached: every query reaches the native oracle, so a caller that asks the
-same set twice pays twice, and callers avoid asking what they have
-already proved.
+level down, with r(E) computed once per handle.  A family that knows its
+dual supplies a native ``dual=`` hook instead: the dual of a partition or
+uniform matroid is again one, whose rank of X reads X alone rather than
+E - X, and the graphic family builds its cographic handle, which keeps the
+dual rank identity (``dual_rank``) but anchors through the forest.  The
+dual of any dual is the original handle (M** = M): the dual of a wrapper
+or of a cographic handle is the very handle it was built from, and a
+partition or uniform dual's dual is an equal native handle, so wrappers
+never stack two deep.  Nothing else is cached: every query reaches the
+native oracle, so a caller that asks the same set twice pays twice, and
+callers avoid asking what they have already proved.
 
 Closure and fundamental circuits are answered by anchors.  An anchor is
 built once for a fixed set ``a`` and then answers, for many ``x``, whether
 ``x`` raises the rank of ``a`` (``extends``) and the fundamental circuit of
 ``x`` in ``base``, a maximal independent subset of ``a`` (``circuit``).
 Graphic, partition and uniform matroids supply a native ``anchor=`` hook:
-a rooted spanning forest, or block lookups with no build step.  The dual
-wrapper of a handle with a native anchor, which in the zoo is the graphic
-forest, builds its own from one forest on E - b with base B0, through the
-fundamental cocircuits
-
-    C*(B0, y) = {y} + {g not in B0 : y in C(B0, g)},
-
-which only the forest answers (``cocircuit``), whenever E - b spans the
-primal; a dependent ``b``, or a set the hook declines, falls back to
-rank.  Every other handle gets the rank-derived anchor, which has no
-build step.  There is no per-call circuit hook: one rank and one anchor
+a rooted spanning forest, or block lookups with no build step; the graphic
+family's dual anchors through that forest too.  Every other handle, the
+dual wrapper included, gets the rank-derived anchor, which has no build
+step.  There is no per-call circuit hook: one rank and one anchor
 per family.  Every anchor can also be grown or exchanged by one element,
 so a caller whose set changes one element at a time need not build a new
 one.
@@ -155,11 +149,6 @@ class Anchor(Protocol):
     updates an anchor owns it and never asks the old one again.  A union
     ``Session`` owns the anchors of its state's parts, and
     ``Session.advance`` moves them on to the next state.
-
-    The graphic forest, the one anchor that ``DualAnchor`` wraps, also
-    answers ``cocircuit(y)`` for ``y`` on a ``base`` that spans the
-    matroid: ``y`` and every ``g`` off ``base`` with ``base - y + g``
-    independent.
     """
 
     base: frozenset[int]
@@ -213,63 +202,6 @@ class RankAnchor:
         return RankAnchor(self._matroid, self._anchored - {z} | {y}, base)
 
 
-class DualAnchor:
-    """Anchor of the dual at a co-independent ``b``, from the primal's
-    native anchor on ``E - b`` (the graphic forest, the one anchor that
-    answers ``cocircuit``) and its base B0, which spans the primal.
-
-    Both queries read the cocircuit C*(B0, x) of an ``x`` on B0, asked of
-    the primal once and kept.  ``b + x`` stays co-independent exactly when
-    ``E - b - x`` still spans: ``x`` lies off B0, or C*(B0, x) - x leaves
-    ``b``.  The circuit of ``x`` is ``(C*(B0, x) & b) + x``.
-
-    An update that keeps B0 keeps the primal anchor and the cocircuits.
-    """
-
-    __slots__ = ("base", "_primal", "_spanning", "_cocircuits")
-
-    def __init__(self, b: frozenset[int], primal: Anchor, cocircuits: dict | None = None):
-        self.base = b
-        self._primal = primal
-        self._spanning = primal.base
-        self._cocircuits = {} if cocircuits is None else cocircuits
-
-    def _cocircuit(self, y: int) -> frozenset[int]:
-        if y not in self._cocircuits:
-            self._cocircuits[y] = self._primal.cocircuit(y)
-        return self._cocircuits[y]
-
-    def extends(self, x: int) -> bool:
-        return x not in self._spanning or not self._cocircuit(x) - {x} <= self.base
-
-    def circuit(self, x: int) -> frozenset[int]:
-        return self._cocircuit(x) & self.base | {x}
-
-    def grow(self, z: int) -> "DualAnchor":
-        """``b + z``: B0 still spans E - b - z when ``z`` lies off it, and
-        otherwise B0 - z + g does, for a ``g`` off ``b`` on its cocircuit."""
-        b = self.base | {z}
-        if z not in self._spanning:
-            return DualAnchor(b, self._primal, self._cocircuits)
-        g = next(g for g in self._cocircuit(z) if g != z and g not in self.base)
-        return self._rebased(b, z, g)
-
-    def exchange(self, y: int, z: int) -> "DualAnchor":
-        """``b - z + y``: ``y`` lies on B0, or it would extend ``b``, and
-        ``z`` on its cocircuit, so B0 - y + z spans E - b + z - y."""
-        return self._rebased(self.base - {z} | {y}, y, z)
-
-    def _rebased(self, b: frozenset[int], out: int, into: int) -> "DualAnchor":
-        """The anchor at ``b`` once B0 trades ``out`` for ``into``, on the
-        cocircuit of ``out``.  A cocircuit that misses ``into`` stays as it
-        was, and ``into`` takes over the cocircuit of ``out``."""
-        primal = self._primal.exchange(into, out)
-        kept = {y: c for y, c in self._cocircuits.items() if into not in c}
-        if out in self._cocircuits:
-            kept[into] = self._cocircuits[out]
-        return DualAnchor(b, primal, kept)
-
-
 class Matroid:
     """Immutable matroid given by one native oracle: a rank function or an
     independence predicate.
@@ -289,10 +221,10 @@ class Matroid:
     closure or per-call circuit hook.  Chains built from anchored circuits
     are still re-checked against rank before they are applied.
 
-    A family whose dual is again a family of its own may take a native
-    ``dual=`` hook, a callable that builds that handle; its rank must be
-    the rank identity of the dual wrapper, which every other handle gets.
-    The wrapper takes the same hook, returning the handle it wraps.
+    A family that knows its dual may take a native ``dual=`` hook, a
+    callable that builds that handle; its rank must agree with the rank
+    identity of the dual wrapper, which every other handle gets.  The
+    wrapper takes the same hook, returning the handle it wraps.
 
     The public methods validate their input once with ``GroundSet.subset``.
     The underscore methods ``_independent``, ``_rank`` and ``_anchor`` skip
@@ -436,31 +368,15 @@ class Matroid:
 
         Without the hook, a lazy wrapper through the rank identity
         r*(X) = |X| + r(E - X) - r(E), whose own dual is this very handle.
-        When this handle has a native anchor, the wrapper anchors a
-        co-independent ``b`` with ``DualAnchor`` over the native anchor of
-        E - b; where the hook declines, or E - b does not span, it falls
-        back to rank.
+        The wrapper is rank-only: it anchors through ``RankAnchor``.
         """
         if self._dual_fn is not None:
             return self._dual_fn()
-        parent = self
-        full = self._full
-
-        def rank(xs: frozenset[int]) -> int:
-            return len(xs) + parent._rank(full - xs) - parent._ground_rank()
-
-        def anchor(b: frozenset[int]) -> Anchor | None:
-            primal = parent._anchor_fn(full - b)
-            if primal is None or len(primal.base) < parent._ground_rank():
-                return None
-            return DualAnchor(b, primal)
-
         return Matroid(
             self._ground,
             provenance=f"dual({self.provenance})",
-            rank=rank,
-            anchor=anchor if self._anchor_fn is not None else None,
-            dual=lambda: parent,
+            rank=dual_rank(self),
+            dual=lambda: self,
         )
 
     def minor(self, contract: Iterable[int] = (), delete: Iterable[int] = ()) -> "Matroid":
@@ -502,6 +418,17 @@ class Matroid:
             if not self._independent(candidate):
                 found.append(candidate)
         return found
+
+
+def dual_rank(primal: Matroid) -> Callable[[frozenset[int]], int]:
+    """The rank of the dual of ``primal``, r*(X) = |X| + r(E - X) - r(E),
+    asked of the primal handle's own oracle."""
+    full = primal._full
+
+    def rank(xs: frozenset[int]) -> int:
+        return len(xs) + primal._rank(full - xs) - primal._ground_rank()
+
+    return rank
 
 
 def check_orthogonality(matroid: Matroid) -> CheckResult:

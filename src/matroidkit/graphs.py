@@ -117,10 +117,6 @@ class Multigraph:
                 raise InputError(f"edge {e!r} outside graph")
         return s
 
-    def is_loop(self, e: int) -> bool:
-        u, v = self.endpoints[e]
-        return u == v
-
 
 @dataclass(frozen=True)
 class Component:

@@ -155,24 +155,6 @@ def _split(full: frozenset[int], b1: frozenset[int], b2star: frozenset[int]) -> 
     )
 
 
-def span_report(m1: Matroid, m2: Matroid, st: IntersectionState) -> list[str]:
-    """Containment checks the split must satisfy when the base pair is maximal:
-    X inside cl_2(I), Y inside cl_1(I), Z inside their union.
-
-    Computed from scratch through the public closure; ``divisive_coloring``
-    enforces the same containments on the digraph's spanned sets.
-    """
-    cl1, cl2 = m1.closure(st.i), m2.closure(st.i)
-    problems = []
-    if not st.x <= cl2:
-        problems.append("X escapes cl_2(I)")
-    if not st.y <= cl1:
-        problems.append("Y escapes cl_1(I)")
-    if not st.z <= cl1 | cl2:
-        problems.append("Z escapes cl_1(I) plus cl_2(I)")
-    return problems
-
-
 def build_state(m1: Matroid, m2: Matroid) -> IntersectionState:
     """Run the union construction against the dual and split the ground set.
 

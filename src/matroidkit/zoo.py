@@ -13,9 +13,11 @@ block of cap k.
 Partition and uniform matroids also supply a native dual: the partition
 on the same blocks with caps |B| - min(c, |B|), and U(n, n - min(k, n)).
 Each keeps the ``dual(...)`` provenance, and its own dual is an equal
-handle of the original family.  Every other family's dual is the core's
-wrapper, answered by rank identity and, over the graphic forest's
-cocircuits, by ``DualAnchor``; the wrapper's own dual is the very handle
+handle of the original family.  The graphic family builds its cographic
+dual: rank by the core's dual identity and, over the forest's fundamental
+cocircuits, an anchor from ``DualAnchor``, both asked of the graphic
+handle itself; its own dual is that graphic handle.  Every other family's
+dual is the core's rank-only wrapper, whose own dual is the very handle
 it wraps.
 """
 
@@ -26,7 +28,7 @@ from functools import partial
 from typing import Union
 
 from .axioms import ExplicitSystem
-from .core import GroundSet, Matroid, default_labels
+from .core import Anchor, GroundSet, Matroid, default_labels, dual_rank
 from .errors import InputError
 from .graphs import Multigraph
 
@@ -231,9 +233,13 @@ class ForestAnchor:
         return frozenset(path)
 
     def cocircuit(self, y: int) -> frozenset[int]:
-        """The edges that leave the subtree below tree edge ``y``, which
-        spans the rest of its component once the forest spans the graph,
-        read from ``incident``: each vertex's ``(edge, far end)`` pairs over
+        """The fundamental cocircuit of ``y`` on a ``base`` that spans the
+        matroid: ``y`` and every ``g`` off ``base`` with ``base - y + g``
+        independent, which ``DualAnchor`` reads.
+
+        These are the edges that leave the subtree below tree edge ``y``,
+        which spans the rest of its component once the forest spans the
+        graph, read from ``incident``: each vertex's ``(edge, far end)`` pairs over
         the graph's non-loop edges."""
         u, v = self._endpoints[y]
         top = u if self._depth[u] > self._depth[v] else v
@@ -316,6 +322,63 @@ class ForestAnchor:
         if self._base is not None:
             self._base = self._base - {z} | {y}
         return self
+
+
+class DualAnchor:
+    """Anchor of the dual at a co-independent ``b``, from the primal's
+    native anchor on ``E - b`` (the graphic forest, the one anchor that
+    answers ``cocircuit``) and its base B0, which spans the primal.
+
+    Both queries read the cocircuit C*(B0, x) of an ``x`` on B0, asked of
+    the primal once and kept.  ``b + x`` stays co-independent exactly when
+    ``E - b - x`` still spans: ``x`` lies off B0, or C*(B0, x) - x leaves
+    ``b``.  The circuit of ``x`` is ``(C*(B0, x) & b) + x``.
+
+    An update that keeps B0 keeps the primal anchor and the cocircuits.
+    """
+
+    __slots__ = ("base", "_primal", "_spanning", "_cocircuits")
+
+    def __init__(self, b: frozenset[int], primal: Anchor, cocircuits: dict | None = None):
+        self.base = b
+        self._primal = primal
+        self._spanning = primal.base
+        self._cocircuits = {} if cocircuits is None else cocircuits
+
+    def _cocircuit(self, y: int) -> frozenset[int]:
+        if y not in self._cocircuits:
+            self._cocircuits[y] = self._primal.cocircuit(y)
+        return self._cocircuits[y]
+
+    def extends(self, x: int) -> bool:
+        return x not in self._spanning or not self._cocircuit(x) - {x} <= self.base
+
+    def circuit(self, x: int) -> frozenset[int]:
+        return self._cocircuit(x) & self.base | {x}
+
+    def grow(self, z: int) -> "DualAnchor":
+        """``b + z``: B0 still spans E - b - z when ``z`` lies off it, and
+        otherwise B0 - z + g does, for a ``g`` off ``b`` on its cocircuit."""
+        b = self.base | {z}
+        if z not in self._spanning:
+            return DualAnchor(b, self._primal, self._cocircuits)
+        g = next(g for g in self._cocircuit(z) if g != z and g not in self.base)
+        return self._rebased(b, z, g)
+
+    def exchange(self, y: int, z: int) -> "DualAnchor":
+        """``b - z + y``: ``y`` lies on B0, or it would extend ``b``, and
+        ``z`` on its cocircuit, so B0 - y + z spans E - b + z - y."""
+        return self._rebased(self.base - {z} | {y}, y, z)
+
+    def _rebased(self, b: frozenset[int], out: int, into: int) -> "DualAnchor":
+        """The anchor at ``b`` once B0 trades ``out`` for ``into``, on the
+        cocircuit of ``out``.  A cocircuit that misses ``into`` stays as it
+        was, and ``into`` takes over the cocircuit of ``out``."""
+        primal = self._primal.exchange(into, out)
+        kept = {y: c for y, c in self._cocircuits.items() if into not in c}
+        if out in self._cocircuits:
+            kept[into] = self._cocircuits[out]
+        return DualAnchor(b, primal, kept)
 
 
 def _build_uniform(spec: Uniform) -> Matroid:
@@ -439,12 +502,34 @@ def _build_graphic(spec: Graphic) -> Matroid:
                 merged += 1
         return merged
 
-    return Matroid(
+    def cographic() -> Matroid:
+        """The dual, which asks every rank and anchor of ``graphic`` itself
+        and anchors a co-independent ``b`` with ``DualAnchor`` over the
+        forest on E - b, or through rank when that forest does not span."""
+        full = graphic._full
+
+        def anchor(b: frozenset[int]) -> Anchor | None:
+            primal = graphic._anchor(full - b)
+            if len(primal.base) < graphic._ground_rank():
+                return None
+            return DualAnchor(b, primal)
+
+        return Matroid(
+            ground,
+            provenance=f"dual({graphic.provenance})",
+            rank=dual_rank(graphic),
+            anchor=anchor,
+            dual=lambda: graphic,
+        )
+
+    graphic = Matroid(
         ground,
         provenance=f"graphic(V={g.vertex_count},E={g.edge_count})",
         rank=rank,
         anchor=partial(ForestAnchor, endpoints, incident),
+        dual=cographic,
     )
+    return graphic
 
 
 def _build_binary(spec: Binary) -> Matroid:

@@ -81,6 +81,14 @@ def crossing_pair():
     return m1, m2
 
 
+def escaping_elements(m1, m2, st):
+    """The elements of the split ``st`` outside the closures that a maximal
+    base pair puts them in: X inside cl_2(I), Y inside cl_1(I), Z inside
+    their union.  Computed from scratch through the public closure."""
+    cl1, cl2 = m1.closure(st.i), m2.closure(st.i)
+    return (st.x - cl2) | (st.y - cl1) | (st.z - cl1 - cl2)
+
+
 def augmenting(m1, m2):
     """Return ``maximize_union(m1, m2)`` and the ``(before, chain, after)`` of
     each chain it applied, in order, recorded by a spy on ``union.apply_chain``.

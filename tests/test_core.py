@@ -21,8 +21,8 @@ from matroidkit import (
     min_rank_value,
 )
 from matroidkit.axioms import AXIOM_CHECK_BOUND
-from matroidkit.core import ENUMERATION_BOUND, DualAnchor, subsets_by_size
-from matroidkit.zoo import BlockAnchor
+from matroidkit.core import ENUMERATION_BOUND, subsets_by_size
+from matroidkit.zoo import BlockAnchor, DualAnchor
 
 from conftest import triangle_graph
 
@@ -228,8 +228,9 @@ class TestDual:
             assert d.is_independent(xs) == u23.is_independent(xs)
 
     def test_involution_exhaustive(self):
-        """The dual of a wrapper dual is the very handle it wraps; partition
-        and uniform duals are native, and their duals equal handles."""
+        """The dual of a wrapper dual, or of a cographic handle, is the very
+        handle it was built from; partition and uniform duals are native,
+        and their duals equal handles."""
         extra = [
             build(Sum((Uniform(2, 1, labels=("s0", "s1")), Graphic(triangle_graph())))),
             build(Binary(((1, 0, 1), (0, 1, 1)))).minor(contract={0}),
@@ -262,9 +263,10 @@ class TestDual:
             assert repr(d.dual()) == repr(m)
             assert type(d._anchor(frozenset())) is anchor
         graphic = build(Graphic(triangle_graph()))
-        wrapped = graphic.dual()
-        assert type(wrapped._anchor(frozenset())) is DualAnchor
-        assert wrapped.dual() is graphic
+        cographic = graphic.dual()
+        assert cographic.provenance == f"dual({graphic.provenance})"
+        assert type(cographic._anchor(frozenset())) is DualAnchor
+        assert cographic.dual() is graphic
 
 
 class TestMinor:

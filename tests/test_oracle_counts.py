@@ -5,7 +5,9 @@ The grid counts are evaluations of the graphic family's native oracles during
 where exactly w disjoint paths exist.  The first count adds rank
 evaluations and anchor builds, the work of the family itself below every
 wrapper (a handle keeps no cache besides r(E), so every evaluation a
-wrapper asks for reaches it).
+wrapper asks for reaches it).  The graphic handle's ``dual=`` hook passes
+through uncounted: the cographic handle it builds asks the graphic handle
+for every rank and anchor, so that work is counted there.
 The second counts the queries answered by those anchors (``extends``,
 ``circuit`` and ``cocircuit``, which the dual's anchor asks of them), so
 no work can hide inside a session.  The third counts the updates
@@ -81,10 +83,11 @@ def graphic_oracle_evaluations(monkeypatch, inst: MengerInstance):
 
     def counting_matroid(ground, predicate=None, provenance="oracle", **oracles):
         if provenance.startswith("graphic("):
-            assert set(oracles) == {"rank", "anchor"}
+            assert set(oracles) == {"rank", "anchor", "dual"}
             oracles = {
                 "rank": counted_rank(oracles["rank"]),
                 "anchor": counted_anchor(oracles["anchor"]),
+                "dual": oracles["dual"],
             }
         return Matroid(ground, predicate, provenance, **oracles)
 

@@ -18,10 +18,11 @@ from matroidkit import (
     Uniform,
     build,
 )
-from matroidkit.core import DualAnchor, Matroid
+from matroidkit.core import Matroid, RankAnchor
 from matroidkit.generate import random_family, random_matroid_pairs
 from matroidkit.oracles import brute_union_max
 from matroidkit.union import maximize_union
+from matroidkit.zoo import DualAnchor
 
 from conftest import augmenting
 
@@ -372,17 +373,21 @@ def test_anchors_on_dependent_sets_answer_through_a_maximal_independent_base(spe
     """A dual anchors its primal on E - b, which is usually dependent."""
     m = build(spec)
     for a in _all_subsets(m.elements()):
-        anchor = m._anchor(a)
-        base = anchor.base
-        assert base <= a and m.is_independent(base) and m.rank(a) == len(base), sorted(a)
-        for x in m.elements():
-            if x in base:
-                continue
-            raises = m.rank(a | {x}) > m.rank(a)
-            if x not in a:
-                assert anchor.extends(x) == raises, (sorted(a), x)
-            if not raises:
-                assert anchor.circuit(x) == _rank_circuit(m, base, x), (sorted(a), x)
+        _assert_anchor_matches_rank(m, a, m._anchor(a))
+
+
+def _assert_anchor_matches_rank(m, a, anchor):
+    """The anchor of ``a``, independent or not, answers as rank says."""
+    base = anchor.base
+    assert base <= a and m.is_independent(base) and m.rank(a) == len(base), sorted(a)
+    for x in m.elements():
+        if x in base:
+            continue
+        raises = m.rank(a | {x}) > m.rank(a)
+        if x not in a:
+            assert anchor.extends(x) == raises, (sorted(a), x)
+        if not raises:
+            assert anchor.circuit(x) == _rank_circuit(m, base, x), (sorted(a), x)
 
 
 _BINARY = Binary(((1, 0, 1, 1, 0, 1, 0), (0, 1, 1, 0, 1, 1, 0), (0, 0, 0, 1, 1, 1, 1)))
@@ -425,31 +430,33 @@ def test_cocircuits_match_their_rank_definition(spec):
             assert anchor.cocircuit(y) == expected, (sorted(b), y)
 
 
-def test_a_dual_over_a_declining_hook_answers_through_rank_where_it_declines():
-    """The hook answers only sets of even size.  At every co-independent b
-    the dual anchors through ``DualAnchor`` exactly when the hook answered
-    E - b, and every answer equals its rank definition either way."""
+def test_cographic_handles_anchor_through_cocircuits_exactly_at_co_independent_sets():
+    """A cographic handle anchors ``b`` with ``DualAnchor`` exactly when E - b
+    spans the graphic matroid, and through rank otherwise; every answer
+    equals its rank definition on both branches."""
+    for spec in (_ORACLE_CASES[0][1], _ISOLATED):
+        d = build(spec).dual()
+        kinds = set()
+        for b in _all_subsets(d.elements()):
+            anchor = d._anchor(b)
+            native = d.is_independent(b)
+            assert isinstance(anchor, DualAnchor) == native, sorted(b)
+            kinds.add(native)
+            _assert_anchor_matches_rank(d, b, anchor)
+        assert kinds == {True, False}
+
+
+def test_the_dual_of_a_hooked_handle_anchors_through_rank():
+    """The core's dual wrapper is rank-only, whatever anchor hook the handle
+    it wraps was given."""
     g = build(_ORACLE_CASES[0][1])
-
-    def hook(a):
-        return None if len(a) % 2 else g._anchor(a)
-
-    d = Matroid(g.ground, provenance="declining", rank=g._rank, anchor=hook).dual()
-    full = frozenset(d.elements())
-    kinds = set()
-    for b in _all_subsets(full):
-        if not d.is_independent(b):
-            continue
+    hooked = Matroid(g.ground, provenance="hooked", rank=g._rank, anchor=g._anchor)
+    d = hooked.dual()
+    assert d.dual() is hooked
+    for b in _all_subsets(d.elements()):
         anchor = d._anchor(b)
-        answered = len(full - b) % 2 == 0
-        assert isinstance(anchor, DualAnchor) == answered, sorted(b)
-        kinds.add(answered)
-        for x in full - b:
-            extends = d.rank(b | {x}) == len(b) + 1
-            assert anchor.extends(x) == extends, (sorted(b), x)
-            if not extends:
-                assert anchor.circuit(x) == _rank_circuit(d, b, x), (sorted(b), x)
-    assert kinds == {True, False}
+        assert type(anchor) is RankAnchor, sorted(b)
+        _assert_anchor_matches_rank(d, b, anchor)
 
 
 # -- anchors carried through grow and exchange ---------------------------------
