@@ -3,9 +3,11 @@
 For vertex sets S and T in a finite graph, two graphic matroids are built
 on the edges outside S-internal and T-internal edges: one contracts S to a
 point, the other contracts T.  A covering-partition certificate for that
-pair turns into a forest whose components thread S to T; repartitioning the
-forest around one pivot vertex per through-component yields a separator
-that picks exactly one vertex from each path.
+pair turns into a forest whose components thread S to T.  Each such
+component carries one S-T path, and its pivot, the last vertex of the path
+before the first edge of the T-part, is its one vertex on both sides of the
+split; the pivots form a separator that picks exactly one vertex from each
+path.  ``solve`` checks the resulting certificate from scratch.
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ from .graphs import (
     breadth_first,
     connected_components,
     graphic_components,
+    identify_vertices,
     induced_subgraph,
     path_to,
 )
@@ -68,26 +71,12 @@ class MengerCertificate:
 
 @dataclass(frozen=True)
 class MarkedComponent:
-    """A tree component of the certificate forest with its terminal data."""
+    """A tree component of the certificate forest; one that threads S to T
+    carries its S-to-T path and the pivot on it."""
 
     component: Component
-    s_vertices: frozenset[int]
-    t_vertices: frozenset[int]
     path: tuple[int, ...] | None
     pivot: int | None
-
-
-@dataclass(frozen=True)
-class ForestPartition:
-    """The certificate edges split twice: the raw parts and the repartition
-    that concentrates the separator onto one vertex per through-component."""
-
-    i_edges: frozenset[int]
-    j_s: frozenset[int]
-    j_t: frozenset[int]
-    k_s: frozenset[int]
-    k_t: frozenset[int]
-    components: tuple[MarkedComponent, ...]
 
 
 def reduce(inst: MengerInstance) -> tuple[Matroid, Matroid, tuple[int, ...]]:
@@ -95,26 +84,21 @@ def reduce(inst: MengerInstance) -> tuple[Matroid, Matroid, tuple[int, ...]]:
 
     M_S is the graphic matroid of the graph with S identified to a single
     vertex, restricted to the edges that are internal to neither S nor T;
-    M_T is symmetric.  The edges of S are moved onto its least vertex, and
-    the rest of S stays behind isolated, which leaves the graphic matroid
-    unchanged.  The returned tuple maps ground ids back to edge ids of the
-    instance graph.
+    M_T is symmetric.  Both are built from one graph of the kept edges, with
+    ``identify_vertices`` merging each side in turn.  The returned tuple
+    maps ground ids back to edge ids of the instance graph.
     """
     g = inst.graph
     keep = tuple(
         e for e in g.edges() if not any(set(g.endpoints[e]) <= side for side in (inst.s, inst.t))
     )
-    labels = tuple(g.edge_labels[e] for e in keep)
-
-    def contracted(side: frozenset[int]) -> Matroid:
-        hub = min(side)
-        ends = []
-        for e in keep:
-            u, v = g.endpoints[e]
-            ends.append((hub if u in side else u, hub if v in side else v))
-        return build(Graphic(Multigraph(g.vertex_labels, tuple(ends), labels)))
-
-    return contracted(inst.s), contracted(inst.t), keep
+    kept = Multigraph(
+        g.vertex_labels,
+        tuple(g.endpoints[e] for e in keep),
+        tuple(g.edge_labels[e] for e in keep),
+    )
+    m_s, m_t = (build(Graphic(identify_vertices(kept, side)[0])) for side in (inst.s, inst.t))
+    return m_s, m_t, keep
 
 
 def forest_structure(
@@ -122,15 +106,17 @@ def forest_structure(
     i_edges: Iterable[int],
     j_s: Iterable[int],
     j_t: Iterable[int],
-) -> ForestPartition:
-    """Check the certificate forest and repartition it around pivot vertices.
+) -> tuple[MarkedComponent, ...]:
+    """Check the certificate forest and mark the pivot of each through-component.
 
     The components of the edge set are computed in the original graph and
     must be trees touching S or T, with at most one vertex in each terminal
     set.  A component threading both carries the unique S-to-T path; its
     pivot is the last vertex reachable from the S-end before the first
-    edge of the T-part, and each branch hanging off the pivot goes whole
-    into K_S or K_T according to the part of its attaching edge.
+    edge of the T-part.  Split at its pivot, the branches of a tree go
+    whole to the part of their attaching edge, so the pivot is the one
+    vertex of the component on both sides, and the pivots form the
+    separator.
     """
     g = inst.graph
     if inst.s & inst.t:
@@ -141,8 +127,6 @@ def forest_structure(
     if js & jt or js | jt != i_set:
         raise InputError("the two parts must partition the certificate edges")
 
-    k_s: set[int] = set()
-    k_t: set[int] = set()
     marked: list[MarkedComponent] = []
     for comp in graphic_components(g, i_set):
         if not comp.is_tree:
@@ -167,108 +151,34 @@ def forest_structure(
                 neighbours[a].append(b)
                 neighbours[b].append(a)
             parents: dict[int, int] = {}
-            order = [
-                v for layer in breadth_first((s,), neighbours.__getitem__, parents) for v in layer
-            ]
+            for layer in breadth_first((s,), neighbours.__getitem__, parents):
+                if t in layer:
+                    break
             path = tuple(path_to(parents, t))
             pivot = path[0]
             for u, v in zip(path, path[1:]):
                 if edge_of[u, v] in jt:
                     break
                 pivot = v
-            # Name each vertex's branch by its attaching edge, passed down in
-            # layer order; the branch holding s hangs off the pivot's parent edge.
-            branch = {s: edge_of[parents[pivot], pivot]} if pivot != s else {}
-            for v in order[1:]:
-                u = parents[v]
-                e = edge_of[u, v]
-                branch[v] = e if u == pivot else branch[u]
-                (k_s if branch[v] in js else k_t).add(e)
-        elif s_hits:
-            k_s.update(comp.edges)
-        else:
-            k_t.update(comp.edges)
-        marked.append(
-            MarkedComponent(
-                component=comp,
-                s_vertices=frozenset(s_hits),
-                t_vertices=frozenset(t_hits),
-                path=path,
-                pivot=pivot,
-            )
-        )
+        marked.append(MarkedComponent(component=comp, path=path, pivot=pivot))
+    return tuple(marked)
 
-    fp = ForestPartition(
-        i_edges=i_set,
-        j_s=js,
-        j_t=jt,
-        k_s=frozenset(k_s),
-        k_t=frozenset(k_t),
-        components=tuple(marked),
+
+def separator_from_partition(components: Iterable[MarkedComponent]) -> MengerCertificate:
+    """The through-components' paths, ordered by least vertex, with their
+    pivots as the separator; ``solve`` verifies the result from scratch."""
+    through = sorted(
+        (mc for mc in components if mc.path is not None),
+        key=lambda mc: min(mc.component.vertices),
     )
-    _check_pivot_uniqueness(inst, fp)
-    return fp
-
-
-def _vertex_sides(inst: MengerInstance, fp: ForestPartition) -> tuple[set[int], set[int]]:
-    """S plus the endpoints of K_S edges, and T plus the endpoints of K_T edges."""
-    g = inst.graph
-    v_s = set(inst.s)
-    v_t = set(inst.t)
-    for e in fp.k_s:
-        v_s.update(g.endpoints[e])
-    for e in fp.k_t:
-        v_t.update(g.endpoints[e])
-    return v_s, v_t
-
-
-def _check_pivot_uniqueness(inst: MengerInstance, fp: ForestPartition) -> None:
-    """At most one vertex per through-component may touch both sides."""
-    v_s, v_t = _vertex_sides(inst, fp)
-    for mc in fp.components:
-        if mc.path is None:
-            continue
-        both = mc.component.vertices & v_s & v_t
-        if len(both) > 1:
-            raise ConsistencyError(
-                "repartition left more than one two-sided vertex in a component"
-            )
-
-
-def separator_from_partition(inst: MengerInstance, fp: ForestPartition) -> MengerCertificate:
-    """Read the certificate off the repartition and check its structure.
-
-    V_S collects S plus the endpoints of K_S edges, V_T symmetrically; their
-    intersection is the separator.  Everything asserted here holds whenever
-    the repartition came from a genuine covering partition.
-    """
-    g = inst.graph
-    v_s, v_t = _vertex_sides(inst, fp)
-    if v_s | v_t != set(g.vertices()):
-        raise ConsistencyError("the two vertex sides fail to cover the graph")
-    for e in g.edges():
-        ends = set(g.endpoints[e])
-        if not (ends <= v_s or ends <= v_t):
-            raise ConsistencyError("an edge crosses between the two vertex sides")
-    separator = frozenset(v_s & v_t)
-    paths = tuple(
-        mc.path
-        for mc in sorted(
-            (mc for mc in fp.components if mc.path is not None),
-            key=lambda mc: min(mc.component.vertices),
-        )
+    return MengerCertificate(
+        paths=tuple(mc.path for mc in through),
+        separator=frozenset(mc.pivot for mc in through),
     )
-    path_vertices = frozenset(v for p in paths for v in p)
-    if not separator <= path_vertices:
-        raise ConsistencyError("separator vertex off every path")
-    for p in paths:
-        if len(separator & frozenset(p)) != 1:
-            raise ConsistencyError("a path does not meet the separator exactly once")
-    return MengerCertificate(paths=paths, separator=separator)
 
 
 def solve(inst: MengerInstance) -> MengerCertificate:
-    """Full pipeline: peel shared terminals, reduce, certify, repartition.
+    """Full pipeline: peel shared terminals, reduce, certify, read the pivots.
 
     Vertices in both S and T are forced into any separator; they are taken
     as single-vertex paths and removed before the reduction.  The remaining
@@ -303,8 +213,7 @@ def solve(inst: MengerInstance) -> MengerCertificate:
         i_edges = frozenset(ground_edges[e] for e in cert.i)
         j_s = frozenset(ground_edges[e] for e in cert.j1)
         j_t = frozenset(ground_edges[e] for e in cert.j2)
-        fp = forest_structure(local, i_edges, j_s, j_t)
-        local_cert = separator_from_partition(local, fp)
+        local_cert = separator_from_partition(forest_structure(local, i_edges, j_s, j_t))
         paths.extend(
             tuple(piece_back[v] for v in p) for p in local_cert.paths
         )

@@ -7,8 +7,9 @@ explicit one supplies a native rank function; explicit systems keep their
 membership predicate and rank through the core's greedy sweep.  Uniform,
 partition and graphic matroids also supply a native anchor, which answers
 closure and fundamental circuits against one fixed set and follows that
-set through one-element updates; U(n, k) uses the partition anchor on one
-block of cap k.
+set through one-element updates.  U(n, k) is built as the partition with
+one block of cap k, under its own provenance; a one-block partition ranks
+by min(|X|, cap) and any other counts each block down.
 
 Partition and uniform matroids also supply a native dual: the partition
 on the same blocks with caps |B| - min(c, |B|), and U(n, n - min(k, n)).
@@ -388,30 +389,11 @@ def _build_uniform(spec: Uniform) -> Matroid:
     if len(labels) != spec.n:
         raise InputError("uniform labels must match the element count")
     provenance = f"uniform({spec.n},{spec.k})"
+    ground = GroundSet(tuple(labels))
     co_k = spec.n - min(spec.k, spec.n)
-    return _uniform_matroid(
-        GroundSet(tuple(labels)), spec.k, co_k, provenance, f"dual({provenance})"
-    )
-
-
-def _uniform_matroid(
-    ground: GroundSet, k: int, co_k: int, provenance: str, dual_provenance: str
-) -> Matroid:
-    """U(n, k), whose dual U(n, co_k) is built from the same plain data with
-    the two ranks and the two provenances swapped.  The anchor is the block
-    anchor of the whole ground set as one block of cap k; the rank kernel
-    stays O(1) rather than counting down that block."""
-
-    def rank(xs: frozenset[int]) -> int:
-        return min(len(xs), k)
-
-    dual = partial(_uniform_matroid, ground, co_k, k, dual_provenance, provenance)
-    return Matroid(
-        ground,
-        provenance=provenance,
-        rank=rank,
-        anchor=partial(BlockAnchor, (ground.full(),), (0,) * ground.size, (k,)),
-        dual=dual,
+    return _partition_matroid(
+        ground, (ground.full(),), (0,) * spec.n, (spec.k,), (co_k,), provenance,
+        f"dual({provenance})",
     )
 
 
@@ -450,18 +432,26 @@ def _partition_matroid(
 ) -> Matroid:
     """The partition handle; its dual is the partition on the same blocks
     with caps ``co_caps``, built from the same plain data with the two cap
-    tuples and the two provenances swapped."""
+    tuples and the two provenances swapped.  One block, as in U(n, k), has
+    the O(1) kernel min(|X|, cap); more blocks count each block's capacity
+    down over X."""
+    if len(caps) == 1:
+        (cap,) = caps
 
-    def rank(xs: frozenset[int]) -> int:
-        """Count down each block's remaining capacity over ``xs`` alone."""
-        left = list(caps)
-        taken = 0
-        for e in xs:
-            bi = block_of[e]
-            if left[bi]:
-                left[bi] -= 1
-                taken += 1
-        return taken
+        def rank(xs: frozenset[int]) -> int:
+            return min(len(xs), cap)
+
+    else:
+
+        def rank(xs: frozenset[int]) -> int:
+            left = list(caps)
+            taken = 0
+            for e in xs:
+                bi = block_of[e]
+                if left[bi]:
+                    left[bi] -= 1
+                    taken += 1
+            return taken
 
     dual = partial(
         _partition_matroid, ground, members, block_of, co_caps, caps, dual_provenance, provenance

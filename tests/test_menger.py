@@ -1,3 +1,4 @@
+import dataclasses
 import random
 
 import pytest
@@ -8,8 +9,10 @@ from matroidkit import (
     MengerCertificate,
     MengerInstance,
     Multigraph,
+    menger,
     solve,
 )
+from matroidkit.generate import random_menger_instances
 from matroidkit.menger import (
     forest_structure,
     reduce as reduce_instance,
@@ -60,27 +63,24 @@ class TestReduce:
 class TestForestStructure:
     def test_path_component_carries_the_path(self, path3):
         inst = MengerInstance.from_labels(path3, ["a"], ["c"])
-        fp = forest_structure(inst, {0, 1}, {0, 1}, fs())
-        (mc,) = fp.components
+        (mc,) = forest_structure(inst, {0, 1}, {0, 1}, fs())
         assert mc.path == (0, 1, 2)
-        assert mc.pivot == 2  # no K_T edge stops the initial segment
-        assert fp.k_s == fs({0, 1}) and fp.k_t == fs()
+        assert mc.pivot == 2  # no T-part edge stops the initial segment
 
     def test_pivot_stops_before_the_first_t_part_edge(self, path3):
         inst = MengerInstance.from_labels(path3, ["a"], ["c"])
-        fp = forest_structure(inst, {0, 1}, {0}, {1})
-        (mc,) = fp.components
+        (mc,) = forest_structure(inst, {0, 1}, {0}, {1})
         assert mc.pivot == 1
-        assert fp.k_s == fs({0}) and fp.k_t == fs({1})
 
-    def test_s_only_component_goes_to_k_s(self):
+    def test_one_sided_components_carry_no_pivot(self):
         g = Multigraph.from_labels(
             ["a", "b", "c", "d"], [("e0", "a", "b"), ("e1", "c", "d")]
         )
         inst = MengerInstance.from_labels(g, ["a"], ["d"])
-        fp = forest_structure(inst, {0, 1}, {0}, {1})
-        assert fp.k_s == fs({0})  # component meeting only S
-        assert fp.k_t == fs({1})  # component meeting only T
+        components = forest_structure(inst, {0, 1}, {0}, {1})
+        # one component meets only S, the other only T
+        assert [(mc.path, mc.pivot) for mc in components] == [(None, None)] * 2
+        assert separator_from_partition(components).separator == fs()
 
     def test_cycle_in_certificate_edges_is_inconsistent(self, triangle):
         inst = MengerInstance.from_labels(triangle, ["u"], ["w"])
@@ -125,26 +125,38 @@ def reference_parts(g, edges, pivot, j_s):
     return fs(k_s), fs(k_t)
 
 
-def check_against_reference(inst, j_s, j_t):
+def reference_sides(inst, components, j_s):
+    """V_S and V_T of the reference repartition: S plus the ends of the K_S
+    edges, and T plus the ends of the K_T edges.  Each path and pivot is
+    checked on the way."""
     g = inst.graph
-    fp = forest_structure(inst, j_s | j_t, j_s, j_t)
     k_s, k_t = set(), set()
-    for mc in fp.components:
+    for mc in components:
         edges = sorted(mc.component.edges)
         if mc.path is None:
-            (k_s if mc.s_vertices else k_t).update(edges)
+            (k_s if mc.component.vertices & inst.s else k_t).update(edges)
             continue
         path = mc.path
         assert path[0] in inst.s and path[-1] in inst.t and len(set(path)) == len(path)
         links = [next(e for e in edges if set(g.endpoints[e]) == {u, v})
                  for u, v in zip(path, path[1:])]
-        first_t = next((i for i, e in enumerate(links) if e in j_t), len(links))
+        first_t = next((i for i, e in enumerate(links) if e not in j_s), len(links))
         assert mc.pivot == path[first_t]
         ref_s, ref_t = reference_parts(g, edges, mc.pivot, j_s)
         k_s |= ref_s
         k_t |= ref_t
-    assert fp.k_s == fs(k_s) and fp.k_t == fs(k_t)
-    return fp
+    v_s = set(inst.s).union(*(g.endpoints[e] for e in k_s))
+    v_t = set(inst.t).union(*(g.endpoints[e] for e in k_t))
+    return v_s, v_t
+
+
+def check_against_reference(inst, j_s, j_t):
+    """The separator read off the pivots is the reference V_S ∩ V_T."""
+    components = forest_structure(inst, j_s | j_t, j_s, j_t)
+    v_s, v_t = reference_sides(inst, components, j_s)
+    cert = separator_from_partition(components)
+    assert cert.separator == fs(v_s & v_t)
+    return components, cert
 
 
 class TestForestRepartition:
@@ -176,14 +188,14 @@ class TestForestRepartition:
         # a2 sit in the T part but hang off the S side, bt and b1 sit in the
         # S part but hang off the T side.
         j_s, j_t = self.split(["pb", "s1", "a2", "p2", "p4"])
-        fp = check_against_reference(inst, j_s, j_t)
-        (mc,) = fp.components
+        (mc,), cert = check_against_reference(inst, j_s, j_t)
         label = inst.graph.vertex_labels
         assert [label[v] for v in mc.path] == ["s", "a", "p", "b", "t"]
         assert label[mc.pivot] == "p"
-        names = [name for name, _, _ in self.EDGES]
-        assert sorted(names[e] for e in fp.k_s) == ["a1", "a2", "ap", "p1", "p4", "s1", "sa"]
-        assert sorted(names[e] for e in fp.k_t) == ["b1", "bt", "p2", "p3", "pb", "t1"]
+        assert cert.paths == (mc.path,) and cert.separator == fs({mc.pivot})
+        v_s, v_t = reference_sides(inst, (mc,), j_s)
+        assert sorted(label[v] for v in v_s) == ["a", "a1", "a2", "p", "p1", "p4", "s", "s1"]
+        assert sorted(label[v] for v in v_t) == ["b", "b1", "p", "p2", "p3", "t", "t1"]
 
     @pytest.mark.parametrize(
         "t_part",
@@ -218,11 +230,40 @@ class TestForestRepartition:
 class TestSeparatorFromPartition:
     def test_path_instance(self, path3):
         inst = MengerInstance.from_labels(path3, ["a"], ["c"])
-        fp = forest_structure(inst, {0, 1}, {0, 1}, fs())
-        cert = separator_from_partition(inst, fp)
+        cert = separator_from_partition(forest_structure(inst, {0, 1}, {0, 1}, fs()))
         assert cert.paths == ((0, 1, 2),)
         assert cert.separator == fs({2})
         assert verify(inst, cert)
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_solve_separator_is_the_reference_intersection(self, seed, monkeypatch):
+        """With S and T disjoint on a connected graph, ``solve`` reduces the
+        instance as it stands, so the forest it reads can be replayed through
+        the reference repartition: its sides cover V, no edge crosses them,
+        and they meet in exactly the separator."""
+        forests = []
+
+        def recording(inst, i_edges, j_s, j_t):
+            components = forest_structure(inst, i_edges, j_s, j_t)
+            forests.append((inst, fs(j_s), components))
+            return components
+
+        monkeypatch.setattr(menger, "forest_structure", recording)
+        checked = 0
+        for inst in random_menger_instances(seed, 30):
+            if inst.s & inst.t:
+                continue
+            forests.clear()
+            cert = solve(inst)
+            ((local, j_s, components),) = forests
+            assert (local.graph, local.s, local.t) == (inst.graph, inst.s, inst.t)
+            v_s, v_t = reference_sides(inst, components, j_s)
+            assert cert.separator == fs(v_s & v_t)
+            assert v_s | v_t == set(inst.graph.vertices())
+            for ends in inst.graph.endpoints:
+                assert set(ends) <= v_s or set(ends) <= v_t
+            checked += 1
+        assert checked
 
     def test_k22_instance_has_two_paths(self, k22):
         inst = MengerInstance.from_labels(k22, ["u1", "u2"], ["w1", "w2"])
@@ -281,6 +322,28 @@ class TestSolve:
     def test_deterministic(self, k22):
         inst = MengerInstance.from_labels(k22, ["u1", "u2"], ["w1", "w2"])
         assert solve(inst) == solve(inst)
+
+    def test_a_moved_pivot_is_caught_by_the_final_verify(self, monkeypatch):
+        """``verify`` is the only check on the separator read off the pivots:
+        moving one pivot a step along its path must make ``solve`` fail."""
+        inst = random_menger_instances(4, 30, max_vertices=10)[29]
+        honest = solve(inst)
+        moves = []
+
+        def moving(*args):
+            *rest, last = forest_structure(*args)
+            i = last.path.index(last.pivot)
+            step = last.path[i - 1] if i else last.path[1]
+            moves.append((last.pivot, step))
+            return (*rest, dataclasses.replace(last, pivot=step))
+
+        monkeypatch.setattr(menger, "forest_structure", moving)
+        with pytest.raises(ConsistencyError, match="not separating"):
+            solve(inst)
+        ((pivot, step),) = moves
+        moved = MengerCertificate(honest.paths, honest.separator - {pivot} | {step})
+        verdict = verify(inst, moved)
+        assert not verdict and verdict.reason == "not separating"
 
 
 class TestVerify:
