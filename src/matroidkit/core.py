@@ -1,8 +1,7 @@
 """Rank-oracle matroids with closure and fundamental-circuit services.
 
-A matroid is handled as a ground set plus one native oracle.  Every
-concrete family supplies a rank function; explicit set systems supply an
-independence predicate instead, and their rank comes from a greedy sweep.
+A matroid is handled as a ground set plus one native oracle, its rank
+function; a set is independent exactly when its rank equals its size.
 Minors, and the duals of most families, are lazy wrappers that answer
 through rank identities,
 
@@ -26,9 +25,10 @@ Closure and fundamental circuits are answered by anchors.  An anchor is
 built once for a fixed set ``a`` and then answers, for many ``x``, whether
 ``x`` raises the rank of ``a`` (``extends``) and the fundamental circuit of
 ``x`` in ``base``, a maximal independent subset of ``a`` (``circuit``).
-Graphic, partition and uniform matroids supply a native ``anchor=`` hook:
-a rooted spanning forest, or block lookups with no build step; the graphic
-family's dual anchors through that forest too.  Every other handle, the
+Graphic, partition and uniform matroids supply a native ``anchor=`` hook,
+which always returns an anchor: a rooted spanning forest, or block lookups
+with no build step; the graphic family's dual anchors through that forest
+too, where it spans.  Every other handle, the
 dual wrapper included, gets the rank-derived anchor, which has no build
 step.  There is no per-call circuit hook: one rank and one anchor
 per family.  Every anchor can also be grown or exchanged by one element,
@@ -203,23 +203,21 @@ class RankAnchor:
 
 
 class Matroid:
-    """Immutable matroid given by one native oracle: a rank function or an
-    independence predicate.
+    """Immutable matroid given by one native oracle, its rank function.
 
-    Every concrete family supplies a rank function, and a set is independent
-    exactly when its rank equals its size.  A handle built from a predicate
-    alone (explicit set systems) recovers rank by the greedy sweep, the one
-    fallback path.  The oracle receives a validated ``frozenset`` of element
-    ids and must always return the same answer for the same subset.  The
-    only answer a handle keeps is r(E), computed once; every other query
-    calls the oracle.
+    A set is independent exactly when its rank equals its size.  The rank
+    function receives a validated ``frozenset`` of element ids and must
+    always return the same answer for the same subset.  The only answer a
+    handle keeps is r(E), computed once; every other query calls the
+    oracle.
 
-    A rank handle may also take a native ``anchor(a)`` hook that returns an
-    ``Anchor`` for the set ``a``, or None to fall back to ``RankAnchor``.
-    Closure and fundamental circuits are answered through the anchor, so
-    its answers must agree with the rank function; there is no separate
-    closure or per-call circuit hook.  Chains built from anchored circuits
-    are still re-checked against rank before they are applied.
+    A handle may also take a native ``anchor(a)`` hook that returns an
+    ``Anchor`` for the set ``a``; without one, it anchors with
+    ``RankAnchor``.  Closure and fundamental circuits are answered through
+    the anchor, so its answers must agree with the rank function; there is
+    no separate closure or per-call circuit hook.  Chains built from
+    anchored circuits are still re-checked against rank before they are
+    applied.
 
     A family that knows its dual may take a native ``dual=`` hook, a
     callable that builds that handle; its rank must agree with the rank
@@ -227,38 +225,25 @@ class Matroid:
     wrapper takes the same hook, returning the handle it wraps.
 
     The public methods validate their input once with ``GroundSet.subset``.
-    The underscore methods ``_independent``, ``_rank`` and ``_anchor`` skip
+    The underscore members ``_independent``, ``_rank`` and ``_anchor`` skip
     that check; they serve callers inside the package that already hold
     frozensets of valid ids.
     """
 
-    __slots__ = (
-        "_ground",
-        "_full",
-        "_predicate",
-        "_rank_fn",
-        "_anchor_fn",
-        "_dual_fn",
-        "provenance",
-        "_full_rank",
-    )
+    __slots__ = ("_ground", "_full", "_rank", "_anchor_fn", "_dual_fn", "provenance", "_full_rank")
 
     def __init__(
         self,
         ground: GroundSet,
-        predicate: Callable[[frozenset[int]], bool] | None = None,
         provenance: str = "oracle",
         *,
-        rank: Callable[[frozenset[int]], int] | None = None,
-        anchor: Callable[[frozenset[int]], Anchor | None] | None = None,
+        rank: Callable[[frozenset[int]], int],
+        anchor: Callable[[frozenset[int]], Anchor] | None = None,
         dual: Callable[[], "Matroid"] | None = None,
     ):
-        if (predicate is None) == (rank is None):
-            raise InputError("a matroid takes exactly one oracle: a predicate or a rank function")
         self._ground = ground
         self._full = ground.full()
-        self._predicate = predicate
-        self._rank_fn = rank
+        self._rank = rank
         self._anchor_fn = anchor
         self._dual_fn = dual
         self.provenance = provenance
@@ -281,14 +266,7 @@ class Matroid:
     # -- unvalidated oracle: arguments are frozensets of valid ids ----------
 
     def _independent(self, s: frozenset[int]) -> bool:
-        if self._rank_fn is not None:
-            return self._rank_fn(s) == len(s)
-        return bool(self._predicate(s))
-
-    def _rank(self, s: frozenset[int]) -> int:
-        if self._rank_fn is None:
-            return len(self._greedy_extend(frozenset(), s))
-        return self._rank_fn(s)
+        return self._rank(s) == len(s)
 
     def _ground_rank(self) -> int:
         if self._full_rank is None:
@@ -307,9 +285,7 @@ class Matroid:
     def _anchor(self, a: frozenset[int]) -> Anchor:
         """The native anchor of ``a`` when the handle has one, else ``RankAnchor``."""
         if self._anchor_fn is not None:
-            anchor = self._anchor_fn(a)
-            if anchor is not None:
-                return anchor
+            return self._anchor_fn(a)
         return RankAnchor(self, a)
 
     # -- public services: each validates its input once --------------------

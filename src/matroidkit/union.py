@@ -80,22 +80,6 @@ class ExchangeChain:
         """For an 'add' terminal: which part absorbs the last element."""
         return self.link_uses_first(self.length)
 
-    def subchain(self, start: int, stop: int) -> "ExchangeChain":
-        """The contiguous piece (y_start, ..., y_stop), itself a chain."""
-        if not (0 <= start <= stop <= self.length):
-            raise InputError("subchain bounds out of range")
-        if start % 2 == 0:
-            parity = self.parity
-        else:
-            parity = ODD if self.parity == EVEN else EVEN
-        terminal = self.terminal if stop == self.length else SWAP
-        return ExchangeChain(
-            self.elements[start : stop + 1],
-            parity,
-            self.circuits[start:stop],
-            terminal,
-        )
-
 
 class Session:
     """The anchors of one pair state's parts, each built on first use.
@@ -161,10 +145,8 @@ def _carried(anchor: Anchor | None, old: frozenset[int], new: frozenset[int]) ->
     removed = old - new
     if not removed:
         return anchor.grow(y)
-    if len(removed) == 1:
-        (z,) = removed
-        return anchor.exchange(y, z)
-    return None
+    (z,) = removed  # a found chain never takes two elements from a part that gains one
+    return anchor.exchange(y, z)
 
 
 def _is_circuit(matroid: Matroid, candidate: frozenset[int], known: int | None = None) -> bool:

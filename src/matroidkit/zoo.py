@@ -2,24 +2,25 @@
 
 Families: uniform, partition, graphic (acyclic edge sets of a multigraph),
 binary (column independence over GF(2)), explicit set systems, direct sums,
-plus dual and minor wrappers for composing them.  Every family except the
-explicit one supplies a native rank function; explicit systems keep their
-membership predicate and rank through the core's greedy sweep.  Uniform,
-partition and graphic matroids also supply a native anchor, which answers
-closure and fundamental circuits against one fixed set and follows that
-set through one-element updates.  U(n, k) is built as the partition with
-one block of cap k, under its own provenance; a one-block partition ranks
-by min(|X|, cap) and any other counts each block down.
+plus dual and minor wrappers for composing them.  Every family supplies a
+native rank function; an explicit system's is the greedy membership sweep,
+and only systems on which that sweep accepts exactly the listed sets are
+built.  Uniform, partition and graphic matroids also supply a native
+anchor, which answers closure and fundamental circuits against one fixed
+set and follows that set through one-element updates.  U(n, k) is built as
+the partition with one block of cap k, under its own provenance; a
+one-block partition ranks by min(|X|, cap) and any other counts each block
+down.
 
 Partition and uniform matroids also supply a native dual: the partition
 on the same blocks with caps |B| - min(c, |B|), and U(n, n - min(k, n)).
 Each keeps the ``dual(...)`` provenance, and its own dual is an equal
 handle of the original family.  The graphic family builds its cographic
 dual: rank by the core's dual identity and, over the forest's fundamental
-cocircuits, an anchor from ``DualAnchor``, both asked of the graphic
-handle itself; its own dual is that graphic handle.  Every other family's
-dual is the core's rank-only wrapper, whose own dual is the very handle
-it wraps.
+cocircuits, an anchor from ``DualAnchor`` where the forest spans and from
+``RankAnchor`` elsewhere, both asked of the graphic handle itself; its own
+dual is that graphic handle.  Every other family's dual is the core's
+rank-only wrapper, whose own dual is the very handle it wraps.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from functools import partial
 from typing import Union
 
 from .axioms import ExplicitSystem
-from .core import Anchor, GroundSet, Matroid, default_labels, dual_rank
+from .core import Anchor, GroundSet, Matroid, RankAnchor, default_labels, dual_rank
 from .errors import InputError
 from .graphs import Multigraph
 
@@ -495,22 +496,23 @@ def _build_graphic(spec: Graphic) -> Matroid:
     def cographic() -> Matroid:
         """The dual, which asks every rank and anchor of ``graphic`` itself
         and anchors a co-independent ``b`` with ``DualAnchor`` over the
-        forest on E - b, or through rank when that forest does not span."""
+        forest on E - b, or with ``RankAnchor`` when that forest does not span."""
         full = graphic._full
 
-        def anchor(b: frozenset[int]) -> Anchor | None:
+        def anchor(b: frozenset[int]) -> Anchor:
             primal = graphic._anchor(full - b)
             if len(primal.base) < graphic._ground_rank():
-                return None
+                return RankAnchor(cographic, b)
             return DualAnchor(b, primal)
 
-        return Matroid(
+        cographic = Matroid(
             ground,
             provenance=f"dual({graphic.provenance})",
             rank=dual_rank(graphic),
             anchor=anchor,
             dual=lambda: graphic,
         )
+        return cographic
 
     graphic = Matroid(
         ground,
@@ -558,13 +560,32 @@ def _build_binary(spec: Binary) -> Matroid:
 
 
 def _build_explicit(spec: Explicit) -> Matroid:
+    """Rank is the greedy membership sweep in id order, which on a system
+    that lists the empty set and is closed under removing one element
+    accepts exactly the listed sets.  Any other system is rejected here,
+    naming the missing subset that ``check_axioms`` names as its i2
+    witness; only ``check-axioms`` reads such a system as given."""
     system = explicit_system(spec)
     members = system.member_set()
+    if frozenset() not in members:
+        raise InputError("explicit system does not list the empty set")
+    for m in sorted(system.members, key=lambda s: (len(s), sorted(s))):
+        for e in sorted(m, reverse=True):
+            if m - {e} not in members:
+                raise InputError(
+                    f"explicit system lists {system.ground.labels_of(m)} "
+                    f"but not its subset {system.ground.labels_of(m - {e})}"
+                )
 
-    def indep(xs: frozenset[int]) -> bool:
-        return xs in members
+    def rank(xs: frozenset[int]) -> int:
+        current = frozenset()
+        for e in sorted(xs):
+            grown = current | {e}
+            if grown in members:
+                current = grown
+        return len(current)
 
-    return Matroid(system.ground, indep, provenance=f"explicit(|I|={len(members)})")
+    return Matroid(system.ground, provenance=f"explicit(|I|={len(members)})", rank=rank)
 
 
 def _build_sum(spec: Sum) -> Matroid:

@@ -27,6 +27,7 @@ PATH3 = str(FIXTURES / "path3_graph.json")
 K22 = str(FIXTURES / "k22_graph.json")
 TRIANGLE = str(FIXTURES / "triangle_graphic.json")
 U24 = str(FIXTURES / "uniform24.json")
+BAD_I1 = str(FIXTURES / "system_missing_empty.json")
 BAD_I2 = str(FIXTURES / "system_missing_subset.json")
 
 
@@ -78,6 +79,27 @@ class TestCommands:
         assert code == 1
         payload = json.loads(out)
         assert payload["i2"] == {"ok": False, "witness": [["a", "b", "c"], ["a", "c"]]}
+
+    @pytest.mark.parametrize("command", ["intersect", "union", "rank"])
+    @pytest.mark.parametrize("fixture", [BAD_I1, BAD_I2], ids=["missing-empty", "missing-subset"])
+    def test_non_matroid_systems_exit_two_outside_check_axioms(self, capsys, command, fixture):
+        if command == "rank":
+            argv = ["rank", "--matroid", fixture]
+        else:
+            argv = [command, "--m1", fixture, "--m2", fixture]
+        code = run(argv)
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith("error: explicit system ")
+        assert captured.err.count("\n") == 1
+
+    def test_check_axioms_reads_a_system_without_the_empty_set_as_given(self, capsys):
+        code, out = invoke(["check-axioms", "--system", BAD_I1], capsys)
+        assert code == 1
+        payload = json.loads(out)
+        assert payload["i1"] == {"ok": False, "witness": []}
+        assert payload["i2"] == {"ok": False, "witness": [["a"], []]}
 
     def test_check_axioms_accepts_family_specs(self, capsys):
         code, out = invoke(["check-axioms", "--system", U24], capsys)
@@ -177,8 +199,32 @@ class TestErrorPaths:
             {"type": "partition", "blocks": [["a"]], "caps": [True]},
             {"type": "binary", "matrix": [[1, "q"]]},
             {"type": "partition", "blocks": [[[1]]], "caps": [1]},
+            {"type": "uniform", "n": -1, "k": 1},
+            {"type": "uniform", "n": 2, "k": -1},
+            {"type": "uniform", "n": 2, "k": 1, "labels": ["a"]},
+            {"type": "partition", "blocks": [["a"], ["b"]], "caps": [1]},
+            {"type": "partition", "blocks": [["a"]], "caps": [-1]},
+            {"type": "partition", "blocks": [["a"], ["a", "b"]], "caps": [1, 1]},
+            {"type": "binary", "matrix": [[1, 0], [1]]},
+            {"type": "binary", "matrix": [[1, 2]]},
+            {"type": "binary", "matrix": [[1, 0]], "labels": ["a"]},
         ],
-        ids=["cap-string", "cap-float", "cap-bool", "matrix-string", "label-list"],
+        ids=[
+            "cap-string",
+            "cap-float",
+            "cap-bool",
+            "matrix-string",
+            "label-list",
+            "uniform-negative-n",
+            "uniform-negative-k",
+            "uniform-label-count",
+            "partition-cap-count",
+            "partition-negative-cap",
+            "partition-overlap",
+            "binary-ragged",
+            "binary-entry-2",
+            "binary-label-count",
+        ],
     )
     def test_non_integer_scalars_and_list_labels_exit_two(self, tmp_path, capsys, spec):
         path = tmp_path / "spec.json"

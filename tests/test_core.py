@@ -51,13 +51,6 @@ class TestGroundSet:
         with pytest.raises(InputError):
             g.subset({0, 5})
 
-    def test_matroid_takes_exactly_one_oracle(self):
-        ground = GroundSet(("a",))
-        with pytest.raises(InputError):
-            Matroid(ground)
-        with pytest.raises(InputError):
-            Matroid(ground, lambda xs: True, rank=len)
-
     def test_label_round_trip(self):
         g = GroundSet(("x", "y", "z"))
         assert g.subset_from_labels(["z", "x"]) == frozenset({0, 2})

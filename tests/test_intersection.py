@@ -5,6 +5,7 @@ import pytest
 from matroidkit import intersection
 
 from matroidkit import (
+    Binary,
     CapacityError,
     Explicit,
     Graphic,
@@ -347,6 +348,11 @@ class TestVerifyCertificate:
         )
         assert not verdict and verdict.reason == "certificate references unknown elements"
 
+    def test_ground_mismatch_rejected(self):
+        m1, m2 = build(Uniform(2, 1)), build(Uniform(3, 1))
+        verdict = verify_certificate(m1, m2, IntersectionCertificate(fs({0}), fs({0}), fs()))
+        assert not verdict and verdict.reason == "matroids disagree on the ground set"
+
 
 class TestMinRank:
     def test_crossing_partitions(self):
@@ -398,6 +404,44 @@ class TestViolationChain:
         with pytest.raises(InternalInvariantError, match="neither") as info:
             intersection.pipeline(m1, m2)
         assert info.value.payload == sorted(idx("b"))
+
+    # Binary pairs with a base pair (B1, B2*) whose coloring finds a blue
+    # node reaching a red one, one for each way the path can sit: its start
+    # in Y or in Z, its end in X or in Z.  The off-Y start and the off-X end
+    # are the ones violation_chain enters and leaves through an extra link.
+    @pytest.mark.parametrize(
+        "matrix1,matrix2,b1,b2star,starts_in_y,ends_in_x",
+        [
+            (((1, 1, 1), (0, 1, 0)), ((1, 1, 1), (0, 1, 1)), {1, 2}, {1}, True, True),
+            (((1, 0, 1, 1), (1, 1, 0, 0)), ((0, 1, 1, 1), (0, 1, 1, 0)), {0, 2}, {0, 1}, True, False),
+            (((0, 1, 1, 1), (0, 0, 0, 1)), ((0, 1, 0, 1), (1, 1, 1, 1)), {1, 3}, {2, 3}, False, True),
+            (
+                ((0, 1, 0, 1, 1), (1, 0, 0, 1, 1)),
+                ((0, 0, 1, 1, 0), (1, 0, 0, 0, 1)),
+                {1, 4},
+                {0, 1, 3},
+                False,
+                False,
+            ),
+        ],
+        ids=["y-to-x", "y-to-z", "z-to-x", "z-to-z"],
+    )
+    def test_a_blue_to_red_path_rewinds_into_a_growing_chain(
+        self, matrix1, matrix2, b1, b2star, starts_in_y, ends_in_x
+    ):
+        m1, m2 = build(Binary(matrix1)), build(Binary(matrix2))
+        st = state_from_bases(m1, m2, fs(b1), fs(b2star))
+        dg = build_digraph(m1, m2, st)
+        with pytest.raises(InternalInvariantError, match="blue node reaches a red node") as info:
+            divisive_coloring(dg, st)
+        path = info.value.payload
+        assert path[0] in dg.spanned_first - dg.spanned_second
+        assert path[-1] in dg.spanned_second - dg.spanned_first
+        assert (path[0] in st.y, path[-1] in st.x) == (starts_in_y, ends_in_x)
+        chain = violation_chain(m1, m2, st, dg)
+        before = PairState(st.b1, st.b2star)
+        after = apply_chain(m1, m2.dual(), before, chain)
+        assert len(after.union) == len(before.union) + 1
 
     def test_maximal_states_have_no_violation(self):
         for m1, m2 in [crossing_pair(), rank1_triple()]:

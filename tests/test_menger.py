@@ -378,3 +378,23 @@ class TestVerify:
         bad = MengerCertificate(((0, 1, 2),), fs({2}))  # u1-u2 is not an edge
         verdict = verify(inst, bad)
         assert not verdict and verdict.reason == "path uses a missing edge"
+
+    @pytest.mark.parametrize(
+        "paths,separator,reason",
+        [
+            (((),), fs(), "empty path"),
+            (((0, 9, 2),), fs({1}), "path references unknown vertices"),
+            (((0, 1, 0, 1, 2),), fs({1}), "path revisits a vertex"),
+            (((0, 1, 2),), fs({9}), "separator references unknown vertices"),
+        ],
+        ids=["empty", "unknown-path-vertex", "revisit", "unknown-separator-vertex"],
+    )
+    def test_malformed_certificates_fail_with_their_reason(self, path3, paths, separator, reason):
+        inst = MengerInstance.from_labels(path3, ["a"], ["c"])
+        verdict = verify(inst, MengerCertificate(paths, separator))
+        assert not verdict and verdict.reason == reason
+
+    def test_separator_vertex_off_every_path_fails(self, k22):
+        inst = MengerInstance.from_labels(k22, ["u1", "u2"], ["w1", "w2"])
+        verdict = verify(inst, MengerCertificate(((0, 2),), fs({1})))  # u2 is on no path
+        assert not verdict and verdict.reason == "separator vertex off every path"

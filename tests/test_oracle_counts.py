@@ -81,7 +81,7 @@ def graphic_oracle_evaluations(monkeypatch, inst: MengerInstance):
 
         return oracle
 
-    def counting_matroid(ground, predicate=None, provenance="oracle", **oracles):
+    def counting_matroid(ground, provenance="oracle", **oracles):
         if provenance.startswith("graphic("):
             assert set(oracles) == {"rank", "anchor", "dual"}
             oracles = {
@@ -89,7 +89,7 @@ def graphic_oracle_evaluations(monkeypatch, inst: MengerInstance):
                 "anchor": counted_anchor(oracles["anchor"]),
                 "dual": oracles["dual"],
             }
-        return Matroid(ground, predicate, provenance, **oracles)
+        return Matroid(ground, provenance, **oracles)
 
     monkeypatch.setattr(zoo, "Matroid", counting_matroid)
     cert = solve(inst)
@@ -124,10 +124,10 @@ def test_partition_pair_certify_rank_evaluations(monkeypatch):
 
         return oracle
 
-    def counting_matroid(ground, predicate=None, provenance="oracle", **oracles):
+    def counting_matroid(ground, provenance="oracle", **oracles):
         if provenance.startswith(("partition(", "dual(partition(")):
             oracles["rank"] = counted_rank(oracles["rank"])
-        return Matroid(ground, predicate, provenance, **oracles)
+        return Matroid(ground, provenance, **oracles)
 
     monkeypatch.setattr(zoo, "Matroid", counting_matroid)
     (blocks1, caps1), (blocks2, caps2) = random_partition_pair(400)

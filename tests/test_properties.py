@@ -431,16 +431,16 @@ def test_cocircuits_match_their_rank_definition(spec):
 
 
 def test_cographic_handles_anchor_through_cocircuits_exactly_at_co_independent_sets():
-    """A cographic handle anchors ``b`` with ``DualAnchor`` exactly when E - b
-    spans the graphic matroid, and through rank otherwise; every answer
-    equals its rank definition on both branches."""
+    """A cographic handle's own hook anchors ``b`` with ``DualAnchor`` exactly
+    when E - b spans the graphic matroid, and with ``RankAnchor`` otherwise;
+    every answer equals its rank definition on both branches."""
     for spec in (_ORACLE_CASES[0][1], _ISOLATED):
         d = build(spec).dual()
         kinds = set()
         for b in _all_subsets(d.elements()):
-            anchor = d._anchor(b)
+            anchor = d._anchor_fn(b)
             native = d.is_independent(b)
-            assert isinstance(anchor, DualAnchor) == native, sorted(b)
+            assert type(anchor) is (DualAnchor if native else RankAnchor), sorted(b)
             kinds.add(native)
             _assert_anchor_matches_rank(d, b, anchor)
         assert kinds == {True, False}

@@ -139,6 +139,106 @@ class TestApplyChain:
         assert after.i1 == fs({1}) and after.union == fs({1})
 
 
+def _uniform(n, k):
+    return build(Uniform(n, k))
+
+
+def _emptied(chain):
+    """``chain`` with its elements removed, which the constructor forbids."""
+    object.__setattr__(chain, "elements", ())
+    return chain
+
+
+# Forged chains, each rejected by exactly one check: (m1, m2, state, chain,
+# message).  On U(3, 1) every pair is a circuit; on U(3, 2) no pair is one.
+# The two "lost independence" chains pass every link check and are not
+# shortest: their swaps close the triangle {e0, e2, e4} of K4 in the part
+# the K4 links run through.
+_REJECTED = {
+    "empty": (
+        _uniform(3, 1), _uniform(3, 1), PairState(fs(), fs()),
+        _emptied(ExchangeChain((0,), EVEN, (), ADD)), "empty chain",
+    ),
+    "start-in-part": (
+        _uniform(3, 1), _uniform(3, 1), PairState(fs({0}), fs()),
+        ExchangeChain((0,), EVEN, (), ADD), "chain start already belongs",
+    ),
+    "misses-endpoints": (
+        _uniform(3, 1), _uniform(3, 1), PairState(fs({0}), fs()),
+        ExchangeChain((1, 0), EVEN, (fs({1, 2}),), SWAP), "link 0 circuit misses its endpoints",
+    ),
+    "leaks": (
+        _uniform(3, 1), _uniform(3, 1), PairState(fs({0}), fs()),
+        ExchangeChain((1, 0), EVEN, (fs({0, 1, 2}),), SWAP),
+        "link 0 circuit leaks outside part",
+    ),
+    "independent-witness": (
+        _uniform(3, 2), _uniform(3, 2), PairState(fs({0}), fs()),
+        ExchangeChain((1, 0), EVEN, (fs({0, 1}),), SWAP), "link 0 witness is not a circuit",
+    ),
+    "interior-first": (
+        _uniform(3, 1), _uniform(3, 1), PairState(fs({0}), fs({0, 2})),
+        ExchangeChain((1, 0, 2), EVEN, (fs({0, 1}), fs({0, 2})), SWAP),
+        "interior element y_1 must lie in the first part only",
+    ),
+    "interior-second": (
+        _uniform(3, 1), _uniform(3, 1), PairState(fs({0, 2}), fs({0})),
+        ExchangeChain((1, 0, 2), ODD, (fs({0, 1}), fs({0, 2})), SWAP),
+        "interior element y_1 must lie in the second part only",
+    ),
+    "common-not-in-both": (
+        _uniform(3, 1), _uniform(3, 1), PairState(fs({0}), fs()),
+        ExchangeChain((1, 0), EVEN, (fs({0, 1}),), COMMON), "'common' is not in both parts",
+    ),
+    "add-already-received": (
+        _uniform(3, 1), _uniform(3, 1), PairState(fs({0}), fs({0})),
+        ExchangeChain((1, 0), EVEN, (fs({0, 1}),), ADD), "'add' already sits in the receiving part",
+    ),
+    "add-dependent": (
+        _uniform(3, 1), _uniform(3, 1), PairState(fs({0}), fs({2})),
+        ExchangeChain((1, 0), EVEN, (fs({0, 1}),), ADD),
+        "'add' does not extend the receiver independently",
+    ),
+    "swap-without-link": (
+        _uniform(3, 1), _uniform(3, 1), PairState(fs(), fs()),
+        ExchangeChain((1,), EVEN, (), SWAP), "a swap terminal needs at least one link",
+    ),
+    "swap-not-donated": (
+        _uniform(3, 1), _uniform(3, 1), PairState(fs({0}), fs({0})),
+        ExchangeChain((1, 0), EVEN, (fs({0, 1}),), SWAP),
+        "swap terminal must lie in the donating part only",
+    ),
+    "first-lost-independence": (
+        build(Graphic(k4_graph())), _uniform(6, 2), PairState(fs({1, 3, 4}), fs({2, 4})),
+        ExchangeChain(
+            (0, 1, 2, 3, 4), EVEN, (fs({0, 1, 3}), fs({1, 2, 4}), fs({1, 2, 3, 4}), fs({2, 3, 4})),
+            COMMON,
+        ),
+        "first part lost independence after the swaps",
+    ),
+    "second-lost-independence": (
+        _uniform(6, 2), build(Graphic(k4_graph())), PairState(fs({2, 4}), fs({1, 3, 4})),
+        ExchangeChain(
+            (0, 1, 2, 3, 4), ODD, (fs({0, 1, 3}), fs({1, 2, 4}), fs({1, 2, 3, 4}), fs({2, 3, 4})),
+            COMMON,
+        ),
+        "second part lost independence after the swaps",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_REJECTED))
+def test_each_forged_chain_is_rejected_by_its_own_check(case):
+    m1, m2, state, chain, message = _REJECTED[case]
+    if "lost independence" in message:
+        validate_chain(m1, m2, state, chain)  # every link and the terminal check out
+    else:
+        with pytest.raises(ConsistencyError, match=message):
+            validate_chain(m1, m2, state, chain)
+    with pytest.raises(ConsistencyError, match=message):
+        apply_chain(m1, m2, state, chain)
+
+
 def _recorded_evaluations(monkeypatch, names):
     """Record every independence evaluation as (handle name, sorted ids)."""
     seen = []
@@ -182,20 +282,6 @@ class TestVouchedEvaluations:
         for evaluation in sorted(seen) + skipped:
             remaining.remove(evaluation)
         assert remaining == []
-
-
-class TestSubchains:
-    def test_every_contiguous_piece_revalidates(self):
-        g = build(Graphic(k4_graph()))
-        _, steps = augmenting(g, g)
-        assert steps
-        for state, chain, _ in steps:
-            for start in range(chain.length + 1):
-                for stop in range(start, chain.length + 1):
-                    piece = chain.subchain(start, stop)
-                    if piece.terminal == SWAP and piece.length == 0:
-                        continue  # a bare element swaps nothing
-                    validate_chain(g, g, state, piece)
 
 
 class TestMaximizeUnion:

@@ -17,6 +17,7 @@ from matroidkit import (
 )
 from matroidkit.core import subsets_by_size
 from matroidkit.graphs import connected_components, induced_subgraph
+from matroidkit.zoo import explicit_system
 
 from conftest import path3_graph, triangle_graph
 
@@ -114,6 +115,30 @@ class TestBuild:
         assert m.is_independent(frozenset())
         assert m.is_independent({0})
         assert not m.is_independent({1})
+
+    def test_explicit_builds_exactly_the_systems_closed_under_subsets(self):
+        # Every system of subsets of a three-element ground set.  The build
+        # accepts exactly those that pass i1 and i2, then answers membership;
+        # otherwise its one-line reason names the i1 or the i2 witness.
+        ground = ("a", "b", "c")
+        pool = list(subsets_by_size(range(3)))
+        for mask in range(1 << len(pool)):
+            members = [s for i, s in enumerate(pool) if mask >> i & 1]
+            spec = Explicit(ground, tuple(tuple(ground[e] for e in sorted(s)) for s in members))
+            report = check_axioms(explicit_system(spec))
+            if report.i1_ok and report.i2_ok:
+                m = build(spec)
+                assert [m.is_independent(s) for s in pool] == [s in members for s in pool]
+                continue
+            with pytest.raises(InputError) as info:
+                build(spec)
+            if not report.i1_ok:
+                assert str(info.value) == "explicit system does not list the empty set"
+            else:
+                member, missing = (sorted(ground[e] for e in s) for s in report.i2_witness)
+                assert str(info.value) == (
+                    f"explicit system lists {member} but not its subset {missing}"
+                )
 
     def test_dangling_edge_endpoint_rejected(self):
         with pytest.raises(InputError):
