@@ -149,7 +149,7 @@ def _carried(anchor: Anchor | None, old: frozenset[int], new: frozenset[int]) ->
     return anchor.exchange(y, z)
 
 
-def _is_circuit(matroid: Matroid, candidate: frozenset[int], known: int | None = None) -> bool:
+def _is_circuit(matroid: Matroid, candidate: frozenset[int], known: int) -> bool:
     """Whether ``candidate`` is dependent with every one-smaller subset
     independent; ``candidate - {known}`` is taken as already proved
     independent and not evaluated."""
@@ -159,20 +159,26 @@ def _is_circuit(matroid: Matroid, candidate: frozenset[int], known: int | None =
 
 
 def _check_entry(m1: Matroid, m2: Matroid, state: PairState) -> None:
-    """Validate a pair state handed in from outside, once, at a public entry."""
+    """Validate a pair state handed in from outside, once, at a public entry:
+    a common ground set, both parts inside it, and each part independent in
+    its matroid (two evaluations), as a session vouches for its own state."""
     if m1.ground != m2.ground:
         raise InputError("matroid union needs a common ground set")
     m1.ground.subset(state.i1)
     m1.ground.subset(state.i2)
+    if not (m1._independent(state.i1) and m2._independent(state.i2)):
+        raise InputError("each part of the pair state must be independent in its matroid")
 
 
 def validate_chain(m1: Matroid, m2: Matroid, state: PairState, chain: ExchangeChain) -> None:
     """Re-verify a chain against the current state; raises ConsistencyError.
 
-    Checks every witness circuit (membership, containment in part + y_i,
-    genuine circuit-ness) plus the terminal condition and the alternation
-    pattern of the interior elements.  Elements and circuits outside the
-    ground set raise InputError.
+    The state is checked as at every public entry (``_check_entry``), so a
+    part outside the ground set or dependent in its matroid raises
+    InputError, and so do elements and circuits outside the ground set.
+    Then every witness circuit is checked (membership, containment in
+    part + y_i, genuine circuit-ness), plus the terminal condition and the
+    alternation pattern of the interior elements.
     """
     _check_entry(m1, m2, state)
     m1.ground.subset(chain.elements)
@@ -185,20 +191,17 @@ def _recheck_chain(
     state: PairState,
     chain: ExchangeChain,
     circuits: tuple[frozenset[int], ...],
-    vouched: bool = False,
 ) -> None:
-    """``validate_chain`` without the range checks: every witness against rank.
+    """``validate_chain`` without the entry checks: every witness against rank.
 
-    Each link's circuit is checked dependent, and independent once any one
-    element is removed.  When ``vouched`` (a session vouches that both parts
-    of ``state`` are independent), the set C - y_link is not evaluated: the
-    containment check has just placed it inside the part, and a subset of an
-    independent set is independent.  Every other set is evaluated, the
-    'add' terminal's ``part + last`` included.
+    Both parts of ``state`` must already be known independent, by
+    ``_check_entry`` or by the session made for the state.  Each link's
+    circuit is checked dependent, and independent once any one element is
+    removed, except that the set C - y_link is not evaluated: the
+    containment check has just placed it inside an independent part.  The
+    'add' terminal's ``part + last`` is evaluated.
     """
     els = chain.elements
-    if not els:
-        raise ConsistencyError("empty chain")
     start_set = state.i1 if chain.parity == EVEN else state.i2
     if els[0] in start_set:
         raise ConsistencyError("chain start already belongs to the part it would enter")
@@ -209,7 +212,7 @@ def _recheck_chain(
             raise ConsistencyError(f"link {link} circuit misses its endpoints")
         if not circuit <= part | {els[link]}:
             raise ConsistencyError(f"link {link} circuit leaks outside part + y_{link}")
-        if not _is_circuit(matroid, circuit, els[link] if vouched else None):
+        if not _is_circuit(matroid, circuit, els[link]):
             raise ConsistencyError(f"link {link} witness is not a circuit any more")
     # Interior elements alternate between the two parts and may not sit in
     # both; only the terminal element may.
@@ -250,21 +253,15 @@ def apply_chain(
     """Perform the alternating swaps along a chain and return the new state.
 
     The chain is always re-checked against rank first, and each new part is
-    then checked independent.  A ``session`` made for this very state
-    vouches for the state and for the range of the chain it found, so
-    ``validate_chain``'s range checks are skipped, and so are the
-    evaluations that the session or the re-check already imply:
-
-    - C - y_link of each link, which lies inside an independent part;
-    - a new part equal to its old part, which the session holds independent;
-    - a new part equal to ``part + last`` for an 'add' terminal, which the
-      re-check has just evaluated.
-
-    Without a session every one of these sets is evaluated.
+    then checked independent, unless it equals a set already known
+    independent: its old part, or for an 'add' terminal the receiver's
+    ``part + last``, which the re-check has just evaluated.  A ``session``
+    made for this very state vouches for the state and for the range of the
+    chain it found, so ``validate_chain``'s entry and range checks are
+    skipped; without one they run, and cost two evaluations more.
     """
-    vouched = session is not None and session.serves(m1, m2, state)
-    if vouched:
-        _recheck_chain(m1, m2, state, chain, chain.circuits, vouched=True)
+    if session is not None and session.serves(m1, m2, state):
+        _recheck_chain(m1, m2, state, chain, chain.circuits)
     else:
         validate_chain(m1, m2, state, chain)
     els = chain.elements
@@ -276,16 +273,13 @@ def apply_chain(
     if chain.terminal == ADD:
         (i1 if chain.receiver_is_first() else i2).add(els[-1])
     new_state = PairState(frozenset(i1), frozenset(i2))
-    # The sets each part is already known to be independent in its own matroid.
-    known1: tuple[frozenset[int], ...] = ()
-    known2: tuple[frozenset[int], ...] = ()
-    if vouched:
-        known1, known2 = (state.i1,), (state.i2,)
-        if chain.terminal == ADD:
-            if chain.receiver_is_first():
-                known1 += (state.i1 | {els[-1]},)
-            else:
-                known2 += (state.i2 | {els[-1]},)
+    known1: tuple[frozenset[int], ...] = (state.i1,)
+    known2: tuple[frozenset[int], ...] = (state.i2,)
+    if chain.terminal == ADD:
+        if chain.receiver_is_first():
+            known1 += (state.i1 | {els[-1]},)
+        else:
+            known2 += (state.i2 | {els[-1]},)
     if new_state.i1 not in known1 and not m1._independent(new_state.i1):
         raise ConsistencyError("first part lost independence after the swaps")
     if new_state.i2 not in known2 and not m2._independent(new_state.i2):
@@ -349,12 +343,12 @@ def find_chain(
     Chains through the first matroid are preferred: the even parity is
     searched exhaustively before the odd one is tried.  A ``session`` made
     for this very state supplies its anchors and vouches for the state and
-    for ``y``; without one, both are checked and a fresh session is used.
+    for ``y``; without one, the state is checked as at every public entry
+    (``_check_entry``), ``y`` is checked to lie in the ground set outside
+    the union, and a fresh session is used.
     """
     if session is None or not session.serves(m1, m2, state):
         _check_entry(m1, m2, state)
-        if not (m1._independent(state.i1) and m2._independent(state.i2)):
-            raise InputError("each part of the pair state must be independent in its matroid")
         if y not in m1.ground.elements():
             raise InputError(f"element {y!r} outside ground set")
         if y in state.union:

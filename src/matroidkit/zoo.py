@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from functools import partial
 from typing import Union
 
-from .axioms import ExplicitSystem
+from .axioms import ExplicitSystem, check_downward_closure
 from .core import Anchor, GroundSet, Matroid, RankAnchor, default_labels, dual_rank
 from .errors import InputError
 from .graphs import Multigraph
@@ -563,19 +563,20 @@ def _build_explicit(spec: Explicit) -> Matroid:
     """Rank is the greedy membership sweep in id order, which on a system
     that lists the empty set and is closed under removing one element
     accepts exactly the listed sets.  Any other system is rejected here,
-    naming the missing subset that ``check_axioms`` names as its i2
-    witness; only ``check-axioms`` reads such a system as given."""
+    through the closure check ``check_axioms`` runs, so the error names
+    the missing subset of its i2 witness; only ``check-axioms`` reads such
+    a system as given."""
     system = explicit_system(spec)
     members = system.member_set()
     if frozenset() not in members:
         raise InputError("explicit system does not list the empty set")
-    for m in sorted(system.members, key=lambda s: (len(s), sorted(s))):
-        for e in sorted(m, reverse=True):
-            if m - {e} not in members:
-                raise InputError(
-                    f"explicit system lists {system.ground.labels_of(m)} "
-                    f"but not its subset {system.ground.labels_of(m - {e})}"
-                )
+    closed, witness = check_downward_closure(system)
+    if not closed:
+        member, missing = witness
+        raise InputError(
+            f"explicit system lists {system.ground.labels_of(member)} "
+            f"but not its subset {system.ground.labels_of(missing)}"
+        )
 
     def rank(xs: frozenset[int]) -> int:
         current = frozenset()

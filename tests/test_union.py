@@ -131,6 +131,34 @@ class TestApplyChain:
         with pytest.raises(InputError):
             validate_chain(m1, m2, PairState(fs(), fs({9})), ExchangeChain((1,), EVEN, (), ADD))
 
+    @pytest.mark.parametrize(
+        "state,chain",
+        [
+            (
+                PairState(fs({0}), fs({0, 2})),
+                ExchangeChain((1, 0, 2), EVEN, (fs({0, 1}), fs({0, 2})), SWAP),
+            ),
+            (
+                PairState(fs({0, 2}), fs({0})),
+                ExchangeChain((1, 0, 2), ODD, (fs({0, 1}), fs({0, 2})), SWAP),
+            ),
+        ],
+        ids=["first", "second"],
+    )
+    def test_dependent_part_is_rejected_at_every_entry(self, state, chain):
+        m1, m2 = _uniform(3, 1), _uniform(3, 1)
+        message = "each part of the pair state must be independent"
+        with pytest.raises(InputError, match=message):
+            find_chain(m1, m2, state, 1)
+        with pytest.raises(InputError, match=message):
+            validate_chain(m1, m2, state, chain)
+        with pytest.raises(InputError, match=message):
+            apply_chain(m1, m2, state, chain)
+
+    def test_empty_chain_is_rejected_by_the_constructor(self):
+        with pytest.raises(InputError):
+            ExchangeChain((), EVEN, (), ADD)
+
     def test_plain_swap_terminal(self):
         m1, m2 = u12_pair()
         state = PairState(fs({0}), fs())
@@ -143,22 +171,12 @@ def _uniform(n, k):
     return build(Uniform(n, k))
 
 
-def _emptied(chain):
-    """``chain`` with its elements removed, which the constructor forbids."""
-    object.__setattr__(chain, "elements", ())
-    return chain
-
-
 # Forged chains, each rejected by exactly one check: (m1, m2, state, chain,
 # message).  On U(3, 1) every pair is a circuit; on U(3, 2) no pair is one.
 # The two "lost independence" chains pass every link check and are not
 # shortest: their swaps close the triangle {e0, e2, e4} of K4 in the part
 # the K4 links run through.
 _REJECTED = {
-    "empty": (
-        _uniform(3, 1), _uniform(3, 1), PairState(fs(), fs()),
-        _emptied(ExchangeChain((0,), EVEN, (), ADD)), "empty chain",
-    ),
     "start-in-part": (
         _uniform(3, 1), _uniform(3, 1), PairState(fs({0}), fs()),
         ExchangeChain((0,), EVEN, (), ADD), "chain start already belongs",
@@ -177,13 +195,13 @@ _REJECTED = {
         ExchangeChain((1, 0), EVEN, (fs({0, 1}),), SWAP), "link 0 witness is not a circuit",
     ),
     "interior-first": (
-        _uniform(3, 1), _uniform(3, 1), PairState(fs({0}), fs({0, 2})),
-        ExchangeChain((1, 0, 2), EVEN, (fs({0, 1}), fs({0, 2})), SWAP),
+        _uniform(3, 1), _uniform(3, 1), PairState(fs({0}), fs({2})),
+        ExchangeChain((1, 1, 2), EVEN, (fs({0, 1}), fs({1, 2})), SWAP),
         "interior element y_1 must lie in the first part only",
     ),
     "interior-second": (
-        _uniform(3, 1), _uniform(3, 1), PairState(fs({0, 2}), fs({0})),
-        ExchangeChain((1, 0, 2), ODD, (fs({0, 1}), fs({0, 2})), SWAP),
+        _uniform(3, 1), _uniform(3, 1), PairState(fs({2}), fs({0})),
+        ExchangeChain((1, 1, 2), ODD, (fs({0, 1}), fs({1, 2})), SWAP),
         "interior element y_1 must lie in the second part only",
     ),
     "common-not-in-both": (
@@ -252,36 +270,30 @@ def _recorded_evaluations(monkeypatch, names):
     return seen
 
 
-class TestVouchedEvaluations:
-    """A session lets ``apply_chain`` skip exactly the evaluations its state
-    and the re-check imply; without one, every set is evaluated."""
+class TestSessionEvaluations:
+    """A session skips exactly the entry checks: without one, ``apply_chain``
+    evaluates what it evaluates with one, plus each part of the state."""
 
     @pytest.mark.parametrize(
-        "terminal,state,chain,skipped",
+        "terminal,state,chain",
         [
-            # C - y0 = {0} lies in the first part, and the new second part
-            # {0} is the 'add' set the re-check has just evaluated.
-            (ADD, (fs({0}), fs()), (1, 0), [("m1", (0,)), ("m2", (0,))]),
-            # C - y0 = {1} lies in the first part, and the second part is
-            # unchanged.
-            (COMMON, (fs({1}), fs({1})), (0, 1), [("m1", (1,)), ("m2", (1,))]),
+            (ADD, (fs({0}), fs()), (1, 0)),
+            (COMMON, (fs({1}), fs({1})), (0, 1)),
         ],
     )
-    def test_a_session_skips_only_what_it_implies(self, monkeypatch, terminal, state, chain, skipped):
+    def test_the_entry_adds_one_evaluation_per_part(self, monkeypatch, terminal, state, chain):
         m1 = build(Uniform(2, 1, labels=("a", "b")))
         m2 = build(Uniform(2, 1 if terminal == ADD else 2, labels=("a", "b")))
         state = PairState(*state)
         chain = ExchangeChain(chain, EVEN, (fs(chain),), terminal)
         seen = _recorded_evaluations(monkeypatch, {id(m1): "m1", id(m2): "m2"})
-        unvouched = apply_chain(m1, m2, state, chain)
-        everything = sorted(seen)
+        without = apply_chain(m1, m2, state, chain)
+        entry_and_recheck = sorted(seen)
         seen.clear()
-        vouched = apply_chain(m1, m2, state, chain, union.Session(m1, m2, state))
-        assert vouched == unvouched
-        remaining = list(everything)
-        for evaluation in sorted(seen) + skipped:
-            remaining.remove(evaluation)
-        assert remaining == []
+        with_session = apply_chain(m1, m2, state, chain, union.Session(m1, m2, state))
+        assert with_session == without
+        parts = [("m1", tuple(sorted(state.i1))), ("m2", tuple(sorted(state.i2)))]
+        assert entry_and_recheck == sorted(seen + parts)
 
 
 class TestMaximizeUnion:
