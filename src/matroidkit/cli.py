@@ -156,12 +156,14 @@ def _cmd_union(args) -> int:
 def _cmd_intersect(args) -> int:
     m1 = _load_matroid(args.m1)
     m2 = _load_matroid(args.m2)
+    # The exhaustive sweep refuses a large ground set before any work or output.
+    min_rank = min_rank_value(m1, m2) if args.min_rank else None
     st, dg, coloring, cert = pipeline(m1, m2)
     if args.dot:
         _write(args.dot, dot.digraph_dot(m1.ground, st, dg, coloring))
     payload = jsonio.intersection_cert_to_obj(cert, m1.ground)
     if args.min_rank:
-        payload["min_rank"] = min_rank_value(m1, m2)
+        payload["min_rank"] = min_rank
     _emit(args, payload)
     return 0
 

@@ -61,9 +61,10 @@ def digraph_dot(
     ground: GroundSet,
     st: IntersectionState,
     dg: ExchangeDigraph,
-    coloring: DivisiveColoring | None = None,
+    coloring: DivisiveColoring,
 ) -> str:
-    """Exchange digraph: node shape encodes the X/Y/Z class, fill the color."""
+    """Exchange digraph: node shape encodes the X/Y/Z class, fill the
+    divisive coloring (light blue for blue nodes, light coral for red)."""
     lines = ["digraph exchange {"]
     for v in sorted(dg.nodes):
         if v in st.x:
@@ -72,12 +73,10 @@ def digraph_dot(
             shape = "diamond"
         else:
             shape = "ellipse"
-        attrs = [f'label="{ground.label(v)}"', f"shape={shape}"]
-        if coloring is not None:
-            fill = "lightblue" if v in coloring.blue else "lightcoral"
-            attrs.append("style=filled")
-            attrs.append(f"fillcolor={fill}")
-        lines.append(f"  n{v} [{' '.join(attrs)}];")
+        fill = "lightblue" if v in coloring.blue else "lightcoral"
+        lines.append(
+            f'  n{v} [label="{ground.label(v)}" shape={shape} style=filled fillcolor={fill}];'
+        )
     for tail, head, witness in dg.arcs:
         lines.append(f'  n{tail} -> n{head} [label="{ground.label(witness)}"];')
     lines.append("}")

@@ -166,11 +166,6 @@ def graphic_components(g: Multigraph, edge_subset: Iterable[int]) -> list[Compon
     ]
 
 
-def connected_components(g: Multigraph) -> list[frozenset[int]]:
-    """Vertex partition into connected components, isolated vertices included."""
-    return _components(g.vertices(), g.edges(), g.endpoints)
-
-
 def identify_vertices(g: Multigraph, merge: Iterable[int]) -> tuple[Multigraph, dict[int, int]]:
     """Merge the given vertices into one; edge ids and labels are preserved.
 

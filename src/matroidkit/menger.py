@@ -21,7 +21,6 @@ from .graphs import (
     Component,
     Multigraph,
     breadth_first,
-    connected_components,
     graphic_components,
     identify_vertices,
     induced_subgraph,
@@ -181,32 +180,28 @@ def solve(inst: MengerInstance) -> MengerCertificate:
     """Full pipeline: peel shared terminals, reduce, certify, read the pivots.
 
     Vertices in both S and T are forced into any separator; they are taken
-    as single-vertex paths and removed before the reduction.  The remaining
-    graph is handled one connected component at a time, and only components
-    touching both terminal sets can contribute paths.
+    as single-vertex paths and removed before the reduction.  The rest of
+    the graph is handled one connected component at a time: only components
+    touching both terminal sets can contribute paths, and each of those is
+    relabelled once, as the subgraph it induces, and certified on its own.
     """
     g = inst.graph
     shared = inst.s & inst.t
     paths: list[tuple[int, ...]] = [(v,) for v in sorted(shared)]
     separator = set(shared)
 
-    remaining = [v for v in g.vertices() if v not in shared]
-    sub, vmap, _ = induced_subgraph(g, remaining)
-    back = {new: old for old, new in vmap.items()}
-    s_rest = frozenset(vmap[v] for v in inst.s - shared if v in vmap)
-    t_rest = frozenset(vmap[v] for v in inst.t - shared if v in vmap)
-
-    for comp_vertices in connected_components(sub):
-        s_local = comp_vertices & s_rest
-        t_local = comp_vertices & t_rest
+    # The components avoid the shared vertices.  Isolated vertices are left
+    # out; once S & T is peeled, none of them can meet both terminal sets.
+    avoiding = (e for e in g.edges() if not set(g.endpoints[e]) & shared)
+    for comp in graphic_components(g, avoiding):
+        s_local = comp.vertices & inst.s
+        t_local = comp.vertices & inst.t
         if not s_local or not t_local:
             continue
-        piece, pmap, _ = induced_subgraph(sub, comp_vertices)
-        piece_back = {new: back[old] for old, new in pmap.items()}
+        piece, vmap, _ = induced_subgraph(g, comp.vertices)
+        back = {new: old for old, new in vmap.items()}
         local = MengerInstance(
-            piece,
-            frozenset(pmap[v] for v in s_local),
-            frozenset(pmap[v] for v in t_local),
+            piece, frozenset(vmap[v] for v in s_local), frozenset(vmap[v] for v in t_local)
         )
         m_s, m_t, ground_edges = reduce(local)
         cert = certify(m_s, m_t)
@@ -214,10 +209,8 @@ def solve(inst: MengerInstance) -> MengerCertificate:
         j_s = frozenset(ground_edges[e] for e in cert.j1)
         j_t = frozenset(ground_edges[e] for e in cert.j2)
         local_cert = separator_from_partition(forest_structure(local, i_edges, j_s, j_t))
-        paths.extend(
-            tuple(piece_back[v] for v in p) for p in local_cert.paths
-        )
-        separator.update(piece_back[v] for v in local_cert.separator)
+        paths.extend(tuple(back[v] for v in p) for p in local_cert.paths)
+        separator.update(back[v] for v in local_cert.separator)
 
     certificate = MengerCertificate(
         paths=tuple(sorted(paths, key=lambda p: p[0])), separator=frozenset(separator)

@@ -2,8 +2,9 @@
 
 A chain (y0, ..., yn) threads alternating fundamental circuits through the
 two parts of a pair state: consecutive elements share a circuit inside
-"part + y_i" of the matroid owned by that link.  Applying the alternating
-swaps along a chain absorbs y0 into the union of the two parts.
+"part + y_i" of the matroid owned by that link.  Every chain augments:
+applying the alternating swaps along it absorbs y0 into the union of the
+two parts, which grows by exactly that element.
 
 Searches are breadth-first, so returned chains are shortest; shortest
 chains are exactly the ones whose swaps can be applied simultaneously
@@ -31,12 +32,11 @@ from .graphs import breadth_first, path_to
 EVEN = "even"
 ODD = "odd"
 
-# Terminal kinds: 'common' ends in an element of both parts (the union grows
-# and nothing leaves), 'add' ends in an element the receiving part absorbs
-# outright, 'swap' is the plain exchange where the last element leaves.
+# Terminal kinds: 'common' ends in an element of both parts, which the last
+# swap takes out of one of them, and 'add' ends in an element the receiving
+# part absorbs outright.  Either way the union grows by the chain's start.
 COMMON = "common"
 ADD = "add"
-SWAP = "swap"
 
 
 @dataclass(frozen=True)
@@ -63,7 +63,7 @@ class ExchangeChain:
     def __post_init__(self):
         if self.parity not in (EVEN, ODD):
             raise InputError(f"chain parity must be 'even' or 'odd', got {self.parity!r}")
-        if self.terminal not in (COMMON, ADD, SWAP):
+        if self.terminal not in (COMMON, ADD):
             raise InputError(f"unknown chain terminal kind {self.terminal!r}")
         if len(self.circuits) != len(self.elements) - 1:
             raise InputError("a chain needs exactly one witness circuit per link")
@@ -228,19 +228,12 @@ def _recheck_chain(
     if chain.terminal == COMMON:
         if not (last in state.i1 and last in state.i2):
             raise ConsistencyError("terminal marked 'common' is not in both parts")
-    elif chain.terminal == ADD:
+    else:  # ADD
         matroid, part = (m1, state.i1) if chain.receiver_is_first() else (m2, state.i2)
         if last in part:
             raise ConsistencyError("terminal marked 'add' already sits in the receiving part")
         if not matroid._independent(part | {last}):
             raise ConsistencyError("terminal marked 'add' does not extend the receiver independently")
-    else:  # SWAP: the last element leaves the part owned by the final link
-        if chain.length == 0:
-            raise ConsistencyError("a swap terminal needs at least one link")
-        donor_first = chain.link_uses_first(chain.length - 1)
-        donor, other = (state.i1, state.i2) if donor_first else (state.i2, state.i1)
-        if last not in donor or last in other:
-            raise ConsistencyError("swap terminal must lie in the donating part only")
 
 
 def apply_chain(
@@ -284,9 +277,8 @@ def apply_chain(
         raise ConsistencyError("first part lost independence after the swaps")
     if new_state.i2 not in known2 and not m2._independent(new_state.i2):
         raise ConsistencyError("second part lost independence after the swaps")
-    if chain.terminal in (COMMON, ADD):
-        if new_state.union != state.union | {els[0]}:
-            raise InternalInvariantError("augmenting chain did not grow the union by its start")
+    if new_state.union != state.union | {els[0]}:
+        raise InternalInvariantError("augmenting chain did not grow the union by its start")
     return new_state
 
 

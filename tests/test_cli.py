@@ -327,6 +327,18 @@ class TestErrorPaths:
         assert code == 0
         assert json.loads(out) == {"rank": 2, "set": ["e0", "e1", "e2"]}
 
+    def test_min_rank_refuses_a_large_ground_before_any_output(self, tmp_path, capsys):
+        spec = tmp_path / "u13.json"
+        spec.write_text('{"type":"uniform","n":13,"k":2}\n')
+        drawing = tmp_path / "exchange.dot"
+        code = run(["intersect", "--m1", str(spec), "--m2", str(spec), "--min-rank",
+                    "--dot", str(drawing)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert not drawing.exists()
+        assert captured.out == ""
+        assert captured.err == "error: min-rank sweep requires |E| <= 12, got 13\n"
+
     def test_a_huge_uniform_matroid_exits_two_without_building_labels(self, tmp_path, capsys):
         spec = tmp_path / "huge.json"
         spec.write_text('{"type":"uniform","n":100000000,"k":1}\n')

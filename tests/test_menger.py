@@ -303,6 +303,39 @@ class TestSolve:
         assert cert.count == 2 == brute_max_disjoint_paths(g, inst.s, inst.t)
         assert verify(inst, cert)
 
+    @pytest.mark.parametrize("k,w", [(3, 3), (4, 5)])
+    def test_hub_peeling_leaves_one_component_per_grid(self, k, w):
+        """k w x w grids from left to right column, plus a hub in S and T
+        joined to each grid's centre: once the hub is peeled, every grid is a
+        component of its own carrying w paths, so k * w + 1 in all."""
+
+        def v(i, r, c):
+            return f"g{i}r{r}c{c}"
+
+        vertices = ["h"] + [v(i, r, c) for i in range(k) for r in range(w) for c in range(w)]
+        edges = []
+        for i in range(k):
+            edges.append((f"hub{i}", "h", v(i, w // 2, w // 2)))
+            for r in range(w):
+                for c in range(w):
+                    if c + 1 < w:
+                        edges.append((f"g{i}h{r}.{c}", v(i, r, c), v(i, r, c + 1)))
+                    if r + 1 < w:
+                        edges.append((f"g{i}v{r}.{c}", v(i, r, c), v(i, r + 1, c)))
+        g = Multigraph.from_labels(vertices, edges)
+        inst = MengerInstance.from_labels(
+            g,
+            ["h"] + [v(i, r, 0) for i in range(k) for r in range(w)],
+            ["h"] + [v(i, r, w - 1) for i in range(k) for r in range(w)],
+        )
+        cert = solve(inst)
+        assert cert.count == k * w + 1
+        assert verify(inst, cert)
+        hub = g.vertex_index("h")
+        for p in cert.paths:
+            grids = {g.vertex_labels[u].split("r")[0] for u in p}
+            assert p == (hub,) or (hub not in p and len(grids) == 1)
+
     def test_unreachable_terminals_give_empty_certificate(self):
         g = Multigraph.from_labels(["a", "b", "c"], [("e0", "a", "b")])
         inst = MengerInstance.from_labels(g, ["a"], ["c"])

@@ -20,7 +20,7 @@ from matroidkit import (
 from matroidkit import union
 from matroidkit.core import Matroid
 from matroidkit.oracles import brute_union_max
-from matroidkit.union import ADD, COMMON, EVEN, ODD, SWAP, ExchangeChain, validate_chain
+from matroidkit.union import ADD, COMMON, EVEN, ODD, ExchangeChain, validate_chain
 
 from conftest import augmenting, k4_graph
 
@@ -111,8 +111,8 @@ class TestApplyChain:
         "forged",
         [
             ExchangeChain((9,), EVEN, (), ADD),
-            ExchangeChain((1, 9), EVEN, (fs({1, 9}),), SWAP),
-            ExchangeChain((1, 0), EVEN, (fs({0, 1, 9}),), SWAP),
+            ExchangeChain((1, 9), EVEN, (fs({1, 9}),), COMMON),
+            ExchangeChain((1, 0), EVEN, (fs({0, 1, 9}),), COMMON),
         ],
         ids=["start", "terminal", "circuit"],
     )
@@ -136,11 +136,11 @@ class TestApplyChain:
         [
             (
                 PairState(fs({0}), fs({0, 2})),
-                ExchangeChain((1, 0, 2), EVEN, (fs({0, 1}), fs({0, 2})), SWAP),
+                ExchangeChain((1, 0, 2), EVEN, (fs({0, 1}), fs({0, 2})), COMMON),
             ),
             (
                 PairState(fs({0, 2}), fs({0})),
-                ExchangeChain((1, 0, 2), ODD, (fs({0, 1}), fs({0, 2})), SWAP),
+                ExchangeChain((1, 0, 2), ODD, (fs({0, 1}), fs({0, 2})), COMMON),
             ),
         ],
         ids=["first", "second"],
@@ -159,12 +159,9 @@ class TestApplyChain:
         with pytest.raises(InputError):
             ExchangeChain((), EVEN, (), ADD)
 
-    def test_plain_swap_terminal(self):
-        m1, m2 = u12_pair()
-        state = PairState(fs({0}), fs())
-        chain = ExchangeChain((1, 0), EVEN, (fs({0, 1}),), SWAP)
-        after = apply_chain(m1, m2, state, chain)
-        assert after.i1 == fs({1}) and after.union == fs({1})
+    def test_unknown_terminal_is_rejected_by_the_constructor(self):
+        with pytest.raises(InputError, match="unknown chain terminal kind"):
+            ExchangeChain((1, 0), EVEN, (fs({0, 1}),), "swap")
 
 
 def _uniform(n, k):
@@ -183,25 +180,26 @@ _REJECTED = {
     ),
     "misses-endpoints": (
         _uniform(3, 1), _uniform(3, 1), PairState(fs({0}), fs()),
-        ExchangeChain((1, 0), EVEN, (fs({1, 2}),), SWAP), "link 0 circuit misses its endpoints",
+        ExchangeChain((1, 0), EVEN, (fs({1, 2}),), COMMON),
+        "link 0 circuit misses its endpoints",
     ),
     "leaks": (
         _uniform(3, 1), _uniform(3, 1), PairState(fs({0}), fs()),
-        ExchangeChain((1, 0), EVEN, (fs({0, 1, 2}),), SWAP),
+        ExchangeChain((1, 0), EVEN, (fs({0, 1, 2}),), COMMON),
         "link 0 circuit leaks outside part",
     ),
     "independent-witness": (
         _uniform(3, 2), _uniform(3, 2), PairState(fs({0}), fs()),
-        ExchangeChain((1, 0), EVEN, (fs({0, 1}),), SWAP), "link 0 witness is not a circuit",
+        ExchangeChain((1, 0), EVEN, (fs({0, 1}),), COMMON), "link 0 witness is not a circuit",
     ),
     "interior-first": (
         _uniform(3, 1), _uniform(3, 1), PairState(fs({0}), fs({2})),
-        ExchangeChain((1, 1, 2), EVEN, (fs({0, 1}), fs({1, 2})), SWAP),
+        ExchangeChain((1, 1, 2), EVEN, (fs({0, 1}), fs({1, 2})), COMMON),
         "interior element y_1 must lie in the first part only",
     ),
     "interior-second": (
         _uniform(3, 1), _uniform(3, 1), PairState(fs({2}), fs({0})),
-        ExchangeChain((1, 1, 2), ODD, (fs({0, 1}), fs({1, 2})), SWAP),
+        ExchangeChain((1, 1, 2), ODD, (fs({0, 1}), fs({1, 2})), COMMON),
         "interior element y_1 must lie in the second part only",
     ),
     "common-not-in-both": (
@@ -216,15 +214,6 @@ _REJECTED = {
         _uniform(3, 1), _uniform(3, 1), PairState(fs({0}), fs({2})),
         ExchangeChain((1, 0), EVEN, (fs({0, 1}),), ADD),
         "'add' does not extend the receiver independently",
-    ),
-    "swap-without-link": (
-        _uniform(3, 1), _uniform(3, 1), PairState(fs(), fs()),
-        ExchangeChain((1,), EVEN, (), SWAP), "a swap terminal needs at least one link",
-    ),
-    "swap-not-donated": (
-        _uniform(3, 1), _uniform(3, 1), PairState(fs({0}), fs({0})),
-        ExchangeChain((1, 0), EVEN, (fs({0, 1}),), SWAP),
-        "swap terminal must lie in the donating part only",
     ),
     "first-lost-independence": (
         build(Graphic(k4_graph())), _uniform(6, 2), PairState(fs({1, 3, 4}), fs({2, 4})),

@@ -16,7 +16,7 @@ from matroidkit import (
     materialize,
 )
 from matroidkit.core import subsets_by_size
-from matroidkit.graphs import connected_components, induced_subgraph
+from matroidkit.graphs import induced_subgraph
 from matroidkit.zoo import explicit_system
 
 from conftest import path3_graph, triangle_graph
@@ -224,10 +224,6 @@ class TestIdentifyVertices:
 
 
 class TestGraphHelpers:
-    def test_connected_components_include_isolated(self):
-        g = Multigraph.from_labels(["a", "b", "c"], [("e", "a", "b")])
-        assert connected_components(g) == [frozenset({0, 1}), frozenset({2})]
-
     def test_induced_subgraph_maps(self):
         sub, vmap, emap = induced_subgraph(path3_graph(), {1, 2})
         assert sub.vertex_labels == ("b", "c")
