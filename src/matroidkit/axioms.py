@@ -3,7 +3,7 @@
 The independence axioms (I1)-(I3) are evaluated over the power set of a
 small ground set.  Every failed flag comes with a witness that, replayed
 against the system, reproduces the violation.  (IM) holds on every finite
-system by finiteness and is reported without a scan.
+system by finiteness, so it is not checked.
 """
 
 from __future__ import annotations
@@ -39,28 +39,25 @@ class ExplicitSystem:
 
 @dataclass(frozen=True)
 class AxiomReport:
-    """Per-axiom verdicts with replayable witnesses for the failures.
+    """Verdicts on (I1)-(I3) with replayable witnesses for the failures;
+    (IM) holds on every finite system, so it has no field.
 
     Witness shapes:
       i1: the missing empty set;
       i2: (member, missing proper subset);
-      i3: (non-maximal I, maximal I') with no valid exchange element;
-      im: always None, since (IM) holds on every finite system; the field
-          keeps the report's shape.
+      i3: (non-maximal I, maximal I') with no valid exchange element.
     """
 
     i1_ok: bool
     i2_ok: bool
     i3_ok: bool
-    im_ok: bool
     i1_witness: frozenset | None = None
     i2_witness: tuple[frozenset, frozenset] | None = None
     i3_witness: tuple[frozenset, frozenset] | None = None
-    im_witness: tuple[frozenset, frozenset] | None = None
 
     @property
     def ok(self) -> bool:
-        return self.i1_ok and self.i2_ok and self.i3_ok and self.im_ok
+        return self.i1_ok and self.i2_ok and self.i3_ok
 
 
 def check_downward_closure(system: ExplicitSystem):
@@ -91,7 +88,7 @@ def _check_exchange(system: ExplicitSystem):
 
 
 def check_axioms(system: ExplicitSystem) -> AxiomReport:
-    """Evaluate (I1)-(I3) literally over the power set; (IM) holds by finiteness."""
+    """Evaluate (I1)-(I3) literally over the power set."""
     if system.ground.size > AXIOM_CHECK_BOUND:
         raise CapacityError(
             f"exhaustive axiom check requires |E| <= {AXIOM_CHECK_BOUND}, "
@@ -109,8 +106,6 @@ def check_axioms(system: ExplicitSystem) -> AxiomReport:
         i1_ok=i1_ok,
         i2_ok=i2_ok,
         i3_ok=i3_ok,
-        # (IM): each interval [I, X] is finite and contains I, so has a maximal member.
-        im_ok=True,
         i1_witness=i1_witness,
         i2_witness=i2_witness,
         i3_witness=i3_witness,

@@ -13,11 +13,13 @@ def breadth_first(
 ) -> Iterator[list[int]]:
     """Yield the breadth-first layers from ``starts``, each sorted by id.
 
-    A layer is expanded in increasing id order, and each node's successors
-    in the order ``successors`` gives them.  Every node reached after the
-    first layer is recorded in ``parents`` under the node that reached it
-    first; the starts never are.  A layer is expanded only when the next one
-    is requested, so a caller may stop at, or prune, the layer in hand.
+    A layer is expanded in increasing id order, and ``successors`` may give
+    a node's successors in any order: every node reached after the first
+    layer is recorded in ``parents`` under the least node of the layer
+    before that reaches it; the starts never are.  So neither the layers nor
+    the parents depend on that order, and the first node of a layer that
+    meets a test is the least one.  A layer is expanded only when the next
+    one is requested, so a caller may stop at, or prune, the layer in hand.
     """
     layer = sorted(set(starts))
     seen = set(layer)
@@ -127,36 +129,27 @@ class Component:
     is_tree: bool
 
 
-def _components(
-    vertices: Iterable[int], edges: Iterable[int], endpoints: tuple[tuple[int, int], ...]
-) -> list[frozenset[int]]:
-    """Vertex sets of the components that ``edges`` span on ``vertices``,
-    ordered by least vertex; every edge end must be one of ``vertices``."""
-    adjacent: dict[int, list[int]] = {v: [] for v in vertices}
-    for e in edges:
-        u, v = endpoints[e]
-        adjacent[u].append(v)
-        adjacent[v].append(u)
-    seen: set[int] = set()
-    out = []
-    for v in sorted(adjacent):
-        if v not in seen:
-            out.append(frozenset().union(*breadth_first((v,), adjacent.__getitem__, {})))
-            seen |= out[-1]
-    return out
-
-
 def graphic_components(g: Multigraph, edge_subset: Iterable[int]) -> list[Component]:
-    """Connected components of the subgraph spanned by the given edges.
+    """Connected components of the subgraph spanned by the given edges,
+    ordered by least vertex; ``menger.separator_from_partition`` relies on
+    that order.
 
     Isolated vertices are omitted; a component is a tree exactly when its
     edge count is one less than its vertex count (loops therefore never
     appear in trees).
     """
     chosen = g.edge_subset(edge_subset)
-    touched = {v for e in chosen for v in g.endpoints[e]}
-    parts = _components(touched, chosen, g.endpoints)
-    index = {v: k for k, vs in enumerate(parts) for v in vs}
+    adjacent: dict[int, list[int]] = {}
+    for e in chosen:
+        u, v = g.endpoints[e]
+        adjacent.setdefault(u, []).append(v)
+        adjacent.setdefault(v, []).append(u)
+    parts: list[frozenset[int]] = []
+    index: dict[int, int] = {}
+    for v in sorted(adjacent):
+        if v not in index:
+            parts.append(frozenset().union(*breadth_first((v,), adjacent.__getitem__, {})))
+            index.update(dict.fromkeys(parts[-1], len(parts) - 1))
     edges: list[set[int]] = [set() for _ in parts]
     for e in chosen:
         edges[index[g.endpoints[e][0]]].add(e)

@@ -61,7 +61,7 @@ class ExchangeDigraph:
     ``first[t]`` is C1(t) cut down to I for each node t off B1, ``second[h]``
     is C2(h) cut down to I for each node h off B2; each is a sorted tuple,
     stored only when non-empty.  An arc (t, h) runs whenever the two share an
-    element of I, so searches pass through I and no arc is built for them.
+    element of I, so ``upstream`` passes through I and builds no arc.
     ``spanned_first``/``spanned_second`` record which nodes I spans in each
     matroid, read off the same circuits; they drive the coloring.
     """
@@ -87,21 +87,20 @@ class ExchangeDigraph:
             arcs.extend((tail, head, witness[head]) for head in sorted(witness))
         return tuple(arcs)
 
-    def reach(self, starts: Iterable[int], forward: bool = True) -> frozenset[int]:
-        """The nodes reached from ``starts``, themselves included, along the
-        arcs, or against them when ``forward`` is false; each element of I
-        is passed through once."""
-        out, into = (self.first, self.second) if forward else (self.second, self.first)
-        adjacent: dict[int, Iterable[int]] = _through(into)
-        adjacent.update(out)  # nodes lie off I, so no key is shared
-        layers = breadth_first(starts, lambda v: adjacent.get(v, ()), {})
+    def upstream(self, heads: Iterable[int]) -> frozenset[int]:
+        """The nodes with a path along the arcs to one of ``heads``, the heads
+        included; the search runs against the arcs and passes through each
+        element of I once."""
+        adjacent: dict[int, Iterable[int]] = _through(self.first)
+        adjacent.update(self.second)  # nodes lie off I, so no key is shared
+        layers = breadth_first(heads, lambda v: adjacent.get(v, ()), {})
         return frozenset(v for layer in layers for v in layer if v in self.nodes)
 
 
 def _through(cut: dict[int, tuple[int, ...]]) -> dict[int, list[int]]:
-    """Each element of I to the nodes whose cut circuit holds it, in id order."""
+    """Each element of I to the nodes whose cut circuit holds it."""
     index: dict[int, list[int]] = {}
-    for v in sorted(cut):
+    for v in cut:
         for w in cut[v]:
             index.setdefault(w, []).append(v)
     return index
@@ -191,7 +190,7 @@ def _cut_circuits(
     """The anchor's circuit of each node of ``outside`` cut down to I, kept
     when non-empty, and the nodes whose circuit lies inside I plus itself."""
     cut, spanned = {}, set()
-    for v in sorted(outside):
+    for v in outside:
         circuit = anchor.circuit(v)
         shared = circuit & i
         if len(shared) == len(circuit) - 1:
@@ -201,15 +200,16 @@ def _cut_circuits(
     return cut, frozenset(spanned)
 
 
-def divisive_coloring(dg: ExchangeDigraph, st: IntersectionState) -> DivisiveColoring:
+def divisive_coloring(dg: ExchangeDigraph) -> DivisiveColoring:
     """Two-color the digraph so the coloring is divisive.
 
     Nodes spanned by I in only one matroid are pre-colored (first matroid:
-    blue, second: red); blue then spreads forward along arcs, red spreads
-    backward, and untouched nodes default to blue.  A maximal base pair
-    admits no path from a pre-blue to a pre-red node; hitting one means an
-    upstream bug, and the failure carries the offending path so it can be
-    rewound into the chain that grows the union.
+    blue, second: red).  Red is every node with a path along the arcs to a
+    pre-red node, found by one search against the arcs, and blue is the
+    rest.  A maximal base pair admits no path from a pre-blue to a pre-red
+    node, so red holds no pre-blue node; one there means an upstream bug,
+    and the failure carries the offending path so it can be rewound into
+    the chain that grows the union.
     """
     unspanned = dg.nodes - dg.spanned_first - dg.spanned_second
     if unspanned:
@@ -220,17 +220,15 @@ def divisive_coloring(dg: ExchangeDigraph, st: IntersectionState) -> DivisiveCol
         )
     pre_blue = dg.spanned_first - dg.spanned_second
     pre_red = dg.spanned_second - dg.spanned_first
-    forward = dg.reach(pre_blue)
-    backward = dg.reach(pre_red, forward=False)
-    clash = forward & backward
-    if clash:
+    red = dg.upstream(pre_red)
+    if red & pre_blue:
         path = _blue_to_red_path(dg, pre_blue, pre_red)
         raise InternalInvariantError(
             "a blue node reaches a red node; the base pair cannot have been "
             "maximal (rewind the path with violation_chain for the witness)",
             payload=path,
         )
-    return DivisiveColoring(blue=forward | (dg.nodes - backward), red=backward)
+    return DivisiveColoring(blue=dg.nodes - red, red=red)
 
 
 def _blue_to_red_path(
@@ -311,7 +309,7 @@ def pipeline(
     """Run the whole construction and expose the intermediate structures."""
     st = build_state(m1, m2)
     dg = build_digraph(m1, m2, st)
-    coloring = divisive_coloring(dg, st)
+    coloring = divisive_coloring(dg)
     cert = _assemble(m1, m2, st, dg, coloring)
     return st, dg, coloring, cert
 

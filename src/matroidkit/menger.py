@@ -144,7 +144,7 @@ def forest_structure(
             (s,), (t,) = s_hits, t_hits
             edge_of: dict[tuple[int, int], int] = {}
             neighbours: dict[int, list[int]] = {v: [] for v in comp.vertices}
-            for e in sorted(comp.edges):
+            for e in comp.edges:
                 a, b = g.endpoints[e]
                 edge_of[a, b] = edge_of[b, a] = e
                 neighbours[a].append(b)
@@ -164,12 +164,10 @@ def forest_structure(
 
 
 def separator_from_partition(components: Iterable[MarkedComponent]) -> MengerCertificate:
-    """The through-components' paths, ordered by least vertex, with their
-    pivots as the separator; ``solve`` verifies the result from scratch."""
-    through = sorted(
-        (mc for mc in components if mc.path is not None),
-        key=lambda mc: min(mc.component.vertices),
-    )
+    """The through-components' paths, in the order given, with their pivots
+    as the separator; ``forest_structure`` gives the components ordered by
+    least vertex, and ``solve`` verifies the result from scratch."""
+    through = [mc for mc in components if mc.path is not None]
     return MengerCertificate(
         paths=tuple(mc.path for mc in through),
         separator=frozenset(mc.pivot for mc in through),

@@ -286,9 +286,11 @@ def _search(session: Session, y: int, parity: str):
     """Breadth-first search for a shortest chain of the given parity.
 
     Nodes are elements; the matroid used out of a node is forced by which
-    part the node lies in, so a BFS tree automatically alternates.  Parent
-    links are assigned in increasing id order, which makes the returned
-    chain the lexicographically least among the shortest ones.
+    part the node lies in, so a BFS tree automatically alternates.  A
+    node's successors are its stored circuit, in any order: the layers come
+    sorted and parent links are assigned in increasing id order, so the
+    search returns at the least terminal of the first layer that has one,
+    and the chain is the lexicographically least among the shortest ones.
     """
     state = session.state
     start = session.first() if parity == EVEN else session.second()
@@ -300,16 +302,16 @@ def _search(session: Session, y: int, parity: str):
     circuits: dict[int, frozenset[int]] = {}
     parents: dict[int, int] = {}
 
-    def successors(node: int) -> list[int]:
-        return sorted(circuits[node] - {node}) if node in circuits else []
+    def chain(node: int, kind: str) -> ExchangeChain:
+        path = path_to(parents, node)
+        return ExchangeChain(tuple(path), parity, tuple(circuits[v] for v in path[:-1]), kind)
 
-    for layer in breadth_first((y,), successors, parents):
-        # Terminals are not expanded: a node without a circuit has no successors.
-        terminals = []
+    # Every node of a layer searched through has its circuit stored.  The
+    # circuit holds the node itself, which breadth_first has already seen.
+    for layer in breadth_first((y,), circuits.__getitem__, parents):
         for node in layer:
             if node in state.i1 and node in state.i2:
-                terminals.append((node, COMMON))
-                continue
+                return chain(node, COMMON)
             if node in state.i1:
                 anchor = session.second()
             elif node in state.i2:
@@ -317,13 +319,8 @@ def _search(session: Session, y: int, parity: str):
             else:
                 anchor = start
             if anchor.extends(node):
-                terminals.append((node, ADD))
-            else:
-                circuits[node] = anchor.circuit(node)
-        if terminals:
-            node, kind = min(terminals)
-            path = path_to(parents, node)
-            return ExchangeChain(tuple(path), parity, tuple(circuits[v] for v in path[:-1]), kind)
+                return chain(node, ADD)
+            circuits[node] = anchor.circuit(node)
     return None
 
 

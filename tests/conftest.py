@@ -26,25 +26,60 @@ def k22_graph() -> Multigraph:
     )
 
 
-def grid_instance(w: int) -> MengerInstance:
-    """The plain w x w grid from its left column to its right column: exactly w
-    disjoint paths, w straight rows."""
+def grid_instance(w: int, length: int | None = None) -> MengerInstance:
+    """The plain grid of w rows and ``length`` columns (default w) from its
+    left column to its right column: exactly w disjoint paths, w straight
+    rows."""
+    length = w if length is None else length
 
     def v(r, c):
         return f"r{r}c{c}"
 
-    vertices = [v(r, c) for r in range(w) for c in range(w)]
+    vertices = [v(r, c) for r in range(w) for c in range(length)]
     edges = []
     for r in range(w):
-        for c in range(w):
-            if c + 1 < w:
+        for c in range(length):
+            if c + 1 < length:
                 edges.append((f"h{r}.{c}", v(r, c), v(r, c + 1)))
             if r + 1 < w:
                 edges.append((f"v{r}.{c}", v(r, c), v(r + 1, c)))
     graph = Multigraph.from_labels(vertices, edges)
     return MengerInstance.from_labels(
-        graph, [v(r, 0) for r in range(w)], [v(r, w - 1) for r in range(w)]
+        graph, [v(r, 0) for r in range(w)], [v(r, length - 1) for r in range(w)]
     )
+
+
+def random_menger_instance(vertices: int) -> MengerInstance:
+    """A seeded sparse multigraph: 3V edges, each ``rng.sample`` of two
+    vertices with ``random.Random(V)``, so parallel edges occur; S is the
+    first V/20 vertices and T the last V/20."""
+    rng = random.Random(vertices)
+    labels = [f"v{i}" for i in range(vertices)]
+    edges = [(f"e{j}", *rng.sample(labels, 2)) for j in range(3 * vertices)]
+    graph = Multigraph.from_labels(labels, edges)
+    side = vertices // 20
+    return MengerInstance.from_labels(graph, labels[:side], labels[-side:])
+
+
+def grid_dual_graph(w: int) -> Multigraph:
+    """The planar dual G* of the w x w grid of ``grid_instance``: one vertex
+    per inner square, named by its top-left corner, plus the outer face.
+    Edge h{r}.{c} joins the squares above and below it, and v{r}.{c} the
+    squares left and right of it; a side off the grid is the outer face.
+    Edge labels and edge order are those of the grid."""
+
+    def face(r, c):
+        return f"f{r}.{c}" if 0 <= r < w - 1 and 0 <= c < w - 1 else "out"
+
+    vertices = [face(r, c) for r in range(w - 1) for c in range(w - 1)] + ["out"]
+    edges = []
+    for r in range(w):
+        for c in range(w):
+            if c + 1 < w:
+                edges.append((f"h{r}.{c}", face(r - 1, c), face(r, c)))
+            if r + 1 < w:
+                edges.append((f"v{r}.{c}", face(r, c - 1), face(r, c)))
+    return Multigraph.from_labels(vertices, edges)
 
 
 def random_partition_pair(n: int):

@@ -293,7 +293,7 @@ def test_criterion_7_structural_assertions(pair_corpus):
         heads = {h for _, h, _ in dg.arcs}
         assert not (st.x & tails), "an X node has positive out-degree"
         assert not (st.y & heads), "a Y node has positive in-degree"
-        coloring = divisive_coloring(dg, st)  # raises if blue reaches red
+        coloring = divisive_coloring(dg)  # raises if blue reaches red
         for tail, head, _ in dg.arcs:
             assert not (tail in coloring.blue and head in coloring.red)
 

@@ -31,7 +31,7 @@ def test_uniform_explicit_system_passes_everything():
     ground = GroundSet(("a", "b", "c", "d"))
     members = tuple(s for s in subsets_by_size(range(4)) if len(s) <= 2)
     report = check_axioms(ExplicitSystem(ground, members))
-    assert (report.i1_ok, report.i2_ok, report.i3_ok, report.im_ok) == (True,) * 4
+    assert (report.i1_ok, report.i2_ok, report.i3_ok) == (True,) * 3
     assert report.ok
 
 
@@ -67,12 +67,12 @@ def test_exchange_failure_fails_i3_with_replayable_witness():
     assert not any(small | {x} in members for x in big - small)
 
 
-def test_interval_maximality_holds_on_finite_systems():
+def test_ok_is_the_verdict_on_i1_to_i3():
+    # (IM) holds on every finite system, so the report has no field for it.
     report = check_axioms(system("ab", [[], ["a"], ["b"], ["a", "b"]]))
-    assert report.im_ok and report.im_witness is None
-    # even on a broken system the interval family keeps maximal elements
+    assert report.ok and not hasattr(report, "im_ok")
     report = check_axioms(system("ab", [[], ["a", "b"]]))
-    assert report.im_ok
+    assert (report.i1_ok, report.i2_ok, report.i3_ok, report.ok) == (True, False, False, False)
 
 
 def test_capacity_error_above_bound():

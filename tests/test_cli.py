@@ -79,6 +79,7 @@ class TestCommands:
         assert code == 1
         payload = json.loads(out)
         assert payload["i2"] == {"ok": False, "witness": [["a", "b", "c"], ["a", "c"]]}
+        assert payload["im"] == {"ok": True, "witness": None}
 
     @pytest.mark.parametrize("command", ["intersect", "union", "rank"])
     @pytest.mark.parametrize("fixture", [BAD_I1, BAD_I2], ids=["missing-empty", "missing-subset"])

@@ -64,7 +64,7 @@ def reach_by_arcs(arcs, starts, forward=True):
 
 
 def assert_digraph_matches_definition(m1, m2, st, dg):
-    """Check ``dg`` against the pairwise arc, circuit, spanning and reach
+    """Check ``dg`` against the pairwise arc, circuit, spanning and upstream
     definitions; count arcs."""
     nodes = sorted(m1.ground.full() - st.i)
     c1 = {v: m1.fundamental_circuit(st.b1, v) & st.i for v in nodes if v not in st.b1}
@@ -81,10 +81,45 @@ def assert_digraph_matches_definition(m1, m2, st, dg):
     first = fs(v for v in nodes if not m1.is_independent(st.i | {v}))
     second = fs(v for v in nodes if not m2.is_independent(st.i | {v}))
     assert (dg.spanned_first, dg.spanned_second) == (first, second)
-    for starts in [first - second, second - first, *({v} for v in nodes)]:
-        for forward in (True, False):
-            assert dg.reach(starts, forward) == reach_by_arcs(expected, starts, forward)
+    for heads in [first - second, second - first, *({v} for v in nodes)]:
+        assert dg.upstream(heads) == reach_by_arcs(expected, heads, forward=False)
     return len(expected)
+
+
+def check_coloring_against_two_searches(dg):
+    """Blue spreads forward along the arcs from the pre-blue nodes and red
+    backward from the pre-red ones; the two must not meet, and the nodes
+    neither reaches are blue.  ``divisive_coloring``'s one search against
+    the arcs must decide the same, or fail on a path from pre-blue to
+    pre-red.  Returns whether the searches met."""
+    pre_blue = dg.spanned_first - dg.spanned_second
+    pre_red = dg.spanned_second - dg.spanned_first
+    forward = reach_by_arcs(dg.arcs, pre_blue)
+    backward = reach_by_arcs(dg.arcs, pre_red, forward=False)
+    if not forward & backward:
+        coloring = divisive_coloring(dg)
+        assert coloring.red == backward
+        assert coloring.blue == forward | (dg.nodes - backward)
+        return False
+    with pytest.raises(InternalInvariantError, match="blue node reaches a red node") as info:
+        divisive_coloring(dg)
+    path = info.value.payload
+    assert path[0] in pre_blue and path[-1] in pre_red
+    assert set(zip(path, path[1:])) <= {(tail, head) for tail, head, _ in dg.arcs}
+    return True
+
+
+def seeded_states():
+    """The 40 seeded pairs, each with its maximal split and one split of a
+    random base pair, which need not be maximal."""
+    rng = random.Random(11)
+    for spec1, spec2 in random_matroid_pairs(3, 40, max_elements=10):
+        m1, m2 = build(spec1), build(spec2)
+        states = [
+            build_state(m1, m2),
+            state_from_bases(m1, m2, random_base(m1, rng), random_base(m2.dual(), rng)),
+        ]
+        yield m1, m2, states
 
 
 def rank1_triple():
@@ -181,13 +216,7 @@ class TestDigraph:
         # exactly the elements that escape the closures of I.
         arcs = [0, 0]
         escapes = 0
-        rng = random.Random(11)
-        for spec1, spec2 in random_matroid_pairs(3, 40, max_elements=10):
-            m1, m2 = build(spec1), build(spec2)
-            states = [
-                build_state(m1, m2),
-                state_from_bases(m1, m2, random_base(m1, rng), random_base(m2.dual(), rng)),
-            ]
+        for m1, m2, states in seeded_states():
             for k, st in enumerate(states):
                 dg = build_digraph(m1, m2, st)
                 arcs[k] += assert_digraph_matches_definition(m1, m2, st, dg)
@@ -195,18 +224,18 @@ class TestDigraph:
                 if escaping:
                     escapes += 1
                     with pytest.raises(InternalInvariantError, match="neither") as info:
-                        divisive_coloring(dg, st)
+                        divisive_coloring(dg)
                     assert info.value.payload == sorted(escaping)
                 else:
                     try:
-                        divisive_coloring(dg, st)
+                        divisive_coloring(dg)
                     except InternalInvariantError as exc:
                         assert "neither" not in str(exc)
             assert not escaping_elements(m1, m2, states[0])
         assert arcs[0] > 50 and arcs[1] > 5
         assert escapes > 5
 
-    def test_arcs_and_reach_run_through_the_shared_elements_of_i(self):
+    def test_arcs_and_upstream_run_through_the_shared_elements_of_i(self):
         # Nodes 0-3 and I = {5, 7}: no self-arc at 0, the least shared
         # element witnesses (0, 1), and 3 shares nothing with anyone.
         dg = ExchangeDigraph(
@@ -217,10 +246,10 @@ class TestDigraph:
             spanned_second=fs(),
         )
         assert dg.arcs == ((0, 1, 5), (2, 1, 5))
-        assert dg.reach({2}) == {1, 2}
-        assert dg.reach({1}, forward=False) == {0, 1, 2}
-        assert dg.reach({0}, forward=False) == {0}
-        assert dg.reach({3}) == dg.reach({3}, forward=False) == {3}
+        assert dg.upstream({1}) == {0, 1, 2}
+        assert dg.upstream({0}) == {0}
+        assert dg.upstream({2}) == {2}
+        assert dg.upstream({3}) == {3}
 
     def test_a_successful_pipeline_builds_no_arc_tuple(self):
         for spec1, spec2 in random_matroid_pairs(5, 20, max_elements=10):
@@ -230,11 +259,21 @@ class TestDigraph:
 
 
 class TestColoring:
+    def test_one_upstream_search_matches_the_two_search_definition(self):
+        checked = 0
+        for m1, m2, states in seeded_states():
+            for st in states:
+                dg = build_digraph(m1, m2, st)
+                if not dg.nodes - dg.spanned_first - dg.spanned_second:
+                    check_coloring_against_two_searches(dg)
+                    checked += 1
+        assert checked > 60
+
     def test_uncolored_nodes_default_to_blue(self):
         m1, m2 = rank1_triple()
         st = build_state(m1, m2)
         dg = build_digraph(m1, m2, st)
-        coloring = divisive_coloring(dg, st)
+        coloring = divisive_coloring(dg)
         assert coloring.blue == st.z
         assert coloring.red == fs()
 
@@ -242,21 +281,21 @@ class TestColoring:
         m1 = build(Uniform(3, 1))
         m2 = build(Uniform(3, 3))
         st = build_state(m1, m2)
-        coloring = divisive_coloring(build_digraph(m1, m2, st), st)
+        coloring = divisive_coloring(build_digraph(m1, m2, st))
         assert coloring.blue == st.y
 
     def test_empty_digraph_empty_coloring(self):
         m1 = build(Uniform(2, 2))
         m2 = build(Uniform(2, 2))
         st = build_state(m1, m2)
-        coloring = divisive_coloring(build_digraph(m1, m2, st), st)
+        coloring = divisive_coloring(build_digraph(m1, m2, st))
         assert coloring.blue == fs() and coloring.red == fs()
 
     def test_divisive_conditions_hold(self):
         for m1, m2 in [crossing_pair(), rank1_triple()]:
             st = build_state(m1, m2)
             dg = build_digraph(m1, m2, st)
-            coloring = divisive_coloring(dg, st)
+            coloring = divisive_coloring(dg)
             for v in coloring.blue:
                 assert m1.fundamental_circuit(st.b1, v) - {v} <= st.i
             for v in coloring.red:
@@ -276,7 +315,7 @@ class TestColoring:
         z = m1.ground.index("z")
         assert z not in {h for _, h, _ in dg.arcs}  # z is a source
         assert any(t == z for t, _, _ in dg.arcs)  # with an outgoing arc
-        coloring = divisive_coloring(dg, st)
+        coloring = divisive_coloring(dg)
         assert z in coloring.red
         assert violation_chain(m1, m2, st, dg) is None
 
@@ -389,7 +428,7 @@ class TestViolationChain:
         idx = m1.ground.subset_from_labels
         st = state_from_bases(m1, m2, idx("ac"), idx("ab"))
         with pytest.raises(InternalInvariantError):
-            divisive_coloring(build_digraph(m1, m2, st), st)
+            divisive_coloring(build_digraph(m1, m2, st))
 
     def test_pipeline_rejects_a_non_maximal_base_pair_naming_the_unspanned(
         self, monkeypatch
@@ -432,8 +471,9 @@ class TestViolationChain:
         m1, m2 = build(Binary(matrix1)), build(Binary(matrix2))
         st = state_from_bases(m1, m2, fs(b1), fs(b2star))
         dg = build_digraph(m1, m2, st)
+        assert check_coloring_against_two_searches(dg)
         with pytest.raises(InternalInvariantError, match="blue node reaches a red node") as info:
-            divisive_coloring(dg, st)
+            divisive_coloring(dg)
         path = info.value.payload
         assert path[0] in dg.spanned_first - dg.spanned_second
         assert path[-1] in dg.spanned_second - dg.spanned_first

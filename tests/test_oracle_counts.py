@@ -97,7 +97,7 @@ def graphic_oracle_evaluations(monkeypatch, inst: MengerInstance):
 
 
 @pytest.mark.parametrize(
-    "w,oracle_bound,query_bound,update_bound", [(5, 115, 159, 37), (6, 201, 254, 60)]
+    "w,oracle_bound,query_bound,update_bound", [(5, 115, 156, 37), (6, 201, 250, 60)]
 )
 def test_grid_solve_graphic_oracle_evaluations(
     monkeypatch, w, oracle_bound, query_bound, update_bound

@@ -13,6 +13,13 @@ from closed form or from an independent algorithm written here.
   augmenting-path search finds.
 - U(n, k) against itself, for k <= n, has largest common independent sets
   of size k: any k elements are independent in both, and no k + 1 are.
+- A seeded sparse random graph has as many disjoint paths as the
+  vertex-split max flow of ``oracles.brute_max_disjoint_paths`` finds, and
+  a grid of w long rows, from its left column to its right, has w.
+- For a plane graph G, the cographic matroid M*(G) is the graphic matroid
+  of the planar dual G* (Whitney), so on the grid the cographic handle and
+  the graphic handle of G* must give the same ranks, the same runs and the
+  same certificates.
 
 The peak of memory that tracemalloc sees while each instance runs is
 pinned: it is the peak the current code reaches plus a small margin, so
@@ -28,10 +35,28 @@ from collections import deque
 
 import pytest
 
-from matroidkit import Partition, Uniform, build, certify, solve, verify_certificate
+from matroidkit import (
+    Dual,
+    Graphic,
+    Partition,
+    Uniform,
+    build,
+    certify,
+    maximize_union,
+    solve,
+    union,
+    verify_certificate,
+)
 from matroidkit.menger import verify
+from matroidkit.oracles import OracleBudget, brute_max_disjoint_paths
 
-from conftest import grid_instance, random_partition_pair
+from conftest import (
+    augmenting,
+    grid_dual_graph,
+    grid_instance,
+    random_menger_instance,
+    random_partition_pair,
+)
 
 # Each ceiling is the peak measured on the current code plus about 3%.
 GRID_12_PEAK_BYTES = 591_000  # measured 0.574 MB
@@ -208,3 +233,66 @@ def test_uniform_pair_reaches_its_rank_within_its_memory_ceiling():
     m = build(Uniform(400, 200))
     tiny = build(Uniform(8, 4))
     _certify_within(m, m, 200, UNIFORM_PEAK_BYTES, lambda: certify(tiny, tiny))
+
+
+# -- Menger beyond the square grid ---------------------------------------------
+
+
+def test_random_sparse_graph_has_as_many_paths_as_the_max_flow():
+    inst = random_menger_instance(400)
+    cert = solve(inst)
+    budget = OracleBudget(max_vertices=10**6, time_cap=600)
+    assert cert.count == 20
+    assert cert.count == brute_max_disjoint_paths(inst.graph, inst.s, inst.t, budget)
+    assert verify(inst, cert)
+
+
+def test_long_grid_has_one_path_per_row():
+    # A finite piece of a graph with finitely many disjoint rays: its w rows.
+    inst = grid_instance(4, length=60)
+    cert = solve(inst)
+    assert cert.count == 4
+    assert verify(inst, cert)
+
+
+# -- planar duality: M*(G) is the graphic matroid of the planar dual G* -------
+
+
+def _grid_and_its_dual(w):
+    g = grid_instance(w).graph
+    return build(Graphic(g)), build(Dual(Graphic(g))), build(Graphic(grid_dual_graph(w)))
+
+
+def test_the_cographic_grid_runs_as_the_graphic_planar_dual():
+    m, cographic, dual_graphic = _grid_and_its_dual(16)
+    assert cographic.ground == dual_graphic.ground
+    rng = random.Random(16)
+    for _ in range(200):
+        xs = rng.sample(range(m.size), rng.randint(0, m.size))
+        assert cographic.rank(xs) == dual_graphic.rank(xs)
+    assert maximize_union(cographic, m) == maximize_union(dual_graphic, m)
+    assert certify(m, cographic) == certify(m, dual_graphic)
+
+
+def test_cographic_anchors_answer_as_the_forest_anchors_of_the_planar_dual(monkeypatch):
+    # On an independent set every anchor answer is determined, so the anchor
+    # the run carries for the cographic part, through every grow, exchange
+    # and rebasing, must answer as a fresh forest anchor of G* on that part.
+    m, cographic, dual_graphic = _grid_and_its_dual(8)
+    apply_chain = union.apply_chain
+    checked = []
+
+    def checking_apply_chain(m1, m2, before, chain, session):
+        carried, forest = session.first(), dual_graphic._anchor(before.i1)
+        for x in cographic.elements():
+            if x not in before.i1:
+                assert carried.extends(x) == forest.extends(x)
+                if not forest.extends(x):
+                    assert carried.circuit(x) == forest.circuit(x)
+        checked.append(before)
+        return apply_chain(m1, m2, before, chain, session)
+
+    monkeypatch.setattr(union, "apply_chain", checking_apply_chain)
+    state, steps = augmenting(cographic, m)
+    assert len(checked) == len(steps) > 100
+    assert state == maximize_union(dual_graphic, m)

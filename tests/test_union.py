@@ -75,6 +75,27 @@ class TestFindChain:
         assert chain.elements == (0, 1)
         assert chain.terminal == COMMON
 
+    def test_the_search_returns_at_the_least_terminal_of_a_layer(self):
+        # y = 2 closes the circuit {0, 1, 2} in the first part, so the
+        # second layer is [0, 1], and both would extend the empty second
+        # part.  The search asks about 0 only, and returns there.
+        m1, m2 = build(Uniform(4, 2)), build(Uniform(4, 2))
+        state = PairState(fs({0, 1}), fs())
+        session = union.Session(m1, m2, state)
+        inner = m2._anchor(state.i2)
+        asked = []
+
+        class SpyAnchor:
+            def extends(self, x):
+                asked.append(x)
+                return inner.extends(x)
+
+        session._second = SpyAnchor()
+        chain = find_chain(m1, m2, state, 2, session)
+        assert asked == [0]
+        assert chain.elements == (2, 0)
+        assert chain.terminal == ADD and not chain.receiver_is_first()
+
 
 class TestApplyChain:
     def test_documented_swap_result(self):
