@@ -147,8 +147,8 @@ class Anchor(Protocol):
 
     An update may reuse the anchor's own structures in place, so whoever
     updates an anchor owns it and never asks the old one again.  A union
-    ``Session`` owns the anchors of its state's parts, and
-    ``Session.advance`` moves them on to the next state.
+    ``Session`` owns the anchors of its state's parts, and applying a chain
+    through it moves them on to the next state.
     """
 
     base: frozenset[int]

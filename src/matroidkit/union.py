@@ -16,9 +16,12 @@ A search asks many "does part + x stay independent?" and "which circuit
 does x close in part?" questions against the same two parts, so it asks
 them of one anchor per part (``Matroid._anchor``).  A ``Session`` holds a
 state's two anchors, built on first use.  An augmentation changes most
-parts by one element, so ``maximize_union`` does not rebuild them: it
-advances the session to the new state, and each anchor is grown or
-exchanged to follow its part (``Anchor.grow``, ``Anchor.exchange``).
+parts by one element, so ``maximize_union`` does not rebuild them: applying
+a chain through the session that found it moves the session to the new
+state, and each anchor is grown or exchanged to follow its part
+(``Anchor.grow``, ``Anchor.exchange``).  Most chains have no links; the
+session applies those itself, with one rank check of ``part + y`` and one
+grow of that part's anchor, and keeps the other part as it is.
 """
 
 from __future__ import annotations
@@ -84,11 +87,11 @@ class ExchangeChain:
 class Session:
     """The anchors of one pair state's parts, each built on first use.
 
-    A session vouches for its state: ``find_chain`` and ``apply_chain``
-    skip their entry checks when handed the very matroids and state object
-    the session was made for.  It owns its anchors, and ``advance`` hands
-    them on to the session of the next state; after that it answers
-    nothing.
+    A session vouches for the state it serves: ``find_chain`` and
+    ``apply_chain`` skip their entry checks when handed the very matroids
+    and state object the session serves.  It owns its anchors, and applying
+    a chain through it moves it to the new state: the anchors follow the
+    parts, and from then on the session serves the new state only.
     """
 
     __slots__ = ("m1", "m2", "state", "_first", "_second")
@@ -100,43 +103,59 @@ class Session:
 
     def first(self) -> Anchor:
         if self._first is None:
-            self._first = self.m1._anchor(self._live().i1)
+            self._first = self.m1._anchor(self.state.i1)
         return self._first
 
     def second(self) -> Anchor:
         if self._second is None:
-            self._second = self.m2._anchor(self._live().i2)
+            self._second = self.m2._anchor(self.state.i2)
         return self._second
-
-    def _live(self) -> PairState:
-        if self.state is None:
-            raise InternalInvariantError("an advanced session answers nothing")
-        return self.state
 
     def serves(self, m1: Matroid, m2: Matroid, state: PairState) -> bool:
         return self.state is state and self.m1 is m1 and self.m2 is m2
 
-    def advance(self, state: PairState) -> "Session":
-        """The session of ``state``, made by applying a chain this session
-        found, with this session's anchors carried over.
+    def _absorb(self, y: int, into_first: bool) -> PairState:
+        """Apply the link-free chain (y,) to the state served, in place.
 
-        A part that did not change keeps its anchor; one that gained an
-        element grows it, and one that traded an element for another on its
-        circuit exchanges it.  Any other part is rebuilt on first use.  The
-        updates work in place, so this session is retired and answers
-        nothing afterwards.
+        ``part + y`` is evaluated once (``_extended``), the other part is
+        kept as the same object, and the receiving part's anchor, if built,
+        grows by ``y``.  Every check runs before anything moves.
         """
-        after = Session(self.m1, self.m2, state)
-        before = self._live()
-        after._first = _carried(self._first, before.i1, state.i1)
-        after._second = _carried(self._second, before.i2, state.i2)
-        self.state = self._first = self._second = None
+        state = self.state
+        part = state.i1 if into_first else state.i2
+        if y in part:
+            raise ConsistencyError("chain start already belongs to the part it would enter")
+        if into_first:
+            after = PairState(_extended(self.m1, part, y), state.i2)
+        else:
+            after = PairState(state.i1, _extended(self.m2, part, y))
+        if y in state.union:  # then it sits in the other part
+            raise InternalInvariantError("augmenting chain did not grow the union by its start")
+        if into_first and self._first is not None:
+            self._first = self._first.grow(y)
+        elif not into_first and self._second is not None:
+            self._second = self._second.grow(y)
+        self.state = after
+        return after
+
+    def _moved(self, after: PairState) -> PairState:
+        """Serve ``after``, made by applying a chain with links to the state
+        served, with the anchors carried over (``_carried``)."""
+        before = self.state
+        self._first = _carried(self._first, before.i1, after.i1)
+        self._second = _carried(self._second, before.i2, after.i2)
+        self.state = after
         return after
 
 
 def _carried(anchor: Anchor | None, old: frozenset[int], new: frozenset[int]) -> Anchor | None:
-    """The anchor of ``old`` updated to ``new``, or None to build afresh."""
-    if anchor is None or new == old:
+    """The anchor of ``old`` updated to ``new``, or None to build afresh.
+
+    A part the chain left alone is the very object it was.  One that gained
+    an element grows its anchor, and one that traded an element for another
+    on its circuit exchanges it.  Any other part is rebuilt on first use.
+    """
+    if anchor is None or new is old:
         return anchor
     added = new - old
     if len(added) != 1:
@@ -180,9 +199,27 @@ def validate_chain(m1: Matroid, m2: Matroid, state: PairState, chain: ExchangeCh
     part + y_i, genuine circuit-ness), plus the terminal condition and the
     alternation pattern of the interior elements.
     """
+    _recheck_chain(m1, m2, state, chain, _entry_circuits(m1, m2, state, chain))
+
+
+def _entry_circuits(
+    m1: Matroid, m2: Matroid, state: PairState, chain: ExchangeChain
+) -> tuple[frozenset[int], ...]:
+    """The entry checks of a chain handed in from outside: the state's
+    (``_check_entry``), and the chain's elements and circuits inside the
+    ground set.  Returns the circuits as validated frozensets."""
     _check_entry(m1, m2, state)
     m1.ground.subset(chain.elements)
-    _recheck_chain(m1, m2, state, chain, tuple(m1.ground.subset(c) for c in chain.circuits))
+    return tuple(m1.ground.subset(c) for c in chain.circuits)
+
+
+def _extended(matroid: Matroid, part: frozenset[int], last: int) -> frozenset[int]:
+    """``part + last`` for a receiving part, which must not hold ``last``,
+    evaluated independent once; raises ConsistencyError when it is not."""
+    grown = part | {last}
+    if not matroid._independent(grown):
+        raise ConsistencyError("terminal marked 'add' does not extend the receiver independently")
+    return grown
 
 
 def _recheck_chain(
@@ -191,15 +228,17 @@ def _recheck_chain(
     state: PairState,
     chain: ExchangeChain,
     circuits: tuple[frozenset[int], ...],
-) -> None:
+) -> frozenset[int] | None:
     """``validate_chain`` without the entry checks: every witness against rank.
 
     Both parts of ``state`` must already be known independent, by
-    ``_check_entry`` or by the session made for the state.  Each link's
+    ``_check_entry`` or by the session serving the state.  Each link's
     circuit is checked dependent, and independent once any one element is
     removed, except that the set C - y_link is not evaluated: the
     containment check has just placed it inside an independent part.  The
-    'add' terminal's ``part + last`` is evaluated.
+    'add' terminal's ``part + last`` is evaluated (``_extended``) and
+    returned, so the caller knows that very set independent; a 'common'
+    terminal returns None.
     """
     els = chain.elements
     start_set = state.i1 if chain.parity == EVEN else state.i2
@@ -228,12 +267,11 @@ def _recheck_chain(
     if chain.terminal == COMMON:
         if not (last in state.i1 and last in state.i2):
             raise ConsistencyError("terminal marked 'common' is not in both parts")
-    else:  # ADD
-        matroid, part = (m1, state.i1) if chain.receiver_is_first() else (m2, state.i2)
-        if last in part:
-            raise ConsistencyError("terminal marked 'add' already sits in the receiving part")
-        if not matroid._independent(part | {last}):
-            raise ConsistencyError("terminal marked 'add' does not extend the receiver independently")
+        return None
+    matroid, part = (m1, state.i1) if chain.receiver_is_first() else (m2, state.i2)
+    if last in part:
+        raise ConsistencyError("terminal marked 'add' already sits in the receiving part")
+    return _extended(matroid, part, last)
 
 
 def apply_chain(
@@ -245,41 +283,66 @@ def apply_chain(
 ) -> PairState:
     """Perform the alternating swaps along a chain and return the new state.
 
-    The chain is always re-checked against rank first, and each new part is
-    then checked independent, unless it equals a set already known
-    independent: its old part, or for an 'add' terminal the receiver's
-    ``part + last``, which the re-check has just evaluated.  A ``session``
-    made for this very state vouches for the state and for the range of the
+    The chain is always re-checked against rank first.  A ``session``
+    serving this very state vouches for the state and for the range of the
     chain it found, so ``validate_chain``'s entry and range checks are
-    skipped; without one they run, and cost two evaluations more.
+    skipped; without one they run, and cost two evaluations more.  The
+    session then moves to the new state, carrying its anchors along, and
+    serves it from now on; a session serving another state is left alone.
+
+    A chain without links is applied by the session itself
+    (``Session._absorb``): one evaluation of ``part + y``, the other part
+    kept, and one grow of the receiving part's anchor.  For a chain with
+    links, only the parts it touches are rebuilt (``_new_part``), and each
+    is checked independent unless it is the very set the re-check of an
+    'add' terminal has just evaluated.
     """
-    if session is not None and session.serves(m1, m2, state):
-        _recheck_chain(m1, m2, state, chain, chain.circuits)
+    if session is None or not session.serves(m1, m2, state):
+        received = _recheck_chain(m1, m2, state, chain, _entry_circuits(m1, m2, state, chain))
+        session = None
+    elif chain.length == 0 and chain.terminal == ADD:
+        return session._absorb(chain.elements[0], chain.receiver_is_first())
     else:
-        validate_chain(m1, m2, state, chain)
-    els = chain.elements
-    i1, i2 = set(state.i1), set(state.i2)
-    for link in range(chain.length):
-        part = i1 if chain.link_uses_first(link) else i2
-        part.remove(els[link + 1])
-        part.add(els[link])
-    if chain.terminal == ADD:
-        (i1 if chain.receiver_is_first() else i2).add(els[-1])
-    new_state = PairState(frozenset(i1), frozenset(i2))
-    known1: tuple[frozenset[int], ...] = (state.i1,)
-    known2: tuple[frozenset[int], ...] = (state.i2,)
-    if chain.terminal == ADD:
-        if chain.receiver_is_first():
-            known1 += (state.i1 | {els[-1]},)
-        else:
-            known2 += (state.i2 | {els[-1]},)
-    if new_state.i1 not in known1 and not m1._independent(new_state.i1):
-        raise ConsistencyError("first part lost independence after the swaps")
-    if new_state.i2 not in known2 and not m2._independent(new_state.i2):
-        raise ConsistencyError("second part lost independence after the swaps")
-    if new_state.union != state.union | {els[0]}:
+        received = _recheck_chain(m1, m2, state, chain, chain.circuits)
+    after = PairState(
+        _new_part(m1, state.i1, chain, True, received),
+        _new_part(m2, state.i2, chain, False, received),
+    )
+    if after.union != state.union | {chain.elements[0]}:
         raise InternalInvariantError("augmenting chain did not grow the union by its start")
-    return new_state
+    return after if session is None else session._moved(after)
+
+
+def _new_part(
+    matroid: Matroid,
+    part: frozenset[int],
+    chain: ExchangeChain,
+    first: bool,
+    received: frozenset[int] | None,
+) -> frozenset[int]:
+    """``part`` after the swaps of the chain's links through it, plus the
+    last element when it receives an 'add' terminal.
+
+    A part no link runs through is known independent: it is ``part``
+    itself, or ``received``, the ``part + last`` the re-check evaluated.
+    Any other part is built afresh and evaluated.
+    """
+    els = chain.elements
+    links = range(0 if (chain.parity == EVEN) == first else 1, chain.length, 2)
+    receives = chain.terminal == ADD and chain.receiver_is_first() == first
+    if not links:
+        return received if receives else part
+    swapped = set(part)
+    for link in links:
+        swapped.remove(els[link + 1])
+        swapped.add(els[link])
+    if receives:
+        swapped.add(els[-1])
+    new = frozenset(swapped)
+    if not matroid._independent(new):
+        which = "first" if first else "second"
+        raise ConsistencyError(f"{which} part lost independence after the swaps")
+    return new
 
 
 def _search(session: Session, y: int, parity: str):
@@ -295,7 +358,8 @@ def _search(session: Session, y: int, parity: str):
     state = session.state
     start = session.first() if parity == EVEN else session.second()
     # Most searches end at y itself; answering that here skips setting up
-    # the layered search on the hot path.
+    # the layered search on the hot path, and the link-free chain is then
+    # applied by the session in place (``Session._absorb``).
     if start.extends(y):
         return ExchangeChain((y,), parity, (), ADD)
 
@@ -365,13 +429,14 @@ def maximize_union(m1: Matroid, m2: Matroid) -> PairState:
     element addable to a base extension would already have been a
     one-element chain.
 
-    The loop validates nothing it built itself: each state's session skips
-    the entry checks, and after each augmentation the session is advanced,
-    so the anchors follow the parts instead of being rebuilt.  Every chain
-    is still re-checked against rank before it is applied.  The final parts
-    are extended through the same anchors, in increasing id order as the
-    greedy sweep does, and each extension is checked to be a base: its size
-    against r(E), and with one rank evaluation when anything was added.
+    The loop validates nothing it built itself: one session serves each
+    state in turn, so the entry checks are skipped, and applying a chain
+    through it moves it to the new state, so the anchors follow the parts
+    instead of being rebuilt.  Every chain is still re-checked against rank
+    before it is applied.  The final parts are extended through the same
+    anchors, in increasing id order as the greedy sweep does, and each
+    extension is checked to be a base: its size against r(E), and with one
+    rank evaluation when anything was added.
     """
     if m1.ground != m2.ground:
         raise InputError("matroid union needs a common ground set")
@@ -382,7 +447,6 @@ def maximize_union(m1: Matroid, m2: Matroid) -> PairState:
         if chain is None:
             continue
         state = apply_chain(m1, m2, state, chain, session)
-        session = session.advance(state)
     bases = PairState(
         _extend_to_base(m1, state.i1, session.first()),
         _extend_to_base(m2, state.i2, session.second()),

@@ -3,6 +3,7 @@ import random
 import pytest
 
 from matroidkit import (
+    Binary,
     ConsistencyError,
     Dual,
     Graphic,
@@ -236,6 +237,10 @@ _REJECTED = {
         ExchangeChain((1, 0), EVEN, (fs({0, 1}),), ADD),
         "'add' does not extend the receiver independently",
     ),
+    "add-link-free-dependent": (
+        _uniform(3, 1), _uniform(3, 1), PairState(fs({0}), fs()),
+        ExchangeChain((1,), EVEN, (), ADD), "'add' does not extend the receiver independently",
+    ),
     "first-lost-independence": (
         build(Graphic(k4_graph())), _uniform(6, 2), PairState(fs({1, 3, 4}), fs({2, 4})),
         ExchangeChain(
@@ -267,6 +272,18 @@ def test_each_forged_chain_is_rejected_by_its_own_check(case):
         apply_chain(m1, m2, state, chain)
 
 
+@pytest.mark.parametrize("case", ["start-in-part", "add-link-free-dependent"])
+def test_a_serving_session_rejects_a_forged_link_free_chain_before_moving(case):
+    """The session applies a link-free chain itself, with the same checks and
+    messages, and stays where it was when one fails."""
+    m1, m2, state, chain, message = _REJECTED[case]
+    session = union.Session(m1, m2, state)
+    anchor = session.first()
+    with pytest.raises(ConsistencyError, match=message):
+        apply_chain(m1, m2, state, chain, session)
+    assert session.serves(m1, m2, state) and session.first() is anchor
+
+
 def _recorded_evaluations(monkeypatch, names):
     """Record every independence evaluation as (handle name, sorted ids)."""
     seen = []
@@ -289,13 +306,16 @@ class TestSessionEvaluations:
         [
             (ADD, (fs({0}), fs()), (1, 0)),
             (COMMON, (fs({1}), fs({1})), (0, 1)),
+            (ADD, (fs(), fs({0})), (1,)),
         ],
+        ids=["add", "common", "link-free"],
     )
     def test_the_entry_adds_one_evaluation_per_part(self, monkeypatch, terminal, state, chain):
         m1 = build(Uniform(2, 1, labels=("a", "b")))
         m2 = build(Uniform(2, 1 if terminal == ADD else 2, labels=("a", "b")))
         state = PairState(*state)
-        chain = ExchangeChain(chain, EVEN, (fs(chain),), terminal)
+        circuits = (fs(chain),) if len(chain) > 1 else ()
+        chain = ExchangeChain(chain, EVEN, circuits, terminal)
         seen = _recorded_evaluations(monkeypatch, {id(m1): "m1", id(m2): "m2"})
         without = apply_chain(m1, m2, state, chain)
         entry_and_recheck = sorted(seen)
@@ -304,6 +324,8 @@ class TestSessionEvaluations:
         assert with_session == without
         parts = [("m1", tuple(sorted(state.i1))), ("m2", tuple(sorted(state.i2)))]
         assert entry_and_recheck == sorted(seen + parts)
+        if chain.length == 0:  # the session applies it with part + y alone
+            assert seen == [("m1", (1,))]
 
 
 class TestMaximizeUnion:
@@ -437,19 +459,75 @@ def _seeded_graph(rng, vertices=7, edges=14):
     )
 
 
+def _assert_answers_as_fresh(m, carried, a):
+    fresh = m._anchor(a)
+    assert carried.base == fresh.base == a
+    for x in m.elements():
+        if x not in a:
+            assert carried.extends(x) == fresh.extends(x), (sorted(a), x)
+            if not fresh.extends(x):
+                assert carried.circuit(x) == fresh.circuit(x), (sorted(a), x)
+
+
 class TestSession:
-    def test_an_advanced_session_answers_nothing(self):
+    def test_a_moved_session_serves_the_new_state_only(self, monkeypatch):
         g = build(Graphic(k4_graph()))
         state = PairState(fs(), fs())
         session = union.Session(g, g, state)
         chain = find_chain(g, g, state, 0, session)
         after = apply_chain(g, g, state, chain, session)
-        successor = session.advance(after)
-        assert successor.serves(g, g, after) and not session.serves(g, g, state)
-        for ask in (session.first, session.second, lambda: session.advance(after)):
-            with pytest.raises(InternalInvariantError):
-                ask()
-        assert successor.first().extends(1)
+        assert session.serves(g, g, after) and not session.serves(g, g, state)
+        assert session.first().base == after.i1 and session.first().extends(1)
+        # Handed the old state, find_chain falls back to its entry checks
+        # and a fresh session, and leaves this one where it is.
+        entries = []
+        check_entry = union._check_entry
+        monkeypatch.setattr(
+            union, "_check_entry", lambda *args: entries.append(args[2]) or check_entry(*args)
+        )
+        assert find_chain(g, g, state, 0, session) == chain
+        assert entries == [state] and session.serves(g, g, after)
+
+    @pytest.mark.parametrize(
+        "m1,m2",
+        [
+            (Partition((("e0",), ("e1", "e2", "e3"), ("e4", "e5")), (0, 2, 1)), Graphic(k4_graph())),
+            (
+                Binary(((0, 1, 0, 1, 1, 0), (0, 0, 1, 1, 0, 1), (0, 1, 1, 0, 1, 1))),
+                Dual(Graphic(k4_graph())),
+            ),
+        ],
+        ids=["block-forest", "rank-cographic"],
+    )
+    def test_a_link_free_chain_grows_the_anchor_in_place(self, monkeypatch, m1, m2):
+        """Each link-free chain of a run, applied through its session with
+        both anchors built: the session serves the new state, builds no
+        anchor, and both anchors answer as fresh anchors of the new parts.
+        The first matroid's loop e0 makes an odd link-free chain, so the
+        four anchor kinds each grow in place."""
+        m1, m2 = build(m1), build(m2)
+        state = PairState(fs(), fs())
+        session = union.Session(m1, m2, state)
+        built = []
+        build_anchor = Matroid._anchor
+        monkeypatch.setattr(
+            Matroid, "_anchor", lambda self, a: built.append(a) or build_anchor(self, a)
+        )
+        parities = set()
+        for y in m1.elements():
+            chain = find_chain(m1, m2, state, y, session)
+            if chain is None:
+                continue
+            session.first(), session.second()
+            built.clear()
+            state = apply_chain(m1, m2, state, chain, session)
+            if chain.length:
+                continue
+            parities.add(chain.parity)
+            assert session.serves(m1, m2, state) and built == []
+            _assert_answers_as_fresh(m1, session.first(), state.i1)
+            _assert_answers_as_fresh(m2, session.second(), state.i2)
+        assert parities == {EVEN, ODD}
 
     @pytest.mark.parametrize("seed", range(6))
     def test_carried_anchors_apply_the_chains_of_fresh_ones(self, seed):
