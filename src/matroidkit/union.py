@@ -19,9 +19,9 @@ state's two anchors, built on first use.  An augmentation changes most
 parts by one element, so ``maximize_union`` does not rebuild them: applying
 a chain through the session that found it moves the session to the new
 state, and each anchor is grown or exchanged to follow its part
-(``Anchor.grow``, ``Anchor.exchange``).  Most chains have no links; the
-session applies those itself, with one rank check of ``part + y`` and one
-grow of that part's anchor, and keeps the other part as it is.
+(``Anchor.grow``, ``Anchor.exchange``).  Most chains have no links: they
+cost one rank check of ``part + y`` and one grow of that part's anchor, and
+the other part is kept as the same object.
 """
 
 from __future__ import annotations
@@ -114,33 +114,9 @@ class Session:
     def serves(self, m1: Matroid, m2: Matroid, state: PairState) -> bool:
         return self.state is state and self.m1 is m1 and self.m2 is m2
 
-    def _absorb(self, y: int, into_first: bool) -> PairState:
-        """Apply the link-free chain (y,) to the state served, in place.
-
-        ``part + y`` is evaluated once (``_extended``), the other part is
-        kept as the same object, and the receiving part's anchor, if built,
-        grows by ``y``.  Every check runs before anything moves.
-        """
-        state = self.state
-        part = state.i1 if into_first else state.i2
-        if y in part:
-            raise ConsistencyError("chain start already belongs to the part it would enter")
-        if into_first:
-            after = PairState(_extended(self.m1, part, y), state.i2)
-        else:
-            after = PairState(state.i1, _extended(self.m2, part, y))
-        if y in state.union:  # then it sits in the other part
-            raise InternalInvariantError("augmenting chain did not grow the union by its start")
-        if into_first and self._first is not None:
-            self._first = self._first.grow(y)
-        elif not into_first and self._second is not None:
-            self._second = self._second.grow(y)
-        self.state = after
-        return after
-
     def _moved(self, after: PairState) -> PairState:
-        """Serve ``after``, made by applying a chain with links to the state
-        served, with the anchors carried over (``_carried``)."""
+        """Serve ``after``, made by applying a chain to the state served,
+        with the anchors carried over (``_carried``)."""
         before = self.state
         self._first = _carried(self._first, before.i1, after.i1)
         self._second = _carried(self._second, before.i2, after.i2)
@@ -161,10 +137,9 @@ def _carried(anchor: Anchor | None, old: frozenset[int], new: frozenset[int]) ->
     if len(added) != 1:
         return None
     (y,) = added
-    removed = old - new
-    if not removed:
+    if len(new) > len(old):  # then nothing was removed
         return anchor.grow(y)
-    (z,) = removed  # a found chain never takes two elements from a part that gains one
+    (z,) = old - new  # a found chain never takes two elements from a part that gains one
     return anchor.exchange(y, z)
 
 
@@ -195,9 +170,10 @@ def validate_chain(m1: Matroid, m2: Matroid, state: PairState, chain: ExchangeCh
     The state is checked as at every public entry (``_check_entry``), so a
     part outside the ground set or dependent in its matroid raises
     InputError, and so do elements and circuits outside the ground set.
-    Then every witness circuit is checked (membership, containment in
-    part + y_i, genuine circuit-ness), plus the terminal condition and the
-    alternation pattern of the interior elements.
+    Then the start is checked to lie outside both parts, every witness
+    circuit is checked (membership, containment in part + y_i, genuine
+    circuit-ness), plus the terminal condition and the alternation pattern
+    of the interior elements.
     """
     _recheck_chain(m1, m2, state, chain, _entry_circuits(m1, m2, state, chain))
 
@@ -228,7 +204,7 @@ def _recheck_chain(
     state: PairState,
     chain: ExchangeChain,
     circuits: tuple[frozenset[int], ...],
-) -> frozenset[int] | None:
+) -> tuple[frozenset[int] | None, frozenset[int] | None]:
     """``validate_chain`` without the entry checks: every witness against rank.
 
     Both parts of ``state`` must already be known independent, by
@@ -237,13 +213,16 @@ def _recheck_chain(
     removed, except that the set C - y_link is not evaluated: the
     containment check has just placed it inside an independent part.  The
     'add' terminal's ``part + last`` is evaluated (``_extended``) and
-    returned, so the caller knows that very set independent; a 'common'
-    terminal returns None.
+    returned in the receiving part's place of a pair, so the caller knows
+    that very set independent; the other place, and both for a 'common'
+    terminal, hold None.
     """
     els = chain.elements
     start_set = state.i1 if chain.parity == EVEN else state.i2
     if els[0] in start_set:
         raise ConsistencyError("chain start already belongs to the part it would enter")
+    if els[0] in state.union:
+        raise ConsistencyError("chain start already lies in the other part")
     for link in range(chain.length):
         matroid, part = (m1, state.i1) if chain.link_uses_first(link) else (m2, state.i2)
         circuit = circuits[link]
@@ -267,11 +246,14 @@ def _recheck_chain(
     if chain.terminal == COMMON:
         if not (last in state.i1 and last in state.i2):
             raise ConsistencyError("terminal marked 'common' is not in both parts")
-        return None
-    matroid, part = (m1, state.i1) if chain.receiver_is_first() else (m2, state.i2)
+        return None, None
+    into_first = chain.receiver_is_first()
+    part = state.i1 if into_first else state.i2
     if last in part:
         raise ConsistencyError("terminal marked 'add' already sits in the receiving part")
-    return _extended(matroid, part, last)
+    if into_first:
+        return _extended(m1, part, last), None
+    return None, _extended(m2, part, last)
 
 
 def apply_chain(
@@ -290,25 +272,25 @@ def apply_chain(
     session then moves to the new state, carrying its anchors along, and
     serves it from now on; a session serving another state is left alone.
 
-    A chain without links is applied by the session itself
-    (``Session._absorb``): one evaluation of ``part + y``, the other part
-    kept, and one grow of the receiving part's anchor.  For a chain with
-    links, only the parts it touches are rebuilt (``_new_part``), and each
-    is checked independent unless it is the very set the re-check of an
-    'add' terminal has just evaluated.
+    Only the parts a link runs through are rebuilt and evaluated
+    (``_new_part``).  Any other part is kept as the same object, or is the
+    very ``part + last`` set the re-check of an 'add' terminal has just
+    evaluated, so a chain without links costs one evaluation, of
+    ``part + y``, and one grow of that part's anchor.
     """
     if session is None or not session.serves(m1, m2, state):
         received = _recheck_chain(m1, m2, state, chain, _entry_circuits(m1, m2, state, chain))
         session = None
-    elif chain.length == 0 and chain.terminal == ADD:
-        return session._absorb(chain.elements[0], chain.receiver_is_first())
     else:
         received = _recheck_chain(m1, m2, state, chain, chain.circuits)
     after = PairState(
-        _new_part(m1, state.i1, chain, True, received),
-        _new_part(m2, state.i2, chain, False, received),
+        _new_part(m1, state.i1, chain, True, received[0]),
+        _new_part(m2, state.i2, chain, False, received[1]),
     )
-    if after.union != state.union | {chain.elements[0]}:
+    # The re-check placed the start outside the union, so these three checks
+    # say that the union grew by exactly the start.
+    grown, start = after.union, chain.elements[0]
+    if len(grown) != len(state.union) + 1 or start not in grown or not state.union <= grown:
         raise InternalInvariantError("augmenting chain did not grow the union by its start")
     return after if session is None else session._moved(after)
 
@@ -321,22 +303,21 @@ def _new_part(
     received: frozenset[int] | None,
 ) -> frozenset[int]:
     """``part`` after the swaps of the chain's links through it, plus the
-    last element when it receives an 'add' terminal.
+    last element when it receives an 'add' terminal: then ``received`` is
+    the ``part + last`` the re-check evaluated, and otherwise None.
 
     A part no link runs through is known independent: it is ``part``
-    itself, or ``received``, the ``part + last`` the re-check evaluated.
-    Any other part is built afresh and evaluated.
+    itself, or ``received``.  Any other part is built afresh and evaluated.
     """
     els = chain.elements
     links = range(0 if (chain.parity == EVEN) == first else 1, chain.length, 2)
-    receives = chain.terminal == ADD and chain.receiver_is_first() == first
     if not links:
-        return received if receives else part
+        return part if received is None else received
     swapped = set(part)
     for link in links:
         swapped.remove(els[link + 1])
         swapped.add(els[link])
-    if receives:
+    if received is not None:
         swapped.add(els[-1])
     new = frozenset(swapped)
     if not matroid._independent(new):
@@ -358,8 +339,8 @@ def _search(session: Session, y: int, parity: str):
     state = session.state
     start = session.first() if parity == EVEN else session.second()
     # Most searches end at y itself; answering that here skips setting up
-    # the layered search on the hot path, and the link-free chain is then
-    # applied by the session in place (``Session._absorb``).
+    # the layered search on the hot path, and applying the link-free chain
+    # costs one evaluation and one anchor grow (``apply_chain``).
     if start.extends(y):
         return ExchangeChain((y,), parity, (), ADD)
 

@@ -200,6 +200,10 @@ _REJECTED = {
         _uniform(3, 1), _uniform(3, 1), PairState(fs({0}), fs()),
         ExchangeChain((0,), EVEN, (), ADD), "chain start already belongs",
     ),
+    "start-in-other-part": (
+        _uniform(2, 1), _uniform(2, 1), PairState(fs(), fs({0})),
+        ExchangeChain((0,), EVEN, (), ADD), "chain start already lies in the other part",
+    ),
     "misses-endpoints": (
         _uniform(3, 1), _uniform(3, 1), PairState(fs({0}), fs()),
         ExchangeChain((1, 0), EVEN, (fs({1, 2}),), COMMON),
@@ -272,10 +276,11 @@ def test_each_forged_chain_is_rejected_by_its_own_check(case):
         apply_chain(m1, m2, state, chain)
 
 
-@pytest.mark.parametrize("case", ["start-in-part", "add-link-free-dependent"])
+@pytest.mark.parametrize("case", ["start-in-part", "start-in-other-part", "add-link-free-dependent"])
 def test_a_serving_session_rejects_a_forged_link_free_chain_before_moving(case):
-    """The session applies a link-free chain itself, with the same checks and
-    messages, and stays where it was when one fails."""
+    """Through a serving session a link-free chain meets the same checks and
+    messages as without one, and the session stays where it was when one
+    fails."""
     m1, m2, state, chain, message = _REJECTED[case]
     session = union.Session(m1, m2, state)
     anchor = session.first()
@@ -499,12 +504,12 @@ class TestSession:
         ],
         ids=["block-forest", "rank-cographic"],
     )
-    def test_a_link_free_chain_grows_the_anchor_in_place(self, monkeypatch, m1, m2):
+    def test_a_link_free_chain_grows_the_receiving_anchor(self, monkeypatch, m1, m2):
         """Each link-free chain of a run, applied through its session with
         both anchors built: the session serves the new state, builds no
-        anchor, and both anchors answer as fresh anchors of the new parts.
-        The first matroid's loop e0 makes an odd link-free chain, so the
-        four anchor kinds each grow in place."""
+        anchor, keeps the other part as the same object, and both anchors
+        answer as fresh anchors of the new parts.  The first matroid's loop
+        e0 makes an odd link-free chain, so the four anchor kinds each grow."""
         m1, m2 = build(m1), build(m2)
         state = PairState(fs(), fs())
         session = union.Session(m1, m2, state)
@@ -520,11 +525,12 @@ class TestSession:
                 continue
             session.first(), session.second()
             built.clear()
-            state = apply_chain(m1, m2, state, chain, session)
+            before, state = state, apply_chain(m1, m2, state, chain, session)
             if chain.length:
                 continue
             parities.add(chain.parity)
             assert session.serves(m1, m2, state) and built == []
+            assert (state.i2 is before.i2) if chain.parity == EVEN else (state.i1 is before.i1)
             _assert_answers_as_fresh(m1, session.first(), state.i1)
             _assert_answers_as_fresh(m2, session.second(), state.i2)
         assert parities == {EVEN, ODD}
