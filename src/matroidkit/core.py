@@ -30,10 +30,19 @@ which always returns an anchor: a rooted spanning forest, or block lookups
 with no build step; the graphic family's dual anchors through that forest
 too, where it spans.  Every other handle, the
 dual wrapper included, gets the rank-derived anchor, which has no build
-step.  There is no per-call circuit hook: one rank and one anchor
-per family.  Every anchor can also be grown or exchanged by one element,
-so a caller whose set changes one element at a time need not build a new
-one.
+step.  Every anchor can also be grown or exchanged by one element, so a
+caller whose set changes one element at a time need not build a new one.
+
+The union's chain re-check asks two more questions, which a family that
+can answer them exactly in one pass supplies as hooks of their own:
+whether a set is a circuit (``is_circuit=``), and whether an independent
+set stays independent with one more element (``extends=``).  Partition
+and uniform handles answer both from the blocks, the graphic family the
+first by a cycle test, and its cographic handle both by a bond test and a
+bridge search.  They share no code with the anchors, so the re-check
+still catches a faulty anchor.  Every other handle answers them through
+rank: one rank function, one anchor and at most these two tests per
+family.
 
 Input is validated once, by the public methods; everything below them
 works on frozensets already known to lie inside the ground set.  Nothing
@@ -215,9 +224,15 @@ class Matroid:
     ``Anchor`` for the set ``a``; without one, it anchors with
     ``RankAnchor``.  Closure and fundamental circuits are answered through
     the anchor, so its answers must agree with the rank function; there is
-    no separate closure or per-call circuit hook.  Chains built from
-    anchored circuits are still re-checked against rank before they are
-    applied.
+    no separate closure or fundamental-circuit hook.  Chains built from
+    anchored circuits are still re-checked before they are applied.
+
+    Two optional hooks answer the re-check's questions exactly, where the
+    family can do so in one pass: ``is_circuit(c)``, whether ``c`` is a
+    circuit, and ``extends(part, x)``, for an independent ``part`` and an
+    ``x`` outside it, whether ``part + x`` is independent.  Their answers
+    must agree with the rank function; without them the re-check asks
+    rank (``union._is_circuit``, ``union._extended``).
 
     A family that knows its dual may take a native ``dual=`` hook, a
     callable that builds that handle; its rank must agree with the rank
@@ -230,7 +245,17 @@ class Matroid:
     frozensets of valid ids.
     """
 
-    __slots__ = ("_ground", "_full", "_rank", "_anchor_fn", "_dual_fn", "provenance", "_full_rank")
+    __slots__ = (
+        "_ground",
+        "_full",
+        "_rank",
+        "_anchor_fn",
+        "_dual_fn",
+        "_circuit_fn",
+        "_extends_fn",
+        "provenance",
+        "_full_rank",
+    )
 
     def __init__(
         self,
@@ -240,12 +265,16 @@ class Matroid:
         rank: Callable[[frozenset[int]], int],
         anchor: Callable[[frozenset[int]], Anchor] | None = None,
         dual: Callable[[], "Matroid"] | None = None,
+        is_circuit: Callable[[frozenset[int]], bool] | None = None,
+        extends: Callable[[frozenset[int], int], bool] | None = None,
     ):
         self._ground = ground
         self._full = ground.full()
         self._rank = rank
         self._anchor_fn = anchor
         self._dual_fn = dual
+        self._circuit_fn = is_circuit
+        self._extends_fn = extends
         self.provenance = provenance
         self._full_rank: int | None = None
 

@@ -9,8 +9,12 @@ two parts, which grows by exactly that element.
 Searches are breadth-first, so returned chains are shortest; shortest
 chains are exactly the ones whose swaps can be applied simultaneously
 without re-checking intermediate states.  Every chain carries its witness
-circuits and is re-verified against rank before use, so a stale or forged
-chain fails loudly instead of corrupting a state.
+circuits and is re-verified before use, so a stale or forged chain fails
+loudly instead of corrupting a state.  The re-check asks each matroid
+whether a witness is a circuit and whether the receiving part takes the
+last element: through the family's exact one-pass tests where it has them
+(the ``is_circuit=`` and ``extends=`` hooks of ``Matroid``), and through
+rank otherwise.
 
 A search asks many "does part + x stay independent?" and "which circuit
 does x close in part?" questions against the same two parts, so it asks
@@ -20,8 +24,8 @@ parts by one element, so ``maximize_union`` does not rebuild them: applying
 a chain through the session that found it moves the session to the new
 state, and each anchor is grown or exchanged to follow its part
 (``Anchor.grow``, ``Anchor.exchange``).  Most chains have no links: they
-cost one rank check of ``part + y`` and one grow of that part's anchor, and
-the other part is kept as the same object.
+cost one check that ``part + y`` is independent and one grow of that part's
+anchor, and the other part is kept as the same object.
 """
 
 from __future__ import annotations
@@ -144,9 +148,13 @@ def _carried(anchor: Anchor | None, old: frozenset[int], new: frozenset[int]) ->
 
 
 def _is_circuit(matroid: Matroid, candidate: frozenset[int], known: int) -> bool:
-    """Whether ``candidate`` is dependent with every one-smaller subset
-    independent; ``candidate - {known}`` is taken as already proved
-    independent and not evaluated."""
+    """Whether ``candidate`` is a circuit: the family's exact test when it
+    has one (``is_circuit=``), in one pass.  Otherwise by the definition,
+    dependent with every one-smaller subset independent, which costs
+    |candidate| rank evaluations: ``candidate - {known}`` is taken as
+    already proved independent and not evaluated."""
+    if matroid._circuit_fn is not None:
+        return matroid._circuit_fn(candidate)
     if matroid._independent(candidate):
         return False
     return all(matroid._independent(candidate - {e}) for e in candidate if e != known)
@@ -170,10 +178,10 @@ def validate_chain(m1: Matroid, m2: Matroid, state: PairState, chain: ExchangeCh
     The state is checked as at every public entry (``_check_entry``), so a
     part outside the ground set or dependent in its matroid raises
     InputError, and so do elements and circuits outside the ground set.
-    Then the start is checked to lie outside both parts, every witness
-    circuit is checked (membership, containment in part + y_i, genuine
-    circuit-ness), plus the terminal condition and the alternation pattern
-    of the interior elements.
+    Then the start is checked to lie outside both parts, the interior
+    elements to alternate between the parts, and no element to repeat;
+    every witness circuit is checked (membership, containment in
+    part + y_i, genuine circuit-ness), and so is the terminal condition.
     """
     _recheck_chain(m1, m2, state, chain, _entry_circuits(m1, m2, state, chain))
 
@@ -190,10 +198,13 @@ def _entry_circuits(
 
 
 def _extended(matroid: Matroid, part: frozenset[int], last: int) -> frozenset[int]:
-    """``part + last`` for a receiving part, which must not hold ``last``,
-    evaluated independent once; raises ConsistencyError when it is not."""
+    """``part + last`` for an independent receiving part, which must not hold
+    ``last``, checked independent once: by the family's exact test when it
+    has one (``extends=``), else by one rank evaluation.  Raises
+    ConsistencyError when it is not."""
     grown = part | {last}
-    if not matroid._independent(grown):
+    test = matroid._extends_fn
+    if not (matroid._independent(grown) if test is None else test(part, last)):
         raise ConsistencyError("terminal marked 'add' does not extend the receiver independently")
     return grown
 
@@ -205,17 +216,19 @@ def _recheck_chain(
     chain: ExchangeChain,
     circuits: tuple[frozenset[int], ...],
 ) -> tuple[frozenset[int] | None, frozenset[int] | None]:
-    """``validate_chain`` without the entry checks: every witness against rank.
+    """``validate_chain`` without the entry checks: every witness against
+    its matroid.
 
     Both parts of ``state`` must already be known independent, by
-    ``_check_entry`` or by the session serving the state.  Each link's
-    circuit is checked dependent, and independent once any one element is
-    removed, except that the set C - y_link is not evaluated: the
-    containment check has just placed it inside an independent part.  The
-    'add' terminal's ``part + last`` is evaluated (``_extended``) and
-    returned in the receiving part's place of a pair, so the caller knows
-    that very set independent; the other place, and both for a 'common'
-    terminal, hold None.
+    ``_check_entry`` or by the session serving the state.  The chain's
+    shape is checked first: where its start lies, which part each interior
+    element lies in, and that no element repeats.  Then each link's circuit
+    is checked to be a circuit (``_is_circuit``), after its containment in
+    part + y_link, which places C - y_link inside an independent part.  The
+    'add' terminal's ``part + last`` is checked independent (``_extended``)
+    and returned in the receiving part's place of a pair, so the caller
+    knows that very set independent; the other place, and both for a
+    'common' terminal, hold None.
     """
     els = chain.elements
     start_set = state.i1 if chain.parity == EVEN else state.i2
@@ -223,15 +236,6 @@ def _recheck_chain(
         raise ConsistencyError("chain start already belongs to the part it would enter")
     if els[0] in state.union:
         raise ConsistencyError("chain start already lies in the other part")
-    for link in range(chain.length):
-        matroid, part = (m1, state.i1) if chain.link_uses_first(link) else (m2, state.i2)
-        circuit = circuits[link]
-        if els[link] not in circuit or els[link + 1] not in circuit:
-            raise ConsistencyError(f"link {link} circuit misses its endpoints")
-        if not circuit <= part | {els[link]}:
-            raise ConsistencyError(f"link {link} circuit leaks outside part + y_{link}")
-        if not _is_circuit(matroid, circuit, els[link]):
-            raise ConsistencyError(f"link {link} witness is not a circuit any more")
     # Interior elements alternate between the two parts and may not sit in
     # both; only the terminal element may.
     for i, e in enumerate(els[1:-1], start=1):
@@ -242,6 +246,17 @@ def _recheck_chain(
             raise ConsistencyError(f"interior element y_{i} must lie in the first part only")
         if not expects_first and not in_second:
             raise ConsistencyError(f"interior element y_{i} must lie in the second part only")
+    if len(set(els)) != len(els):
+        raise ConsistencyError("chain elements are not pairwise distinct")
+    for link in range(chain.length):
+        matroid, part = (m1, state.i1) if chain.link_uses_first(link) else (m2, state.i2)
+        circuit = circuits[link]
+        if els[link] not in circuit or els[link + 1] not in circuit:
+            raise ConsistencyError(f"link {link} circuit misses its endpoints")
+        if not circuit <= part | {els[link]}:
+            raise ConsistencyError(f"link {link} circuit leaks outside part + y_{link}")
+        if not _is_circuit(matroid, circuit, els[link]):
+            raise ConsistencyError(f"link {link} witness is not a circuit any more")
     last = els[-1]
     if chain.terminal == COMMON:
         if not (last in state.i1 and last in state.i2):
@@ -265,7 +280,7 @@ def apply_chain(
 ) -> PairState:
     """Perform the alternating swaps along a chain and return the new state.
 
-    The chain is always re-checked against rank first.  A ``session``
+    The chain is always re-checked first (``_recheck_chain``).  A ``session``
     serving this very state vouches for the state and for the range of the
     chain it found, so ``validate_chain``'s entry and range checks are
     skipped; without one they run, and cost two evaluations more.  The
@@ -275,8 +290,8 @@ def apply_chain(
     Only the parts a link runs through are rebuilt and evaluated
     (``_new_part``).  Any other part is kept as the same object, or is the
     very ``part + last`` set the re-check of an 'add' terminal has just
-    evaluated, so a chain without links costs one evaluation, of
-    ``part + y``, and one grow of that part's anchor.
+    checked, so a chain without links costs one check, that ``part + y`` is
+    independent, and one grow of that part's anchor.
     """
     if session is None or not session.serves(m1, m2, state):
         received = _recheck_chain(m1, m2, state, chain, _entry_circuits(m1, m2, state, chain))
@@ -413,11 +428,12 @@ def maximize_union(m1: Matroid, m2: Matroid) -> PairState:
     The loop validates nothing it built itself: one session serves each
     state in turn, so the entry checks are skipped, and applying a chain
     through it moves it to the new state, so the anchors follow the parts
-    instead of being rebuilt.  Every chain is still re-checked against rank
-    before it is applied.  The final parts are extended through the same
-    anchors, in increasing id order as the greedy sweep does, and each
-    extension is checked to be a base: its size against r(E), and with one
-    rank evaluation when anything was added.
+    instead of being rebuilt.  Every chain is still re-checked before it is
+    applied, through each family's exact circuit and 'add' tests where it
+    has them and through rank otherwise.  The final parts are extended
+    through the same anchors, in increasing id order as the greedy sweep
+    does, and each extension is checked to be a base: its size against
+    r(E), and with one rank evaluation when anything was added.
     """
     if m1.ground != m2.ground:
         raise InputError("matroid union needs a common ground set")

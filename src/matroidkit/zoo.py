@@ -12,6 +12,13 @@ the partition with one block of cap k, under its own provenance; a
 one-block partition ranks by min(|X|, cap) and any other counts each block
 down.
 
+Partition, uniform, graphic and cographic handles also supply exact
+one-pass tests for the union's chain re-check (``Matroid``'s
+``is_circuit=`` and ``extends=`` hooks): a block-size test for both
+questions on the partition side, a cycle test for graphic circuits, and a
+bond test and a bridge search on the cographic side.  The graphic 'add'
+question stays a rank evaluation.
+
 Partition and uniform matroids also supply a native dual: the partition
 on the same blocks with caps |B| - min(c, |B|), and U(n, n - min(k, n)).
 Each keeps the ``dual(...)`` provenance, and its own dual is an equal
@@ -383,6 +390,107 @@ class DualAnchor:
         return DualAnchor(b, primal, kept)
 
 
+# Exact one-pass answers to the union re-check's two questions, bound with
+# ``partial`` over each family's plain data (``Matroid``'s ``is_circuit=``
+# and ``extends=`` hooks).  They share no code with the anchors above, so a
+# faulty anchor still meets an independent check.
+
+
+def _is_block_circuit(members, block_of, caps, c: frozenset[int]) -> bool:
+    """Partition circuit: ``c`` lies inside one block B and holds cap(B) + 1 elements."""
+    if not c:
+        return False
+    bi = block_of[next(iter(c))]
+    return len(c) == caps[bi] + 1 and c <= members[bi]
+
+
+def _block_has_room(members, block_of, caps, part: frozenset[int], x: int) -> bool:
+    """Whether independent ``part`` plus ``x`` stays independent: the block of
+    ``x`` holds fewer than its cap of ``part``.  With one block, as in
+    U(n, k), that block holds all of ``part``."""
+    bi = block_of[x]
+    held = len(part) if len(members) == 1 else len(part & members[bi])
+    return held < caps[bi]
+
+
+def _is_cycle(endpoints, c: frozenset[int]) -> bool:
+    """Graphic circuit: a single loop, or loop-free edges that meet every
+    vertex they touch exactly twice and form one connected walk."""
+    ends: dict[int, list[int]] = {}
+    for e in c:
+        u, v = endpoints[e]
+        if u == v:
+            return len(c) == 1
+        ends.setdefault(u, []).append(e)
+        ends.setdefault(v, []).append(e)
+    if not ends or any(len(at) != 2 for at in ends.values()):
+        return False
+    # Every vertex has degree 2, so the walk from one vertex closes after
+    # going once round its cycle, which is all of c exactly when c is connected.
+    start = node = next(iter(ends))
+    came, walked = -1, 0
+    while True:
+        e, f = ends[node]
+        if e == came:
+            e = f
+        u, v = endpoints[e]
+        node = v if u == node else u
+        came = e
+        walked += 1
+        if node == start:
+            return walked == len(c)
+
+
+def _is_bond(endpoints, roots, c: frozenset[int]) -> bool:
+    """Cographic circuit: one union-find over E - c, after which every edge
+    of ``c`` joins two different components, and all of them the same two."""
+    parent = list(roots)
+
+    def find(u: int) -> int:
+        while parent[u] != u:
+            parent[u] = u = parent[parent[u]]
+        return u
+
+    for e, (u, v) in enumerate(endpoints):
+        if e not in c:
+            u, v = find(u), find(v)
+            if u != v:
+                parent[v] = u
+    pair = None
+    for e in c:
+        u, v = endpoints[e]
+        u, v = find(u), find(v)
+        if u == v:
+            return False
+        if pair is None:
+            pair = {u, v}
+        elif pair != {u, v}:
+            return False
+    return pair is not None
+
+
+def _is_no_bridge(endpoints, incident, part: frozenset[int], x: int) -> bool:
+    """Whether co-independent ``part`` plus ``x`` stays co-independent: ``x``
+    is no bridge of E - part, so a breadth-first search from one end of
+    ``x`` over E - part - x reaches the other end, where it stops."""
+    u, v = endpoints[x]
+    if u == v:
+        return True
+    seen = {u}
+    layer = [u]
+    while layer:
+        below = []
+        for node in layer:
+            for e, far in incident[node]:
+                if far not in seen and e != x and e not in part:
+                    if far == v:
+                        return True
+                    seen.add(far)
+                    below.append(far)
+        layer = below
+    return False
+
+
 def _build_uniform(spec: Uniform) -> Matroid:
     if spec.n < 0 or spec.k < 0:
         raise InputError("uniform matroid needs n >= 0 and k >= 0")
@@ -463,6 +571,8 @@ def _partition_matroid(
         rank=rank,
         anchor=partial(BlockAnchor, members, block_of, caps),
         dual=dual,
+        is_circuit=partial(_is_block_circuit, members, block_of, caps),
+        extends=partial(_block_has_room, members, block_of, caps),
     )
 
 
@@ -511,6 +621,8 @@ def _build_graphic(spec: Graphic) -> Matroid:
             rank=dual_rank(graphic),
             anchor=anchor,
             dual=lambda: graphic,
+            is_circuit=partial(_is_bond, endpoints, roots),
+            extends=partial(_is_no_bridge, endpoints, incident),
         )
         return cographic
 
@@ -520,6 +632,7 @@ def _build_graphic(spec: Graphic) -> Matroid:
         rank=rank,
         anchor=partial(ForestAnchor, endpoints, incident),
         dual=cographic,
+        is_circuit=partial(_is_cycle, endpoints),
     )
     return graphic
 

@@ -3,21 +3,25 @@
 The grid counts are evaluations of the graphic family's native oracles during
 ``solve`` on plain w x w grids from the left column to the right column,
 where exactly w disjoint paths exist.  The first count adds rank
-evaluations and anchor builds, the work of the family itself below every
-wrapper (a handle keeps no cache besides r(E), so every evaluation a
+evaluations, anchor builds and calls of the exact circuit and 'add' tests
+(``is_circuit=`` and ``extends=``), the work of the family itself below
+every wrapper (a handle keeps no cache besides r(E), so every evaluation a
 wrapper asks for reaches it).  The graphic handle's ``dual=`` hook passes
 through uncounted: the cographic handle it builds asks the graphic handle
-for every rank and anchor, so that work is counted there.
+for every rank and anchor, so that work is counted there, and its own two
+tests are counted on the cographic handle.
 The second counts the queries answered by those anchors (``extends``,
 ``circuit`` and ``cocircuit``, which the dual's anchor asks of them), so
 no work can hide inside a session.  The third counts the updates
 (``grow`` and ``exchange``) that carry an anchor from one set to the next
 instead of building it again.
 
-The partition counts are the rank evaluations of the partition family
-during ``certify`` on the seeded pair of 400 elements of the scale tier,
-and the summed size of the sets those evaluations read.  The dual of a
-partition matroid is a partition handle of its own, so both sides count.
+The partition counts are the evaluations of the partition family (rank,
+and the exact circuit and 'add' tests) during ``certify`` on the seeded
+pair of 400 elements of the scale tier, and the summed size of the sets
+those evaluations are handed: the candidate of a circuit test, and
+``part + x`` of an 'add' test.  The dual of a partition matroid is a
+partition handle of its own, so both sides count.
 
 Each bound is the count the current code makes; lower it when a change
 saves work, and never raise it.
@@ -63,32 +67,44 @@ class CountedAnchor:
         return CountedAnchor(self._inner.exchange(y, z), self._counts)
 
 
+def counted(oracle, counts, size=None):
+    """``oracle``, counting each call as one evaluation and, when ``size`` is
+    given, adding ``size(*args)`` to the elements read."""
+
+    def counting(*args):
+        counts["evaluations"] += 1
+        if size is not None:
+            counts["elements"] += size(*args)
+        return oracle(*args)
+
+    return counting
+
+
 def graphic_oracle_evaluations(monkeypatch, inst: MengerInstance):
-    """Solve ``inst`` while counting the native oracle work of every graphic handle."""
-    counts = {"oracles": 0, "queries": 0, "updates": 0}
-
-    def counted_rank(rank):
-        def oracle(xs):
-            counts["oracles"] += 1
-            return rank(xs)
-
-        return oracle
+    """Solve ``inst`` while counting the native oracle work of every graphic
+    handle, and the two tests of every cographic one."""
+    counts = {"evaluations": 0, "queries": 0, "updates": 0}
 
     def counted_anchor(anchor):
         def oracle(xs):
-            counts["oracles"] += 1
+            counts["evaluations"] += 1
             return CountedAnchor(anchor(xs), counts)
 
         return oracle
 
     def counting_matroid(ground, provenance="oracle", **oracles):
         if provenance.startswith("graphic("):
-            assert set(oracles) == {"rank", "anchor", "dual"}
+            assert set(oracles) == {"rank", "anchor", "dual", "is_circuit"}
             oracles = {
-                "rank": counted_rank(oracles["rank"]),
+                "rank": counted(oracles["rank"], counts),
                 "anchor": counted_anchor(oracles["anchor"]),
                 "dual": oracles["dual"],
+                "is_circuit": counted(oracles["is_circuit"], counts),
             }
+        elif provenance.startswith("dual(graphic("):
+            assert set(oracles) == {"rank", "anchor", "dual", "is_circuit", "extends"}
+            oracles["is_circuit"] = counted(oracles["is_circuit"], counts)
+            oracles["extends"] = counted(oracles["extends"], counts)
         return Matroid(ground, provenance, **oracles)
 
     monkeypatch.setattr(zoo, "Matroid", counting_matroid)
@@ -97,36 +113,31 @@ def graphic_oracle_evaluations(monkeypatch, inst: MengerInstance):
 
 
 @pytest.mark.parametrize(
-    "w,oracle_bound,query_bound,update_bound", [(5, 115, 156, 37), (6, 201, 250, 60)]
+    "w,oracle_bound,query_bound,update_bound", [(5, 67, 156, 37), (6, 101, 250, 60)]
 )
 def test_grid_solve_graphic_oracle_evaluations(
     monkeypatch, w, oracle_bound, query_bound, update_bound
 ):
     cert, counts = graphic_oracle_evaluations(monkeypatch, grid_instance(w))
     assert cert.count == w
-    assert counts["oracles"] <= oracle_bound
+    assert counts["evaluations"] <= oracle_bound
     assert counts["queries"] <= query_bound
     assert counts["updates"] <= update_bound
 
 
-EVALUATION_BOUND = 822
-ELEMENT_BOUND = 51_551
+EVALUATION_BOUND = 633
+ELEMENT_BOUND = 51_248
 
 
 def test_partition_pair_certify_rank_evaluations(monkeypatch):
     counts = {"evaluations": 0, "elements": 0}
 
-    def counted_rank(rank):
-        def oracle(xs):
-            counts["evaluations"] += 1
-            counts["elements"] += len(xs)
-            return rank(xs)
-
-        return oracle
-
     def counting_matroid(ground, provenance="oracle", **oracles):
         if provenance.startswith(("partition(", "dual(partition(")):
-            oracles["rank"] = counted_rank(oracles["rank"])
+            assert set(oracles) == {"rank", "anchor", "dual", "is_circuit", "extends"}
+            oracles["rank"] = counted(oracles["rank"], counts, len)
+            oracles["is_circuit"] = counted(oracles["is_circuit"], counts, len)
+            oracles["extends"] = counted(oracles["extends"], counts, lambda part, x: len(part) + 1)
         return Matroid(ground, provenance, **oracles)
 
     monkeypatch.setattr(zoo, "Matroid", counting_matroid)

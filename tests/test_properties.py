@@ -459,6 +459,99 @@ def test_the_dual_of_a_hooked_handle_anchors_through_rank():
         _assert_anchor_matches_rank(d, b, anchor)
 
 
+# -- the exact circuit and 'add' tests against their rank definitions ---------
+
+# Two vertex-disjoint triangles: every vertex of the pair has degree 2, but
+# the pair is no circuit.
+_TWO_TRIANGLES = Graphic(
+    Multigraph.from_labels(
+        ["a", "b", "c", "d", "e", "f"],
+        [("t0", "a", "b"), ("t1", "b", "c"), ("t2", "c", "a")]
+        + [("t3", "d", "e"), ("t4", "e", "f"), ("t5", "f", "d")],
+    )
+)
+
+
+def _exact_test_cases():
+    """Every ``_rank_cases`` and ``_ORACLE_CASES`` handle with a hook, plus
+    the two triangles and the cographic handles of both two-component graphs."""
+    named = dict(
+        [(name, spec) for name, spec, _ in _RANK_CASES]
+        + _ORACLE_CASES
+        + [
+            ("graphic-two-triangles", _TWO_TRIANGLES),
+            ("dual-graphic-two-triangles", Dual(_TWO_TRIANGLES)),
+            ("dual-graphic-two-components-isolated", Dual(_ISOLATED)),
+        ]
+    )
+    return [
+        (name, spec)
+        for name, spec in named.items()
+        if build(spec)._circuit_fn is not None or build(spec)._extends_fn is not None
+    ]
+
+
+_EXACT_TEST_CASES = _exact_test_cases()
+
+
+def test_the_exact_tests_serve_the_partition_graphic_and_cographic_handles():
+    """Partition and uniform handles, natively built duals included, have
+    both tests, graphic handles the circuit test, and cographic handles both;
+    the filter above drops no such case unnoticed, and every wrapper
+    answers through rank."""
+    both, circuit_only = [], []
+    for name, spec in _EXACT_TEST_CASES:
+        m = build(spec)
+        assert m._circuit_fn is not None, name
+        (both if m._extends_fn is not None else circuit_only).append(name)
+    assert sorted(circuit_only) == [
+        "dual-dual-graphic",
+        "graphic",
+        "graphic-loop-parallel",
+        "graphic-two-components-isolated",
+        "graphic-two-triangles",
+    ]
+    assert sorted(both) == [
+        "dual",
+        "dual-dual",
+        "dual-dual-partition",
+        "dual-graphic",
+        "dual-graphic-two-components-isolated",
+        "dual-graphic-two-triangles",
+        "dual-partition",
+        "dual-partition-cap-above-block",
+        "dual-uniform",
+        "dual-uniform-k-above-n",
+        "partition",
+        "partition-cap-0",
+        "partition-overfilled",
+        "uniform",
+        "uniform-k-above-n",
+    ]
+
+
+@pytest.mark.parametrize(
+    "spec", [case[1] for case in _EXACT_TEST_CASES], ids=[case[0] for case in _EXACT_TEST_CASES]
+)
+def test_exact_tests_match_their_rank_definitions(spec):
+    """On every subset: the circuit test says dependent with every
+    one-smaller subset independent, and on every independent part, the
+    'add' test of each x outside it says whether part + x is independent."""
+    m = build(spec)
+    subsets = _all_subsets(m.elements())
+    for c in subsets:
+        circuit = not m.is_independent(c) and all(m.is_independent(c - {e}) for e in c)
+        assert m._circuit_fn(c) == circuit, sorted(c)
+    if m._extends_fn is None:
+        return
+    for part in subsets:
+        if not m.is_independent(part):
+            continue
+        for x in m.elements():
+            if x not in part:
+                assert m._extends_fn(part, x) == m.is_independent(part | {x}), (sorted(part), x)
+
+
 # -- anchors carried through grow and exchange ---------------------------------
 
 
@@ -585,14 +678,19 @@ class _FaultyAnchor:
         return _FaultyAnchor(self._matroid, self.base - {z} | {y})
 
 
-def test_a_wrong_native_anchor_never_reaches_a_union():
+def _with_anchor(honest, anchor, recheck):
+    """``honest`` anchored by ``anchor``, its chains re-checked through rank,
+    or through the honest handle's exact circuit and 'add' tests."""
+    tests = {}
+    if recheck == "exact":
+        tests = {"is_circuit": honest._circuit_fn, "extends": honest._extends_fn}
+    return Matroid(honest.ground, provenance="faulty", rank=honest._rank, anchor=anchor, **tests)
+
+
+@pytest.mark.parametrize("recheck", ["rank", "exact"])
+def test_a_wrong_native_anchor_never_reaches_a_union(recheck):
     honest = build(Partition((("a", "c"), ("b",)), (1, 1)))
-    faulty = Matroid(
-        honest.ground,
-        provenance="faulty",
-        rank=honest._rank,
-        anchor=lambda b: _FaultyAnchor(honest, b),
-    )
+    faulty = _with_anchor(honest, lambda b: _FaultyAnchor(honest, b), recheck)
     partner = build(Uniform(3, 1, labels=("a", "b", "c")))
     with pytest.raises(ConsistencyError):
         maximize_union(faulty, partner)
@@ -626,18 +724,14 @@ class _StaleAnchor:
         return _StaleAnchor(self._matroid, self.base - {z} | {y}, self._stale)
 
 
+@pytest.mark.parametrize("recheck", ["rank", "exact"])
 @pytest.mark.parametrize("stale", ["grow", "exchange"])
-def test_a_wrong_anchor_update_never_reaches_a_union(stale):
+def test_a_wrong_anchor_update_never_reaches_a_union(stale, recheck):
     """Both parts take one of a and b.  A stale grow lets b into the first
     part next to a; a stale exchange, after b has swapped a out of the first
     part, lets a back in while the part is extended to a base."""
     honest = build(Uniform(2, 1, labels=("a", "b")))
-    faulty = Matroid(
-        honest.ground,
-        provenance="faulty",
-        rank=honest._rank,
-        anchor=lambda b: _StaleAnchor(honest, b, stale),
-    )
+    faulty = _with_anchor(honest, lambda b: _StaleAnchor(honest, b, stale), recheck)
     partner = build(Uniform(2, 1, labels=("a", "b")))
     with pytest.raises((ConsistencyError, InternalInvariantError)):
         maximize_union(faulty, partner)

@@ -13,6 +13,7 @@ from closed form or from an independent algorithm written here.
   augmenting-path search finds.
 - U(n, k) against itself, for k <= n, has largest common independent sets
   of size k: any k elements are independent in both, and no k + 1 are.
+  Its chain re-check must make one circuit test per link, not k + 1.
 - A seeded sparse random graph has as many disjoint paths as the
   vertex-split max flow of ``oracles.brute_max_disjoint_paths`` finds, and
   a grid of w long rows, from its left column to its right, has w.
@@ -46,7 +47,9 @@ from matroidkit import (
     solve,
     union,
     verify_certificate,
+    zoo,
 )
+from matroidkit.core import Matroid
 from matroidkit.menger import verify
 from matroidkit.oracles import OracleBudget, brute_max_disjoint_paths
 
@@ -235,6 +238,43 @@ def test_uniform_pair_reaches_its_rank_within_its_memory_ceiling():
     _certify_within(m, m, 200, UNIFORM_PEAK_BYTES, lambda: certify(tiny, tiny))
 
 
+def test_uniform_pair_circuit_checks_grow_with_the_links(monkeypatch):
+    """A guard that timing noise cannot pass: every oracle call made inside
+    a circuit check of the chain re-check is counted, rank evaluations and
+    the exact circuit test alike.  The rank definition spends |C| = k + 1
+    evaluations on each link's circuit; the count must grow with the links
+    alone."""
+    counts = {"links": 0, "evaluations": 0}
+    inside = []
+    evaluate, test, is_circuit = Matroid._independent, zoo._is_block_circuit, union._is_circuit
+
+    def counted_evaluate(self, s):
+        if inside:
+            counts["evaluations"] += 1
+        return evaluate(self, s)
+
+    def counted_test(*args):
+        if inside:
+            counts["evaluations"] += 1
+        return test(*args)
+
+    def counted_is_circuit(matroid, candidate, known):
+        counts["links"] += 1
+        inside.append(candidate)
+        try:
+            return is_circuit(matroid, candidate, known)
+        finally:
+            inside.pop()
+
+    monkeypatch.setattr(Matroid, "_independent", counted_evaluate)
+    monkeypatch.setattr(zoo, "_is_block_circuit", counted_test)
+    monkeypatch.setattr(union, "_is_circuit", counted_is_circuit)
+    m = build(Uniform(400, 200))  # built after the patch, so its tests are counted
+    assert len(certify(m, m).i) == 200
+    assert counts["links"] >= 200
+    assert counts["evaluations"] == counts["links"]
+
+
 # -- Menger beyond the square grid ---------------------------------------------
 
 
@@ -247,9 +287,10 @@ def test_random_sparse_graph_has_as_many_paths_as_the_max_flow():
     assert verify(inst, cert)
 
 
-def test_long_grid_has_one_path_per_row():
+@pytest.mark.parametrize("length", [60, 250])
+def test_long_grid_has_one_path_per_row(length):
     # A finite piece of a graph with finitely many disjoint rays: its w rows.
-    inst = grid_instance(4, length=60)
+    inst = grid_instance(4, length=length)
     cert = solve(inst)
     assert cert.count == 4
     assert verify(inst, cert)

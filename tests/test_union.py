@@ -228,6 +228,14 @@ _REJECTED = {
         ExchangeChain((1, 1, 2), ODD, (fs({0, 1}), fs({1, 2})), COMMON),
         "interior element y_1 must lie in the second part only",
     ),
+    "repeated-element": (
+        _uniform(5, 2), _uniform(5, 2), PairState(fs({1, 4}), fs({2, 4})),
+        ExchangeChain(
+            (0, 1, 2, 1, 4), EVEN, (fs({0, 1, 4}), fs({1, 2, 4}), fs({1, 2, 4}), fs({1, 2, 4})),
+            COMMON,
+        ),
+        "chain elements are not pairwise distinct",
+    ),
     "common-not-in-both": (
         _uniform(3, 1), _uniform(3, 1), PairState(fs({0}), fs()),
         ExchangeChain((1, 0), EVEN, (fs({0, 1}),), COMMON), "'common' is not in both parts",
@@ -289,16 +297,36 @@ def test_a_serving_session_rejects_a_forged_link_free_chain_before_moving(case):
     assert session.serves(m1, m2, state) and session.first() is anchor
 
 
-def _recorded_evaluations(monkeypatch, names):
-    """Record every independence evaluation as (handle name, sorted ids)."""
+def _recorded_evaluations(monkeypatch, handles):
+    """Record every evaluation of the named handles as (name, kind, sorted
+    ids): each independence evaluation through rank, each circuit test of
+    its candidate, and each 'add' test of ``part + x``."""
     seen = []
+    names = {id(m): name for name, m in handles.items()}
     evaluate = Matroid._independent
 
     def recording(self, s):
-        seen.append((names[id(self)], tuple(sorted(s))))
+        seen.append((names[id(self)], "rank", tuple(sorted(s))))
         return evaluate(self, s)
 
+    def recorded_circuit(name, test):
+        def recorded(c):
+            seen.append((name, "is_circuit", tuple(sorted(c))))
+            return test(c)
+
+        return recorded
+
+    def recorded_extends(name, test):
+        def recorded(part, x):
+            seen.append((name, "extends", tuple(sorted(part | {x}))))
+            return test(part, x)
+
+        return recorded
+
     monkeypatch.setattr(Matroid, "_independent", recording)
+    for name, m in handles.items():
+        monkeypatch.setattr(m, "_circuit_fn", recorded_circuit(name, m._circuit_fn))
+        monkeypatch.setattr(m, "_extends_fn", recorded_extends(name, m._extends_fn))
     return seen
 
 
@@ -321,16 +349,16 @@ class TestSessionEvaluations:
         state = PairState(*state)
         circuits = (fs(chain),) if len(chain) > 1 else ()
         chain = ExchangeChain(chain, EVEN, circuits, terminal)
-        seen = _recorded_evaluations(monkeypatch, {id(m1): "m1", id(m2): "m2"})
+        seen = _recorded_evaluations(monkeypatch, {"m1": m1, "m2": m2})
         without = apply_chain(m1, m2, state, chain)
         entry_and_recheck = sorted(seen)
         seen.clear()
         with_session = apply_chain(m1, m2, state, chain, union.Session(m1, m2, state))
         assert with_session == without
-        parts = [("m1", tuple(sorted(state.i1))), ("m2", tuple(sorted(state.i2)))]
+        parts = [("m1", "rank", tuple(sorted(state.i1))), ("m2", "rank", tuple(sorted(state.i2)))]
         assert entry_and_recheck == sorted(seen + parts)
-        if chain.length == 0:  # the session applies it with part + y alone
-            assert seen == [("m1", (1,))]
+        if chain.length == 0:  # the session applies it with one 'add' test of part + y
+            assert seen == [("m1", "extends", (1,))]
 
 
 class TestMaximizeUnion:
