@@ -406,11 +406,9 @@ def _is_block_circuit(members, block_of, caps, c: frozenset[int]) -> bool:
 
 def _block_has_room(members, block_of, caps, part: frozenset[int], x: int) -> bool:
     """Whether independent ``part`` plus ``x`` stays independent: the block of
-    ``x`` holds fewer than its cap of ``part``.  With one block, as in
-    U(n, k), that block holds all of ``part``."""
+    ``x`` holds fewer than its cap of ``part``."""
     bi = block_of[x]
-    held = len(part) if len(members) == 1 else len(part & members[bi])
-    return held < caps[bi]
+    return len(part & members[bi]) < caps[bi]
 
 
 def _is_cycle(endpoints, c: frozenset[int]) -> bool:

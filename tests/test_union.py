@@ -284,6 +284,28 @@ def test_each_forged_chain_is_rejected_by_its_own_check(case):
         apply_chain(m1, m2, state, chain)
 
 
+def _without_tests(m):
+    """``m`` with its exact circuit and 'add' tests taken off, so the chain
+    re-check falls back to rank."""
+    return Matroid(m.ground, m.provenance, rank=m._rank, anchor=m._anchor_fn, dual=m._dual_fn)
+
+
+@pytest.mark.parametrize(
+    "case",
+    sorted(c for c, row in _REJECTED.items() if row[0]._circuit_fn or row[1]._circuit_fn),
+)
+def test_each_forged_chain_meets_its_own_check_through_rank(case):
+    """The same rows re-checked through rank, so each check keeps a
+    message-pinned row on the rank path as well as on the exact tests."""
+    m1, m2, state, chain, message = _REJECTED[case]
+    m1, m2 = _without_tests(m1), _without_tests(m2)
+    if "lost independence" not in message:
+        with pytest.raises(ConsistencyError, match=message):
+            validate_chain(m1, m2, state, chain)
+    with pytest.raises(ConsistencyError, match=message):
+        apply_chain(m1, m2, state, chain)
+
+
 @pytest.mark.parametrize("case", ["start-in-part", "start-in-other-part", "add-link-free-dependent"])
 def test_a_serving_session_rejects_a_forged_link_free_chain_before_moving(case):
     """Through a serving session a link-free chain meets the same checks and
