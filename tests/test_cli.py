@@ -29,6 +29,7 @@ TRIANGLE = str(FIXTURES / "triangle_graphic.json")
 U24 = str(FIXTURES / "uniform24.json")
 BAD_I1 = str(FIXTURES / "system_missing_empty.json")
 BAD_I2 = str(FIXTURES / "system_missing_subset.json")
+BAD_I3 = str(FIXTURES / "system_exchange_failure.json")
 
 
 def invoke(argv, capsys):
@@ -364,6 +365,47 @@ class TestErrorPaths:
 
     def test_unknown_flag_exits_two(self, capsys):
         assert run(["rank", "--matroid", U24, "--bogus"]) == 2
+
+    @pytest.mark.parametrize("command", ["union", "intersect"])
+    def test_a_failed_verification_exits_one_with_one_line_and_no_output(
+        self, tmp_path, capsys, command
+    ):
+        # {∅, a, b, c, bc} fails (I3); the union's own re-check catches it.
+        output = tmp_path / "out.json"
+        code = run([command, "--m1", BAD_I3, "--m2", BAD_I3, "--output", str(output)])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err == (
+            "verification failure: a part extended through its anchor is not a base\n"
+        )
+        assert not output.exists()
+
+    def test_orthogonality_failure_exits_one_with_its_witness(self, capsys):
+        code, out = invoke(["orthogonality", "--matroid", BAD_I3], capsys)
+        assert code == 1
+        assert json.loads(out) == {"ok": False, "circuit": ["a", "b"], "cocircuit": ["a"]}
+
+    @pytest.mark.parametrize(
+        "argv,message",
+        [
+            (
+                ["menger", "--graph", PATH3, "--s", ",", "--t", "c"],
+                "expected a comma-separated label list, got ','",
+            ),
+            (
+                ["verify", "--kind", "menger", "--certificate", PATH3, "--s", "a", "--t", "c"],
+                "menger verification needs --graph, --s and --t",
+            ),
+        ],
+        ids=["menger-empty-label-list", "verify-menger-without-graph"],
+    )
+    def test_missing_menger_inputs_exit_two_with_one_line(self, capsys, argv, message):
+        code = run(argv)
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
 
 
 class TestSharedParser:
