@@ -51,6 +51,18 @@ def _load_matroid(path: str):
     return build(jsonio.spec_from_obj(_load_json(path)))
 
 
+def _load_pair(args):
+    """The matroids of ``--m1`` and ``--m2``, in that order."""
+    return _load_matroid(args.m1), _load_matroid(args.m2)
+
+
+def _load_menger_instance(args) -> MengerInstance:
+    """The instance on the graph of ``--graph`` between the vertex labels of
+    ``--s`` and ``--t``."""
+    g = jsonio.graph_from_obj(_load_json(args.graph))
+    return MengerInstance.from_labels(g, _labels_arg(args.s), _labels_arg(args.t))
+
+
 def _write(path: str | None, text: str) -> None:
     """Write text to the file at path, or to stdout for no path or ``-``.
 
@@ -148,16 +160,14 @@ def _cmd_orthogonality(args) -> int:
 
 
 def _cmd_union(args) -> int:
-    m1 = _load_matroid(args.m1)
-    m2 = _load_matroid(args.m2)
+    m1, m2 = _load_pair(args)
     state = maximize_union(m1, m2)
     _emit(args, jsonio.union_state_to_obj(state, m1.ground))
     return 0
 
 
 def _cmd_intersect(args) -> int:
-    m1 = _load_matroid(args.m1)
-    m2 = _load_matroid(args.m2)
+    m1, m2 = _load_pair(args)
     # The exhaustive sweep refuses a large ground set before any work or output.
     min_rank = min_rank_value(m1, m2) if args.min_rank else None
     st, dg, coloring, cert = pipeline(m1, m2)
@@ -171,12 +181,11 @@ def _cmd_intersect(args) -> int:
 
 
 def _cmd_menger(args) -> int:
-    g = jsonio.graph_from_obj(_load_json(args.graph))
-    inst = MengerInstance.from_labels(g, _labels_arg(args.s), _labels_arg(args.t))
+    inst = _load_menger_instance(args)
     cert = solve(inst)
     if args.dot:
         _write(args.dot, dot.menger_dot(inst, cert))
-    _emit(args, jsonio.menger_cert_to_obj(cert, g))
+    _emit(args, jsonio.menger_cert_to_obj(cert, inst.graph))
     return 0
 
 
@@ -184,16 +193,14 @@ def _cmd_verify(args) -> int:
     if args.kind == "intersection":
         if not (args.m1 and args.m2):
             raise InputError("intersection verification needs --m1 and --m2")
-        m1 = _load_matroid(args.m1)
-        m2 = _load_matroid(args.m2)
+        m1, m2 = _load_pair(args)
         cert = jsonio.intersection_cert_from_obj(_load_json(args.certificate), m1.ground)
         result = verify_certificate(m1, m2, cert)
     else:
         if not (args.graph and args.s and args.t):
             raise InputError("menger verification needs --graph, --s and --t")
-        g = jsonio.graph_from_obj(_load_json(args.graph))
-        inst = MengerInstance.from_labels(g, _labels_arg(args.s), _labels_arg(args.t))
-        cert = jsonio.menger_cert_from_obj(_load_json(args.certificate), g)
+        inst = _load_menger_instance(args)
+        cert = jsonio.menger_cert_from_obj(_load_json(args.certificate), inst.graph)
         result = verify_menger(inst, cert)
     payload: dict = {"ok": result.ok}
     if result.reason:

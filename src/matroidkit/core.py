@@ -13,13 +13,15 @@ level down, with r(E) computed once per handle.  A family that knows its
 dual supplies a native ``dual=`` hook instead: the dual of a partition or
 uniform matroid is again one, whose rank of X reads X alone rather than
 E - X, and the graphic family builds its cographic handle, which keeps the
-dual rank identity (``dual_rank``) but anchors through the forest.  The
-dual of any dual is the original handle (M** = M): the dual of a wrapper
-or of a cographic handle is the very handle it was built from, and a
-partition or uniform dual's dual is an equal native handle, so wrappers
-never stack two deep.  Nothing else is cached: every query reaches the
-native oracle, so a caller that asks the same set twice pays twice, and
-callers avoid asking what they have already proved.
+dual rank identity but anchors through the forest.  Both the wrapper and
+the cographic handle come out of one constructor, ``dual_matroid``, which
+takes the cographic hooks as keyword arguments.  The dual of any dual is
+the original handle (M** = M): the dual of a wrapper or of a cographic
+handle is the very handle it was built from, and a partition or uniform
+dual's dual is an equal native handle, so wrappers never stack two deep.
+Nothing else is cached: every query reaches the native oracle, so a
+caller that asks the same set twice pays twice, and callers avoid asking
+what they have already proved.
 
 Closure and fundamental circuits are answered by anchors.  An anchor is
 built once for a fixed set ``a`` and then answers, for many ``x``, whether
@@ -66,6 +68,19 @@ def default_labels(n: int) -> tuple[str, ...]:
     return tuple(f"e{i}" for i in range(n))
 
 
+def id_subset(xs: Iterable[int], n: int, message: str) -> frozenset[int]:
+    """Normalize ``xs`` to a frozenset of ids, each an int in ``range(n)``.
+
+    An id outside raises InputError with ``message.format(id, n)``, so the
+    message is formatted only on failure.
+    """
+    s = frozenset(xs)
+    for e in s:
+        if not isinstance(e, int) or e < 0 or e >= n:
+            raise InputError(message.format(e, n))
+    return s
+
+
 @dataclass(frozen=True)
 class GroundSet:
     """Dense element ids ``0 .. size-1`` with pairwise-distinct labels."""
@@ -98,13 +113,7 @@ class GroundSet:
 
     def subset(self, xs: Iterable[int]) -> frozenset[int]:
         """Normalize ``xs`` to a frozenset, rejecting out-of-range ids."""
-        s = frozenset(xs)
-        for e in s:
-            if not isinstance(e, int) or e < 0 or e >= len(self.labels):
-                raise InputError(
-                    f"element {e!r} outside ground set of size {len(self.labels)}"
-                )
-        return s
+        return id_subset(xs, len(self.labels), "element {!r} outside ground set of size {}")
 
     def subset_from_labels(self, labels: Iterable[str]) -> frozenset[int]:
         return frozenset(self.index(lbl) for lbl in labels)
@@ -371,18 +380,14 @@ class Matroid:
     def dual(self) -> "Matroid":
         """The dual: the handle the native ``dual=`` hook builds, if any.
 
-        Without the hook, a lazy wrapper through the rank identity
-        r*(X) = |X| + r(E - X) - r(E), whose own dual is this very handle.
-        The wrapper is rank-only: it anchors through ``RankAnchor``.
+        Without the hook, the lazy wrapper ``dual_matroid`` builds with no
+        hooks of its own: rank through the identity
+        r*(X) = |X| + r(E - X) - r(E), anchors through ``RankAnchor``, and
+        this very handle as its dual.
         """
         if self._dual_fn is not None:
             return self._dual_fn()
-        return Matroid(
-            self._ground,
-            provenance=f"dual({self.provenance})",
-            rank=dual_rank(self),
-            dual=lambda: self,
-        )
+        return dual_matroid(self)
 
     def minor(self, contract: Iterable[int] = (), delete: Iterable[int] = ()) -> "Matroid":
         """Contract and delete, re-indexing the surviving elements densely.
@@ -425,15 +430,35 @@ class Matroid:
         return found
 
 
-def dual_rank(primal: Matroid) -> Callable[[frozenset[int]], int]:
-    """The rank of the dual of ``primal``, r*(X) = |X| + r(E - X) - r(E),
-    asked of the primal handle's own oracle."""
+def dual_matroid(
+    primal: Matroid,
+    *,
+    anchor: Callable[[frozenset[int]], Anchor] | None = None,
+    is_circuit: Callable[[frozenset[int]], bool] | None = None,
+    extends: Callable[[frozenset[int], int], bool] | None = None,
+) -> Matroid:
+    """The dual of ``primal`` through the rank identity
+    r*(X) = |X| + r(E - X) - r(E), asked of the primal handle's own oracle.
+
+    It carries the ``dual(...)`` provenance, and its own dual is ``primal``
+    itself.  ``anchor``, ``is_circuit`` and ``extends`` are its hooks, as in
+    ``Matroid``; the graphic family passes its cographic ones, and the
+    rank-only wrapper of ``Matroid.dual`` passes none.
+    """
     full = primal._full
 
     def rank(xs: frozenset[int]) -> int:
         return len(xs) + primal._rank(full - xs) - primal._ground_rank()
 
-    return rank
+    return Matroid(
+        primal._ground,
+        provenance=f"dual({primal.provenance})",
+        rank=rank,
+        anchor=anchor,
+        dual=lambda: primal,
+        is_circuit=is_circuit,
+        extends=extends,
+    )
 
 
 def check_orthogonality(matroid: Matroid) -> CheckResult:

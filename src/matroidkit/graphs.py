@@ -5,6 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Iterator
 
+from .core import id_subset
 from .errors import InputError
 
 
@@ -74,8 +75,6 @@ class Multigraph:
         """Build from (edge label, endpoint label, endpoint label) triples."""
         vlabels = tuple(vertices)
         index = {lbl: i for i, lbl in enumerate(vlabels)}
-        if len(index) != len(vlabels):
-            raise InputError("vertex labels are not pairwise distinct")
         elabels = []
         ends = []
         for name, u, v in edges:
@@ -106,18 +105,10 @@ class Multigraph:
             raise InputError(f"unknown vertex label {label!r}") from None
 
     def vertex_subset(self, xs: Iterable[int]) -> frozenset[int]:
-        s = frozenset(xs)
-        for v in s:
-            if not isinstance(v, int) or v < 0 or v >= len(self.vertex_labels):
-                raise InputError(f"vertex {v!r} outside graph")
-        return s
+        return id_subset(xs, len(self.vertex_labels), "vertex {!r} outside graph")
 
     def edge_subset(self, xs: Iterable[int]) -> frozenset[int]:
-        s = frozenset(xs)
-        for e in s:
-            if not isinstance(e, int) or e < 0 or e >= len(self.edge_labels):
-                raise InputError(f"edge {e!r} outside graph")
-        return s
+        return id_subset(xs, len(self.edge_labels), "edge {!r} outside graph")
 
 
 @dataclass(frozen=True)
@@ -183,26 +174,18 @@ def identify_vertices(g: Multigraph, merge: Iterable[int]) -> tuple[Multigraph, 
     return Multigraph(tuple(labels), ends, g.edge_labels), vmap
 
 
-def induced_subgraph(
-    g: Multigraph, vertices: Iterable[int]
-) -> tuple[Multigraph, dict[int, int], dict[int, int]]:
+def induced_subgraph(g: Multigraph, vertices: Iterable[int]) -> tuple[Multigraph, dict[int, int]]:
     """Subgraph on the given vertices with every edge joining two of them.
 
-    Returns the subgraph plus old-to-new vertex and edge maps.
+    Returns the subgraph plus the old-to-new vertex map.
     """
     vs = sorted(g.vertex_subset(vertices))
     vmap = {old: new for new, old in enumerate(vs)}
     elabels = []
     ends = []
-    emap: dict[int, int] = {}
     for e in g.edges():
         u, v = g.endpoints[e]
         if u in vmap and v in vmap:
-            emap[e] = len(elabels)
             elabels.append(g.edge_labels[e])
             ends.append((vmap[u], vmap[v]))
-    return (
-        Multigraph(tuple(g.vertex_labels[v] for v in vs), tuple(ends), tuple(elabels)),
-        vmap,
-        emap,
-    )
+    return Multigraph(tuple(g.vertex_labels[v] for v in vs), tuple(ends), tuple(elabels)), vmap

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable
 
-from .core import Anchor, CheckResult, Matroid, ENUMERATION_BOUND
+from .core import Anchor, CheckResult, Matroid, ENUMERATION_BOUND, subsets_by_size
 from .errors import (
     CapacityError,
     InputError,
@@ -63,7 +63,8 @@ class ExchangeDigraph:
     stored only when non-empty.  An arc (t, h) runs whenever the two share an
     element of I, so ``upstream`` passes through I and builds no arc.
     ``spanned_first``/``spanned_second`` record which nodes I spans in each
-    matroid, read off the same circuits; they drive the coloring.
+    matroid, read off the same circuits; ``pre_colors`` reads the coloring's
+    starting points off them.
     """
 
     nodes: frozenset[int]
@@ -71,6 +72,15 @@ class ExchangeDigraph:
     second: dict[int, tuple[int, ...]]
     spanned_first: frozenset[int]
     spanned_second: frozenset[int]
+
+    @cached_property
+    def pre_colors(self) -> tuple[frozenset[int], frozenset[int]]:
+        """The pre-blue and the pre-red nodes: those I spans in the first
+        matroid only, and those it spans in the second only."""
+        return (
+            self.spanned_first - self.spanned_second,
+            self.spanned_second - self.spanned_first,
+        )
 
     @cached_property
     def arcs(self) -> tuple[tuple[int, int, int], ...]:
@@ -218,11 +228,10 @@ def divisive_coloring(dg: ExchangeDigraph) -> DivisiveColoring:
             + str(sorted(unspanned)),
             payload=sorted(unspanned),
         )
-    pre_blue = dg.spanned_first - dg.spanned_second
-    pre_red = dg.spanned_second - dg.spanned_first
+    pre_blue, pre_red = dg.pre_colors
     red = dg.upstream(pre_red)
     if red & pre_blue:
-        path = _blue_to_red_path(dg, pre_blue, pre_red)
+        path = _blue_to_red_path(dg)
         raise InternalInvariantError(
             "a blue node reaches a red node; the base pair cannot have been "
             "maximal (rewind the path with violation_chain for the witness)",
@@ -231,10 +240,9 @@ def divisive_coloring(dg: ExchangeDigraph) -> DivisiveColoring:
     return DivisiveColoring(blue=dg.nodes - red, red=red)
 
 
-def _blue_to_red_path(
-    dg: ExchangeDigraph, pre_blue: frozenset[int], pre_red: frozenset[int]
-) -> list[int] | None:
+def _blue_to_red_path(dg: ExchangeDigraph) -> list[int] | None:
     """Shortest path from a pre-blue node to a pre-red node, ids breaking ties."""
+    pre_blue, pre_red = dg.pre_colors
     heads: dict[int, list[int]] = {}
     for tail, head, _ in dg.arcs:
         heads.setdefault(tail, []).append(head)
@@ -259,9 +267,7 @@ def violation_chain(
     """
     if dg is None:
         dg = build_digraph(m1, m2, st)
-    pre_blue = dg.spanned_first - dg.spanned_second
-    pre_red = dg.spanned_second - dg.spanned_first
-    path = _blue_to_red_path(dg, pre_blue, pre_red)
+    path = _blue_to_red_path(dg)
     if path is None:
         return None
     m2d = m2.dual()
@@ -382,11 +388,4 @@ def min_rank_value(m1: Matroid, m2: Matroid) -> int:
     if n > ENUMERATION_BOUND:
         raise CapacityError(f"min-rank sweep requires |E| <= {ENUMERATION_BOUND}, got {n}")
     full = m1.ground.full()
-    best = None
-    elements = sorted(full)
-    for mask in range(1 << n):
-        xs = frozenset(elements[i] for i in range(n) if mask >> i & 1)
-        value = m1.rank(xs) + m2.rank(full - xs)
-        if best is None or value < best:
-            best = value
-    return best
+    return min(m1.rank(xs) + m2.rank(full - xs) for xs in subsets_by_size(full))

@@ -196,7 +196,7 @@ def solve(inst: MengerInstance) -> MengerCertificate:
         t_local = comp.vertices & inst.t
         if not s_local or not t_local:
             continue
-        piece, vmap, _ = induced_subgraph(g, comp.vertices)
+        piece, vmap = induced_subgraph(g, comp.vertices)
         back = {new: old for old, new in vmap.items()}
         local = MengerInstance(
             piece, frozenset(vmap[v] for v in s_local), frozenset(vmap[v] for v in t_local)

@@ -23,11 +23,13 @@ Partition and uniform matroids also supply a native dual: the partition
 on the same blocks with caps |B| - min(c, |B|), and U(n, n - min(k, n)).
 Each keeps the ``dual(...)`` provenance, and its own dual is an equal
 handle of the original family.  The graphic family builds its cographic
-dual: rank by the core's dual identity and, over the forest's fundamental
-cocircuits, an anchor from ``DualAnchor`` where the forest spans and from
-``RankAnchor`` elsewhere, both asked of the graphic handle itself; its own
-dual is that graphic handle.  Every other family's dual is the core's
-rank-only wrapper, whose own dual is the very handle it wraps.
+dual with the core's ``dual_matroid``, which also builds the rank-only
+wrapper: rank by the dual identity, the graphic handle as its dual, and
+this module's hooks.  Over the forest's fundamental cocircuits, the
+anchor comes from ``DualAnchor`` where the forest spans and from
+``RankAnchor`` elsewhere, both asked of the graphic handle itself.  Every
+other family's dual is the core's rank-only wrapper, whose own dual is the
+very handle it wraps.
 """
 
 from __future__ import annotations
@@ -37,7 +39,7 @@ from functools import partial
 from typing import Union
 
 from .axioms import ExplicitSystem, check_downward_closure
-from .core import Anchor, GroundSet, Matroid, RankAnchor, default_labels, dual_rank
+from .core import Anchor, GroundSet, Matroid, RankAnchor, default_labels, dual_matroid
 from .errors import InputError
 from .graphs import Multigraph
 
@@ -613,12 +615,9 @@ def _build_graphic(spec: Graphic) -> Matroid:
                 return RankAnchor(cographic, b)
             return DualAnchor(b, primal)
 
-        cographic = Matroid(
-            ground,
-            provenance=f"dual({graphic.provenance})",
-            rank=dual_rank(graphic),
+        cographic = dual_matroid(
+            graphic,
             anchor=anchor,
-            dual=lambda: graphic,
             is_circuit=partial(_is_bond, endpoints, roots),
             extends=partial(_is_no_bridge, endpoints, incident),
         )

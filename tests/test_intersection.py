@@ -81,6 +81,7 @@ def assert_digraph_matches_definition(m1, m2, st, dg):
     first = fs(v for v in nodes if not m1.is_independent(st.i | {v}))
     second = fs(v for v in nodes if not m2.is_independent(st.i | {v}))
     assert (dg.spanned_first, dg.spanned_second) == (first, second)
+    assert dg.pre_colors == (first - second, second - first)
     for heads in [first - second, second - first, *({v} for v in nodes)]:
         assert dg.upstream(heads) == reach_by_arcs(expected, heads, forward=False)
     return len(expected)

@@ -7,9 +7,10 @@ evaluations, anchor builds and calls of the exact circuit and 'add' tests
 (``is_circuit=`` and ``extends=``), the work of the family itself below
 every wrapper (a handle keeps no cache besides r(E), so every evaluation a
 wrapper asks for reaches it).  The graphic handle's ``dual=`` hook passes
-through uncounted: the cographic handle it builds asks the graphic handle
-for every rank and anchor, so that work is counted there, and its own two
-tests are counted on the cographic handle.
+through uncounted: the cographic handle it builds with ``core.dual_matroid``
+asks the graphic handle for every rank and anchor, so that work is counted
+there, and its own two tests are counted as they are handed to
+``dual_matroid``.
 The second counts the queries answered by those anchors (``extends``,
 ``circuit`` and ``cocircuit``, which the dual's anchor asks of them), so
 no work can hide inside a session.  The third counts the updates
@@ -30,7 +31,7 @@ saves work, and never raise it.
 import pytest
 
 from matroidkit import MengerInstance, Partition, build, certify, solve, zoo
-from matroidkit.core import Matroid
+from matroidkit.core import Matroid, dual_matroid
 
 from conftest import grid_instance, random_partition_pair
 
@@ -101,14 +102,21 @@ def graphic_oracle_evaluations(monkeypatch, inst: MengerInstance):
                 "dual": oracles["dual"],
                 "is_circuit": counted(oracles["is_circuit"], counts),
             }
-        elif provenance.startswith("dual(graphic("):
-            assert set(oracles) == {"rank", "anchor", "dual", "is_circuit", "extends"}
-            oracles["is_circuit"] = counted(oracles["is_circuit"], counts)
-            oracles["extends"] = counted(oracles["extends"], counts)
         return Matroid(ground, provenance, **oracles)
 
+    def counting_dual(primal, **hooks):
+        assert primal.provenance.startswith("graphic(")
+        assert set(hooks) == {"anchor", "is_circuit", "extends"}
+        hooks["is_circuit"] = counted(hooks["is_circuit"], counts)
+        hooks["extends"] = counted(hooks["extends"], counts)
+        duals.append(primal)
+        return dual_matroid(primal, **hooks)
+
     monkeypatch.setattr(zoo, "Matroid", counting_matroid)
+    monkeypatch.setattr(zoo, "dual_matroid", counting_dual)
+    duals = []
     cert = solve(inst)
+    assert duals, "no cographic handle was built through the counting shim"
     return cert, counts
 
 

@@ -225,7 +225,7 @@ class TestIdentifyVertices:
 
 class TestGraphHelpers:
     def test_induced_subgraph_maps(self):
-        sub, vmap, emap = induced_subgraph(path3_graph(), {1, 2})
+        sub, vmap = induced_subgraph(path3_graph(), {1, 2})
         assert sub.vertex_labels == ("b", "c")
         assert sub.edge_labels == ("e1",)
-        assert vmap == {1: 0, 2: 1} and emap == {1: 0}
+        assert vmap == {1: 0, 2: 1}
