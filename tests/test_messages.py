@@ -1,8 +1,8 @@
 """The exact text of each input error the library raises below the CLI.
 
 One row per message: the call that raises it and the full message, which
-must match from its first character to its last.  The CLI prints these
-lines after ``error: ``, so they are part of its output.
+must match from its first character to its last.  The CLI prints such a
+message after ``error: ``, so it is part of the CLI's output.
 """
 
 import re
