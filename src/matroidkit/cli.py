@@ -13,7 +13,7 @@ import functools
 import os
 import stat
 import sys
-from pathlib import Path
+from gettext import gettext
 
 from . import dot, generate, jsonio
 from .axioms import check_axioms, materialize
@@ -25,22 +25,54 @@ from .union import maximize_union
 from .zoo import Explicit, build, explicit_system
 
 
+def _pathlib_spelling(path: str) -> str:
+    """``path`` as ``pathlib`` spells it: "." parts, repeated slashes and a
+    trailing slash dropped, ``""`` read as ``"."``, and ``".."`` kept.
+
+    Files are opened, and named in ``cannot read`` lines, under this
+    spelling, so a file path with a trailing slash reads and ``./x.json``
+    is reported as ``x.json``.
+    """
+    root = "//" if path[:2] == "//" and path[2:3] != "/" else "/" if path[:1] == "/" else ""
+    return root + "/".join([part for part in path.split("/") if part and part != "."]) or "."
+
+
+def _read_file(path: str) -> bytes:
+    name = _pathlib_spelling(path)
+    fd = os.open(name, os.O_RDONLY)
+    try:
+        chunks = []
+        while chunk := os.read(fd, 65536):
+            chunks.append(chunk)
+    except OSError as exc:
+        # A directory opens and fails only at the read, whose error names
+        # no file; name it as a failed open does.
+        raise OSError(exc.errno, exc.strerror, name) from None
+    finally:
+        os.close(fd)
+    return b"".join(chunks)
+
+
 def _read_text(path: str) -> str:
-    """The UTF-8 text of a file, or of stdin for ``-``, decoded strictly.
+    """The UTF-8 text of a file, or of stdin for ``-``, decoded strictly,
+    with each ``\\r\\n`` and each lone ``\\r`` read as ``\\n``.
 
     Stdin is decoded from its byte stream, so undecodable input fails as it
     does in a file.  A text stream without one, put in place of stdin by a
-    caller, is read as it is.
+    caller, is read as text.  Every source goes through the one newline
+    translation, so the same bytes give the same JSON error position.
     """
     try:
         if path != "-":
-            return Path(path).read_text(encoding="utf-8")
-        raw = getattr(sys.stdin, "buffer", None)
-        if raw is None:
-            return sys.stdin.read()
-        return raw.read().decode("utf-8")
+            text = _read_file(path).decode("utf-8")
+        else:
+            raw = getattr(sys.stdin, "buffer", None)
+            text = sys.stdin.read() if raw is None else raw.read().decode("utf-8")
     except (OSError, UnicodeDecodeError) as exc:
         raise InputError(f"cannot read {path}: {exc}") from None
+    if "\r" in text:
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
+    return text
 
 
 def _load_json(path: str):
@@ -307,18 +339,41 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--output")
     p.set_defaults(func=_cmd_gen)
 
+    # The subparser of each command, for ``_parse_args``.
+    parser.commands = sub.choices
     return parser
+
+
+def _parse_args(argv: list[str]) -> argparse.Namespace:
+    """``build_parser().parse_args(argv)``, with a command's arguments
+    parsed once, by its own subparser.
+
+    Through the root parser they are classified once by the root and again
+    by the subparser.  Leftover arguments get the root's ``unrecognized
+    arguments`` error, as they do through the root.  An argv that does not
+    start with a command name goes through the root parser.
+    """
+    parser = build_parser()
+    subparser = parser.commands.get(argv[0]) if argv else None
+    if subparser is None:
+        return parser.parse_args(argv)
+    args, extras = subparser.parse_known_args(argv[1:], argparse.Namespace(command=argv[0]))
+    if extras:
+        # argparse words this message through gettext too.
+        parser.error(gettext("unrecognized arguments: %s") % " ".join(extras))
+    return args
 
 
 def run(argv: list[str]) -> int:
     """Run one command and return its exit code.
 
     May be called any number of times in one process: the parser is shared
-    and only read, so no call sees another's arguments.
+    and only read, so no call sees another's arguments.  A command's
+    arguments go straight to its subparser, with the same namespace, exit
+    code and messages as through the root parser.
     """
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code else 0
     try:

@@ -329,6 +329,67 @@ class TestErrorPaths:
         assert code == 0
         assert json.loads(out) == {"rank": 2, "set": ["e0", "e1", "e2"]}
 
+    @pytest.mark.parametrize(
+        "name,reason",
+        [
+            ("{dir}", "[Errno 21] Is a directory: '{dir}'"),
+            ("{dir}/missing.json", "[Errno 2] No such file or directory: '{dir}/missing.json'"),
+            # The errno line names the path as pathlib spells it: "." parts
+            # and trailing slashes dropped, and "" read as ".".
+            ("{dir}/./missing.json/", "[Errno 2] No such file or directory: '{dir}/missing.json'"),
+            ("", "[Errno 21] Is a directory: '.'"),
+            (
+                "{dir}/labels.json",
+                "'utf-8' codec can't decode byte 0xff in position 41: invalid start byte",
+            ),
+        ],
+        ids=["directory", "missing", "missing-unnormalized", "empty", "undecodable"],
+    )
+    def test_unreadable_input_exits_two_with_its_exact_line(self, tmp_path, capsys, name, reason):
+        (tmp_path / "labels.json").write_bytes(
+            b'{"type":"uniform","n":2,"k":1,"labels":["\xff","b"]}'
+        )
+        path = name.format(dir=tmp_path)
+        code = run(["rank", "--matroid", path])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == f"error: cannot read {path}: {reason.format(dir=tmp_path)}\n"
+
+    @pytest.mark.parametrize("suffix", ["/", "/."])
+    def test_a_file_path_reads_as_pathlib_spells_it(self, capsys, suffix):
+        code, out = invoke(["rank", "--matroid", U24 + suffix], capsys)
+        assert code == 0
+        assert json.loads(out)["rank"] == 2
+
+    def test_a_crlf_file_reports_its_json_error_by_line(self, tmp_path, capsys):
+        crlf = tmp_path / "crlf.json"
+        crlf.write_bytes(b'{"type":"uniform",\r\n"n":3,\r\n"k":}')
+        code = run(["rank", "--matroid", str(crlf)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == "error: malformed JSON at line 3 column 5: Expecting value\n"
+
+    def test_files_and_stdin_report_the_same_error_position(self, tmp_path, monkeypatch, capsys):
+        # Each lone carriage return ends a line, whichever way the bytes come in.
+        data = b'{"type":"uniform",\r"n":3,\r"k":}'
+        line = "error: malformed JSON at line 3 column 5: Expecting value\n"
+        spec = tmp_path / "cr.json"
+        spec.write_bytes(data)
+        assert run(["rank", "--matroid", str(spec)]) == 2
+        assert capsys.readouterr().err == line
+        proc = subprocess.run(
+            [sys.executable, "-m", "matroidkit", "rank", "--matroid", "-"],
+            input=data,
+            capture_output=True,
+            check=False,
+        )
+        assert (proc.returncode, proc.stdout, proc.stderr) == (2, b"", line.encode())
+        monkeypatch.setattr(sys, "stdin", io.StringIO(data.decode()))
+        assert run(["rank", "--matroid", "-"]) == 2
+        assert capsys.readouterr().err == line
+
     def test_min_rank_refuses_a_large_ground_before_any_output(self, tmp_path, capsys):
         spec = tmp_path / "u13.json"
         spec.write_text('{"type":"uniform","n":13,"k":2}\n')
@@ -406,6 +467,55 @@ class TestErrorPaths:
         assert code == 2
         assert captured.out == ""
         assert captured.err == f"error: {message}\n"
+
+
+class TestDispatch:
+    """``run`` parses a command's arguments with its subparser alone; each
+    argv must get what the root parser gives it."""
+
+    @pytest.mark.parametrize(
+        "argv,code",
+        [
+            (["rank", "--matroid", U24, "--bogus"], 2),
+            (["rank", "--matroid", U24, "x", "y"], 2),
+            (["rank", "--matroid", U24, "--", "x"], 2),
+            (["-h", "rank"], 0),
+            (["rank", "-h"], 0),
+            (["--he"], 0),
+            (["rank", "--mat", U24], None),
+            (["intersect", f"--m1={M1}", "--m2", M2, "--output=out.json"], None),
+            (["rank", "--matroid", U24, "--matroid", M1], None),
+            (["verify", "--kind", "bogus", "--certificate", "cert.json"], 2),
+            (["gen", "--count", "x"], 2),
+            (["rank"], 2),
+            ([], 2),
+            (["frobnicate"], 2),
+        ],
+        ids=[
+            "unknown-option", "stray-positionals", "double-dash", "help-before-command",
+            "help-after-command", "help-abbreviation", "option-abbreviation", "equals-forms",
+            "repeated-option", "bad-choice", "bad-int", "missing-required", "empty",
+            "unknown-command",
+        ],
+    )
+    def test_run_parses_as_the_root_parser_does(self, monkeypatch, capsys, argv, code):
+        def outcome(parse):
+            try:
+                result = parse(list(argv))
+            except SystemExit as exc:
+                result = exc.code
+            captured = capsys.readouterr()
+            return result, captured.out, captured.err
+
+        monkeypatch.setenv("COLUMNS", "80")
+        dispatched = outcome(cli._parse_args)
+        assert dispatched == outcome(cli.build_parser().parse_args)
+        if code is None:
+            assert isinstance(dispatched[0], argparse.Namespace)
+            assert dispatched[0].command == argv[0]
+        else:
+            assert dispatched[0] == code
+            assert dispatched[1 if code == 0 else 2]
 
 
 class TestSharedParser:

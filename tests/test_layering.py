@@ -2,7 +2,9 @@
 
 ``oracles`` is the independent check, so no other module may lean on it;
 ``errors`` sits at the bottom and ``core`` directly above it, so any
-module may import a core helper without closing an import cycle.
+module may import a core helper without closing an import cycle.  Files,
+streams, the process and its arguments are the CLI's business, so only
+``cli`` imports the modules that reach them.
 """
 
 import ast
@@ -16,8 +18,10 @@ PACKAGE = Path(matroidkit.__file__).parent
 MODULES = sorted(path.stem for path in PACKAGE.glob("*.py"))
 
 
-def imports_of(source: str) -> set[str]:
-    """The package modules ``source`` imports, by their short names."""
+def imported_modules(source: str) -> set[str]:
+    """Every module ``source`` imports, by its full name, with relative
+    imports read against the package.  ``from P import x`` counts as an
+    import of ``P`` and of ``P.x``, as ``x`` may be a module."""
     found: set[str] = set()
     for node in ast.walk(ast.parse(source)):
         if isinstance(node, ast.ImportFrom):
@@ -25,23 +29,31 @@ def imports_of(source: str) -> set[str]:
                 base = ".".join(filter(None, ("matroidkit", node.module)))
             else:
                 base = node.module or ""
-            if base == "matroidkit":
-                names = [f"matroidkit.{alias.name}" for alias in node.names]
-            else:
-                names = [base]
+            found.add(base)
+            found.update(f"{base}.{alias.name}" for alias in node.names)
         elif isinstance(node, ast.Import):
-            names = [alias.name for alias in node.names]
-        else:
-            continue
-        for name in names:
-            head, _, rest = name.partition(".")
-            if head == "matroidkit" and rest:
-                found.add(rest.split(".")[0])
+            found.update(alias.name for alias in node.names)
     return found
 
 
+def imports_of(source: str) -> set[str]:
+    """The package modules ``source`` imports, by their short names."""
+    return {
+        name.split(".")[1] for name in imported_modules(source) if name.startswith("matroidkit.")
+    }
+
+
+def top_level_imports(source: str) -> set[str]:
+    """The top-level modules ``source`` imports, such as ``os`` for ``os.path``."""
+    return {name.split(".")[0] for name in imported_modules(source)}
+
+
+def source_of(module: str) -> str:
+    return (PACKAGE / f"{module}.py").read_text(encoding="utf-8")
+
+
 def package_imports(module: str) -> set[str]:
-    return imports_of((PACKAGE / f"{module}.py").read_text(encoding="utf-8"))
+    return imports_of(source_of(module))
 
 
 @pytest.mark.parametrize(
@@ -70,3 +82,28 @@ def test_errors_imports_no_package_module():
 
 def test_core_imports_only_errors():
     assert package_imports("core") <= {"errors"}
+
+
+@pytest.mark.parametrize(
+    "source,expected",
+    [
+        ("import os", {"os"}),
+        ("import os.path", {"os"}),
+        ("import sys as system", {"sys"}),
+        ("import json, io", {"json", "io"}),
+        ("from os import path", {"os"}),
+        ("from os.path import join", {"os"}),
+        ("def f():\n    from pathlib import Path", {"pathlib"}),
+        ("from . import core", {"matroidkit"}),
+    ],
+)
+def test_every_form_of_import_is_read_by_its_top_level_module(source, expected):
+    assert top_level_imports(source) == expected
+
+
+IO_MODULES = {"os", "sys", "stat", "io", "pathlib", "argparse"}
+
+
+@pytest.mark.parametrize("module", [m for m in MODULES if m != "cli"])
+def test_only_cli_imports_io_modules(module):
+    assert not top_level_imports(source_of(module)) & IO_MODULES
