@@ -1,7 +1,8 @@
 """Command-line front end.
 
 Exit codes: 0 success, 1 verification failure (with the reason in the JSON
-output) or a failed internal invariant, 2 malformed input.  Output bytes
+output) or a failed internal invariant, 2 malformed input or an unusable
+input or output (a closed stdin, a closed or full stdout).  Output bytes
 are deterministic for fixed inputs: canonical JSON on stdout or into
 --output, DOT drawings into the path given by --dot.
 """
@@ -9,6 +10,7 @@ are deterministic for fixed inputs: canonical JSON on stdout or into
 from __future__ import annotations
 
 import argparse
+import errno
 import functools
 import os
 import stat
@@ -59,12 +61,15 @@ def _read_text(path: str) -> str:
 
     Stdin is decoded from its byte stream, so undecodable input fails as it
     does in a file.  A text stream without one, put in place of stdin by a
-    caller, is read as text.  Every source goes through the one newline
-    translation, so the same bytes give the same JSON error position.
+    caller, is read as text, and a closed stdin fails as a closed file
+    does.  Every source goes through the one newline translation, so the
+    same bytes give the same JSON error position.
     """
     try:
         if path != "-":
             text = _read_file(path).decode("utf-8")
+        elif sys.stdin is None:  # the process started without a stdin
+            raise OSError(errno.EBADF, os.strerror(errno.EBADF))
         else:
             raw = getattr(sys.stdin, "buffer", None)
             text = sys.stdin.read() if raw is None else raw.read().decode("utf-8")
@@ -106,10 +111,17 @@ def _write(path: str | None, text: str) -> None:
     over the path took 290-620 us, as the rename triggers the same
     heuristic.  Only a regular file is cut: ``ftruncate`` fails on
     ``/dev/null``, and FIFOs and ttys cannot be cut.  A failed write leaves
-    a torn file, as a truncating one does.
+    a torn file, as a truncating one does.  Stdout is flushed here, so a
+    closed or full stdout fails as ``cannot write -`` and not at exit.
     """
     if not path or path == "-":
-        sys.stdout.write(text)
+        try:
+            if sys.stdout is None:  # the process started without a stdout
+                raise OSError(errno.EBADF, os.strerror(errno.EBADF))
+            sys.stdout.write(text)
+            sys.stdout.flush()
+        except OSError as exc:
+            raise InputError(f"cannot write -: {exc}") from None
         return
     data = text.encode("utf-8")
     try:

@@ -6,31 +6,27 @@ two parts of a pair state: consecutive elements share a circuit inside
 applying the alternating swaps along it absorbs y0 into the union of the
 two parts, which grows by exactly that element.
 
-Searches are breadth-first, so returned chains are shortest; shortest
-chains are exactly the ones whose swaps can be applied simultaneously
-without re-checking intermediate states.  Every chain carries its witness
-circuits and is re-verified before use, so a stale or forged chain fails
-loudly instead of corrupting a state.  The re-check asks each matroid
-whether a witness is a circuit and whether the receiving part takes the
-last element: through the family's exact one-pass tests where it has them
-(the ``is_circuit=`` and ``extends=`` hooks of ``Matroid``), and through
-rank otherwise.
+Every chain carries its witness circuits and is re-verified before use, so
+a stale or forged chain fails loudly instead of corrupting a state.  The
+re-check asks each matroid whether a witness is a circuit and whether the
+receiving part takes the last element: through the family's exact
+one-pass tests where it has them (the ``is_circuit=`` and ``extends=``
+hooks of ``Matroid``), and through rank otherwise.  The swaps inside each
+part then cost no oracle call on a shortest chain, as every chain the
+breadth-first search finds is: the triangular exchange lemma proves them
+from the validated circuits (``_triangular``).  Others go through rank.
 
-A search asks many "does part + x stay independent?" and "which circuit
-does x close in part?" questions against the same two parts, so it asks
-them of one anchor per part (``Matroid._anchor``).  A ``Session`` holds a
-state's two anchors, built on first use.  An augmentation changes most
-parts by one element, so ``maximize_union`` does not rebuild them: applying
-a chain through the session that found it moves the session to the new
-state, and each anchor is grown or exchanged to follow its part
-(``Anchor.grow``, ``Anchor.exchange``).  Most chains have no links: they
-cost one check that ``part + y`` is independent and one grow of that part's
-anchor, and the other part is kept as the same object.
+A search asks its questions of one anchor per part (``Matroid._anchor``),
+held by a ``Session`` and built on first use.  Applying a chain through
+the session that found it moves the session to the new state, and each
+anchor follows the chain's own swaps in its part (``_carried``), so no
+anchor is rebuilt after a found chain.  Most chains have no links and
+cost one check that ``part + y`` is independent and one anchor grow.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .core import Anchor, Matroid
 from .errors import ConsistencyError, InputError, InternalInvariantError
@@ -46,19 +42,28 @@ COMMON = "common"
 ADD = "add"
 
 
-@dataclass(frozen=True)
 class PairState:
-    """A pair of sets independent in their respective matroids."""
+    """A pair of sets independent in their respective matroids, and their
+    union.  Treated as immutable: equality and the hash read all three."""
 
-    i1: frozenset[int]
-    i2: frozenset[int]
-    union: frozenset[int] = field(init=False)
+    __slots__ = ("i1", "i2", "union")
 
-    def __post_init__(self):
-        object.__setattr__(self, "union", self.i1 | self.i2)
+    def __init__(self, i1: frozenset[int], i2: frozenset[int]):
+        self.i1, self.i2, self.union = i1, i2, i1 | i2
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.i1, self.i2, self.union) == (other.i1, other.i2, other.union)
+
+    def __hash__(self):
+        return hash((self.i1, self.i2, self.union))
+
+    def __repr__(self):
+        return f"PairState(i1={self.i1!r}, i2={self.i2!r}, union={self.union!r})"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ExchangeChain:
     """A tuple of elements plus the witness circuit certifying each link."""
 
@@ -118,33 +123,31 @@ class Session:
     def serves(self, m1: Matroid, m2: Matroid, state: PairState) -> bool:
         return self.state is state and self.m1 is m1 and self.m2 is m2
 
-    def _moved(self, after: PairState) -> PairState:
-        """Serve ``after``, made by applying a chain to the state served,
-        with the anchors carried over (``_carried``)."""
-        before = self.state
-        self._first = _carried(self._first, before.i1, after.i1)
-        self._second = _carried(self._second, before.i2, after.i2)
+    def _moved(self, after: PairState, els: tuple[int, ...], received, links) -> PairState:
+        """Serve ``after``, made by applying the chain ``els``, each anchor
+        following what ``_new_part`` found of its part (``_carried``)."""
+        self._first = _carried(self._first, els, received[0], links[0])
+        self._second = _carried(self._second, els, received[1], links[1])
         self.state = after
         return after
 
 
-def _carried(anchor: Anchor | None, old: frozenset[int], new: frozenset[int]) -> Anchor | None:
-    """The anchor of ``old`` updated to ``new``, or None to build afresh.
-
-    A part the chain left alone is the very object it was.  One that gained
-    an element grows its anchor, and one that traded an element for another
-    on its circuit exchanges it.  Any other part is rebuilt on first use.
+def _carried(anchor: Anchor | None, els: tuple[int, ...], received, links) -> Anchor | None:
+    """The anchor of a part moved through the chain's own steps in it: a
+    grow of the last element if the part ``received`` it, then
+    ``exchange(y_l, y_(l+1))`` for each of its ``links`` l in descending
+    order; None when unbuilt or ``links`` is None (the part failed the
+    triangular test).  Descending order keeps each link's circuit as it was
+    (``_triangular``), so y_(l+1) still lies on y_l's circuit in the
+    anchor's set when link l's turn comes.
     """
-    if anchor is None or new is old:
-        return anchor
-    added = new - old
-    if len(added) != 1:
+    if anchor is None or links is None:
         return None
-    (y,) = added
-    if len(new) > len(old):  # then nothing was removed
-        return anchor.grow(y)
-    (z,) = old - new  # a found chain never takes two elements from a part that gains one
-    return anchor.exchange(y, z)
+    if received is not None:
+        anchor = anchor.grow(els[-1])
+    for link in reversed(links):
+        anchor = anchor.exchange(els[link], els[link + 1])
+    return anchor
 
 
 def _is_circuit(matroid: Matroid, candidate: frozenset[int], known: int) -> bool:
@@ -175,13 +178,11 @@ def _check_entry(m1: Matroid, m2: Matroid, state: PairState) -> None:
 def validate_chain(m1: Matroid, m2: Matroid, state: PairState, chain: ExchangeChain) -> None:
     """Re-verify a chain against the current state; raises ConsistencyError.
 
-    The state is checked as at every public entry (``_check_entry``), so a
-    part outside the ground set or dependent in its matroid raises
-    InputError, and so do elements and circuits outside the ground set.
-    Then the start is checked to lie outside both parts, the interior
-    elements to alternate between the parts, and no element to repeat;
-    every witness circuit is checked (membership, containment in
-    part + y_i, genuine circuit-ness), and so is the terminal condition.
+    The state and the chain's range are checked as at every public entry
+    (``_entry_circuits``), which raises InputError, and the chain as by
+    ``apply_chain`` (``_recheck_chain``): the start outside both parts, the
+    interior alternating between them, no element repeated, every witness
+    circuit, and the terminal condition.
     """
     _recheck_chain(m1, m2, state, chain, _entry_circuits(m1, m2, state, chain))
 
@@ -216,19 +217,15 @@ def _recheck_chain(
     chain: ExchangeChain,
     circuits: tuple[frozenset[int], ...],
 ) -> tuple[frozenset[int] | None, frozenset[int] | None]:
-    """``validate_chain`` without the entry checks: every witness against
-    its matroid.
-
-    Both parts of ``state`` must already be known independent, by
-    ``_check_entry`` or by the session serving the state.  The chain's
-    shape is checked first: where its start lies, which part each interior
-    element lies in, and that no element repeats.  Then each link's circuit
-    is checked to be a circuit (``_is_circuit``), after its containment in
-    part + y_link, which places C - y_link inside an independent part.  The
-    'add' terminal's ``part + last`` is checked independent (``_extended``)
-    and returned in the receiving part's place of a pair, so the caller
-    knows that very set independent; the other place, and both for a
-    'common' terminal, hold None.
+    """``validate_chain`` without the entry checks, for a state whose parts
+    are known independent (by ``_check_entry``, or by the session serving
+    it).  The chain's shape comes first: where its start lies, which part
+    each interior element lies in, and that no element repeats.  Each
+    link's circuit is then checked to lie inside part + y_link and to be a
+    circuit (``_is_circuit``).  The 'add' terminal's ``part + last`` is
+    checked independent (``_extended``) and returned in the receiving
+    part's place of a pair, so the caller knows that very set independent;
+    the other place, and both for a 'common' terminal, hold None.
     """
     els = chain.elements
     start_set = state.i1 if chain.parity == EVEN else state.i2
@@ -237,26 +234,25 @@ def _recheck_chain(
     if els[0] in state.union:
         raise ConsistencyError("chain start already lies in the other part")
     # Interior elements alternate between the two parts and may not sit in
-    # both; only the terminal element may.
-    for i, e in enumerate(els[1:-1], start=1):
-        in_first = (e in state.i1) and (e not in state.i2)
-        in_second = (e in state.i2) and (e not in state.i1)
-        expects_first = chain.link_uses_first(i - 1)
-        if expects_first and not in_first:
-            raise ConsistencyError(f"interior element y_{i} must lie in the first part only")
-        if not expects_first and not in_second:
-            raise ConsistencyError(f"interior element y_{i} must lie in the second part only")
-    if len(set(els)) != len(els):
-        raise ConsistencyError("chain elements are not pairwise distinct")
-    for link in range(chain.length):
-        matroid, part = (m1, state.i1) if chain.link_uses_first(link) else (m2, state.i2)
-        circuit = circuits[link]
-        if els[link] not in circuit or els[link + 1] not in circuit:
-            raise ConsistencyError(f"link {link} circuit misses its endpoints")
-        if not circuit <= part | {els[link]}:
-            raise ConsistencyError(f"link {link} circuit leaks outside part + y_{link}")
-        if not _is_circuit(matroid, circuit, els[link]):
-            raise ConsistencyError(f"link {link} witness is not a circuit any more")
+    # both; only the terminal element may.  A chain without links has none.
+    if len(els) > 1:
+        for i, e in enumerate(els[1:-1], start=1):
+            first = chain.link_uses_first(i - 1)
+            mine, other = (state.i1, state.i2) if first else (state.i2, state.i1)
+            if e not in mine or e in other:
+                which = "first" if first else "second"
+                raise ConsistencyError(f"interior element y_{i} must lie in the {which} part only")
+        if len(set(els)) != len(els):
+            raise ConsistencyError("chain elements are not pairwise distinct")
+        for link in range(len(els) - 1):
+            matroid, part = (m1, state.i1) if chain.link_uses_first(link) else (m2, state.i2)
+            circuit, y = circuits[link], els[link]
+            if y not in circuit or els[link + 1] not in circuit:
+                raise ConsistencyError(f"link {link} circuit misses its endpoints")
+            if not circuit - {y} <= part:
+                raise ConsistencyError(f"link {link} circuit leaks outside part + y_{link}")
+            if not _is_circuit(matroid, circuit, y):
+                raise ConsistencyError(f"link {link} witness is not a circuit any more")
     last = els[-1]
     if chain.terminal == COMMON:
         if not (last in state.i1 and last in state.i2):
@@ -272,11 +268,7 @@ def _recheck_chain(
 
 
 def apply_chain(
-    m1: Matroid,
-    m2: Matroid,
-    state: PairState,
-    chain: ExchangeChain,
-    session: Session | None = None,
+    m1: Matroid, m2: Matroid, state: PairState, chain: ExchangeChain, session: Session | None = None
 ) -> PairState:
     """Perform the alternating swaps along a chain and return the new state.
 
@@ -287,58 +279,68 @@ def apply_chain(
     session then moves to the new state, carrying its anchors along, and
     serves it from now on; a session serving another state is left alone.
 
-    Only the parts a link runs through are rebuilt and evaluated
-    (``_new_part``).  Any other part is kept as the same object, or is the
-    very ``part + last`` set the re-check of an 'add' terminal has just
-    checked, so a chain without links costs one check, that ``part + y`` is
-    independent, and one grow of that part's anchor.
+    No part costs an oracle call beyond the re-check (``_new_part``): a
+    part no link runs through is kept as it was, or is the very
+    ``part + last`` the re-check has just checked, and the others are
+    proved by the triangular test.  A chain without links costs one check,
+    that ``part + y`` is independent, and one grow of that part's anchor.
     """
     if session is None or not session.serves(m1, m2, state):
-        received = _recheck_chain(m1, m2, state, chain, _entry_circuits(m1, m2, state, chain))
+        circuits = _entry_circuits(m1, m2, state, chain)
         session = None
     else:
-        received = _recheck_chain(m1, m2, state, chain, chain.circuits)
-    after = PairState(
-        _new_part(m1, state.i1, chain, True, received[0]),
-        _new_part(m2, state.i2, chain, False, received[1]),
-    )
+        circuits = chain.circuits
+    r1, r2 = _recheck_chain(m1, m2, state, chain, circuits)
+    els = chain.elements
+    even = chain.parity == EVEN
+    links1 = range(0 if even else 1, len(els) - 1, 2)
+    links2 = range(1 if even else 0, len(els) - 1, 2)
+    i1, links1 = _new_part(m1, state.i1 if r1 is None else r1, els, links1, circuits, "first")
+    i2, links2 = _new_part(m2, state.i2 if r2 is None else r2, els, links2, circuits, "second")
+    after = PairState(i1, i2)
     # The re-check placed the start outside the union, so these three checks
     # say that the union grew by exactly the start.
-    grown, start = after.union, chain.elements[0]
+    grown, start = after.union, els[0]
     if len(grown) != len(state.union) + 1 or start not in grown or not state.union <= grown:
         raise InternalInvariantError("augmenting chain did not grow the union by its start")
-    return after if session is None else session._moved(after)
+    return after if session is None else session._moved(after, els, (r1, r2), (links1, links2))
 
 
 def _new_part(
-    matroid: Matroid,
-    part: frozenset[int],
-    chain: ExchangeChain,
-    first: bool,
-    received: frozenset[int] | None,
-) -> frozenset[int]:
-    """``part`` after the swaps of the chain's links through it, plus the
-    last element when it receives an 'add' terminal: then ``received`` is
-    the ``part + last`` the re-check evaluated, and otherwise None.
-
-    A part no link runs through is known independent: it is ``part``
-    itself, or ``received``.  Any other part is built afresh and evaluated.
+    matroid: Matroid, start: frozenset[int], els: tuple[int, ...], links: range, circuits, which: str
+) -> tuple[frozenset[int], range | None]:
+    """The ``which`` part after the swaps of its ``links``, from ``start``:
+    the part, or the ``part + last`` the re-check proved independent for a
+    part receiving an 'add' terminal.  Returns the new part and the links
+    its anchor follows (``_carried``): the triangular test on the validated
+    ``circuits`` proves it, or else rank does and the links are None.
     """
-    els = chain.elements
-    links = range(0 if (chain.parity == EVEN) == first else 1, chain.length, 2)
     if not links:
-        return part if received is None else received
-    swapped = set(part)
+        return start, links
+    swapped = set(start)
     for link in links:
         swapped.remove(els[link + 1])
         swapped.add(els[link])
-    if received is not None:
-        swapped.add(els[-1])
     new = frozenset(swapped)
+    if _triangular(els, circuits, links):
+        return new, links
     if not matroid._independent(new):
-        which = "first" if first else "second"
         raise ConsistencyError(f"{which} part lost independence after the swaps")
-    return new
+    return new, None
+
+
+def _triangular(els: tuple[int, ...], circuits, links: range) -> bool:
+    """Whether one part's ``links`` pass the triangular exchange lemma's
+    test: for links l < l', y_(l'+1) lies off C_l, the circuit of link l.
+    The lemma: if I is independent, each y_k lies outside I with x_k on
+    C(I, y_k), and x_i lies off C(I, y_j) whenever i < j, then
+    I - {x_k} + {y_k} is independent (Schrijver, *Combinatorial
+    Optimization*, 2003, Cor. 39.13a).  Here x_k = y_(l+1) leaves for y_l in
+    descending link order, and C_l, validated as a circuit inside
+    part + y_l, is C(part, y_l), and C(part + last, y_l) for a receiving
+    part.  A breadth-first chain passes: y_(l'+1) lies deeper than C_l.
+    """
+    return not any(els[hi + 1] in circuits[lo] for i, hi in enumerate(links) for lo in links[:i])
 
 
 def _search(session: Session, y: int, parity: str):
@@ -426,14 +428,12 @@ def maximize_union(m1: Matroid, m2: Matroid) -> PairState:
     one-element chain.
 
     The loop validates nothing it built itself: one session serves each
-    state in turn, so the entry checks are skipped, and applying a chain
-    through it moves it to the new state, so the anchors follow the parts
-    instead of being rebuilt.  Every chain is still re-checked before it is
-    applied, through each family's exact circuit and 'add' tests where it
-    has them and through rank otherwise.  The final parts are extended
-    through the same anchors, in increasing id order as the greedy sweep
-    does, and each extension is checked to be a base: its size against
-    r(E), and with one rank evaluation when anything was added.
+    state in turn, skipping the entry checks, and follows each applied
+    chain with its anchors.  Every chain is still re-checked before it is
+    applied.  The final parts are extended through the same anchors, in
+    increasing id order as the greedy sweep does, and each extension is
+    checked to be a base: its size against r(E), and with one rank
+    evaluation when anything was added.
     """
     if m1.ground != m2.ground:
         raise InputError("matroid union needs a common ground set")

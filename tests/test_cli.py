@@ -1,6 +1,7 @@
 """End-to-end command tests: exit codes, round trips, byte determinism."""
 
 import argparse
+import errno
 import hashlib
 import io
 import json
@@ -467,6 +468,42 @@ class TestErrorPaths:
         assert code == 2
         assert captured.out == ""
         assert captured.err == f"error: {message}\n"
+
+
+def _stream_error(verb, code):
+    return f"error: cannot {verb} -: [Errno {code}] {os.strerror(code)}\n"
+
+
+class TestStreamFailures:
+    """A command whose stdin or stdout cannot be used ends in exit 2 with one
+    line on stderr, never a traceback.  Each row runs the command through
+    ``sh`` under one redirection: stdin closed (``<&-``), stdout closed
+    (``>&-``), or stdout on /dev/full, where every write fails."""
+
+    ROWS = {
+        "rank-no-stdin": (["rank", "--matroid", "-"], "<&-", _stream_error("read", errno.EBADF)),
+        "rank-no-stdout": (["rank", "--matroid", U24], ">&-", _stream_error("write", errno.EBADF)),
+        "rank-full-stdout": (
+            ["rank", "--matroid", U24], ">/dev/full", _stream_error("write", errno.ENOSPC)
+        ),
+        "gen-no-stdout": (["gen", "--count", "2"], ">&-", _stream_error("write", errno.EBADF)),
+        "gen-full-stdout": (
+            ["gen", "--count", "2"], ">/dev/full", _stream_error("write", errno.ENOSPC)
+        ),
+    }
+
+    @pytest.mark.parametrize("argv,redirect,line", ROWS.values(), ids=ROWS.keys())
+    def test_an_unusable_stream_exits_two_with_one_line(self, argv, redirect, line):
+        if "/dev/full" in redirect and not os.path.exists("/dev/full"):
+            pytest.skip("no /dev/full here")
+        proc = subprocess.run(
+            ["sh", "-c", f'exec "$0" -m matroidkit "$@" {redirect}', sys.executable, *argv],
+            stdout=subprocess.PIPE if redirect == "<&-" else None,
+            stderr=subprocess.PIPE,
+            check=False,
+        )
+        assert proc.returncode == 2
+        assert proc.stderr.decode() == line
 
 
 class TestDispatch:

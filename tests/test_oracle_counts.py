@@ -17,6 +17,10 @@ no work can hide inside a session.  The third counts the updates
 (``grow`` and ``exchange``) that carry an anchor from one set to the next
 instead of building it again.
 
+The swapped-part counts show that applying a found chain evaluates nothing
+after its re-check: every part a link ran through is proved independent by
+the triangular exchange lemma (``union._triangular``) and keeps its anchor.
+
 The partition counts are the evaluations of the partition family (rank,
 and the exact circuit and 'add' tests) during ``certify`` on the seeded
 pair of 400 elements of the scale tier, and the summed size of the sets
@@ -30,10 +34,10 @@ saves work, and never raise it.
 
 import pytest
 
-from matroidkit import MengerInstance, Partition, build, certify, solve, zoo
+from matroidkit import MengerInstance, Partition, build, certify, solve, union, zoo
 from matroidkit.core import Matroid, dual_matroid
 
-from conftest import grid_instance, random_partition_pair
+from conftest import grid_instance, random_menger_instance, random_partition_pair
 
 
 class CountedAnchor:
@@ -121,7 +125,7 @@ def graphic_oracle_evaluations(monkeypatch, inst: MengerInstance):
 
 
 @pytest.mark.parametrize(
-    "w,oracle_bound,query_bound,update_bound", [(5, 67, 156, 37), (6, 101, 250, 60)]
+    "w,oracle_bound,query_bound,update_bound", [(5, 55, 156, 37), (6, 81, 250, 60)]
 )
 def test_grid_solve_graphic_oracle_evaluations(
     monkeypatch, w, oracle_bound, query_bound, update_bound
@@ -133,8 +137,8 @@ def test_grid_solve_graphic_oracle_evaluations(
     assert counts["updates"] <= update_bound
 
 
-EVALUATION_BOUND = 633
-ELEMENT_BOUND = 51_248
+EVALUATION_BOUND = 514
+ELEMENT_BOUND = 37_864
 
 
 def test_partition_pair_certify_rank_evaluations(monkeypatch):
@@ -155,3 +159,50 @@ def test_partition_pair_certify_rank_evaluations(monkeypatch):
     assert len(cert.i) == 107  # the max-flow b-matching of tests/test_scale.py
     assert counts["evaluations"] <= EVALUATION_BOUND
     assert counts["elements"] <= ELEMENT_BOUND
+
+
+def _partition_pair_certify():
+    (blocks1, caps1), (blocks2, caps2) = random_partition_pair(400)
+    return certify(build(Partition(blocks1, caps1)), build(Partition(blocks2, caps2)))
+
+
+@pytest.mark.parametrize(
+    "run,multi",
+    [
+        (lambda: solve(grid_instance(6)), False),
+        (lambda: solve(random_menger_instance(200)), True),
+        (_partition_pair_certify, True),
+    ],
+    ids=["grid-6", "random-graph-200", "partition-400"],
+)
+def test_found_chains_evaluate_no_swapped_part(monkeypatch, run, multi):
+    """Every rank evaluation made inside ``union._new_part`` is counted, and
+    every part a link ran through: none may cost an evaluation or have its
+    anchor dropped for a rebuild.  The seeded random graph and the partition
+    pair also swap two or more elements in one part, where the anchor takes
+    several exchanges in a row."""
+    counts = {"swapped": 0, "multi": 0, "evaluations": 0, "rebuilt": 0}
+    inside = []
+    evaluate, new_part = Matroid._independent, union._new_part
+
+    def counted_evaluate(self, s):
+        counts["evaluations"] += bool(inside)
+        return evaluate(self, s)
+
+    def counted_new_part(matroid, start, els, links, circuits, which):
+        inside.append(links)
+        try:
+            new, followed = new_part(matroid, start, els, links, circuits, which)
+        finally:
+            inside.pop()
+        if links:
+            counts["swapped"] += 1
+            counts["multi"] += len(links) > 1
+            counts["rebuilt"] += followed is None
+        return new, followed
+
+    monkeypatch.setattr(Matroid, "_independent", counted_evaluate)
+    monkeypatch.setattr(union, "_new_part", counted_new_part)
+    run()
+    assert counts["swapped"] > 0 and (counts["multi"] > 0) == multi
+    assert counts["evaluations"] == 0 and counts["rebuilt"] == 0

@@ -1,4 +1,5 @@
 import random
+from itertools import permutations
 
 import pytest
 
@@ -19,13 +20,23 @@ from matroidkit import (
     maximize_union,
 )
 from matroidkit import union
-from matroidkit.core import Matroid
+from matroidkit.core import Matroid, subsets_by_size
 from matroidkit.oracles import brute_union_max
 from matroidkit.union import ADD, COMMON, EVEN, ODD, ExchangeChain, validate_chain
 
 from conftest import augmenting, k4_graph
 
 fs = frozenset
+
+
+def test_pair_states_compare_hash_and_print_by_their_three_sets():
+    state = PairState(fs({1}), fs({0, 2}))
+    assert repr(state) == (
+        "PairState(i1=frozenset({1}), i2=frozenset({0, 2}), union=frozenset({0, 1, 2}))"
+    )
+    assert state == PairState(fs({1}), fs({0, 2}))
+    assert hash(state) == hash((fs({1}), fs({0, 2}), fs({0, 1, 2})))
+    assert state != PairState(fs({0, 2}), fs({1})) and state != (state.i1, state.i2, state.union)
 
 
 def u12_pair():
@@ -190,11 +201,27 @@ def _uniform(n, k):
     return build(Uniform(n, k))
 
 
+def _k4_and_pendant():
+    """K4 with one more edge, e6, hanging a fifth vertex off vertex 4, so
+    e6 extends every forest."""
+    pairs = [("1", "2"), ("1", "3"), ("1", "4"), ("2", "3"), ("2", "4"), ("3", "4"), ("4", "5")]
+    return Multigraph.from_labels(
+        ["1", "2", "3", "4", "5"], [(f"e{i}", a, b) for i, (a, b) in enumerate(pairs)]
+    )
+
+
 # Forged chains, each rejected by exactly one check: (m1, m2, state, chain,
 # message).  On U(3, 1) every pair is a circuit; on U(3, 2) no pair is one.
-# The two "lost independence" chains pass every link check and are not
-# shortest: their swaps close the triangle {e0, e2, e4} of K4 in the part
-# the K4 links run through.
+# The "lost independence" chains pass every link check and are not
+# shortest, so they fail the triangular test and meet rank.  The first two
+# close the triangle {e0, e2, e4} of K4 in the part the K4 links run
+# through.  In "non-adjacent-links" three K4 links run through the first
+# part, and only links 0 and 4 break the test (link 0's circuit holds e1,
+# which link 4 takes out); the swaps close the triangle {e3, e4, e5}.  In
+# "add-receiver-dependent" the first part receives the pendant e6 and two
+# links run through it; part + e6 is independent, and the swaps close the
+# triangle {e0, e2, e4}.  Their second parts are partition matroids whose
+# blocks of two make each second-part link a two-element circuit.
 _REJECTED = {
     "start-in-part": (
         _uniform(3, 1), _uniform(3, 1), PairState(fs({0}), fs()),
@@ -269,6 +296,25 @@ _REJECTED = {
         ),
         "second part lost independence after the swaps",
     ),
+    "non-adjacent-links": (
+        build(Graphic(k4_graph())),
+        build(Partition((("e0", "e4"), ("e1",), ("e2", "e5"), ("e3",)), (1, 1, 1, 0))),
+        PairState(fs({0, 1, 2}), fs({1, 4, 5})),
+        ExchangeChain(
+            (3, 0, 4, 2, 5, 1), EVEN,
+            (fs({0, 1, 3}), fs({0, 4}), fs({0, 2, 4}), fs({2, 5}), fs({1, 2, 5})), COMMON,
+        ),
+        "first part lost independence after the swaps",
+    ),
+    "add-receiver-dependent": (
+        build(Graphic(_k4_and_pendant())),
+        build(Partition((("e0", "e4", "e5"), ("e1", "e2"), ("e3", "e6")), (0, 1, 1))),
+        PairState(fs({1, 3, 4}), fs({2, 6})),
+        ExchangeChain(
+            (0, 1, 2, 3, 6), EVEN, (fs({0, 1, 3}), fs({1, 2}), fs({1, 2, 3, 4}), fs({3, 6})), ADD
+        ),
+        "first part lost independence after the swaps",
+    ),
 }
 
 
@@ -317,6 +363,19 @@ def test_a_serving_session_rejects_a_forged_link_free_chain_before_moving(case):
     with pytest.raises(ConsistencyError, match=message):
         apply_chain(m1, m2, state, chain, session)
     assert session.serves(m1, m2, state) and session.first() is anchor
+
+
+def test_the_triangular_test_reads_the_circuits_the_recheck_validated():
+    """Without a session, a chain's circuits are read once, into the sets the
+    re-check validates, and the triangular test must read those.  Here
+    they are one-shot iterators, which the entry check uses up: a test that
+    read ``chain.circuits`` would find no element on any circuit and pass
+    the dependent first part."""
+    m1, m2, state, chain, message = _REJECTED["first-lost-independence"]
+    once = tuple(iter(sorted(c)) for c in chain.circuits)
+    forged = ExchangeChain(chain.elements, chain.parity, once, chain.terminal)
+    with pytest.raises(ConsistencyError, match=message):
+        apply_chain(m1, m2, state, forged)
 
 
 def _recorded_evaluations(monkeypatch, handles):
@@ -524,6 +583,88 @@ def _assert_answers_as_fresh(m, carried, a):
                 assert carried.circuit(x) == fresh.circuit(x), (sorted(a), x)
 
 
+class _CheckedAnchor:
+    """Passes every query on to ``inner``, the anchor of ``a``, and checks
+    each update's contract by rank first: ``grow(x)`` needs ``a + x``
+    independent, and ``exchange(y, z)`` needs ``a + y`` dependent and
+    ``a - z + y`` independent.  A broken contract fails as an assertion
+    before it reaches a native anchor, whose forest could loop on it."""
+
+    def __init__(self, m, a, inner):
+        self._m, self._a, self._inner = m, a, inner
+
+    @property
+    def base(self):
+        return self._inner.base
+
+    def extends(self, x):
+        return self._inner.extends(x)
+
+    def circuit(self, x):
+        return self._inner.circuit(x)
+
+    def grow(self, x):
+        assert self._m.is_independent(self._a | {x}), ("grow", sorted(self._a), x)
+        return _CheckedAnchor(self._m, self._a | {x}, self._inner.grow(x))
+
+    def exchange(self, y, z):
+        a, swapped = self._a, self._a - {z} | {y}
+        assert not self._m.is_independent(a | {y}), ("exchange", sorted(a), y, z)
+        assert self._m.is_independent(swapped), ("exchange", sorted(a), y, z)
+        return _CheckedAnchor(self._m, swapped, self._inner.exchange(y, z))
+
+
+def _exchange_sequences(m, a):
+    """Every sequence of two or three exchange pairs at the independent set
+    ``a``, each pair a y outside ``a`` and an x on C(a, y), no y or x used
+    twice.  Each is laid out as a chain's links through one part: elements
+    (y_0, x_0, y_1, x_1, ...), the links at the even places, and each
+    circuit C(a, y_j) at its link's place."""
+    anchor = m._anchor(a)
+    pairs = [
+        (y, x, anchor.circuit(y))
+        for y in m.elements()
+        if y not in a and not anchor.extends(y)
+        for x in sorted(anchor.circuit(y) - {y})
+    ]
+    for k in (2, 3):
+        for seq in permutations(pairs, k):
+            if len({y for y, _, _ in seq}) == k and len({x for _, x, _ in seq}) == k:
+                els = tuple(e for y, x, _ in seq for e in (y, x))
+                circuits = tuple(seq[i // 2][2] if i % 2 == 0 else None for i in range(2 * k - 1))
+                yield els, circuits, range(0, 2 * k - 1, 2)
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [Uniform(5, 2), Uniform(6, 3), Graphic(k4_graph())]
+    + [Graphic(_seeded_graph(random.Random(seed), vertices=5, edges=8)) for seed in (0, 2, 5, 10)],
+    ids=["U(5,2)", "U(6,3)", "K4", "graphic-0", "graphic-2", "graphic-5", "graphic-10"],
+)
+def test_the_triangular_lemma_holds_on_every_small_sequence(spec):
+    """At every independent set, every sequence of two or three exchange
+    pairs that passes ``union._triangular`` swaps into an independent set by
+    rank, and ``union._carried`` exchanges the native anchor there, in
+    descending link order, with every update inside its contract, into an
+    anchor that answers as a fresh one.  On a uniform matroid no sequence
+    passes: a basis's circuits each hold the whole basis."""
+    m = build(spec)
+    passed = failed = 0
+    for a in subsets_by_size(m.elements()):
+        if not m.is_independent(a):
+            continue
+        for els, circuits, links in _exchange_sequences(m, a):
+            if not union._triangular(els, circuits, links):
+                failed += 1
+                continue
+            passed += 1
+            swapped = a - set(els[1::2]) | set(els[::2])
+            assert m.is_independent(swapped), (sorted(a), els)
+            carried = union._carried(_CheckedAnchor(m, a, m._anchor(a)), els, None, links)
+            _assert_answers_as_fresh(m, carried, swapped)
+    assert failed and (passed == 0) == isinstance(spec, Uniform)
+
+
 class TestSession:
     def test_a_moved_session_serves_the_new_state_only(self, monkeypatch):
         g = build(Graphic(k4_graph()))
@@ -595,3 +736,29 @@ class TestSession:
         reference, reference_chains = _fresh_session_union(m1, m2)
         assert [chain for _, chain, _ in steps] == reference_chains
         assert state == reference
+
+    def test_a_chain_that_fails_the_triangular_test_rebuilds_its_anchor(self):
+        """A valid chain that is not shortest: link 0's circuit holds e0,
+        which link 2 takes out, so the first part fails the triangular
+        test, yet its swaps leave the path {e2, e3, e5}, which rank
+        accepts.  Exchanging its anchor in descending link order would break
+        the contract at link 2, where e0 is off the circuit of e3, so the
+        session rebuilds that anchor, and both anchors it leaves answer as
+        fresh ones.  The first anchor checks each update it is handed."""
+        m1 = build(Graphic(k4_graph()))
+        m2 = build(Partition((("e0", "e5"), ("e1",), ("e2",), ("e3", "e4")), (1, 1, 0, 1)))
+        state = PairState(fs({0, 1, 4}), fs({1, 3, 5}))
+        chain = ExchangeChain(
+            (2, 4, 3, 0, 5, 1), EVEN,
+            (fs({0, 2, 4}), fs({3, 4}), fs({0, 1, 3}), fs({0, 5}), fs({0, 1, 4, 5})), COMMON,
+        )
+        validate_chain(m1, m2, state, chain)
+        assert not union._triangular(chain.elements, chain.circuits, range(0, 5, 2))
+        session = union.Session(m1, m2, state)
+        session._first = _CheckedAnchor(m1, state.i1, session.first())
+        session.second()
+        after = apply_chain(m1, m2, state, chain, session)
+        assert after == PairState(fs({2, 3, 5}), fs({0, 1, 4}))
+        assert session.serves(m1, m2, after)
+        _assert_answers_as_fresh(m1, session.first(), after.i1)
+        _assert_answers_as_fresh(m2, session.second(), after.i2)
