@@ -2,7 +2,8 @@
 
 Exit codes: 0 success, 1 verification failure (with the reason in the JSON
 output) or a failed internal invariant, 2 malformed input or an unusable
-input or output (a closed stdin, a closed or full stdout).  Output bytes
+input or output (a closed stdin, a closed or full stdout).  A closed or
+full stderr loses the error line but keeps the exit code.  Output bytes
 are deterministic for fixed inputs: canonical JSON on stdout or into
 --output, DOT drawings into the path given by --dot.
 """
@@ -391,14 +392,24 @@ def run(argv: list[str]) -> int:
     try:
         return args.func(args)
     except (InputError, CapacityError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        _report(f"error: {exc}")
         return 2
     except ConsistencyError as exc:
-        print(f"verification failure: {exc}", file=sys.stderr)
+        _report(f"verification failure: {exc}")
         return 1
     except InternalInvariantError as exc:
-        print(f"internal invariant failure: {exc}", file=sys.stderr)
+        _report(f"internal invariant failure: {exc}")
         return 1
+
+
+def _report(line: str) -> None:
+    """Write one error line to stderr.  A stderr that cannot take it, closed
+    or full, loses the line but not the exit code."""
+    try:
+        if sys.stderr is not None:  # None when the process started without one
+            print(line, file=sys.stderr)
+    except OSError:
+        pass
 
 
 def main() -> None:

@@ -37,14 +37,15 @@ caller whose set changes one element at a time need not build a new one.
 
 The union's chain re-check asks two more questions, which a family that
 can answer them exactly in one pass supplies as hooks of their own:
-whether a set is a circuit (``is_circuit=``), and whether an independent
-set stays independent with one more element (``extends=``).  Partition
-and uniform handles answer both from the blocks, the graphic family the
-first by a cycle test, and its cographic handle both by a bond test and a
-bridge search.  They share no code with the anchors, so the re-check
-still catches a faulty anchor.  Every other handle answers them through
-rank: one rank function, one anchor and at most these two tests per
-family.
+whether a set C is a circuit, given an element ``known`` of C with
+C - known independent (``is_circuit=``), and whether an independent set
+stays independent with one more element (``extends=``).  Partition and
+uniform handles answer both from the blocks, the graphic family the
+first by a cycle test, and its cographic handle both by one two-sided
+search from the ends of an edge.  They share no code with the anchors,
+so the re-check still catches a faulty anchor.  Every other handle
+answers them through rank: one rank function, one anchor and at most
+these two tests per family.
 
 Input is validated once, by the public methods; everything below them
 works on frozensets already known to lie inside the ground set.  Nothing
@@ -237,10 +238,12 @@ class Matroid:
     anchored circuits are still re-checked before they are applied.
 
     Two optional hooks answer the re-check's questions exactly, where the
-    family can do so in one pass: ``is_circuit(c)``, whether ``c`` is a
-    circuit, and ``extends(part, x)``, for an independent ``part`` and an
+    family can do so in one pass: ``is_circuit(c, known)``, for a ``c``
+    that holds ``known`` with ``c - known`` independent, whether ``c`` is
+    a circuit, and ``extends(part, x)``, for an independent ``part`` and an
     ``x`` outside it, whether ``part + x`` is independent.  Their answers
-    must agree with the rank function; without them the re-check asks
+    must agree with the rank function wherever these preconditions hold,
+    and nothing is asked of them elsewhere; without them the re-check asks
     rank (``union._is_circuit``, ``union._extended``).
 
     A family that knows its dual may take a native ``dual=`` hook, a
@@ -274,7 +277,7 @@ class Matroid:
         rank: Callable[[frozenset[int]], int],
         anchor: Callable[[frozenset[int]], Anchor] | None = None,
         dual: Callable[[], "Matroid"] | None = None,
-        is_circuit: Callable[[frozenset[int]], bool] | None = None,
+        is_circuit: Callable[[frozenset[int], int], bool] | None = None,
         extends: Callable[[frozenset[int], int], bool] | None = None,
     ):
         self._ground = ground
@@ -434,7 +437,7 @@ def dual_matroid(
     primal: Matroid,
     *,
     anchor: Callable[[frozenset[int]], Anchor] | None = None,
-    is_circuit: Callable[[frozenset[int]], bool] | None = None,
+    is_circuit: Callable[[frozenset[int], int], bool] | None = None,
     extends: Callable[[frozenset[int], int], bool] | None = None,
 ) -> Matroid:
     """The dual of ``primal`` through the rank identity

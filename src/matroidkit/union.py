@@ -151,13 +151,14 @@ def _carried(anchor: Anchor | None, els: tuple[int, ...], received, links) -> An
 
 
 def _is_circuit(matroid: Matroid, candidate: frozenset[int], known: int) -> bool:
-    """Whether ``candidate`` is a circuit: the family's exact test when it
-    has one (``is_circuit=``), in one pass.  Otherwise by the definition,
-    dependent with every one-smaller subset independent, which costs
-    |candidate| rank evaluations: ``candidate - {known}`` is taken as
-    already proved independent and not evaluated."""
+    """Whether ``candidate`` is a circuit, given ``known`` on it and
+    ``candidate - {known}`` already proved independent: by the family's
+    exact test when it has one (``is_circuit=``), in one pass, which may
+    lean on that precondition.  Otherwise by the definition, dependent with
+    every one-smaller subset independent, which costs |candidate| rank
+    evaluations, ``candidate - {known}`` not among them."""
     if matroid._circuit_fn is not None:
-        return matroid._circuit_fn(candidate)
+        return matroid._circuit_fn(candidate, known)
     if matroid._independent(candidate):
         return False
     return all(matroid._independent(candidate - {e}) for e in candidate if e != known)

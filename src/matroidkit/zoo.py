@@ -15,8 +15,9 @@ down.
 Partition, uniform, graphic and cographic handles also supply exact
 one-pass tests for the union's chain re-check (``Matroid``'s
 ``is_circuit=`` and ``extends=`` hooks): a block-size test for both
-questions on the partition side, a cycle test for graphic circuits, and a
-bond test and a bridge search on the cographic side.  The graphic 'add'
+questions on the partition side, a cycle test for graphic circuits, and
+on the cographic side one two-sided search from the ends of an edge,
+which answers both the bond test and the bridge test.  The graphic 'add'
 question stays a rank evaluation.
 
 Partition and uniform matroids also supply a native dual: the partition
@@ -40,7 +41,7 @@ from typing import Union
 
 from .axioms import ExplicitSystem, check_downward_closure
 from .core import Anchor, GroundSet, Matroid, RankAnchor, default_labels, dual_matroid
-from .errors import InputError
+from .errors import InputError, InternalInvariantError
 from .graphs import Multigraph
 
 
@@ -282,7 +283,9 @@ class ForestAnchor:
 
     def _hang(self, top: int, parent: int, edge: int) -> None:
         """Link ``top`` to ``parent`` by tree edge ``edge`` and re-root the
-        tree hanging from ``top`` below it: parent, depth and tree name."""
+        tree hanging from ``top`` below it: parent, depth and tree name.
+        A walk that reaches ``parent`` went round a cycle that ``edge``
+        closed, an update outside the anchor contract."""
         tree, root, depth, up = self._edges(), self._root, self._depth, self._up
         tree.setdefault(top, {})[edge] = parent
         tree.setdefault(parent, {})[edge] = top
@@ -296,6 +299,8 @@ class ForestAnchor:
             below = depth[node] + 1
             for e, nxt in tree[node].items():
                 if e != came:
+                    if nxt == parent:
+                        raise InternalInvariantError("a forest update closed a cycle")
                     up[nxt] = (node, e)
                     depth[nxt] = below
                     root[nxt] = name
@@ -398,11 +403,10 @@ class DualAnchor:
 # faulty anchor still meets an independent check.
 
 
-def _is_block_circuit(members, block_of, caps, c: frozenset[int]) -> bool:
-    """Partition circuit: ``c`` lies inside one block B and holds cap(B) + 1 elements."""
-    if not c:
-        return False
-    bi = block_of[next(iter(c))]
+def _is_block_circuit(members, block_of, caps, c: frozenset[int], known: int) -> bool:
+    """Partition circuit: ``c`` lies inside the block B of ``known`` and
+    holds cap(B) + 1 elements."""
+    bi = block_of[known]
     return len(c) == caps[bi] + 1 and c <= members[bi]
 
 
@@ -413,7 +417,7 @@ def _block_has_room(members, block_of, caps, part: frozenset[int], x: int) -> bo
     return len(part & members[bi]) < caps[bi]
 
 
-def _is_cycle(endpoints, c: frozenset[int]) -> bool:
+def _is_cycle(endpoints, c: frozenset[int], known: int) -> bool:
     """Graphic circuit: a single loop, or loop-free edges that meet every
     vertex they touch exactly twice and form one connected walk."""
     ends: dict[int, list[int]] = {}
@@ -423,7 +427,7 @@ def _is_cycle(endpoints, c: frozenset[int]) -> bool:
             return len(c) == 1
         ends.setdefault(u, []).append(e)
         ends.setdefault(v, []).append(e)
-    if not ends or any(len(at) != 2 for at in ends.values()):
+    if any(len(at) != 2 for at in ends.values()):
         return False
     # Every vertex has degree 2, so the walk from one vertex closes after
     # going once round its cycle, which is all of c exactly when c is connected.
@@ -441,54 +445,44 @@ def _is_cycle(endpoints, c: frozenset[int]) -> bool:
             return walked == len(c)
 
 
-def _is_bond(endpoints, roots, c: frozenset[int]) -> bool:
-    """Cographic circuit: one union-find over E - c, after which every edge
-    of ``c`` joins two different components, and all of them the same two."""
-    parent = list(roots)
+def _dry_side(endpoints, incident, cut: frozenset[int], x: int) -> set[int] | None:
+    """Search E - cut - x from the two ends of the loop-free edge ``x``, one
+    node from each side in turn.  None when the two sides meet; otherwise
+    the vertices of the side that ran dry first, a whole component of
+    E - cut - x that holds one end of ``x``.  Taking turns, neither side
+    expands more nodes than the dry side holds, plus one (the balancing of
+    Even and Shiloach, J. ACM 28, 1981)."""
+    u, v = endpoints[x]
+    mine, theirs = {u}, {v}
+    stack, other = [u], [v]
+    while stack:
+        for e, far in incident[stack.pop()]:
+            if far not in mine and e != x and e not in cut:
+                if far in theirs:
+                    return None
+                mine.add(far)
+                stack.append(far)
+        mine, theirs, stack, other = theirs, mine, other, stack
+    return mine
 
-    def find(u: int) -> int:
-        while parent[u] != u:
-            parent[u] = u = parent[parent[u]]
-        return u
 
-    for e, (u, v) in enumerate(endpoints):
-        if e not in c:
-            u, v = find(u), find(v)
-            if u != v:
-                parent[v] = u
-    pair = None
-    for e in c:
-        u, v = endpoints[e]
-        u, v = find(u), find(v)
-        if u == v:
-            return False
-        if pair is None:
-            pair = {u, v}
-        elif pair != {u, v}:
-            return False
-    return pair is not None
+def _is_bond(endpoints, incident, c: frozenset[int], known: int) -> bool:
+    """Cographic circuit, for a ``c`` with ``c - known`` co-independent: then
+    E - c + known spans, so E - c splits at most one component in two, and
+    ``c`` is a bond exactly when it does, at ``known``, and every edge of
+    ``c`` crosses between the two pieces."""
+    u, v = endpoints[known]
+    if u == v:
+        return False
+    dry = _dry_side(endpoints, incident, c, known)
+    return dry is not None and all((endpoints[e][0] in dry) != (endpoints[e][1] in dry) for e in c)
 
 
 def _is_no_bridge(endpoints, incident, part: frozenset[int], x: int) -> bool:
     """Whether co-independent ``part`` plus ``x`` stays co-independent: ``x``
-    is no bridge of E - part, so a breadth-first search from one end of
-    ``x`` over E - part - x reaches the other end, where it stops."""
+    is a loop, or no bridge of E - part, where the two sides of ``x`` meet."""
     u, v = endpoints[x]
-    if u == v:
-        return True
-    seen = {u}
-    layer = [u]
-    while layer:
-        below = []
-        for node in layer:
-            for e, far in incident[node]:
-                if far not in seen and e != x and e not in part:
-                    if far == v:
-                        return True
-                    seen.add(far)
-                    below.append(far)
-        layer = below
-    return False
+    return u == v or _dry_side(endpoints, incident, part, x) is None
 
 
 def _build_uniform(spec: Uniform) -> Matroid:
@@ -618,7 +612,7 @@ def _build_graphic(spec: Graphic) -> Matroid:
         cographic = dual_matroid(
             graphic,
             anchor=anchor,
-            is_circuit=partial(_is_bond, endpoints, roots),
+            is_circuit=partial(_is_bond, endpoints, incident),
             extends=partial(_is_no_bridge, endpoints, incident),
         )
         return cographic

@@ -478,7 +478,9 @@ class TestStreamFailures:
     """A command whose stdin or stdout cannot be used ends in exit 2 with one
     line on stderr, never a traceback.  Each row runs the command through
     ``sh`` under one redirection: stdin closed (``<&-``), stdout closed
-    (``>&-``), or stdout on /dev/full, where every write fails."""
+    (``>&-``), or stdout on /dev/full, where every write fails.  With stderr
+    closed or on /dev/full, an input error keeps its exit code and writes
+    nothing to stdout."""
 
     ROWS = {
         "rank-no-stdin": (["rank", "--matroid", "-"], "<&-", _stream_error("read", errno.EBADF)),
@@ -490,6 +492,8 @@ class TestStreamFailures:
         "gen-full-stdout": (
             ["gen", "--count", "2"], ">/dev/full", _stream_error("write", errno.ENOSPC)
         ),
+        "rank-bad-input-no-stderr": (["rank", "--matroid", BAD_I1], "2>&-", None),
+        "rank-bad-input-full-stderr": (["rank", "--matroid", BAD_I1], "2>/dev/full", None),
     }
 
     @pytest.mark.parametrize("argv,redirect,line", ROWS.values(), ids=ROWS.keys())
@@ -498,12 +502,15 @@ class TestStreamFailures:
             pytest.skip("no /dev/full here")
         proc = subprocess.run(
             ["sh", "-c", f'exec "$0" -m matroidkit "$@" {redirect}', sys.executable, *argv],
-            stdout=subprocess.PIPE if redirect == "<&-" else None,
+            stdout=subprocess.PIPE if redirect == "<&-" or line is None else None,
             stderr=subprocess.PIPE,
             check=False,
         )
         assert proc.returncode == 2
-        assert proc.stderr.decode() == line
+        if line is None:  # stderr itself is unusable, and its line may not go to stdout
+            assert proc.stdout == b""
+        else:
+            assert proc.stderr.decode() == line
 
 
 class TestDispatch:

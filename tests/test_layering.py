@@ -4,7 +4,9 @@
 ``errors`` sits at the bottom and ``core`` directly above it, so any
 module may import a core helper without closing an import cycle.  Files,
 streams, the process and its arguments are the CLI's business, so only
-``cli`` imports the modules that reach them.
+``cli`` imports the modules that reach them.  The exact cographic tests
+of ``zoo`` are the chain re-check's check on the anchors, so the two
+share no code.
 """
 
 import ast
@@ -107,3 +109,31 @@ IO_MODULES = {"os", "sys", "stat", "io", "pathlib", "argparse"}
 @pytest.mark.parametrize("module", [m for m in MODULES if m != "cli"])
 def test_only_cli_imports_io_modules(module):
     assert not top_level_imports(source_of(module)) & IO_MODULES
+
+
+COGRAPHIC_TESTS = {"_dry_side", "_is_bond", "_is_no_bridge"}
+ANCHORS = {"ForestAnchor", "DualAnchor", "RankAnchor"}
+
+
+def top_level_definitions(module: str) -> dict[str, ast.AST]:
+    kinds = (ast.FunctionDef, ast.ClassDef)
+    return {node.name: node for node in ast.parse(source_of(module)).body if isinstance(node, kinds)}
+
+
+def names_in(node: ast.AST) -> set[str]:
+    """Every bare name and attribute name used inside ``node``."""
+    return {
+        n.id if isinstance(n, ast.Name) else n.attr
+        for n in ast.walk(node)
+        if isinstance(n, (ast.Name, ast.Attribute))
+    }
+
+
+def test_the_cographic_tests_and_the_anchors_share_no_code():
+    """No cographic test names an anchor class, and no anchor class names a
+    cographic test, so a faulty anchor still meets an independent check."""
+    defined = {**top_level_definitions("core"), **top_level_definitions("zoo")}
+    for name in COGRAPHIC_TESTS:
+        assert not names_in(defined[name]) & ANCHORS, name
+    for name in ANCHORS:
+        assert not names_in(defined[name]) & COGRAPHIC_TESTS, name

@@ -15,7 +15,9 @@ The second counts the queries answered by those anchors (``extends``,
 ``circuit`` and ``cocircuit``, which the dual's anchor asks of them), so
 no work can hide inside a session.  The third counts the updates
 (``grow`` and ``exchange``) that carry an anchor from one set to the next
-instead of building it again.
+instead of building it again.  On the seeded random graph the graphic
+evaluations and the cographic test calls are pinned apart, beside the
+incidence entries those two tests read, which is where their cost lies.
 
 The swapped-part counts show that applying a found chain evaluates nothing
 after its re-check: every part a link ran through is proved independent by
@@ -31,6 +33,8 @@ partition handle of its own, so both sides count.
 Each bound is the count the current code makes; lower it when a change
 saves work, and never raise it.
 """
+
+from functools import partial
 
 import pytest
 
@@ -72,12 +76,12 @@ class CountedAnchor:
         return CountedAnchor(self._inner.exchange(y, z), self._counts)
 
 
-def counted(oracle, counts, size=None):
-    """``oracle``, counting each call as one evaluation and, when ``size`` is
-    given, adding ``size(*args)`` to the elements read."""
+def counted(oracle, counts, size=None, key="evaluations"):
+    """``oracle``, counting each call as one under ``key`` and, when ``size``
+    is given, adding ``size(*args)`` to the elements read."""
 
     def counting(*args):
-        counts["evaluations"] += 1
+        counts[key] += 1
         if size is not None:
             counts["elements"] += size(*args)
         return oracle(*args)
@@ -85,10 +89,25 @@ def counted(oracle, counts, size=None):
     return counting
 
 
+class CountedIncidence:
+    """One vertex's incidence list, counting each entry a search reads."""
+
+    def __init__(self, entries, counts):
+        self._entries = entries
+        self._counts = counts
+
+    def __iter__(self):
+        for entry in self._entries:
+            self._counts["incidence"] += 1
+            yield entry
+
+
 def graphic_oracle_evaluations(monkeypatch, inst: MengerInstance):
     """Solve ``inst`` while counting the native oracle work of every graphic
-    handle, and the two tests of every cographic one."""
-    counts = {"evaluations": 0, "queries": 0, "updates": 0}
+    handle (``evaluations``), the calls of the two tests of every
+    cographic one (``tests``), and the incidence entries those tests read
+    (``incidence``), through the ``incident`` lists bound into them."""
+    counts = {"evaluations": 0, "tests": 0, "incidence": 0, "queries": 0, "updates": 0}
 
     def counted_anchor(anchor):
         def oracle(xs):
@@ -111,8 +130,12 @@ def graphic_oracle_evaluations(monkeypatch, inst: MengerInstance):
     def counting_dual(primal, **hooks):
         assert primal.provenance.startswith("graphic(")
         assert set(hooks) == {"anchor", "is_circuit", "extends"}
-        hooks["is_circuit"] = counted(hooks["is_circuit"], counts)
-        hooks["extends"] = counted(hooks["extends"], counts)
+        endpoints, incident = hooks["extends"].args
+        assert hooks["is_circuit"].args == (endpoints, incident)
+        read = tuple(CountedIncidence(entries, counts) for entries in incident)
+        for name in ("is_circuit", "extends"):
+            test = partial(hooks[name].func, endpoints, read)
+            hooks[name] = counted(test, counts, key="tests")
         duals.append(primal)
         return dual_matroid(primal, **hooks)
 
@@ -132,9 +155,22 @@ def test_grid_solve_graphic_oracle_evaluations(
 ):
     cert, counts = graphic_oracle_evaluations(monkeypatch, grid_instance(w))
     assert cert.count == w
-    assert counts["evaluations"] <= oracle_bound
+    assert counts["evaluations"] + counts["tests"] <= oracle_bound
     assert counts["queries"] <= query_bound
     assert counts["updates"] <= update_bound
+
+
+def test_random_graph_solve_graphic_oracle_work(monkeypatch):
+    """The seeded sparse multigraph on 200 vertices, with the graphic
+    evaluations, the cographic test calls and the incidence entries those
+    tests read pinned apart."""
+    cert, counts = graphic_oracle_evaluations(monkeypatch, random_menger_instance(200))
+    assert cert.count == 10
+    assert counts["evaluations"] <= 613
+    assert counts["tests"] <= 413
+    assert counts["incidence"] <= 23_054
+    assert counts["queries"] <= 4_669
+    assert counts["updates"] <= 805
 
 
 EVALUATION_BOUND = 514
@@ -148,7 +184,7 @@ def test_partition_pair_certify_rank_evaluations(monkeypatch):
         if provenance.startswith(("partition(", "dual(partition(")):
             assert set(oracles) == {"rank", "anchor", "dual", "is_circuit", "extends"}
             oracles["rank"] = counted(oracles["rank"], counts, len)
-            oracles["is_circuit"] = counted(oracles["is_circuit"], counts, len)
+            oracles["is_circuit"] = counted(oracles["is_circuit"], counts, lambda c, known: len(c))
             oracles["extends"] = counted(oracles["extends"], counts, lambda part, x: len(part) + 1)
         return Matroid(ground, provenance, **oracles)
 

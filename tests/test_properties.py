@@ -494,16 +494,23 @@ def _exact_test_cases():
 _EXACT_TEST_CASES = _exact_test_cases()
 
 
+def _cographic(m):
+    return m.provenance.startswith("dual(graphic(")
+
+
 def test_the_exact_tests_serve_the_partition_graphic_and_cographic_handles():
     """Partition and uniform handles, natively built duals included, have
     both tests, graphic handles the circuit test, and cographic handles both;
     the filter above drops no such case unnoticed, and every wrapper
-    answers through rank."""
-    both, circuit_only = [], []
+    answers through rank.  The cographic rows, whose circuit test is checked
+    under its precondition alone, are the four duals of graphs."""
+    both, circuit_only, cographic = [], [], []
     for name, spec in _EXACT_TEST_CASES:
         m = build(spec)
         assert m._circuit_fn is not None, name
         (both if m._extends_fn is not None else circuit_only).append(name)
+        if _cographic(m):
+            cographic.append(name)
     assert sorted(circuit_only) == [
         "dual-dual-graphic",
         "graphic",
@@ -528,25 +535,45 @@ def test_the_exact_tests_serve_the_partition_graphic_and_cographic_handles():
         "uniform",
         "uniform-k-above-n",
     ]
+    assert sorted(cographic) == [
+        "dual",
+        "dual-graphic",
+        "dual-graphic-two-components-isolated",
+        "dual-graphic-two-triangles",
+    ]
 
 
 @pytest.mark.parametrize(
     "spec", [case[1] for case in _EXACT_TEST_CASES], ids=[case[0] for case in _EXACT_TEST_CASES]
 )
 def test_exact_tests_match_their_rank_definitions(spec):
-    """On every subset: the circuit test says dependent with every
-    one-smaller subset independent, and on every independent part, the
-    'add' test of each x outside it says whether part + x is independent."""
+    """The circuit test says dependent with every one-smaller subset
+    independent.  A partition or graphic test is asked of every non-empty
+    subset, with each of its elements as ``known``.  The cographic bond
+    test is defined only where ``c - known`` is co-independent, the only
+    case the chain re-check asks, so it is asked of every C with
+    known in C inside part + known, for every co-independent part and
+    every known outside it.  On every independent part, the 'add' test of
+    each x outside it says whether part + x is independent."""
     m = build(spec)
     subsets = _all_subsets(m.elements())
-    for c in subsets:
+    independent = [part for part in subsets if m.is_independent(part)]
+    if _cographic(m):
+        cases = {
+            (c | {known}, known)
+            for part in independent
+            for known in m.elements()
+            if known not in part
+            for c in _all_subsets(part)
+        }
+    else:
+        cases = [(c, known) for c in subsets for known in c]
+    for c, known in cases:
         circuit = not m.is_independent(c) and all(m.is_independent(c - {e}) for e in c)
-        assert m._circuit_fn(c) == circuit, sorted(c)
+        assert m._circuit_fn(c, known) == circuit, (sorted(c), known)
     if m._extends_fn is None:
         return
-    for part in subsets:
-        if not m.is_independent(part):
-            continue
+    for part in independent:
         for x in m.elements():
             if x not in part:
                 assert m._extends_fn(part, x) == m.is_independent(part | {x}), (sorted(part), x)

@@ -391,9 +391,9 @@ def _recorded_evaluations(monkeypatch, handles):
         return evaluate(self, s)
 
     def recorded_circuit(name, test):
-        def recorded(c):
+        def recorded(c, known):
             seen.append((name, "is_circuit", tuple(sorted(c))))
-            return test(c)
+            return test(c, known)
 
         return recorded
 

@@ -1,3 +1,5 @@
+import faulthandler
+
 import pytest
 
 from matroidkit import (
@@ -5,6 +7,7 @@ from matroidkit import (
     Explicit,
     Graphic,
     InputError,
+    InternalInvariantError,
     Multigraph,
     Partition,
     Sum,
@@ -19,7 +22,7 @@ from matroidkit.core import subsets_by_size
 from matroidkit.graphs import induced_subgraph
 from matroidkit.zoo import explicit_system
 
-from conftest import path3_graph, triangle_graph
+from conftest import k4_graph, path3_graph, triangle_graph
 
 
 def gf2_rank(matrix, columns):
@@ -229,3 +232,31 @@ class TestGraphHelpers:
         assert sub.vertex_labels == ("b", "c")
         assert sub.edge_labels == ("e1",)
         assert vmap == {1: 0, 2: 1}
+
+
+class TestForestAnchorContract:
+    """An update outside the anchor contract closes a cycle in the forest,
+    which ``_hang`` reports instead of walking round it for ever; the
+    ``faulthandler`` timeout turns a hang into a failure."""
+
+    @pytest.fixture(autouse=True)
+    def _timeout(self):
+        faulthandler.dump_traceback_later(10, exit=True)
+        yield
+        faulthandler.cancel_dump_traceback_later()
+
+    def test_exchange_off_the_circuit_fails(self):
+        g = build(Graphic(k4_graph()))
+        anchor = g._anchor(g.ground.subset_from_labels(["e0", "e4", "e5"]))
+        e0, e3 = g.ground.index("e0"), g.ground.index("e3")
+        assert e0 not in anchor.circuit(e3)
+        with pytest.raises(InternalInvariantError, match="closed a cycle"):
+            anchor.exchange(e3, e0)
+
+    def test_grow_inside_one_tree_fails(self):
+        g = build(Graphic(k4_graph()))
+        anchor = g._anchor(g.ground.subset_from_labels(["e0", "e4"]))
+        e2 = g.ground.index("e2")  # joins 1 and 4, both on the tree 1-2-4
+        assert not anchor.extends(e2)
+        with pytest.raises(InternalInvariantError, match="closed a cycle"):
+            anchor.grow(e2)
