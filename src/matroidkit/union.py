@@ -26,8 +26,6 @@ cost one check that ``part + y`` is independent and one anchor grow.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .core import Anchor, Matroid
 from .errors import ConsistencyError, InputError, InternalInvariantError
 from .graphs import breadth_first, path_to
@@ -63,22 +61,44 @@ class PairState:
         return f"PairState(i1={self.i1!r}, i2={self.i2!r}, union={self.union!r})"
 
 
-@dataclass(frozen=True, slots=True)
 class ExchangeChain:
-    """A tuple of elements plus the witness circuit certifying each link."""
+    """A tuple of elements plus the witness circuit certifying each link.
+    Treated as immutable: equality and the hash read all four fields."""
 
-    elements: tuple[int, ...]
-    parity: str
-    circuits: tuple[frozenset[int], ...]
-    terminal: str
+    __slots__ = ("elements", "parity", "circuits", "terminal")
 
-    def __post_init__(self):
-        if self.parity not in (EVEN, ODD):
-            raise InputError(f"chain parity must be 'even' or 'odd', got {self.parity!r}")
-        if self.terminal not in (COMMON, ADD):
-            raise InputError(f"unknown chain terminal kind {self.terminal!r}")
-        if len(self.circuits) != len(self.elements) - 1:
+    def __init__(
+        self,
+        elements: tuple[int, ...],
+        parity: str,
+        circuits: tuple[frozenset[int], ...],
+        terminal: str,
+    ):
+        if parity not in (EVEN, ODD):
+            raise InputError(f"chain parity must be 'even' or 'odd', got {parity!r}")
+        if terminal not in (COMMON, ADD):
+            raise InputError(f"unknown chain terminal kind {terminal!r}")
+        if len(circuits) != len(elements) - 1:
             raise InputError("a chain needs exactly one witness circuit per link")
+        self.elements, self.parity, self.circuits, self.terminal = (
+            elements, parity, circuits, terminal
+        )
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.elements, self.parity, self.circuits, self.terminal) == (
+            other.elements, other.parity, other.circuits, other.terminal
+        )
+
+    def __hash__(self):
+        return hash((self.elements, self.parity, self.circuits, self.terminal))
+
+    def __repr__(self):
+        return (
+            f"ExchangeChain(elements={self.elements!r}, parity={self.parity!r}, "
+            f"circuits={self.circuits!r}, terminal={self.terminal!r})"
+        )
 
     @property
     def length(self) -> int:
@@ -123,11 +143,15 @@ class Session:
     def serves(self, m1: Matroid, m2: Matroid, state: PairState) -> bool:
         return self.state is state and self.m1 is m1 and self.m2 is m2
 
-    def _moved(self, after: PairState, els: tuple[int, ...], received, links) -> PairState:
-        """Serve ``after``, made by applying the chain ``els``, each anchor
-        following what ``_new_part`` found of its part (``_carried``)."""
-        self._first = _carried(self._first, els, received[0], links[0])
-        self._second = _carried(self._second, els, received[1], links[1])
+    def _moved(self, after: PairState, els: tuple[int, ...], first, second) -> PairState:
+        """Serve ``after``, made by applying the chain ``els``.  The anchor of
+        each part the chain moved follows what ``_new_part`` found of it, a
+        ``(received, links)`` pair (``_carried``); a part the chain left
+        alone has None in its place and keeps its anchor."""
+        if first is not None:
+            self._first = _carried(self._first, els, *first)
+        if second is not None:
+            self._second = _carried(self._second, els, *second)
         self.state = after
         return after
 
@@ -229,11 +253,18 @@ def _recheck_chain(
     the other place, and both for a 'common' terminal, hold None.
     """
     els = chain.elements
-    start_set = state.i1 if chain.parity == EVEN else state.i2
+    even = chain.parity == EVEN
+    start_set = state.i1 if even else state.i2
     if els[0] in start_set:
         raise ConsistencyError("chain start already belongs to the part it would enter")
     if els[0] in state.union:
         raise ConsistencyError("chain start already lies in the other part")
+    if len(els) == 1 and chain.terminal == ADD:
+        # A link-free chain's receiving part is the one it starts into, and
+        # the start checks have just placed y outside it.
+        if even:
+            return _extended(m1, start_set, els[0]), None
+        return None, _extended(m2, start_set, els[0])
     # Interior elements alternate between the two parts and may not sit in
     # both; only the terminal element may.  A chain without links has none.
     if len(els) > 1:
@@ -293,18 +324,27 @@ def apply_chain(
         circuits = chain.circuits
     r1, r2 = _recheck_chain(m1, m2, state, chain, circuits)
     els = chain.elements
-    even = chain.parity == EVEN
-    links1 = range(0 if even else 1, len(els) - 1, 2)
-    links2 = range(1 if even else 0, len(els) - 1, 2)
-    i1, links1 = _new_part(m1, state.i1 if r1 is None else r1, els, links1, circuits, "first")
-    i2, links2 = _new_part(m2, state.i2 if r2 is None else r2, els, links2, circuits, "second")
-    after = PairState(i1, i2)
+    if len(els) == 1:
+        # Only the receiving part moves, to the part + y just re-checked; the
+        # other part and its anchor stay as they are.
+        if r1 is None:
+            after, moves = PairState(state.i1, r2), (None, (r2, ()))
+        else:
+            after, moves = PairState(r1, state.i2), ((r1, ()), None)
+    else:
+        even = chain.parity == EVEN
+        links1 = range(0 if even else 1, len(els) - 1, 2)
+        links2 = range(1 if even else 0, len(els) - 1, 2)
+        i1, links1 = _new_part(m1, state.i1 if r1 is None else r1, els, links1, circuits, "first")
+        i2, links2 = _new_part(m2, state.i2 if r2 is None else r2, els, links2, circuits, "second")
+        after = PairState(i1, i2)
+        moves = ((r1, links1), (r2, links2))
     # The re-check placed the start outside the union, so these three checks
     # say that the union grew by exactly the start.
     grown, start = after.union, els[0]
     if len(grown) != len(state.union) + 1 or start not in grown or not state.union <= grown:
         raise InternalInvariantError("augmenting chain did not grow the union by its start")
-    return after if session is None else session._moved(after, els, (r1, r2), (links1, links2))
+    return after if session is None else session._moved(after, els, *moves)
 
 
 def _new_part(

@@ -308,6 +308,8 @@ class ForestAnchor:
 
     def grow(self, x: int) -> "ForestAnchor":
         u, v = self._endpoints[x]
+        if u == v:  # a loop closes its cycle without a walk for _hang to see
+            raise InternalInvariantError("a forest update closed a cycle")
         self._edges()
         root, size = self._root, self._size
         for w in (u, v):
@@ -513,12 +515,18 @@ def _build_partition(spec: Partition) -> Matroid:
     if len(set(labels)) != len(labels):
         raise InputError("partition blocks overlap")
     ground = GroundSet(tuple(sorted(labels)))
-    members = tuple(frozenset(ground.index(lbl) for lbl in block) for block in spec.blocks)
-    block_index = {lbl: bi for bi, block in enumerate(spec.blocks) for lbl in block}
-    block_of = tuple(block_index[lbl] for lbl in ground.labels)
-    blocks_repr = "|".join(",".join(b) for b in spec.blocks)
+    ids = ground._ids
+    members = []
+    block_of = [0] * len(labels)
+    for bi, block in enumerate(spec.blocks):
+        block_ids = frozenset([ids[lbl] for lbl in block])
+        for e in block_ids:
+            block_of[e] = bi
+        members.append(block_ids)
+    members, block_of = tuple(members), tuple(block_of)
+    blocks_repr = "|".join(map(",".join, spec.blocks))
     provenance = f"partition({blocks_repr};caps={list(spec.caps)})"
-    co_caps = tuple(len(block) - min(c, len(block)) for block, c in zip(members, spec.caps))
+    co_caps = tuple([len(block) - min(c, len(block)) for block, c in zip(members, spec.caps)])
     return _partition_matroid(
         ground, members, block_of, spec.caps, co_caps, provenance, f"dual({provenance})"
     )

@@ -25,6 +25,7 @@ from matroidkit.oracles import brute_union_max
 from matroidkit.union import ADD, COMMON, EVEN, ODD, ExchangeChain, validate_chain
 
 from conftest import augmenting, k4_graph
+from test_oracle_counts import counted
 
 fs = frozenset
 
@@ -37,6 +38,21 @@ def test_pair_states_compare_hash_and_print_by_their_three_sets():
     assert state == PairState(fs({1}), fs({0, 2}))
     assert hash(state) == hash((fs({1}), fs({0, 2}), fs({0, 1, 2})))
     assert state != PairState(fs({0, 2}), fs({1})) and state != (state.i1, state.i2, state.union)
+
+
+def test_exchange_chains_compare_hash_and_print_by_their_four_fields():
+    chain = ExchangeChain((1, 0), EVEN, (fs({0, 1}),), ADD)
+    assert repr(chain) == (
+        "ExchangeChain(elements=(1, 0), parity='even', "
+        "circuits=(frozenset({0, 1}),), terminal='add')"
+    )
+    same = ExchangeChain(elements=(1, 0), parity=EVEN, circuits=(fs({0, 1}),), terminal=ADD)
+    assert chain == same and hash(chain) == hash(same)
+    assert (same.elements, same.parity, same.circuits, same.terminal) == (
+        (1, 0), EVEN, (fs({0, 1}),), ADD
+    )
+    assert chain != ExchangeChain((1, 0), ODD, (fs({0, 1}),), ADD)
+    assert chain != ((1, 0), EVEN, (fs({0, 1}),), ADD)
 
 
 def u12_pair():
@@ -529,7 +545,7 @@ def _restart_loop_union(m1, m2):
 
 class TestSinglePass:
     @pytest.mark.parametrize("seed", [3, 11, 29])
-    def test_each_element_is_searched_at_most_once(self, monkeypatch, seed):
+    def test_each_element_is_searched_exactly_once(self, monkeypatch, seed):
         rng = random.Random(seed)
         labels = tuple(f"p{i:02d}" for i in range(18))
         m1, m2 = _seeded_partition(rng, labels), _seeded_partition(rng, labels)
@@ -546,8 +562,7 @@ class TestSinglePass:
 
         monkeypatch.setattr(union, "find_chain", counting_find_chain)
         state, steps = augmenting(m1, m2)
-        assert len(searched) <= m1.size
-        assert searched == sorted(set(searched))
+        assert searched == list(m1.elements())
         assert [chain for _, chain, _ in steps] == reference_chains
         assert (state.i1, state.i2) == (reference.i1, reference.i2)
 
@@ -698,10 +713,19 @@ class TestSession:
     def test_a_link_free_chain_grows_the_receiving_anchor(self, monkeypatch, m1, m2):
         """Each link-free chain of a run, applied through its session with
         both anchors built: the session serves the new state, builds no
-        anchor, keeps the other part as the same object, and both anchors
-        answer as fresh anchors of the new parts.  The first matroid's loop
-        e0 makes an odd link-free chain, so the four anchor kinds each grow."""
+        anchor, keeps the other part and its anchor as the same objects,
+        and both anchors answer as fresh anchors of the new parts.  The
+        chain costs one check of the receiving part: one ``extends=`` call
+        and no rank evaluation where that handle has the hook, else one rank
+        evaluation.  The first matroid's loop e0 makes an odd link-free
+        chain, so the four anchor kinds each grow, and in each pair one
+        receiver has the hook and the other has not."""
         m1, m2 = build(m1), build(m2)
+        counts = {"evaluations": 0, "extends": 0}
+        for m in (m1, m2):
+            monkeypatch.setattr(m, "_rank", counted(m._rank, counts))
+            if m._extends_fn is not None:
+                monkeypatch.setattr(m, "_extends_fn", counted(m._extends_fn, counts, key="extends"))
         state = PairState(fs(), fs())
         session = union.Session(m1, m2, state)
         built = []
@@ -709,22 +733,29 @@ class TestSession:
         monkeypatch.setattr(
             Matroid, "_anchor", lambda self, a: built.append(a) or build_anchor(self, a)
         )
-        parities = set()
+        parities, receivers = set(), set()
         for y in m1.elements():
             chain = find_chain(m1, m2, state, y, session)
             if chain is None:
                 continue
-            session.first(), session.second()
+            anchors = session.first(), session.second()
             built.clear()
+            counts.update(evaluations=0, extends=0)
             before, state = state, apply_chain(m1, m2, state, chain, session)
             if chain.length:
                 continue
             parities.add(chain.parity)
             assert session.serves(m1, m2, state) and built == []
-            assert (state.i2 is before.i2) if chain.parity == EVEN else (state.i1 is before.i1)
+            if chain.parity == EVEN:
+                assert state.i2 is before.i2 and session.second() is anchors[1]
+            else:
+                assert state.i1 is before.i1 and session.first() is anchors[0]
+            hooked = (m1 if chain.parity == EVEN else m2)._extends_fn is not None
+            assert counts == {"evaluations": 0 if hooked else 1, "extends": 1 if hooked else 0}
+            receivers.add(hooked)
             _assert_answers_as_fresh(m1, session.first(), state.i1)
             _assert_answers_as_fresh(m2, session.second(), state.i2)
-        assert parities == {EVEN, ODD}
+        assert parities == {EVEN, ODD} and receivers == {True, False}
 
     @pytest.mark.parametrize("seed", range(6))
     def test_carried_anchors_apply_the_chains_of_fresh_ones(self, seed):

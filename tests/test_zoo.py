@@ -260,3 +260,14 @@ class TestForestAnchorContract:
         assert not anchor.extends(e2)
         with pytest.raises(InternalInvariantError, match="closed a cycle"):
             anchor.grow(e2)
+
+    def test_grow_by_a_loop_fails_before_touching_the_forest(self):
+        edges = [("ab", "a", "b"), ("cc", "c", "c")]
+        g = build(Graphic(Multigraph.from_labels(["a", "b", "c"], edges)))
+        anchor = g._anchor(g.ground.subset_from_labels(["ab"]))
+        loop = g.ground.index("cc")
+        assert not anchor.extends(loop)
+        up, base = dict(anchor._up), anchor.base
+        with pytest.raises(InternalInvariantError, match="closed a cycle"):
+            anchor.grow(loop)
+        assert anchor._up == up and anchor.base == base
