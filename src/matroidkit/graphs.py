@@ -111,6 +111,47 @@ class Multigraph:
         return id_subset(xs, len(self.edge_labels), "edge {!r} outside graph")
 
 
+def _incidence(g: Multigraph, edges: Iterable[int]) -> dict[int, list[int]]:
+    """Each vertex on the given edges, with the edges at it; a loop is
+    listed once at its vertex."""
+    incident: dict[int, list[int]] = {}
+    for e in edges:
+        u, v = g.endpoints[e]
+        incident.setdefault(u, []).append(e)
+        if v != u:
+            incident.setdefault(v, []).append(e)
+    return incident
+
+
+def tree_path(
+    g: Multigraph, edges: Iterable[int], s: int, t: int
+) -> tuple[tuple[int, ...], list[int]]:
+    """The one path from ``s`` to ``t`` in a tree of valid ``edges`` that
+    holds both, as its vertices and the edges between them: a stack search
+    from ``s`` records each vertex's parent edge until it reaches ``t``, and
+    one parent-pointer walk from ``t`` reads the path back."""
+    ends = g.endpoints
+    incident = _incidence(g, edges)
+    parent_edge = {s: -1}
+    stack = [s]
+    while t not in parent_edge:
+        x = stack.pop()
+        for e in incident[x]:
+            u, v = ends[e]
+            y = v if u == x else u
+            if y not in parent_edge:
+                parent_edge[y] = e
+                stack.append(y)
+    path, path_edges = [t], []
+    while path[-1] != s:
+        e = parent_edge[path[-1]]
+        u, v = ends[e]
+        path_edges.append(e)
+        path.append(v if u == path[-1] else u)
+    path_edges.reverse()
+    return tuple(reversed(path)), path_edges
+
+
 @dataclass(frozen=True)
 class Component:
     """A connected piece of an edge-spanned subgraph."""
@@ -127,27 +168,55 @@ def graphic_components(g: Multigraph, edge_subset: Iterable[int]) -> list[Compon
 
     Isolated vertices are omitted; a component is a tree exactly when its
     edge count is one less than its vertex count (loops therefore never
-    appear in trees).
+    appear in trees).  The incidence lists are built once, and each
+    component is taken by one stack search from its least vertex, which
+    collects its edges on the way.
     """
-    chosen = g.edge_subset(edge_subset)
-    adjacent: dict[int, list[int]] = {}
-    for e in chosen:
-        u, v = g.endpoints[e]
-        adjacent.setdefault(u, []).append(v)
-        adjacent.setdefault(v, []).append(u)
-    parts: list[frozenset[int]] = []
-    index: dict[int, int] = {}
-    for v in sorted(adjacent):
-        if v not in index:
-            parts.append(frozenset().union(*breadth_first((v,), adjacent.__getitem__, {})))
-            index.update(dict.fromkeys(parts[-1], len(parts) - 1))
-    edges: list[set[int]] = [set() for _ in parts]
-    for e in chosen:
-        edges[index[g.endpoints[e][0]]].add(e)
-    return [
-        Component(vs, frozenset(es), is_tree=len(es) == len(vs) - 1)
-        for vs, es in zip(parts, edges)
-    ]
+    ends = g.endpoints
+    incident = _incidence(g, g.edge_subset(edge_subset))
+    seen: set[int] = set()
+    out = []
+    for root in sorted(incident):
+        if root in seen:
+            continue
+        seen.add(root)
+        vertices, edges, stack = [root], set(), [root]
+        while stack:
+            x = stack.pop()
+            for e in incident[x]:
+                edges.add(e)
+                u, v = ends[e]
+                y = v if u == x else u
+                if y not in seen:
+                    seen.add(y)
+                    vertices.append(y)
+                    stack.append(y)
+        is_tree = len(edges) == len(vertices) - 1
+        out.append(Component(frozenset(vertices), frozenset(edges), is_tree))
+    return out
+
+
+def _identified(
+    g: Multigraph,
+    merged: frozenset[int],
+    ends: tuple[tuple[int, int], ...],
+    edge_labels: tuple[str, ...],
+) -> tuple[Multigraph, dict[int, int]]:
+    """The merge rule of ``identify_vertices``, for a nonempty valid vertex
+    set of ``g`` and edges ``ends`` (with ``edge_labels``) between ``g``'s
+    vertices: the merged vertex takes the position and label of the least
+    merged id, and the other vertices keep their order."""
+    anchor = min(merged)
+    vmap: dict[int, int] = {}
+    labels = []
+    for v, label in enumerate(g.vertex_labels):
+        if v in merged and v != anchor:
+            continue
+        vmap[v] = len(labels)
+        labels.append(label)
+    for v in merged:
+        vmap[v] = vmap[anchor]
+    return Multigraph(tuple(labels), tuple((vmap[u], vmap[v]) for u, v in ends), edge_labels), vmap
 
 
 def identify_vertices(g: Multigraph, merge: Iterable[int]) -> tuple[Multigraph, dict[int, int]]:
@@ -160,18 +229,7 @@ def identify_vertices(g: Multigraph, merge: Iterable[int]) -> tuple[Multigraph, 
     s = g.vertex_subset(merge)
     if not s:
         raise InputError("cannot identify an empty vertex set")
-    anchor = min(s)
-    vmap: dict[int, int] = {}
-    labels = []
-    for v in g.vertices():
-        if v in s and v != anchor:
-            continue
-        vmap[v] = len(labels)
-        labels.append(g.vertex_labels[v])
-    for v in s:
-        vmap[v] = vmap[anchor]
-    ends = tuple((vmap[u], vmap[v]) for u, v in g.endpoints)
-    return Multigraph(tuple(labels), ends, g.edge_labels), vmap
+    return _identified(g, s, g.endpoints, g.edge_labels)
 
 
 def induced_subgraph(g: Multigraph, vertices: Iterable[int]) -> tuple[Multigraph, dict[int, int]]:

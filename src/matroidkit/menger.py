@@ -2,12 +2,17 @@
 
 For vertex sets S and T in a finite graph, two graphic matroids are built
 on the edges outside S-internal and T-internal edges: one contracts S to a
-point, the other contracts T.  A covering-partition certificate for that
-pair turns into a forest whose components thread S to T.  Each such
-component carries one S-T path, and its pivot, the last vertex of the path
-before the first edge of the T-part, is its one vertex on both sides of the
-split; the pivots form a separator that picks exactly one vertex from each
-path.  ``solve`` checks the resulting certificate from scratch.
+point, the other contracts T, each built straight from the kept edges'
+endpoints.  A covering-partition certificate for that pair turns into a
+forest whose components thread S to T.  Each such component carries one
+S-T path, and its pivot, the last vertex of the path before the first edge
+of the T-part, is its one vertex on both sides of the split; the pivots
+form a separator that picks exactly one vertex from each path.
+
+``solve`` peels the vertices in both S and T and certifies each connected
+component that meets both: a component holding every vertex of the graph
+in place, on the instance as it stands, and any other on the subgraph it
+induces.  It checks the resulting certificate from scratch.
 """
 
 from __future__ import annotations
@@ -20,11 +25,11 @@ from .errors import ConsistencyError, InputError
 from .graphs import (
     Component,
     Multigraph,
+    _identified,
     breadth_first,
     graphic_components,
-    identify_vertices,
     induced_subgraph,
-    path_to,
+    tree_path,
 )
 from .intersection import certify
 from .zoo import Graphic, build
@@ -83,20 +88,22 @@ def reduce(inst: MengerInstance) -> tuple[Matroid, Matroid, tuple[int, ...]]:
 
     M_S is the graphic matroid of the graph with S identified to a single
     vertex, restricted to the edges that are internal to neither S nor T;
-    M_T is symmetric.  Both are built from one graph of the kept edges, with
-    ``identify_vertices`` merging each side in turn.  The returned tuple
-    maps ground ids back to edge ids of the instance graph.
+    M_T is symmetric.  One pass marks each vertex's sides and keeps the
+    edges whose ends share no side; each contracted graph is built straight
+    from the kept endpoints, by the merge rule of ``identify_vertices``.
+    The returned tuple maps ground ids back to edge ids of the instance
+    graph.
     """
     g = inst.graph
-    keep = tuple(
-        e for e in g.edges() if not any(set(g.endpoints[e]) <= side for side in (inst.s, inst.t))
-    )
-    kept = Multigraph(
-        g.vertex_labels,
-        tuple(g.endpoints[e] for e in keep),
-        tuple(g.edge_labels[e] for e in keep),
-    )
-    m_s, m_t = (build(Graphic(identify_vertices(kept, side)[0])) for side in (inst.s, inst.t))
+    sides = [0] * g.vertex_count
+    for v in inst.s:
+        sides[v] = 1
+    for v in inst.t:
+        sides[v] |= 2
+    keep = tuple(e for e, (u, v) in enumerate(g.endpoints) if not sides[u] & sides[v])
+    ends = tuple(g.endpoints[e] for e in keep)
+    labels = tuple(g.edge_labels[e] for e in keep)
+    m_s, m_t = (build(Graphic(_identified(g, side, ends, labels)[0])) for side in (inst.s, inst.t))
     return m_s, m_t, keep
 
 
@@ -142,21 +149,10 @@ def forest_structure(
         pivot = None
         if s_hits and t_hits:
             (s,), (t,) = s_hits, t_hits
-            edge_of: dict[tuple[int, int], int] = {}
-            neighbours: dict[int, list[int]] = {v: [] for v in comp.vertices}
-            for e in comp.edges:
-                a, b = g.endpoints[e]
-                edge_of[a, b] = edge_of[b, a] = e
-                neighbours[a].append(b)
-                neighbours[b].append(a)
-            parents: dict[int, int] = {}
-            for layer in breadth_first((s,), neighbours.__getitem__, parents):
-                if t in layer:
-                    break
-            path = tuple(path_to(parents, t))
+            path, path_edges = tree_path(g, comp.edges, s, t)
             pivot = path[0]
-            for u, v in zip(path, path[1:]):
-                if edge_of[u, v] in jt:
+            for e, v in zip(path_edges, path[1:]):
+                if e in jt:
                     break
                 pivot = v
         marked.append(MarkedComponent(component=comp, path=path, pivot=pivot))
@@ -180,8 +176,10 @@ def solve(inst: MengerInstance) -> MengerCertificate:
     Vertices in both S and T are forced into any separator; they are taken
     as single-vertex paths and removed before the reduction.  The rest of
     the graph is handled one connected component at a time: only components
-    touching both terminal sets can contribute paths, and each of those is
-    relabelled once, as the subgraph it induces, and certified on its own.
+    touching both terminal sets can contribute paths.  A component that
+    holds every vertex of the graph is certified on the instance as it
+    stands; any other is relabelled once, as the subgraph it induces, and
+    certified on its own.
     """
     g = inst.graph
     shared = inst.s & inst.t
@@ -190,23 +188,32 @@ def solve(inst: MengerInstance) -> MengerCertificate:
 
     # The components avoid the shared vertices.  Isolated vertices are left
     # out; once S & T is peeled, none of them can meet both terminal sets.
-    avoiding = (e for e in g.edges() if not set(g.endpoints[e]) & shared)
+    if shared:
+        avoiding = (e for e, ends in enumerate(g.endpoints) if shared.isdisjoint(ends))
+    else:
+        avoiding = g.edges()
     for comp in graphic_components(g, avoiding):
         s_local = comp.vertices & inst.s
         t_local = comp.vertices & inst.t
         if not s_local or not t_local:
             continue
+        if len(comp.vertices) == g.vertex_count:
+            # Nothing was peeled and the graph is connected: the component
+            # is the instance as it stands.
+            local_cert = _certified(inst)
+            paths.extend(local_cert.paths)
+            # One by one, as in the relabelled case below, so the set's
+            # iteration order, and with it the certificate's repr, does
+            # not depend on the branch.
+            separator.update(v for v in local_cert.separator)
+            continue
         piece, vmap = induced_subgraph(g, comp.vertices)
         back = {new: old for old, new in vmap.items()}
-        local = MengerInstance(
-            piece, frozenset(vmap[v] for v in s_local), frozenset(vmap[v] for v in t_local)
+        local_cert = _certified(
+            MengerInstance(
+                piece, frozenset(vmap[v] for v in s_local), frozenset(vmap[v] for v in t_local)
+            )
         )
-        m_s, m_t, ground_edges = reduce(local)
-        cert = certify(m_s, m_t)
-        i_edges = frozenset(ground_edges[e] for e in cert.i)
-        j_s = frozenset(ground_edges[e] for e in cert.j1)
-        j_t = frozenset(ground_edges[e] for e in cert.j2)
-        local_cert = separator_from_partition(forest_structure(local, i_edges, j_s, j_t))
         paths.extend(tuple(back[v] for v in p) for p in local_cert.paths)
         separator.update(back[v] for v in local_cert.separator)
 
@@ -217,6 +224,17 @@ def solve(inst: MengerInstance) -> MengerCertificate:
     if not verdict:
         raise ConsistencyError(f"solver produced an invalid certificate: {verdict.reason}")
     return certificate
+
+
+def _certified(inst: MengerInstance) -> MengerCertificate:
+    """The paths and pivots of a connected instance with disjoint terminal
+    sets, read off the certificate of its reduced matroid pair."""
+    m_s, m_t, ground_edges = reduce(inst)
+    cert = certify(m_s, m_t)
+    i_edges = frozenset(ground_edges[e] for e in cert.i)
+    j_s = frozenset(ground_edges[e] for e in cert.j1)
+    j_t = frozenset(ground_edges[e] for e in cert.j2)
+    return separator_from_partition(forest_structure(inst, i_edges, j_s, j_t))
 
 
 def verify(inst: MengerInstance, cert: MengerCertificate) -> CheckResult:

@@ -9,6 +9,8 @@ from matroidkit import (
     MengerCertificate,
     MengerInstance,
     Multigraph,
+    build,
+    identify_vertices,
     menger,
     solve,
 )
@@ -21,7 +23,7 @@ from matroidkit.menger import (
 )
 from matroidkit.oracles import brute_max_disjoint_paths
 
-from conftest import path3_graph
+from conftest import path3_graph, random_menger_instance
 
 fs = frozenset
 
@@ -54,6 +56,40 @@ class TestReduce:
         inst = MengerInstance.from_labels(g, ["a", "b"], ["c"])
         _, _, ground = reduce_instance(inst)
         assert ground == (1,)  # the intra-S edge is gone
+
+    @pytest.mark.parametrize("seed", [*range(6), None], ids=[*map(str, range(6)), "random-200"])
+    def test_contracted_graphs_are_the_kept_graph_with_a_side_identified(
+        self, seed, monkeypatch
+    ):
+        """The two graphs ``reduce`` builds are those of the reference
+        route: a graph of the kept edges, with ``identify_vertices``
+        merging S, and then T, in it."""
+        if seed is None:
+            instances = [random_menger_instance(200)]
+        else:
+            instances = [i for i in random_menger_instances(seed, 30, 14) if not i.s & i.t]
+        specs = []
+        monkeypatch.setattr(menger, "build", lambda spec: specs.append(spec) or build(spec))
+        for inst in instances:
+            specs.clear()
+            _, _, ground = reduce_instance(inst)
+            g = inst.graph
+            keep = tuple(
+                e for e in g.edges()
+                if not any(set(g.endpoints[e]) <= side for side in (inst.s, inst.t))
+            )
+            kept = Multigraph(
+                g.vertex_labels,
+                tuple(g.endpoints[e] for e in keep),
+                tuple(g.edge_labels[e] for e in keep),
+            )
+            assert ground == keep
+            assert len(specs) == 2
+            for spec, side in zip(specs, (inst.s, inst.t)):
+                expected = identify_vertices(kept, side)[0]
+                assert (spec.graph.vertex_labels, spec.graph.endpoints, spec.graph.edge_labels) == (
+                    expected.vertex_labels, expected.endpoints, expected.edge_labels
+                )
 
     def test_empty_terminals_rejected(self, path3):
         with pytest.raises(InputError):

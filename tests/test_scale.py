@@ -64,6 +64,7 @@ from conftest import (
 # Each ceiling is the peak measured on the current code plus about 3%.
 GRID_12_PEAK_BYTES = 591_000  # measured 0.574 MB
 GRID_16_PEAK_BYTES = 1_257_000  # measured 1.220 MB
+RANDOM_400_PEAK_BYTES = 3_397_000  # measured 3.298 MB (3.10), 3.267 MB (3.11)
 
 
 def _peak_of(run, warm_up):
@@ -285,6 +286,13 @@ def test_random_sparse_graph_has_as_many_paths_as_the_max_flow():
     assert cert.count == 20
     assert cert.count == brute_max_disjoint_paths(inst.graph, inst.s, inst.t, budget)
     assert verify(inst, cert)
+
+
+def test_random_sparse_graph_solve_stays_within_its_memory_ceiling():
+    inst = random_menger_instance(400)
+    cert, peak = _peak_of(lambda: solve(inst), lambda: solve(random_menger_instance(40)))
+    assert cert.count == 20
+    assert peak <= RANDOM_400_PEAK_BYTES
 
 
 @pytest.mark.parametrize("length", [60, 250])

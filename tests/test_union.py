@@ -588,6 +588,24 @@ def _seeded_graph(rng, vertices=7, edges=14):
     )
 
 
+class _RecordingAnchor:
+    """Forwards to an anchor and records the grows and exchanges made on it."""
+
+    def __init__(self, anchor):
+        self.anchor, self.moves = anchor, []
+
+    def grow(self, x):
+        self.moves.append(("grow", x))
+        return self.anchor.grow(x)
+
+    def exchange(self, y, z):
+        self.moves.append(("exchange", y, z))
+        return self.anchor.exchange(y, z)
+
+    def __getattr__(self, name):
+        return getattr(self.anchor, name)
+
+
 def _assert_answers_as_fresh(m, carried, a):
     fresh = m._anchor(a)
     assert carried.base == fresh.base == a
@@ -714,7 +732,10 @@ class TestSession:
         """Each link-free chain of a run, applied through its session with
         both anchors built: the session serves the new state, builds no
         anchor, keeps the other part and its anchor as the same objects,
-        and both anchors answer as fresh anchors of the new parts.  The
+        grows the receiving anchor by the chain's element and moves the
+        other anchor not at all, and both anchors answer as fresh anchors of
+        the new parts.  The moves are recorded, since an anchor that updates
+        in place stays the same object when wrongly grown.  The
         chain costs one check of the receiving part: one ``extends=`` call
         and no rank evaluation where that handle has the hook, else one rank
         evaluation.  The first matroid's loop e0 makes an odd link-free
@@ -738,7 +759,8 @@ class TestSession:
             chain = find_chain(m1, m2, state, y, session)
             if chain is None:
                 continue
-            anchors = session.first(), session.second()
+            anchors = _RecordingAnchor(session.first()), _RecordingAnchor(session.second())
+            session._first, session._second = anchors
             built.clear()
             counts.update(evaluations=0, extends=0)
             before, state = state, apply_chain(m1, m2, state, chain, session)
@@ -748,8 +770,11 @@ class TestSession:
             assert session.serves(m1, m2, state) and built == []
             if chain.parity == EVEN:
                 assert state.i2 is before.i2 and session.second() is anchors[1]
+                receiving, untouched = anchors
             else:
                 assert state.i1 is before.i1 and session.first() is anchors[0]
+                untouched, receiving = anchors
+            assert receiving.moves == [("grow", chain.elements[-1])] and untouched.moves == []
             hooked = (m1 if chain.parity == EVEN else m2)._extends_fn is not None
             assert counts == {"evaluations": 0 if hooked else 1, "extends": 1 if hooked else 0}
             receivers.add(hooked)

@@ -199,6 +199,52 @@ class TestGraphicComponents:
         (comp,) = graphic_components(g, {0})
         assert not comp.is_tree
 
+    @pytest.mark.parametrize(
+        "g",
+        [
+            Multigraph.from_labels(
+                ["a", "b", "c", "z", "d", "e", "f"],
+                [
+                    ("loop", "a", "a"), ("ab1", "a", "b"), ("ab2", "b", "a"), ("bc", "b", "c"),
+                    ("de", "d", "e"), ("ef", "e", "f"), ("fd", "f", "d"), ("ff", "f", "f"),
+                ],
+            ),
+            Multigraph.from_labels(
+                ["d", "c", "b", "a"],
+                [("ca", "c", "a"), ("db", "d", "b"), ("ba", "b", "a"), ("dc1", "d", "c"),
+                 ("dc2", "c", "d")],
+            ),
+            k4_graph(),
+        ],
+        ids=["loop-parallel-isolated-two-parts", "ids-against-order", "k4"],
+    )
+    def test_every_edge_subset_matches_a_flood_fill(self, g):
+        for xs in subsets_by_size(g.edges()):
+            got = [(c.vertices, c.edges, c.is_tree) for c in graphic_components(g, xs)]
+            assert got == _flood_fill_components(g, xs), sorted(xs)
+
+
+def _flood_fill_components(g, xs):
+    """Reference: every vertex on a chosen edge starts with its own id as its
+    mark, and each chosen edge lowers both ends' marks to the lesser one
+    until no mark moves; a component is the vertices and chosen edges of one
+    mark, listed by mark, which is its least vertex."""
+    mark = {v: v for e in xs for v in g.endpoints[e]}
+    moved = True
+    while moved:
+        moved = False
+        for e in xs:
+            u, v = g.endpoints[e]
+            if mark[u] != mark[v]:
+                mark[u] = mark[v] = min(mark[u], mark[v])
+                moved = True
+    out = []
+    for m in sorted(set(mark.values())):
+        vertices = frozenset(v for v in mark if mark[v] == m)
+        edges = frozenset(e for e in xs if mark[g.endpoints[e][0]] == m)
+        out.append((vertices, edges, len(edges) == len(vertices) - 1))
+    return out
+
 
 class TestIdentifyVertices:
     def test_path_endpoints_merge_into_parallel_pair(self):
