@@ -123,35 +123,6 @@ def _incidence(g: Multigraph, edges: Iterable[int]) -> dict[int, list[int]]:
     return incident
 
 
-def tree_path(
-    g: Multigraph, edges: Iterable[int], s: int, t: int
-) -> tuple[tuple[int, ...], list[int]]:
-    """The one path from ``s`` to ``t`` in a tree of valid ``edges`` that
-    holds both, as its vertices and the edges between them: a stack search
-    from ``s`` records each vertex's parent edge until it reaches ``t``, and
-    one parent-pointer walk from ``t`` reads the path back."""
-    ends = g.endpoints
-    incident = _incidence(g, edges)
-    parent_edge = {s: -1}
-    stack = [s]
-    while t not in parent_edge:
-        x = stack.pop()
-        for e in incident[x]:
-            u, v = ends[e]
-            y = v if u == x else u
-            if y not in parent_edge:
-                parent_edge[y] = e
-                stack.append(y)
-    path, path_edges = [t], []
-    while path[-1] != s:
-        e = parent_edge[path[-1]]
-        u, v = ends[e]
-        path_edges.append(e)
-        path.append(v if u == path[-1] else u)
-    path_edges.reverse()
-    return tuple(reversed(path)), path_edges
-
-
 @dataclass(frozen=True)
 class Component:
     """A connected piece of an edge-spanned subgraph."""
@@ -196,16 +167,19 @@ def graphic_components(g: Multigraph, edge_subset: Iterable[int]) -> list[Compon
     return out
 
 
-def _identified(
+def identified_graph(
     g: Multigraph,
     merged: frozenset[int],
     ends: tuple[tuple[int, int], ...],
     edge_labels: tuple[str, ...],
 ) -> tuple[Multigraph, dict[int, int]]:
-    """The merge rule of ``identify_vertices``, for a nonempty valid vertex
-    set of ``g`` and edges ``ends`` (with ``edge_labels``) between ``g``'s
-    vertices: the merged vertex takes the position and label of the least
-    merged id, and the other vertices keep their order."""
+    """``g``'s vertices with ``merged`` identified, and the edges ``ends``
+    (labelled ``edge_labels``) between ``g``'s vertices in place of ``g``'s
+    own, by the merge rule of ``identify_vertices``: the merged vertex takes
+    the position and label of the least merged id, and the other vertices
+    keep their order.  ``merged`` must be a nonempty valid vertex set; it is
+    not checked here.  ``menger.reduce`` builds its contracted graphs with
+    it straight from the edges it keeps."""
     anchor = min(merged)
     vmap: dict[int, int] = {}
     labels = []
@@ -229,7 +203,7 @@ def identify_vertices(g: Multigraph, merge: Iterable[int]) -> tuple[Multigraph, 
     s = g.vertex_subset(merge)
     if not s:
         raise InputError("cannot identify an empty vertex set")
-    return _identified(g, s, g.endpoints, g.edge_labels)
+    return identified_graph(g, s, g.endpoints, g.edge_labels)
 
 
 def induced_subgraph(g: Multigraph, vertices: Iterable[int]) -> tuple[Multigraph, dict[int, int]]:

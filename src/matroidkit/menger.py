@@ -25,11 +25,11 @@ from .errors import ConsistencyError, InputError
 from .graphs import (
     Component,
     Multigraph,
-    _identified,
     breadth_first,
     graphic_components,
+    identified_graph,
     induced_subgraph,
-    tree_path,
+    path_to,
 )
 from .intersection import certify
 from .zoo import Graphic, build
@@ -90,7 +90,8 @@ def reduce(inst: MengerInstance) -> tuple[Matroid, Matroid, tuple[int, ...]]:
     vertex, restricted to the edges that are internal to neither S nor T;
     M_T is symmetric.  One pass marks each vertex's sides and keeps the
     edges whose ends share no side; each contracted graph is built straight
-    from the kept endpoints, by the merge rule of ``identify_vertices``.
+    from the kept endpoints by ``graphs.identified_graph``, the merge rule of
+    ``identify_vertices``.
     The returned tuple maps ground ids back to edge ids of the instance
     graph.
     """
@@ -103,7 +104,9 @@ def reduce(inst: MengerInstance) -> tuple[Matroid, Matroid, tuple[int, ...]]:
     keep = tuple(e for e, (u, v) in enumerate(g.endpoints) if not sides[u] & sides[v])
     ends = tuple(g.endpoints[e] for e in keep)
     labels = tuple(g.edge_labels[e] for e in keep)
-    m_s, m_t = (build(Graphic(_identified(g, side, ends, labels)[0])) for side in (inst.s, inst.t))
+    m_s, m_t = (
+        build(Graphic(identified_graph(g, side, ends, labels)[0])) for side in (inst.s, inst.t)
+    )
     return m_s, m_t, keep
 
 
@@ -149,7 +152,7 @@ def forest_structure(
         pivot = None
         if s_hits and t_hits:
             (s,), (t,) = s_hits, t_hits
-            path, path_edges = tree_path(g, comp.edges, s, t)
+            path, path_edges = _tree_path(g, comp.edges, s, t)
             pivot = path[0]
             for e, v in zip(path_edges, path[1:]):
                 if e in jt:
@@ -157,6 +160,35 @@ def forest_structure(
                 pivot = v
         marked.append(MarkedComponent(component=comp, path=path, pivot=pivot))
     return tuple(marked)
+
+
+def _tree_path(
+    g: Multigraph, edges: Iterable[int], s: int, t: int
+) -> tuple[tuple[int, ...], list[int]]:
+    """The one path from ``s`` to ``t`` in a tree of ``edges`` that holds
+    both, as its vertices and the edges between them: a stack search from
+    ``s`` records each vertex's parent until it reaches ``t``, and one
+    parent-pointer walk from ``t`` reads the path back."""
+    ends = g.endpoints
+    incident: dict[int, list[int]] = {}
+    for e in edges:
+        u, v = ends[e]
+        incident.setdefault(u, []).append(e)
+        incident.setdefault(v, []).append(e)
+    parents: dict[int, int] = {}
+    parent_edge = {s: -1}
+    stack = [s]
+    while t not in parent_edge:
+        x = stack.pop()
+        for e in incident[x]:
+            u, v = ends[e]
+            y = v if u == x else u
+            if y not in parent_edge:
+                parents[y] = x
+                parent_edge[y] = e
+                stack.append(y)
+    path = path_to(parents, t)
+    return tuple(path), [parent_edge[v] for v in path[1:]]
 
 
 def separator_from_partition(components: Iterable[MarkedComponent]) -> MengerCertificate:
@@ -188,10 +220,7 @@ def solve(inst: MengerInstance) -> MengerCertificate:
 
     # The components avoid the shared vertices.  Isolated vertices are left
     # out; once S & T is peeled, none of them can meet both terminal sets.
-    if shared:
-        avoiding = (e for e, ends in enumerate(g.endpoints) if shared.isdisjoint(ends))
-    else:
-        avoiding = g.edges()
+    avoiding = (e for e, ends in enumerate(g.endpoints) if shared.isdisjoint(ends))
     for comp in graphic_components(g, avoiding):
         s_local = comp.vertices & inst.s
         t_local = comp.vertices & inst.t
@@ -200,20 +229,14 @@ def solve(inst: MengerInstance) -> MengerCertificate:
         if len(comp.vertices) == g.vertex_count:
             # Nothing was peeled and the graph is connected: the component
             # is the instance as it stands.
-            local_cert = _certified(inst)
-            paths.extend(local_cert.paths)
-            # One by one, as in the relabelled case below, so the set's
-            # iteration order, and with it the certificate's repr, does
-            # not depend on the branch.
-            separator.update(v for v in local_cert.separator)
-            continue
-        piece, vmap = induced_subgraph(g, comp.vertices)
-        back = {new: old for old, new in vmap.items()}
-        local_cert = _certified(
-            MengerInstance(
+            local, back = inst, range(g.vertex_count)
+        else:
+            piece, vmap = induced_subgraph(g, comp.vertices)
+            back = {new: old for old, new in vmap.items()}
+            local = MengerInstance(
                 piece, frozenset(vmap[v] for v in s_local), frozenset(vmap[v] for v in t_local)
             )
-        )
+        local_cert = _certified(local)
         paths.extend(tuple(back[v] for v in p) for p in local_cert.paths)
         separator.update(back[v] for v in local_cert.separator)
 
