@@ -111,15 +111,19 @@ class Multigraph:
         return id_subset(xs, len(self.edge_labels), "edge {!r} outside graph")
 
 
-def _incidence(g: Multigraph, edges: Iterable[int]) -> dict[int, list[int]]:
-    """Each vertex on the given edges, with the edges at it; a loop is
-    listed once at its vertex."""
-    incident: dict[int, list[int]] = {}
+def incidence(
+    endpoints: tuple[tuple[int, int], ...], n: int, edges: Iterable[int]
+) -> list[list[tuple[int, int]]]:
+    """Each of the ``n`` vertices' ``(edge, far end)`` pairs over ``edges``,
+    in the order the edges are given; a loop is listed once, with its own
+    vertex as the far end.  The components, the certificate forest's
+    S-T paths, the forest anchor and the cographic tests read these."""
+    incident: list[list[tuple[int, int]]] = [[] for _ in range(n)]
     for e in edges:
-        u, v = g.endpoints[e]
-        incident.setdefault(u, []).append(e)
+        u, v = endpoints[e]
+        incident[u].append((e, v))
         if v != u:
-            incident.setdefault(v, []).append(e)
+            incident[v].append((e, u))
     return incident
 
 
@@ -143,23 +147,19 @@ def graphic_components(g: Multigraph, edge_subset: Iterable[int]) -> list[Compon
     component is taken by one stack search from its least vertex, which
     collects its edges on the way.
     """
-    ends = g.endpoints
-    incident = _incidence(g, g.edge_subset(edge_subset))
-    seen: set[int] = set()
+    incident = incidence(g.endpoints, g.vertex_count, g.edge_subset(edge_subset))
+    seen = [False] * g.vertex_count
     out = []
-    for root in sorted(incident):
-        if root in seen:
+    for root, at in enumerate(incident):
+        if seen[root] or not at:
             continue
-        seen.add(root)
+        seen[root] = True
         vertices, edges, stack = [root], set(), [root]
         while stack:
-            x = stack.pop()
-            for e in incident[x]:
+            for e, y in incident[stack.pop()]:
                 edges.add(e)
-                u, v = ends[e]
-                y = v if u == x else u
-                if y not in seen:
-                    seen.add(y)
+                if not seen[y]:
+                    seen[y] = True
                     vertices.append(y)
                     stack.append(y)
         is_tree = len(edges) == len(vertices) - 1

@@ -254,9 +254,7 @@ def _blue_to_red_path(dg: ExchangeDigraph) -> list[int] | None:
     return None
 
 
-def violation_chain(
-    m1: Matroid, m2: Matroid, st: IntersectionState, dg: ExchangeDigraph | None = None
-) -> ExchangeChain | None:
+def violation_chain(m1: Matroid, m2: Matroid, st: IntersectionState) -> ExchangeChain | None:
     """Rewind a blue-to-red path into a chain on (B1, B2*) proving the base
     pair non-maximal, or None when no such path exists.
 
@@ -265,8 +263,7 @@ def violation_chain(
     the union by one, which is the strongest possible witness that the
     upstream search stopped early.
     """
-    if dg is None:
-        dg = build_digraph(m1, m2, st)
+    dg = build_digraph(m1, m2, st)
     path = _blue_to_red_path(dg)
     if path is None:
         return None

@@ -28,6 +28,7 @@ from .graphs import (
     breadth_first,
     graphic_components,
     identified_graph,
+    incidence,
     induced_subgraph,
     path_to,
 )
@@ -136,6 +137,7 @@ def forest_structure(
     if js & jt or js | jt != i_set:
         raise InputError("the two parts must partition the certificate edges")
 
+    incident = incidence(g.endpoints, g.vertex_count, i_set)
     marked: list[MarkedComponent] = []
     for comp in graphic_components(g, i_set):
         if not comp.is_tree:
@@ -152,7 +154,7 @@ def forest_structure(
         pivot = None
         if s_hits and t_hits:
             (s,), (t,) = s_hits, t_hits
-            path, path_edges = _tree_path(g, comp.edges, s, t)
+            path, path_edges = _tree_path(incident, s, t)
             pivot = path[0]
             for e, v in zip(path_edges, path[1:]):
                 if e in jt:
@@ -163,26 +165,19 @@ def forest_structure(
 
 
 def _tree_path(
-    g: Multigraph, edges: Iterable[int], s: int, t: int
+    incident: list[list[tuple[int, int]]], s: int, t: int
 ) -> tuple[tuple[int, ...], list[int]]:
-    """The one path from ``s`` to ``t`` in a tree of ``edges`` that holds
-    both, as its vertices and the edges between them: a stack search from
-    ``s`` records each vertex's parent until it reaches ``t``, and one
+    """The one path from ``s`` to ``t`` in a forest that joins them, as its
+    vertices and the edges between them, read from the forest's
+    ``graphs.incidence`` lists: a stack search from ``s`` records each
+    vertex's parent and parent edge until it reaches ``t``, and one
     parent-pointer walk from ``t`` reads the path back."""
-    ends = g.endpoints
-    incident: dict[int, list[int]] = {}
-    for e in edges:
-        u, v = ends[e]
-        incident.setdefault(u, []).append(e)
-        incident.setdefault(v, []).append(e)
     parents: dict[int, int] = {}
     parent_edge = {s: -1}
     stack = [s]
     while t not in parent_edge:
         x = stack.pop()
-        for e in incident[x]:
-            u, v = ends[e]
-            y = v if u == x else u
+        for e, y in incident[x]:
             if y not in parent_edge:
                 parents[y] = x
                 parent_edge[y] = e
@@ -264,6 +259,9 @@ def verify(inst: MengerInstance, cert: MengerCertificate) -> CheckResult:
     """Check a path-and-separator certificate from scratch; pure."""
     g = inst.graph
     seen: set[int] = set()
+    # Adjacency sets of its own, not ``graphs.incidence``: the from-scratch
+    # check shares no lists with the solver, and the separation search
+    # below takes set differences, which run faster than scanning lists.
     adjacency: dict[int, set[int]] = {v: set() for v in g.vertices()}
     for u, v in g.endpoints:
         adjacency[u].add(v)

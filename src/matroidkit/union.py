@@ -26,6 +26,8 @@ cost one check that ``part + y`` is independent and one anchor grow.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 from .core import Anchor, Matroid
 from .errors import ConsistencyError, InputError, InternalInvariantError
 from .graphs import breadth_first, path_to
@@ -40,32 +42,28 @@ COMMON = "common"
 ADD = "add"
 
 
+@dataclass(slots=True, unsafe_hash=True, init=False)
 class PairState:
     """A pair of sets independent in their respective matroids, and their
     union.  Treated as immutable: equality and the hash read all three."""
 
-    __slots__ = ("i1", "i2", "union")
+    i1: frozenset[int]
+    i2: frozenset[int]
+    union: frozenset[int]
 
     def __init__(self, i1: frozenset[int], i2: frozenset[int]):
         self.i1, self.i2, self.union = i1, i2, i1 | i2
 
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.i1, self.i2, self.union) == (other.i1, other.i2, other.union)
 
-    def __hash__(self):
-        return hash((self.i1, self.i2, self.union))
-
-    def __repr__(self):
-        return f"PairState(i1={self.i1!r}, i2={self.i2!r}, union={self.union!r})"
-
-
+@dataclass(slots=True, unsafe_hash=True, init=False)
 class ExchangeChain:
     """A tuple of elements plus the witness circuit certifying each link.
     Treated as immutable: equality and the hash read all four fields."""
 
-    __slots__ = ("elements", "parity", "circuits", "terminal")
+    elements: tuple[int, ...]
+    parity: str
+    circuits: tuple[frozenset[int], ...]
+    terminal: str
 
     def __init__(
         self,
@@ -82,22 +80,6 @@ class ExchangeChain:
             raise InputError("a chain needs exactly one witness circuit per link")
         self.elements, self.parity, self.circuits, self.terminal = (
             elements, parity, circuits, terminal
-        )
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.elements, self.parity, self.circuits, self.terminal) == (
-            other.elements, other.parity, other.circuits, other.terminal
-        )
-
-    def __hash__(self):
-        return hash((self.elements, self.parity, self.circuits, self.terminal))
-
-    def __repr__(self):
-        return (
-            f"ExchangeChain(elements={self.elements!r}, parity={self.parity!r}, "
-            f"circuits={self.circuits!r}, terminal={self.terminal!r})"
         )
 
     @property
@@ -267,24 +249,23 @@ def _recheck_chain(
         return None, _extended(m2, start_set, els[0])
     # Interior elements alternate between the two parts and may not sit in
     # both; only the terminal element may.  A chain without links has none.
-    if len(els) > 1:
-        for i, e in enumerate(els[1:-1], start=1):
-            first = chain.link_uses_first(i - 1)
-            mine, other = (state.i1, state.i2) if first else (state.i2, state.i1)
-            if e not in mine or e in other:
-                which = "first" if first else "second"
-                raise ConsistencyError(f"interior element y_{i} must lie in the {which} part only")
-        if len(set(els)) != len(els):
-            raise ConsistencyError("chain elements are not pairwise distinct")
-        for link in range(len(els) - 1):
-            matroid, part = (m1, state.i1) if chain.link_uses_first(link) else (m2, state.i2)
-            circuit, y = circuits[link], els[link]
-            if y not in circuit or els[link + 1] not in circuit:
-                raise ConsistencyError(f"link {link} circuit misses its endpoints")
-            if not circuit - {y} <= part:
-                raise ConsistencyError(f"link {link} circuit leaks outside part + y_{link}")
-            if not _is_circuit(matroid, circuit, y):
-                raise ConsistencyError(f"link {link} witness is not a circuit any more")
+    for i, e in enumerate(els[1:-1], start=1):
+        first = chain.link_uses_first(i - 1)
+        mine, other = (state.i1, state.i2) if first else (state.i2, state.i1)
+        if e not in mine or e in other:
+            which = "first" if first else "second"
+            raise ConsistencyError(f"interior element y_{i} must lie in the {which} part only")
+    if len(set(els)) != len(els):
+        raise ConsistencyError("chain elements are not pairwise distinct")
+    for link in range(len(els) - 1):
+        matroid, part = (m1, state.i1) if chain.link_uses_first(link) else (m2, state.i2)
+        circuit, y = circuits[link], els[link]
+        if y not in circuit or els[link + 1] not in circuit:
+            raise ConsistencyError(f"link {link} circuit misses its endpoints")
+        if not circuit - {y} <= part:
+            raise ConsistencyError(f"link {link} circuit leaks outside part + y_{link}")
+        if not _is_circuit(matroid, circuit, y):
+            raise ConsistencyError(f"link {link} witness is not a circuit any more")
     last = els[-1]
     if chain.terminal == COMMON:
         if not (last in state.i1 and last in state.i2):

@@ -42,7 +42,7 @@ from typing import Union
 from .axioms import ExplicitSystem, check_downward_closure
 from .core import Anchor, GroundSet, Matroid, RankAnchor, default_labels, dual_matroid
 from .errors import InputError, InternalInvariantError
-from .graphs import Multigraph
+from .graphs import Multigraph, incidence
 
 
 @dataclass(frozen=True)
@@ -169,7 +169,9 @@ class BlockAnchor:
 
 class ForestAnchor:
     """Graphic anchor: a rooted spanning forest of ``a`` with depths, built
-    in one search.
+    by one search over the ``graphs.incidence`` lists of ``a`` that roots
+    its trees in vertex-id order; a loop is skipped because its far end,
+    its own vertex, is already reached.
 
     ``root`` names each vertex's tree (-1 off the forest), and ``up`` maps a
     vertex to its parent and the tree edge between them.  ``extends`` is a
@@ -187,24 +189,19 @@ class ForestAnchor:
     __slots__ = ("_endpoints", "_incident", "_root", "_depth", "_up", "_base", "_tree", "_size")
 
     def __init__(self, endpoints, incident, a: frozenset[int]):
-        adjacent: dict[int, list[tuple[int, int]]] = {}
-        for e in a:
-            u, v = endpoints[e]
-            if u != v:
-                adjacent.setdefault(u, []).append((v, e))
-                adjacent.setdefault(v, []).append((u, e))
+        adjacent = incidence(endpoints, len(incident), a)
         root = [-1] * len(incident)
         depth = [0] * len(incident)
         up: dict[int, tuple[int, int]] = {}
-        for start in adjacent:
-            if root[start] >= 0:
+        for start, at in enumerate(adjacent):
+            if root[start] >= 0 or not at:
                 continue
             root[start] = start
             stack = [start]
             while stack:
                 node = stack.pop()
                 below = depth[node] + 1
-                for nxt, e in adjacent[node]:
+                for e, nxt in adjacent[node]:
                     if root[nxt] < 0:
                         root[nxt] = start
                         depth[nxt] = below
@@ -251,8 +248,8 @@ class ForestAnchor:
 
         These are the edges that leave the subtree below tree edge ``y``,
         which spans the rest of its component once the forest spans the
-        graph, read from ``incident``: each vertex's ``(edge, far end)`` pairs over
-        the graph's non-loop edges."""
+        graph, read from ``incident``, the graph's ``graphs.incidence``
+        lists; a loop is skipped because its far end is already below."""
         u, v = self._endpoints[y]
         top = u if self._depth[u] > self._depth[v] else v
         tree, incident = self._edges(), self._incident
@@ -583,11 +580,7 @@ def _build_graphic(spec: Graphic) -> Matroid:
     ground = GroundSet(g.edge_labels)
     endpoints = g.endpoints
     roots = tuple(g.vertices())  # list(range(n)) per call would make every int past 256 anew
-    incident: tuple[list[tuple[int, int]], ...] = tuple([] for _ in roots)
-    for e, (u, v) in enumerate(endpoints):
-        if u != v:
-            incident[u].append((e, v))
-            incident[v].append((e, u))
+    incident = incidence(endpoints, len(roots), g.edges())
 
     def rank(xs: frozenset[int]) -> int:
         """Successful merges of an array union-find with path halving; a

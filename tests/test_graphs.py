@@ -1,6 +1,7 @@
-"""The breadth-first helper every chain, digraph and forest search runs on."""
+"""The breadth-first helper every chain, digraph and forest search runs
+on, and the incidence lists every graph walk reads."""
 
-from matroidkit.graphs import breadth_first, path_to
+from matroidkit.graphs import breadth_first, incidence, path_to
 
 # 5 -> 3 and 4 -> 3 race for 3; 5 -> 2 comes before 5 -> 0 on purpose.
 ARCS = {5: [2, 0, 3], 4: [3, 1], 3: [6], 2: [6], 0: [7], 1: [], 6: [], 7: []}
@@ -51,3 +52,19 @@ def test_path_to_walks_back_to_a_start():
     assert path_to(parents, 3) == [4, 3]
     assert path_to(parents, 5) == [5]
     assert path_to({}, 9) == [9]
+
+
+# Vertex 4 is isolated, e2 is a loop at 2, and e1, e3 are parallel.
+ENDPOINTS = ((0, 1), (1, 2), (2, 2), (1, 2), (3, 0))
+
+
+def test_incidence_lists_edges_in_the_order_given_and_a_loop_once():
+    assert incidence(ENDPOINTS, 5, [3, 2, 0, 4, 1]) == [
+        [(0, 1), (4, 3)],
+        [(3, 2), (0, 0), (1, 2)],
+        [(3, 1), (2, 2), (1, 1)],
+        [(4, 0)],
+        [],
+    ]
+    assert incidence(ENDPOINTS, 5, [2]) == [[], [], [(2, 2)], [], []]
+    assert incidence(ENDPOINTS, 5, []) == [[], [], [], [], []]

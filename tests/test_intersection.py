@@ -318,7 +318,7 @@ class TestColoring:
         assert any(t == z for t, _, _ in dg.arcs)  # with an outgoing arc
         coloring = divisive_coloring(dg)
         assert z in coloring.red
-        assert violation_chain(m1, m2, st, dg) is None
+        assert violation_chain(m1, m2, st) is None
 
 
 class TestCertify:
@@ -479,7 +479,7 @@ class TestViolationChain:
         assert path[0] in dg.spanned_first - dg.spanned_second
         assert path[-1] in dg.spanned_second - dg.spanned_first
         assert (path[0] in st.y, path[-1] in st.x) == (starts_in_y, ends_in_x)
-        chain = violation_chain(m1, m2, st, dg)
+        chain = violation_chain(m1, m2, st)
         before = PairState(st.b1, st.b2star)
         after = apply_chain(m1, m2.dual(), before, chain)
         assert len(after.union) == len(before.union) + 1
