@@ -167,30 +167,23 @@ def graphic_components(g: Multigraph, edge_subset: Iterable[int]) -> list[Compon
     return out
 
 
-def identified_graph(
-    g: Multigraph,
-    merged: frozenset[int],
-    ends: tuple[tuple[int, int], ...],
-    edge_labels: tuple[str, ...],
-) -> tuple[Multigraph, dict[int, int]]:
-    """``g``'s vertices with ``merged`` identified, and the edges ``ends``
-    (labelled ``edge_labels``) between ``g``'s vertices in place of ``g``'s
-    own, by the merge rule of ``identify_vertices``: the merged vertex takes
-    the position and label of the least merged id, and the other vertices
-    keep their order.  ``merged`` must be a nonempty valid vertex set; it is
-    not checked here.  ``menger.reduce`` builds its contracted graphs with
-    it straight from the edges it keeps."""
+def merge_map(order: Iterable[int], merged: frozenset[int]) -> dict[int, int]:
+    """Each vertex of ``order`` mapped to its number when the vertices are
+    numbered from 0 in that order, with the ``merged`` ones as one vertex
+    at the place of the least of them.  ``merged`` must be a nonempty subset of
+    ``order``; it is not checked here.  ``identify_vertices`` and
+    ``menger.reduce`` number their contracted graphs with it."""
     anchor = min(merged)
     vmap: dict[int, int] = {}
-    labels = []
-    for v, label in enumerate(g.vertex_labels):
+    n = 0
+    for v in order:
         if v in merged and v != anchor:
             continue
-        vmap[v] = len(labels)
-        labels.append(label)
+        vmap[v] = n
+        n += 1
     for v in merged:
         vmap[v] = vmap[anchor]
-    return Multigraph(tuple(labels), tuple((vmap[u], vmap[v]) for u, v in ends), edge_labels), vmap
+    return vmap
 
 
 def identify_vertices(g: Multigraph, merge: Iterable[int]) -> tuple[Multigraph, dict[int, int]]:
@@ -203,21 +196,8 @@ def identify_vertices(g: Multigraph, merge: Iterable[int]) -> tuple[Multigraph, 
     s = g.vertex_subset(merge)
     if not s:
         raise InputError("cannot identify an empty vertex set")
-    return identified_graph(g, s, g.endpoints, g.edge_labels)
-
-
-def induced_subgraph(g: Multigraph, vertices: Iterable[int]) -> tuple[Multigraph, dict[int, int]]:
-    """Subgraph on the given vertices with every edge joining two of them.
-
-    Returns the subgraph plus the old-to-new vertex map.
-    """
-    vs = sorted(g.vertex_subset(vertices))
-    vmap = {old: new for new, old in enumerate(vs)}
-    elabels = []
-    ends = []
-    for e in g.edges():
-        u, v = g.endpoints[e]
-        if u in vmap and v in vmap:
-            elabels.append(g.edge_labels[e])
-            ends.append((vmap[u], vmap[v]))
-    return Multigraph(tuple(g.vertex_labels[v] for v in vs), tuple(ends), tuple(elabels)), vmap
+    vmap = merge_map(g.vertices(), s)
+    anchor = min(s)
+    labels = tuple(lbl for v, lbl in enumerate(g.vertex_labels) if v not in s or v == anchor)
+    ends = tuple((vmap[u], vmap[v]) for u, v in g.endpoints)
+    return Multigraph(labels, ends, g.edge_labels), vmap

@@ -10,9 +10,10 @@ of the T-part, is its one vertex on both sides of the split; the pivots
 form a separator that picks exactly one vertex from each path.
 
 ``solve`` peels the vertices in both S and T and certifies each connected
-component that meets both: a component holding every vertex of the graph
-in place, on the instance as it stands, and any other on the subgraph it
-induces.  It checks the resulting certificate from scratch.
+component that meets both in place: the component's own edges and
+vertices are numbered straight into the two graphic handles, and the
+certificate edges of every component are read as one forest of the
+instance's graph.  It checks the resulting certificate from scratch.
 """
 
 from __future__ import annotations
@@ -20,20 +21,19 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable
 
-from .core import CheckResult, Matroid
+from .core import CheckResult, GroundSet, Matroid
 from .errors import ConsistencyError, InputError
 from .graphs import (
     Component,
     Multigraph,
     breadth_first,
     graphic_components,
-    identified_graph,
     incidence,
-    induced_subgraph,
+    merge_map,
     path_to,
 )
 from .intersection import certify
-from .zoo import Graphic, build
+from .zoo import graphic_matroid
 
 
 @dataclass(frozen=True)
@@ -45,8 +45,10 @@ class MengerInstance:
     def __post_init__(self):
         if not self.s or not self.t:
             raise InputError("both terminal vertex sets must be nonempty")
-        self.graph.vertex_subset(self.s)
-        self.graph.vertex_subset(self.t)
+        # Keep the validated frozensets, not the caller's objects: a list
+        # would not support ``&`` and a set could change after the check.
+        object.__setattr__(self, "s", self.graph.vertex_subset(self.s))
+        object.__setattr__(self, "t", self.graph.vertex_subset(self.t))
 
     @classmethod
     def from_labels(
@@ -84,31 +86,39 @@ class MarkedComponent:
     pivot: int | None
 
 
-def reduce(inst: MengerInstance) -> tuple[Matroid, Matroid, tuple[int, ...]]:
-    """Build the matroid pair (M_S, M_T) over the shared edge ground set.
+def reduce(
+    inst: MengerInstance, comp: Component
+) -> tuple[Matroid, Matroid, tuple[int, ...]]:
+    """Build the matroid pair (M_S, M_T) of one connected component.
 
-    M_S is the graphic matroid of the graph with S identified to a single
-    vertex, restricted to the edges that are internal to neither S nor T;
-    M_T is symmetric.  One pass marks each vertex's sides and keeps the
-    edges whose ends share no side; each contracted graph is built straight
-    from the kept endpoints by ``graphs.identified_graph``, the merge rule of
-    ``identify_vertices``.
-    The returned tuple maps ground ids back to edge ids of the instance
-    graph.
+    ``comp`` is a component of the instance's graph, as
+    ``graphs.graphic_components`` gives it, that meets both S and T.  The
+    ground set is the component's edges, in ascending id order, that are
+    internal to neither S nor T.  M_S is the graphic matroid of those edges
+    with the component's S vertices identified to one vertex; M_T is
+    symmetric.  Both number the component's vertices in ascending id order
+    with ``graphs.merge_map``, the merge rule of ``identify_vertices``, and
+    are built on one ``GroundSet`` by ``zoo.graphic_matroid``; no graph is
+    built on the way.  The returned tuple maps ground ids back to edge ids
+    of the instance graph.
     """
     g = inst.graph
-    sides = [0] * g.vertex_count
-    for v in inst.s:
-        sides[v] = 1
-    for v in inst.t:
-        sides[v] |= 2
-    keep = tuple(e for e, (u, v) in enumerate(g.endpoints) if not sides[u] & sides[v])
-    ends = tuple(g.endpoints[e] for e in keep)
-    labels = tuple(g.edge_labels[e] for e in keep)
-    m_s, m_t = (
-        build(Graphic(identified_graph(g, side, ends, labels)[0])) for side in (inst.s, inst.t)
-    )
-    return m_s, m_t, keep
+    s, t = inst.s, inst.t
+    keep = []
+    for e in sorted(comp.edges):
+        u, v = g.endpoints[e]
+        if not (u in s and v in s or u in t and v in t):
+            keep.append(e)
+    ground = GroundSet(tuple(g.edge_labels[e] for e in keep))
+    ends = [g.endpoints[e] for e in keep]
+    order = sorted(comp.vertices)
+    handles = []
+    for side in (comp.vertices & s, comp.vertices & t):
+        vmap = merge_map(order, side)
+        contracted = tuple((vmap[u], vmap[v]) for u, v in ends)
+        handles.append(graphic_matroid(ground, contracted, len(order) - len(side) + 1))
+    m_s, m_t = handles
+    return m_s, m_t, tuple(keep)
 
 
 def forest_structure(
@@ -203,10 +213,10 @@ def solve(inst: MengerInstance) -> MengerCertificate:
     Vertices in both S and T are forced into any separator; they are taken
     as single-vertex paths and removed before the reduction.  The rest of
     the graph is handled one connected component at a time: only components
-    touching both terminal sets can contribute paths.  A component that
-    holds every vertex of the graph is certified on the instance as it
-    stands; any other is relabelled once, as the subgraph it induces, and
-    certified on its own.
+    touching both terminal sets can contribute paths, and each of them is
+    reduced and certified in place, on the instance's own edge ids.  The
+    certificate edges of all of them are then read as one forest of the
+    instance's graph with the shared vertices taken out of S and T.
     """
     g = inst.graph
     shared = inst.s & inst.t
@@ -216,24 +226,22 @@ def solve(inst: MengerInstance) -> MengerCertificate:
     # The components avoid the shared vertices.  Isolated vertices are left
     # out; once S & T is peeled, none of them can meet both terminal sets.
     avoiding = (e for e, ends in enumerate(g.endpoints) if shared.isdisjoint(ends))
+    i_edges, j_s, j_t = [], [], []  # the certificate's parts, as edge ids of g
     for comp in graphic_components(g, avoiding):
-        s_local = comp.vertices & inst.s
-        t_local = comp.vertices & inst.t
-        if not s_local or not t_local:
+        if comp.vertices.isdisjoint(inst.s) or comp.vertices.isdisjoint(inst.t):
             continue
-        if len(comp.vertices) == g.vertex_count:
-            # Nothing was peeled and the graph is connected: the component
-            # is the instance as it stands.
-            local, back = inst, range(g.vertex_count)
-        else:
-            piece, vmap = induced_subgraph(g, comp.vertices)
-            back = {new: old for old, new in vmap.items()}
-            local = MengerInstance(
-                piece, frozenset(vmap[v] for v in s_local), frozenset(vmap[v] for v in t_local)
-            )
-        local_cert = _certified(local)
-        paths.extend(tuple(back[v] for v in p) for p in local_cert.paths)
-        separator.update(back[v] for v in local_cert.separator)
+        m_s, m_t, ground_edges = reduce(inst, comp)
+        cert = certify(m_s, m_t)
+        i_edges.extend(ground_edges[e] for e in cert.i)
+        j_s.extend(ground_edges[e] for e in cert.j1)
+        j_t.extend(ground_edges[e] for e in cert.j2)
+
+    # Every certified component joins S to T, so its certificate has an edge.
+    if i_edges:
+        peeled = MengerInstance(g, inst.s - shared, inst.t - shared)
+        through = separator_from_partition(forest_structure(peeled, i_edges, j_s, j_t))
+        paths.extend(through.paths)
+        separator |= through.separator
 
     certificate = MengerCertificate(
         paths=tuple(sorted(paths, key=lambda p: p[0])), separator=frozenset(separator)
@@ -242,17 +250,6 @@ def solve(inst: MengerInstance) -> MengerCertificate:
     if not verdict:
         raise ConsistencyError(f"solver produced an invalid certificate: {verdict.reason}")
     return certificate
-
-
-def _certified(inst: MengerInstance) -> MengerCertificate:
-    """The paths and pivots of a connected instance with disjoint terminal
-    sets, read off the certificate of its reduced matroid pair."""
-    m_s, m_t, ground_edges = reduce(inst)
-    cert = certify(m_s, m_t)
-    i_edges = frozenset(ground_edges[e] for e in cert.i)
-    j_s = frozenset(ground_edges[e] for e in cert.j1)
-    j_t = frozenset(ground_edges[e] for e in cert.j2)
-    return separator_from_partition(forest_structure(inst, i_edges, j_s, j_t))
 
 
 def verify(inst: MengerInstance, cert: MengerCertificate) -> CheckResult:

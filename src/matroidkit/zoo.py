@@ -575,12 +575,16 @@ def _partition_matroid(
     )
 
 
-def _build_graphic(spec: Graphic) -> Matroid:
-    g = spec.graph
-    ground = GroundSet(g.edge_labels)
-    endpoints = g.endpoints
-    roots = tuple(g.vertices())  # list(range(n)) per call would make every int past 256 anew
-    incident = incidence(endpoints, len(roots), g.edges())
+def graphic_matroid(
+    ground: GroundSet, endpoints: tuple[tuple[int, int], ...], n: int
+) -> Matroid:
+    """The graphic matroid of the multigraph on vertices ``0 .. n-1`` whose
+    edge ``e``, the ground element ``e``, joins ``endpoints[e]``.  The
+    endpoints must be valid vertex ids, one pair per element of ``ground``;
+    they are not checked here.  ``build(Graphic(g))`` calls it with ``g``'s
+    own edges, and ``menger.reduce`` with the contracted edges it numbers."""
+    roots = tuple(range(n))  # list(range(n)) per call would make every int past 256 anew
+    incident = incidence(endpoints, n, range(len(endpoints)))
 
     def rank(xs: frozenset[int]) -> int:
         """Successful merges of an array union-find with path halving; a
@@ -620,7 +624,7 @@ def _build_graphic(spec: Graphic) -> Matroid:
 
     graphic = Matroid(
         ground,
-        provenance=f"graphic(V={g.vertex_count},E={g.edge_count})",
+        provenance=f"graphic(V={n},E={len(endpoints)})",
         rank=rank,
         anchor=partial(ForestAnchor, endpoints, incident),
         dual=cographic,
@@ -727,7 +731,8 @@ def build(spec: FamilySpec) -> Matroid:
     if isinstance(spec, Partition):
         return _build_partition(spec)
     if isinstance(spec, Graphic):
-        return _build_graphic(spec)
+        g = spec.graph
+        return graphic_matroid(GroundSet(g.edge_labels), g.endpoints, g.vertex_count)
     if isinstance(spec, Binary):
         return _build_binary(spec)
     if isinstance(spec, Explicit):

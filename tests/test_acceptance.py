@@ -27,6 +27,7 @@ from matroidkit import (
     certify,
     check_axioms,
     check_orthogonality,
+    graphic_components,
     materialize,
     min_rank_value,
     solve,
@@ -272,7 +273,8 @@ def test_criterion_6_exchange_chain_soundness(pair_corpus, menger_corpus):
     for inst in menger_corpus:
         if inst.s & inst.t or not (inst.s and inst.t):
             continue
-        m_s, m_t, _ = reduce_instance(inst)
+        (comp,) = graphic_components(inst.graph, inst.graph.edges())  # the graph is connected
+        m_s, m_t, _ = reduce_instance(inst, comp)
         checked_run(m_s, m_t.dual())
         if m_s.ground.size <= 8:
             state = checked_run(m_s, m_t)

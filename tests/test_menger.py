@@ -1,15 +1,17 @@
 import dataclasses
 import random
+from collections import Counter
 
 import pytest
 
 from matroidkit import (
     ConsistencyError,
+    GroundSet,
     InputError,
     MengerCertificate,
     MengerInstance,
     Multigraph,
-    build,
+    graphic_components,
     identify_vertices,
     menger,
     solve,
@@ -28,24 +30,70 @@ from conftest import path3_graph, random_menger_instance
 fs = frozenset
 
 
+def whole(inst):
+    """The one component of a connected instance's graph."""
+    (comp,) = graphic_components(inst.graph, inst.graph.edges())
+    return comp
+
+
+def reference_contractions(inst, comp):
+    """The reference route for one component: a graph of its kept edges on
+    its vertices in ascending id order, with ``identify_vertices`` merging
+    the component's S, and then its T, in it."""
+    g = inst.graph
+    order = sorted(comp.vertices)
+    pos = {v: i for i, v in enumerate(order)}
+    keep = tuple(
+        e for e in sorted(comp.edges)
+        if not any(set(g.endpoints[e]) <= side for side in (inst.s, inst.t))
+    )
+    kept = Multigraph(
+        tuple(g.vertex_labels[v] for v in order),
+        tuple((pos[u], pos[v]) for u, v in (g.endpoints[e] for e in keep)),
+        tuple(g.edge_labels[e] for e in keep),
+    )
+    merged = [
+        identify_vertices(kept, {pos[v] for v in comp.vertices & side})[0]
+        for side in (inst.s, inst.t)
+    ]
+    return keep, merged
+
+
+def two_paths_apart():
+    """Two components: a 4-cycle with both chords and a loop, and the path
+    p - q - r on edges 3 and 8, whose frozenset iterates 8 before 3."""
+    return MengerInstance.from_labels(
+        Multigraph.from_labels(
+            ["a", "b", "c", "d", "p", "q", "r"],
+            [
+                ("ab", "a", "b"), ("bc", "b", "c"), ("cd", "c", "d"), ("pq", "p", "q"),
+                ("da", "d", "a"), ("ac", "a", "c"), ("aa", "a", "a"), ("bd", "b", "d"),
+                ("qr", "q", "r"),
+            ],
+        ),
+        ["a", "p"],
+        ["c", "r"],
+    )
+
+
 class TestReduce:
     def test_path_reduces_to_free_matroids(self, path3):
         inst = MengerInstance.from_labels(path3, ["a"], ["c"])
-        m_s, m_t, ground = reduce_instance(inst)
+        m_s, m_t, ground = reduce_instance(inst, whole(inst))
         assert ground == (0, 1)
         assert m_s.ground.labels == ("e0", "e1") == m_t.ground.labels
         assert m_s.circuits() == [] and m_t.circuits() == []
 
     def test_k22_side_contraction_creates_parallel_pairs(self, k22):
         inst = MengerInstance.from_labels(k22, ["u1", "u2"], ["w1", "w2"])
-        m_s, m_t, ground = reduce_instance(inst)
+        m_s, m_t, ground = reduce_instance(inst, whole(inst))
         assert ground == (0, 1, 2, 3)
         assert m_s.circuits() == [fs({0, 2}), fs({1, 3})]
         assert m_t.circuits() == [fs({0, 1}), fs({2, 3})]
 
     def test_identical_singleton_terminals_keep_the_graph(self, triangle):
         inst = MengerInstance.from_labels(triangle, ["v"], ["v"])
-        m_s, m_t, ground = reduce_instance(inst)
+        m_s, m_t, ground = reduce_instance(inst, whole(inst))
         assert ground == (0, 1, 2)
         assert m_s.circuits() == [fs({0, 1, 2})] == m_t.circuits()
 
@@ -54,46 +102,75 @@ class TestReduce:
             ["a", "b", "c"], [("s_edge", "a", "b"), ("mid", "b", "c")]
         )
         inst = MengerInstance.from_labels(g, ["a", "b"], ["c"])
-        _, _, ground = reduce_instance(inst)
+        _, _, ground = reduce_instance(inst, whole(inst))
         assert ground == (1,)  # the intra-S edge is gone
 
-    @pytest.mark.parametrize("seed", [*range(6), None], ids=[*map(str, range(6)), "random-200"])
+    @pytest.mark.parametrize(
+        "seed", [*range(6), None, "apart"], ids=[*map(str, range(6)), "random-200", "apart"]
+    )
     def test_contracted_graphs_are_the_kept_graph_with_a_side_identified(
         self, seed, monkeypatch
     ):
-        """The two graphs ``reduce`` builds are those of the reference
-        route: a graph of the kept edges, with ``identify_vertices``
-        merging S, and then T, in it."""
+        """The two handles ``reduce`` builds share one ground set and carry
+        the graphs of the reference route: its edge labels, its endpoints
+        and its vertex count.  On the path of ``two_paths_apart`` the ground
+        comes out ascending though the component's edges do not iterate so."""
         if seed is None:
             instances = [random_menger_instance(200)]
+        elif seed == "apart":
+            instances = [two_paths_apart()]
+            path = graphic_components(instances[0].graph, instances[0].graph.edges())[1]
+            assert list(path.edges) == [8, 3]  # so ``reduce`` must sort them
         else:
             instances = [i for i in random_menger_instances(seed, 30, 14) if not i.s & i.t]
-        specs = []
-        monkeypatch.setattr(menger, "build", lambda spec: specs.append(spec) or build(spec))
+        calls = []
+        real = menger.graphic_matroid
+        monkeypatch.setattr(
+            menger,
+            "graphic_matroid",
+            lambda ground, ends, n: calls.append((ground, ends, n)) or real(ground, ends, n),
+        )
+        checked = 0
         for inst in instances:
-            specs.clear()
-            _, _, ground = reduce_instance(inst)
-            g = inst.graph
-            keep = tuple(
-                e for e in g.edges()
-                if not any(set(g.endpoints[e]) <= side for side in (inst.s, inst.t))
-            )
-            kept = Multigraph(
-                g.vertex_labels,
-                tuple(g.endpoints[e] for e in keep),
-                tuple(g.edge_labels[e] for e in keep),
-            )
-            assert ground == keep
-            assert len(specs) == 2
-            for spec, side in zip(specs, (inst.s, inst.t)):
-                expected = identify_vertices(kept, side)[0]
-                assert (spec.graph.vertex_labels, spec.graph.endpoints, spec.graph.edge_labels) == (
-                    expected.vertex_labels, expected.endpoints, expected.edge_labels
-                )
+            for comp in graphic_components(inst.graph, inst.graph.edges()):
+                if comp.vertices.isdisjoint(inst.s) or comp.vertices.isdisjoint(inst.t):
+                    continue
+                calls.clear()
+                _, _, ground = reduce_instance(inst, comp)
+                keep, merged = reference_contractions(inst, comp)
+                assert ground == keep
+                assert len(calls) == 2 and calls[0][0] is calls[1][0]
+                for (ground_set, ends, n), expected in zip(calls, merged):
+                    assert (ground_set.labels, ends, n) == (
+                        expected.edge_labels, expected.endpoints, expected.vertex_count
+                    )
+                checked += 1
+        assert checked
 
     def test_empty_terminals_rejected(self, path3):
         with pytest.raises(InputError):
             MengerInstance(path3, fs(), fs({0}))
+
+
+class TestMengerInstance:
+    """The instance keeps the frozensets its check returns, not the
+    caller's objects."""
+
+    def test_listed_terminals_solve(self, path3):
+        inst = MengerInstance(path3, [0], [2])
+        assert (inst.s, inst.t) == (fs({0}), fs({2}))
+        assert solve(inst).paths == ((0, 1, 2),)
+
+    def test_a_terminal_set_mutated_after_construction_is_not_seen(self, path3):
+        s = {0}
+        inst = MengerInstance(path3, s, {2})
+        s.add(7)
+        assert inst.s == fs({0})
+        assert solve(inst).paths == ((0, 1, 2),)
+
+    def test_an_instance_built_from_sets_hashes(self, path3):
+        inst = MengerInstance(path3, {0}, {2})
+        assert hash(inst) == hash(MengerInstance(path3, fs({0}), fs({2})))
 
 
 class TestForestStructure:
@@ -273,8 +350,8 @@ class TestSeparatorFromPartition:
 
     @pytest.mark.parametrize("seed", range(10))
     def test_solve_separator_is_the_reference_intersection(self, seed, monkeypatch):
-        """With S and T disjoint on a connected graph, ``solve`` reduces the
-        instance as it stands, so the forest it reads can be replayed through
+        """With S and T disjoint, ``solve`` reads its forest on the instance
+        as it stands, so that forest can be replayed through
         the reference repartition: its sides cover V, no edge crosses them,
         and they meet in exactly the separator."""
         forests = []
@@ -371,6 +448,32 @@ class TestSolve:
         for p in cert.paths:
             grids = {g.vertex_labels[u].split("r")[0] for u in p}
             assert p == (hub,) or (hub not in p and len(grids) == 1)
+
+    def test_components_are_certified_without_graph_or_ground_set_copies(self, monkeypatch):
+        """A shared terminal h joins three components once it is peeled:
+        a - b and x - y - z meet S and T, and c - d meets only S.  ``solve``
+        builds no ``Multigraph`` and one ``GroundSet`` per certified
+        component."""
+        g = Multigraph.from_labels(
+            ["h", "a", "b", "c", "d", "x", "y", "z"],
+            [
+                ("ha", "h", "a"), ("ab", "a", "b"), ("hc", "h", "c"), ("cd", "c", "d"),
+                ("hy", "h", "y"), ("xy", "x", "y"), ("yz", "y", "z"),
+            ],
+        )
+        inst = MengerInstance.from_labels(g, ["h", "a", "c", "x"], ["h", "b", "z"])
+        built = Counter()
+        for cls in (Multigraph, GroundSet):
+            counted = cls.__post_init__
+
+            def counting(self, counted=counted, name=cls.__name__):
+                built[name] += 1
+                counted(self)
+
+            monkeypatch.setattr(cls, "__post_init__", counting)
+        cert = solve(inst)
+        assert cert.count == 3
+        assert built == {"GroundSet": 2}
 
     def test_unreachable_terminals_give_empty_certificate(self):
         g = Multigraph.from_labels(["a", "b", "c"], [("e0", "a", "b")])

@@ -16,7 +16,8 @@ from closed form or from an independent algorithm written here.
   Its chain re-check must make one circuit test per link, not k + 1.
 - A seeded sparse random graph has as many disjoint paths as the
   vertex-split max flow of ``oracles.brute_max_disjoint_paths`` finds, and
-  a grid of w long rows, from its left column to its right, has w.
+  a grid of w long rows, from its left column to its right, has w, and
+  k disjoint w x w grids, each from its left column to its right, have k w.
 - For a plane graph G, the cographic matroid M*(G) is the graphic matroid
   of the planar dual G* (Whitney), so on the grid the cographic handle and
   the graphic handle of G* must give the same ranks, the same runs and the
@@ -39,6 +40,8 @@ import pytest
 from matroidkit import (
     Dual,
     Graphic,
+    MengerInstance,
+    Multigraph,
     Partition,
     Uniform,
     build,
@@ -295,6 +298,33 @@ def test_long_grid_has_one_path_per_row(length):
     inst = grid_instance(4, length=length)
     cert = solve(inst)
     assert cert.count == 4
+    assert verify(inst, cert)
+
+
+def test_many_disjoint_grids_have_one_path_per_row():
+    """300 disjoint 3 x 3 grids, from their left columns to their right
+    columns: every grid is a component of its own with 3 paths."""
+    copies, w = 300, 3
+
+    def v(i, r, c):
+        return f"g{i}r{r}c{c}"
+
+    vertices = [v(i, r, c) for i in range(copies) for r in range(w) for c in range(w)]
+    edges = []
+    for i in range(copies):
+        for r in range(w):
+            for c in range(w):
+                if c + 1 < w:
+                    edges.append((f"g{i}h{r}.{c}", v(i, r, c), v(i, r, c + 1)))
+                if r + 1 < w:
+                    edges.append((f"g{i}v{r}.{c}", v(i, r, c), v(i, r + 1, c)))
+    inst = MengerInstance.from_labels(
+        Multigraph.from_labels(vertices, edges),
+        [v(i, r, 0) for i in range(copies) for r in range(w)],
+        [v(i, r, w - 1) for i in range(copies) for r in range(w)],
+    )
+    cert = solve(inst)
+    assert cert.count == copies * w
     assert verify(inst, cert)
 
 

@@ -19,7 +19,6 @@ from matroidkit import (
     materialize,
 )
 from matroidkit.core import subsets_by_size
-from matroidkit.graphs import induced_subgraph
 from matroidkit.zoo import explicit_system
 
 from conftest import k4_graph, path3_graph, triangle_graph
@@ -250,7 +249,9 @@ class TestIdentifyVertices:
     def test_path_endpoints_merge_into_parallel_pair(self):
         merged, vmap = identify_vertices(path3_graph(), {0, 2})
         assert merged.vertex_count == 2
-        assert vmap[0] == vmap[2]
+        # the merged vertex sits at the place of the least merged id, with its label
+        assert vmap == {0: 0, 1: 1, 2: 0}
+        assert merged.vertex_labels == ("a", "b")
         ends = {frozenset(e) for e in merged.endpoints}
         assert ends == {frozenset({vmap[0], vmap[1]})}
         assert merged.edge_labels == ("e0", "e1")
@@ -270,14 +271,6 @@ class TestIdentifyVertices:
     def test_empty_merge_rejected(self):
         with pytest.raises(InputError):
             identify_vertices(triangle_graph(), frozenset())
-
-
-class TestGraphHelpers:
-    def test_induced_subgraph_maps(self):
-        sub, vmap = induced_subgraph(path3_graph(), {1, 2})
-        assert sub.vertex_labels == ("b", "c")
-        assert sub.edge_labels == ("e1",)
-        assert vmap == {1: 0, 2: 1}
 
 
 class TestForestAnchorContract:
