@@ -13,12 +13,13 @@ level down, with r(E) computed once per handle.  A family that knows its
 dual supplies a native ``dual=`` hook instead: the dual of a partition or
 uniform matroid is again one, whose rank of X reads X alone rather than
 E - X, and the graphic family builds its cographic handle, which keeps the
-dual rank identity but anchors through the forest.  Both the wrapper and
-the cographic handle come out of one constructor, ``dual_matroid``, which
-takes the cographic hooks as keyword arguments.  The dual of any dual is
-the original handle (M** = M): the dual of a wrapper or of a cographic
-handle is the very handle it was built from, and a partition or uniform
-dual's dual is an equal native handle, so wrappers never stack two deep.
+dual rank identity but anchors through a standard form over a forest.
+Both the wrapper and the cographic handle come out of one constructor,
+``dual_matroid``, which takes the cographic hooks as keyword arguments.
+The dual of any dual is the original handle (M** = M): the dual of a
+wrapper or of a cographic handle is the very handle it was built from, and
+a partition or uniform dual's dual is an equal native handle, so wrappers
+never stack two deep.
 Nothing else is cached: every query reaches the native oracle, so a
 caller that asks the same set twice pays twice, and callers avoid asking
 what they have already proved.
@@ -29,11 +30,12 @@ built once for a fixed set ``a`` and then answers, for many ``x``, whether
 ``x`` in ``base``, a maximal independent subset of ``a`` (``circuit``).
 Graphic, partition and uniform matroids supply a native ``anchor=`` hook,
 which always returns an anchor: a rooted spanning forest, or block lookups
-with no build step; the graphic family's dual anchors through that forest
-too, where it spans.  Every other handle, the
-dual wrapper included, gets the rank-derived anchor, which has no build
-step.  Every anchor can also be grown or exchanged by one element, so a
-caller whose set changes one element at a time need not build a new one.
+with no build step; the graphic family's dual anchors through the
+fundamental cocircuits of a spanning forest of the complement, where it
+spans.  Every other handle, the dual wrapper included, gets the
+rank-derived anchor, which has no build step.  Every anchor can also be
+grown or exchanged by one element, so a caller whose set changes one
+element at a time need not build a new one.
 
 The union's chain re-check asks two more questions, which a family that
 can answer them exactly in one pass supplies as hooks of their own:

@@ -5,12 +5,12 @@ binary (column independence over GF(2)), explicit set systems, direct sums,
 plus dual and minor wrappers for composing them.  Every family supplies a
 native rank function; an explicit system's is the greedy membership sweep,
 and only systems on which that sweep accepts exactly the listed sets are
-built.  Uniform, partition and graphic matroids also supply a native
-anchor, which answers closure and fundamental circuits against one fixed
-set and follows that set through one-element updates.  U(n, k) is built as
-the partition with one block of cap k, under its own provenance; a
-one-block partition ranks by min(|X|, cap) and any other counts each block
-down.
+built.  Uniform, partition, graphic and cographic matroids also supply a
+native anchor, which answers closure and fundamental circuits against one
+fixed set and follows that set through one-element updates.  U(n, k) is
+built as the partition with one block of cap k, under its own provenance;
+a one-block partition ranks by min(|X|, cap) and any other counts each
+block down.
 
 Partition, uniform, graphic and cographic handles also supply exact
 one-pass tests for the union's chain re-check (``Matroid``'s
@@ -26,11 +26,15 @@ Each keeps the ``dual(...)`` provenance, and its own dual is an equal
 handle of the original family.  The graphic family builds its cographic
 dual with the core's ``dual_matroid``, which also builds the rank-only
 wrapper: rank by the dual identity, the graphic handle as its dual, and
-this module's hooks.  Over the forest's fundamental cocircuits, the
-anchor comes from ``DualAnchor`` where the forest spans and from
-``RankAnchor`` elsewhere, both asked of the graphic handle itself.  Every
-other family's dual is the core's rank-only wrapper, whose own dual is the
-very handle it wraps.
+this module's hooks.  Its anchor at a co-independent ``b`` is
+``CotreeAnchor``: the graphic matroid's standard form [I | D] over a
+spanning forest B0 of E - b, whose rows are the fundamental cocircuits
+and whose columns are the fundamental circuits, kept as int bitmasks over
+E.  Both queries read one row, and a change of B0 is a pivot, which XORs
+one row into the rows on a circuit and one column into the columns on a
+cocircuit.  Where ``b`` is dependent, so B0 does not span, the anchor is
+``RankAnchor``.  Every other family's dual is the core's rank-only
+wrapper, whose own dual is the very handle it wraps.
 """
 
 from __future__ import annotations
@@ -244,7 +248,7 @@ class ForestAnchor:
     def cocircuit(self, y: int) -> frozenset[int]:
         """The fundamental cocircuit of ``y`` on a ``base`` that spans the
         matroid: ``y`` and every ``g`` off ``base`` with ``base - y + g``
-        independent, which ``DualAnchor`` reads.
+        independent.
 
         These are the edges that leave the subtree below tree edge ``y``,
         which spans the rest of its component once the forest spans the
@@ -339,61 +343,146 @@ class ForestAnchor:
         return self
 
 
-class DualAnchor:
-    """Anchor of the dual at a co-independent ``b``, from the primal's
-    native anchor on ``E - b`` (the graphic forest, the one anchor that
-    answers ``cocircuit``) and its base B0, which spans the primal.
+def _ids(mask: int) -> list[int]:
+    """The set bits of ``mask``, highest first.  Clearing the highest bit
+    each time shrinks the int as it goes, which on long sparse masks beats
+    splitting off the lowest bit."""
+    ids = []
+    while mask:
+        e = mask.bit_length() - 1
+        ids.append(e)
+        mask ^= 1 << e
+    return ids
 
-    Both queries read the cocircuit C*(B0, x) of an ``x`` on B0, asked of
-    the primal once and kept.  ``b + x`` stays co-independent exactly when
-    ``E - b - x`` still spans: ``x`` lies off B0, or C*(B0, x) - x leaves
-    ``b``.  The circuit of ``x`` is ``(C*(B0, x) & b) + x``.
 
-    An update that keeps B0 keeps the primal anchor and the cocircuits.
+class CotreeAnchor:
+    """Cographic anchor at ``b``: the graphic matroid's standard form
+    [I | D] over a spanning forest B0 of E - b, with the elements of B0 on
+    the identity (Oxley, *Matroid Theory*, 2nd ed., §2.2), kept as int
+    bitmasks over E, bit ``e`` for edge ``e``.
+
+    ``_fund[e]`` is the row of D of a tree edge, its fundamental cocircuit
+    C*(B0, e): ``e`` and the edges off B0 that leave the subtree below it.
+    For any other edge it is the column, its fundamental circuit C(B0, e):
+    ``e`` and the tree path between its ends.  A loop's column is the loop
+    alone, and a loop lies on no row.  The build is linear: one
+    breadth-first search over E - b lists the forest's vertices parents
+    first; each tree edge's row is one bottom-up XOR, over the subtree
+    below it, of each vertex's mask of the non-tree edges at it; each other
+    edge's column is the XOR of the root-path masks of its two ends.
+    ``rank`` is |B0|, the rank of E - b, so ``b`` is co-independent exactly
+    when it equals r(E); only then do the answers below hold.
+
+    ``b + x`` stays co-independent exactly when E - b - x still spans: ``x``
+    lies off B0, or its row has a bit outside b + x.  Otherwise that row
+    lies inside b + x and is the circuit of ``x``; its element set is kept
+    until the row next changes.
+
+    A change of B0 is a pivot of the standard form (``_pivot``).  ``grow(z)``
+    of a tree edge pivots ``z`` out for the least edge of its row outside
+    b + z, and ``exchange(y, z)`` pivots ``y`` out for ``z``; a grow by an
+    edge off B0 keeps B0.  An update outside the anchor contract raises
+    InternalInvariantError and leaves the anchor as it was.
     """
 
-    __slots__ = ("base", "_primal", "_spanning", "_cocircuits")
+    __slots__ = ("rank", "_fund", "_tree", "_b", "_base", "_sets")
 
-    def __init__(self, b: frozenset[int], primal: Anchor, cocircuits: dict | None = None):
-        self.base = b
-        self._primal = primal
-        self._spanning = primal.base
-        self._cocircuits = {} if cocircuits is None else cocircuits
+    def __init__(self, endpoints, incident, b: frozenset[int]):
+        size, n = len(endpoints), len(incident)
+        cut, packed = bytearray(size), bytearray((size >> 3) + 1)
+        for e in b:
+            cut[e] = 1
+            packed[e >> 3] |= 1 << (e & 7)
+        tree = bytearray(size)
+        parent, up = [-1] * n, [-1] * n
+        order, seen, done = [], bytearray(n), 0
+        for root in range(n):
+            if seen[root]:
+                continue
+            seen[root] = 1
+            order.append(root)
+            while done < len(order):
+                node = order[done]
+                done += 1
+                for e, far in incident[node]:
+                    if not seen[far] and not cut[e]:
+                        seen[far] = 1
+                        parent[far], up[far] = node, e
+                        tree[e] = 1
+                        order.append(far)
+        path = [0] * n
+        for v in order:
+            if up[v] >= 0:
+                path[v] = path[parent[v]] | 1 << up[v]
+        leaving, fund = [0] * n, [0] * size
+        for e, (u, v) in enumerate(endpoints):
+            if not tree[e]:
+                # A loop is XORed twice into its one vertex, so it lies on no row.
+                bit = 1 << e
+                leaving[u] ^= bit
+                leaving[v] ^= bit
+                fund[e] = path[u] ^ path[v] | bit
+        for v in reversed(order):
+            e = up[v]
+            if e >= 0:
+                fund[e] = leaving[v] | 1 << e
+                leaving[parent[v]] ^= leaving[v]
+        self.rank = sum(tree)
+        self._fund, self._tree = fund, tree
+        self._b, self._base = int.from_bytes(packed, "little"), b
+        self._sets: dict[int, frozenset[int]] = {}
 
-    def _cocircuit(self, y: int) -> frozenset[int]:
-        if y not in self._cocircuits:
-            self._cocircuits[y] = self._primal.cocircuit(y)
-        return self._cocircuits[y]
+    @property
+    def base(self) -> frozenset[int]:
+        if self._base is None:
+            self._base = frozenset(_ids(self._b))
+        return self._base
 
     def extends(self, x: int) -> bool:
-        return x not in self._spanning or not self._cocircuit(x) - {x} <= self.base
+        return not self._tree[x] or self._fund[x] & ~self._b != 1 << x
 
     def circuit(self, x: int) -> frozenset[int]:
-        return self._cocircuit(x) & self.base | {x}
+        c = self._sets.get(x)
+        if c is None:
+            c = self._sets[x] = frozenset(_ids(self._fund[x]))
+        return c
 
-    def grow(self, z: int) -> "DualAnchor":
-        """``b + z``: B0 still spans E - b - z when ``z`` lies off it, and
-        otherwise B0 - z + g does, for a ``g`` off ``b`` on its cocircuit."""
-        b = self.base | {z}
-        if z not in self._spanning:
-            return DualAnchor(b, self._primal, self._cocircuits)
-        g = next(g for g in self._cocircuit(z) if g != z and g not in self.base)
-        return self._rebased(b, z, g)
+    def grow(self, z: int) -> "CotreeAnchor":
+        if self._tree[z]:
+            free = (self._fund[z] & ~self._b) ^ 1 << z
+            if not free:
+                raise InternalInvariantError("a cotree grow took a bridge of E - b")
+            self._pivot(z, (free & -free).bit_length() - 1)
+        self._b |= 1 << z
+        self._base = None
+        return self
 
-    def exchange(self, y: int, z: int) -> "DualAnchor":
-        """``b - z + y``: ``y`` lies on B0, or it would extend ``b``, and
-        ``z`` on its cocircuit, so B0 - y + z spans E - b + z - y."""
-        return self._rebased(self.base - {z} | {y}, y, z)
+    def exchange(self, y: int, z: int) -> "CotreeAnchor":
+        if not (self._tree[y] and self._fund[y] >> z & 1 and self._b >> z & 1):
+            raise InternalInvariantError("a cotree exchange took z off the cocircuit of y")
+        self._pivot(y, z)
+        self._b ^= 1 << y | 1 << z
+        self._base = None
+        return self
 
-    def _rebased(self, b: frozenset[int], out: int, into: int) -> "DualAnchor":
-        """The anchor at ``b`` once B0 trades ``out`` for ``into``, on the
-        cocircuit of ``out``.  A cocircuit that misses ``into`` stays as it
-        was, and ``into`` takes over the cocircuit of ``out``."""
-        primal = self._primal.exchange(into, out)
-        kept = {y: c for y, c in self._cocircuits.items() if into not in c}
-        if out in self._cocircuits:
-            kept[into] = self._cocircuits[out]
-        return DualAnchor(b, primal, kept)
+    def _pivot(self, out: int, into: int) -> None:
+        """Trade ``out`` on B0 for ``into`` on its row.  Only the rows of the
+        tree edges on C(B0, into) take in the row of ``out``, and only the
+        columns of the edges on C*(B0, out) take in the column of ``into``;
+        both XORs keep the diagonal bits right.  Then ``into`` takes over
+        the row of ``out``, and ``out`` the column of ``into``."""
+        fund, sets = self._fund, self._sets
+        row, col = fund[out], fund[into]
+        ends = 1 << out | 1 << into
+        for t in _ids(col ^ ends):
+            fund[t] ^= row
+            sets.pop(t, None)
+        for h in _ids(row ^ ends):
+            fund[h] ^= col
+        fund[out], fund[into] = col, row
+        self._tree[out], self._tree[into] = 0, 1
+        if out in sets:
+            sets[into] = sets.pop(out)
 
 
 # Exact one-pass answers to the union re-check's two questions, bound with
@@ -603,16 +692,15 @@ def graphic_matroid(
         return merged
 
     def cographic() -> Matroid:
-        """The dual, which asks every rank and anchor of ``graphic`` itself
-        and anchors a co-independent ``b`` with ``DualAnchor`` over the
-        forest on E - b, or with ``RankAnchor`` when that forest does not span."""
-        full = graphic._full
+        """The dual, which asks every rank of ``graphic`` itself and anchors a
+        co-independent ``b`` with ``CotreeAnchor``, or with ``RankAnchor``
+        when the forest of E - b that the anchor built does not span."""
 
         def anchor(b: frozenset[int]) -> Anchor:
-            primal = graphic._anchor(full - b)
-            if len(primal.base) < graphic._ground_rank():
+            cotree = CotreeAnchor(endpoints, incident, b)
+            if cotree.rank < graphic._ground_rank():
                 return RankAnchor(cographic, b)
-            return DualAnchor(b, primal)
+            return cotree
 
         cographic = dual_matroid(
             graphic,

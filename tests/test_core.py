@@ -22,7 +22,7 @@ from matroidkit import (
 )
 from matroidkit.axioms import AXIOM_CHECK_BOUND
 from matroidkit.core import ENUMERATION_BOUND, subsets_by_size
-from matroidkit.zoo import BlockAnchor, DualAnchor
+from matroidkit.zoo import BlockAnchor, CotreeAnchor
 
 from conftest import triangle_graph
 
@@ -258,7 +258,7 @@ class TestDual:
         graphic = build(Graphic(triangle_graph()))
         cographic = graphic.dual()
         assert cographic.provenance == f"dual({graphic.provenance})"
-        assert type(cographic._anchor(frozenset())) is DualAnchor
+        assert type(cographic._anchor(frozenset())) is CotreeAnchor
         assert cographic.dual() is graphic
 
 

@@ -112,7 +112,7 @@ def test_only_cli_imports_io_modules(module):
 
 
 COGRAPHIC_TESTS = {"_dry_side", "_is_bond", "_is_no_bridge"}
-ANCHORS = {"ForestAnchor", "DualAnchor", "RankAnchor"}
+ANCHORS = {"ForestAnchor", "CotreeAnchor", "RankAnchor"}
 
 
 def top_level_definitions(module: str) -> dict[str, ast.AST]:

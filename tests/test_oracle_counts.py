@@ -8,14 +8,15 @@ evaluations, anchor builds and calls of the exact circuit and 'add' tests
 every wrapper (a handle keeps no cache besides r(E), so every evaluation a
 wrapper asks for reaches it).  The graphic handle's ``dual=`` hook passes
 through uncounted: the cographic handle it builds with ``core.dual_matroid``
-asks the graphic handle for every rank and anchor, so that work is counted
-there, and its own two tests are counted as they are handed to
-``dual_matroid``.
-The second counts the queries answered by those anchors (``extends``,
-``circuit`` and ``cocircuit``, which the dual's anchor asks of them), so
-no work can hide inside a session.  The third counts the updates
-(``grow`` and ``exchange``) that carry an anchor from one set to the next
-instead of building it again.  On the seeded random graph the graphic
+asks the graphic handle for every rank, so that work is counted there,
+and its own two tests are counted as they are handed to ``dual_matroid``.
+The second counts the queries answered by the graphic anchors
+(``extends`` and ``circuit``), so no work can hide inside a session.  The
+third counts the updates (``grow`` and ``exchange``) that carry an anchor
+from one set to the next instead of building it again.  The cographic
+anchor, also handed to ``dual_matroid``, is counted apart under the same
+three headings: its builds (``cobuilds``), queries (``coqueries``) and
+updates (``coupdates``).  On the seeded random graph the graphic
 evaluations and the cographic test calls are pinned apart, beside the
 incidence entries those two tests read, which is where their cost lies.
 
@@ -45,35 +46,33 @@ from conftest import grid_instance, random_menger_instance, random_partition_pai
 
 
 class CountedAnchor:
-    """Passes every query through to an anchor, counting it."""
+    """Passes every query through to an anchor, counting it under the key
+    ``queries`` names and each update under ``updates``."""
 
-    def __init__(self, inner, counts):
+    def __init__(self, inner, counts, queries="queries", updates="updates"):
         self._inner = inner
         self._counts = counts
+        self._keys = queries, updates
 
     @property
     def base(self):
         return self._inner.base
 
     def extends(self, x):
-        self._counts["queries"] += 1
+        self._counts[self._keys[0]] += 1
         return self._inner.extends(x)
 
     def circuit(self, x):
-        self._counts["queries"] += 1
+        self._counts[self._keys[0]] += 1
         return self._inner.circuit(x)
 
-    def cocircuit(self, y):
-        self._counts["queries"] += 1
-        return self._inner.cocircuit(y)
-
     def grow(self, x):
-        self._counts["updates"] += 1
-        return CountedAnchor(self._inner.grow(x), self._counts)
+        self._counts[self._keys[1]] += 1
+        return CountedAnchor(self._inner.grow(x), self._counts, *self._keys)
 
     def exchange(self, y, z):
-        self._counts["updates"] += 1
-        return CountedAnchor(self._inner.exchange(y, z), self._counts)
+        self._counts[self._keys[1]] += 1
+        return CountedAnchor(self._inner.exchange(y, z), self._counts, *self._keys)
 
 
 def counted(oracle, counts, size=None, key="evaluations"):
@@ -105,14 +104,20 @@ class CountedIncidence:
 def graphic_oracle_evaluations(monkeypatch, inst: MengerInstance):
     """Solve ``inst`` while counting the native oracle work of every graphic
     handle (``evaluations``), the calls of the two tests of every
-    cographic one (``tests``), and the incidence entries those tests read
-    (``incidence``), through the ``incident`` lists bound into them."""
-    counts = {"evaluations": 0, "tests": 0, "incidence": 0, "queries": 0, "updates": 0}
+    cographic one (``tests``), the incidence entries those tests read
+    (``incidence``), through the ``incident`` lists bound into them, and
+    the builds, queries and updates of every cographic anchor
+    (``cobuilds``, ``coqueries`` and ``coupdates``)."""
+    counts = dict.fromkeys(
+        ("evaluations", "tests", "incidence", "queries", "updates", "cobuilds", "coqueries",
+         "coupdates"),
+        0,
+    )
 
-    def counted_anchor(anchor):
+    def counted_anchor(anchor, build="evaluations", queries="queries", updates="updates"):
         def oracle(xs):
-            counts["evaluations"] += 1
-            return CountedAnchor(anchor(xs), counts)
+            counts[build] += 1
+            return CountedAnchor(anchor(xs), counts, queries, updates)
 
         return oracle
 
@@ -136,6 +141,7 @@ def graphic_oracle_evaluations(monkeypatch, inst: MengerInstance):
         for name in ("is_circuit", "extends"):
             test = partial(hooks[name].func, endpoints, read)
             hooks[name] = counted(test, counts, key="tests")
+        hooks["anchor"] = counted_anchor(hooks["anchor"], "cobuilds", "coqueries", "coupdates")
         duals.append(primal)
         return dual_matroid(primal, **hooks)
 
@@ -148,16 +154,21 @@ def graphic_oracle_evaluations(monkeypatch, inst: MengerInstance):
 
 
 @pytest.mark.parametrize(
-    "w,oracle_bound,query_bound,update_bound", [(5, 55, 156, 37), (6, 81, 250, 60)]
+    "w,oracle_bound,query_bound,update_bound,cographic_bounds",
+    [(5, 54, 136, 32, (1, 80, 12)), (6, 80, 220, 50, (1, 150, 20))],
 )
 def test_grid_solve_graphic_oracle_evaluations(
-    monkeypatch, w, oracle_bound, query_bound, update_bound
+    monkeypatch, w, oracle_bound, query_bound, update_bound, cographic_bounds
 ):
     cert, counts = graphic_oracle_evaluations(monkeypatch, grid_instance(w))
     assert cert.count == w
     assert counts["evaluations"] + counts["tests"] <= oracle_bound
     assert counts["queries"] <= query_bound
     assert counts["updates"] <= update_bound
+    cobuilds, coqueries, coupdates = cographic_bounds
+    assert counts["cobuilds"] <= cobuilds
+    assert counts["coqueries"] <= coqueries
+    assert counts["coupdates"] <= coupdates
 
 
 def test_random_graph_solve_graphic_oracle_work(monkeypatch):
@@ -166,11 +177,14 @@ def test_random_graph_solve_graphic_oracle_work(monkeypatch):
     tests read pinned apart."""
     cert, counts = graphic_oracle_evaluations(monkeypatch, random_menger_instance(200))
     assert cert.count == 10
-    assert counts["evaluations"] <= 613
+    assert counts["evaluations"] <= 612
     assert counts["tests"] <= 413
     assert counts["incidence"] <= 23_054
-    assert counts["queries"] <= 4_669
-    assert counts["updates"] <= 805
+    assert counts["queries"] <= 4_342
+    assert counts["updates"] <= 602
+    assert counts["cobuilds"] <= 1
+    assert counts["coqueries"] <= 1_084
+    assert counts["coupdates"] <= 413
 
 
 EVALUATION_BOUND = 514

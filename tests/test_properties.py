@@ -22,7 +22,7 @@ from matroidkit.core import Matroid, RankAnchor
 from matroidkit.generate import random_family, random_matroid_pairs
 from matroidkit.oracles import brute_union_max
 from matroidkit.union import maximize_union
-from matroidkit.zoo import DualAnchor
+from matroidkit.zoo import CotreeAnchor
 
 from conftest import augmenting
 
@@ -431,7 +431,7 @@ def test_cocircuits_match_their_rank_definition(spec):
 
 
 def test_cographic_handles_anchor_through_cocircuits_exactly_at_co_independent_sets():
-    """A cographic handle's own hook anchors ``b`` with ``DualAnchor`` exactly
+    """A cographic handle's own hook anchors ``b`` with ``CotreeAnchor`` exactly
     when E - b spans the graphic matroid, and with ``RankAnchor`` otherwise;
     every answer equals its rank definition on both branches."""
     for spec in (_ORACLE_CASES[0][1], _ISOLATED):
@@ -440,7 +440,7 @@ def test_cographic_handles_anchor_through_cocircuits_exactly_at_co_independent_s
         for b in _all_subsets(d.elements()):
             anchor = d._anchor_fn(b)
             native = d.is_independent(b)
-            assert type(anchor) is (DualAnchor if native else RankAnchor), sorted(b)
+            assert type(anchor) is (CotreeAnchor if native else RankAnchor), sorted(b)
             kinds.add(native)
             _assert_anchor_matches_rank(d, b, anchor)
         assert kinds == {True, False}
@@ -665,8 +665,8 @@ def test_carried_anchors_answer_as_anchors_built_afresh(spec):
             ]
             if grows and (not swaps or rng.random() < 0.5):
                 x = rng.choice(grows)
-                if isinstance(carried, DualAnchor) and x in carried._spanning:
-                    counts["base"] += 1  # x leaves B0, which the primal must trade
+                if isinstance(carried, CotreeAnchor) and carried._tree[x]:
+                    counts["base"] += 1  # x leaves B0, which a pivot must trade
                 carried, a = carried.grow(x), a | {x}
                 counts["grow"] += 1
             elif swaps:
@@ -680,7 +680,7 @@ def test_carried_anchors_answer_as_anchors_built_afresh(spec):
                 _assert_same_answers(m, carried, a)
         _assert_same_answers(m, carried, a)
     assert counts["grow"] and counts["exchange"]
-    if isinstance(m._anchor(frozenset()), DualAnchor):
+    if isinstance(m._anchor(frozenset()), CotreeAnchor):
         assert counts["base"]
 
 

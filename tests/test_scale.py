@@ -347,6 +347,22 @@ def test_the_cographic_grid_runs_as_the_graphic_planar_dual():
     assert certify(m, cographic) == certify(m, dual_graphic)
 
 
+COGRAPHIC_16_PEAK_BYTES = 722_000  # measured 0.690 MB (3.11), 0.701 MB (3.10)
+
+
+def test_the_cographic_grid_union_stays_within_its_memory_ceiling():
+    """M*(G) v M(G) on the 16 x 16 grid covers E, and the cographic anchor's
+    standard form, one bitmask over E for each edge, stays in its ceiling."""
+
+    def union_of(w):
+        g = grid_instance(w).graph
+        return maximize_union(build(Dual(Graphic(g))), build(Graphic(g)))
+
+    state, peak = _peak_of(lambda: union_of(16), lambda: union_of(3))
+    assert len(state.union) == 480
+    assert peak <= COGRAPHIC_16_PEAK_BYTES
+
+
 def test_cographic_anchors_answer_as_the_forest_anchors_of_the_planar_dual(monkeypatch):
     # On an independent set every anchor answer is determined, so the anchor
     # the run carries for the cographic part, through every grow, exchange

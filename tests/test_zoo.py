@@ -310,3 +310,45 @@ class TestForestAnchorContract:
         with pytest.raises(InternalInvariantError, match="closed a cycle"):
             anchor.grow(loop)
         assert anchor._up == up and anchor.base == base
+
+
+class TestCotreeAnchorContract:
+    """An update outside the anchor contract of the cographic anchor raises
+    InternalInvariantError with a one-line message, before it changes the
+    standard form, the forest or the anchored set.  On K4, E - {e0, e1}
+    reaches vertex 1 only through e2, and at the cographic base
+    {e0, e1, e3} the circuit of e2 is {e0, e1, e2}."""
+
+    @staticmethod
+    def _anchor(labels):
+        d = build(Graphic(k4_graph())).dual()
+        anchor = d._anchor(d.ground.subset_from_labels(labels))
+        assert type(anchor).__name__ == "CotreeAnchor"
+        return d, anchor
+
+    @staticmethod
+    def _state(anchor):
+        return list(anchor._fund), bytes(anchor._tree), anchor._b, anchor.base
+
+    def _assert_refused(self, update, anchor, message):
+        before = self._state(anchor)
+        with pytest.raises(InternalInvariantError, match=message) as caught:
+            update()
+        assert "\n" not in str(caught.value)
+        assert self._state(anchor) == before
+
+    def test_grow_by_a_bridge_of_the_complement_fails(self):
+        d, anchor = self._anchor(["e0", "e1"])
+        e2 = d.ground.index("e2")
+        assert not anchor.extends(e2)
+        self._assert_refused(lambda: anchor.grow(e2), anchor, "bridge of E - b")
+        assert anchor.circuit(e2) == d.ground.subset_from_labels(["e0", "e1", "e2"])
+
+    def test_exchange_off_the_cocircuit_fails(self):
+        d, anchor = self._anchor(["e0", "e1", "e3"])
+        e2, e3 = d.ground.index("e2"), d.ground.index("e3")
+        assert not anchor.extends(e2) and e3 not in anchor.circuit(e2)
+        self._assert_refused(lambda: anchor.exchange(e2, e3), anchor, "off the cocircuit")
+        # an exchange inside the contract still goes through afterwards
+        e0 = d.ground.index("e0")
+        assert anchor.exchange(e2, e0).base == d.ground.subset_from_labels(["e1", "e2", "e3"])
