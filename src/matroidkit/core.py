@@ -32,7 +32,7 @@ Graphic, partition and uniform matroids supply a native ``anchor=`` hook,
 which always returns an anchor: a rooted spanning forest, or block lookups
 with no build step; the graphic family's dual anchors through the
 fundamental cocircuits of a spanning forest of the complement, where it
-spans.  Every other handle, the dual wrapper included, gets the
+spans, and one search, ``graphs.rooted_forest``, roots both forests.  Every other handle, the dual wrapper included, gets the
 rank-derived anchor, which has no build step.  Every anchor can also be
 grown or exchanged by one element, so a caller whose set changes one
 element at a time need not build a new one.

@@ -117,7 +117,8 @@ def incidence(
     """Each of the ``n`` vertices' ``(edge, far end)`` pairs over ``edges``,
     in the order the edges are given; a loop is listed once, with its own
     vertex as the far end.  The components, the certificate forest's
-    S-T paths, the forest anchor and the cographic tests read these."""
+    S-T paths, the cographic tests and, through ``rooted_forest``, both
+    graphic anchors read these."""
     incident: list[list[tuple[int, int]]] = [[] for _ in range(n)]
     for e in edges:
         u, v = endpoints[e]
@@ -125,6 +126,35 @@ def incidence(
         if v != u:
             incident[v].append((e, u))
     return incident
+
+
+def rooted_forest(
+    incident: list[list[tuple[int, int]]], keep
+) -> tuple[list[int], list[int], list[int]]:
+    """A spanning forest of the edges ``e`` with ``keep[e]``, read from
+    ``incident``, a graph's ``graphs.incidence`` lists: one breadth-first
+    search per tree, its roots taken in vertex-id order, so every vertex
+    lies on a tree, an isolated one alone.  Returns ``(order, parent,
+    up)``: every vertex, each tree's root first and each parent before its
+    children, and each vertex's parent and parent edge, -1 at a root.  A
+    loop is never taken, because its far end, its own vertex, is reached."""
+    n = len(incident)
+    parent, up = [-1] * n, [-1] * n
+    order, seen, done = [], bytearray(n), 0
+    for root in range(n):
+        if seen[root]:
+            continue
+        seen[root] = 1
+        order.append(root)
+        while done < len(order):
+            node = order[done]
+            done += 1
+            for e, far in incident[node]:
+                if not seen[far] and keep[e]:
+                    seen[far] = 1
+                    parent[far], up[far] = node, e
+                    order.append(far)
+    return order, parent, up
 
 
 @dataclass(frozen=True)

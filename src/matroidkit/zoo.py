@@ -7,7 +7,10 @@ native rank function; an explicit system's is the greedy membership sweep,
 and only systems on which that sweep accepts exactly the listed sets are
 built.  Uniform, partition, graphic and cographic matroids also supply a
 native anchor, which answers closure and fundamental circuits against one
-fixed set and follows that set through one-element updates.  U(n, k) is
+fixed set and follows that set through one-element updates; the graphic
+and the cographic anchor both root their spanning forest with one search,
+``graphs.rooted_forest``, over the incidence lists the graphic handle
+builds once.  U(n, k) is
 built as the partition with one block of cap k, under its own provenance;
 a one-block partition ranks by min(|X|, cap) and any other counts each
 block down.
@@ -46,7 +49,7 @@ from typing import Union
 from .axioms import ExplicitSystem, check_downward_closure
 from .core import Anchor, GroundSet, Matroid, RankAnchor, default_labels, dual_matroid
 from .errors import InputError, InternalInvariantError
-from .graphs import Multigraph, incidence
+from .graphs import Multigraph, incidence, rooted_forest
 
 
 @dataclass(frozen=True)
@@ -173,76 +176,71 @@ class BlockAnchor:
 
 class ForestAnchor:
     """Graphic anchor: a rooted spanning forest of ``a`` with depths, built
-    by one search over the ``graphs.incidence`` lists of ``a`` that roots
-    its trees in vertex-id order; a loop is skipped because its far end,
-    its own vertex, is already reached.
+    by ``graphs.rooted_forest`` over ``incident``, the graph's
+    ``graphs.incidence`` lists, with only the edges of ``a`` kept.  Every
+    vertex lies on a tree, an isolated one alone.
 
-    ``root`` names each vertex's tree (-1 off the forest), and ``up`` maps a
-    vertex to its parent and the tree edge between them.  ``extends`` is a
-    component test; ``circuit`` climbs the two tree paths from the ends of
-    ``x`` to where they meet.
+    ``_root`` names each vertex's tree, ``_parent`` and ``_up`` give its
+    parent and the tree edge between them (-1 at a root), and ``_on`` flags
+    the tree edges; ``_size`` counts a tree's vertices at its root.
+    ``extends`` is a component test; ``circuit`` climbs the two tree paths
+    from the ends of ``x`` to where they meet.
 
-    The updates work in place on the forest, through its tree edges and
-    tree sizes, which the first update collects.  ``grow`` hangs the
-    smaller of the two trees it joins from the other one; ``exchange``
-    cuts ``z`` and hangs the part that falls off back on through ``y``.
-    Either way only the re-hung vertices change their parent and depth, and
-    a base already read is carried along as ``base + x`` or ``base - z + y``.
+    The updates work in place, walking ``incident`` over the flagged edges.
+    ``grow`` hangs the smaller of the two trees it joins from the other
+    one; ``exchange`` cuts ``z`` and hangs the part that falls off back on
+    through ``y``.  Either way only the re-hung vertices change their
+    parent and depth, and a base already read is carried along as
+    ``base + x`` or ``base - z + y``.
     """
 
-    __slots__ = ("_endpoints", "_incident", "_root", "_depth", "_up", "_base", "_tree", "_size")
+    __slots__ = (
+        "_endpoints", "_incident", "_root", "_depth", "_size", "_parent", "_up", "_on", "_base"
+    )
 
     def __init__(self, endpoints, incident, a: frozenset[int]):
-        adjacent = incidence(endpoints, len(incident), a)
-        root = [-1] * len(incident)
-        depth = [0] * len(incident)
-        up: dict[int, tuple[int, int]] = {}
-        for start, at in enumerate(adjacent):
-            if root[start] >= 0 or not at:
-                continue
-            root[start] = start
-            stack = [start]
-            while stack:
-                node = stack.pop()
-                below = depth[node] + 1
-                for e, nxt in adjacent[node]:
-                    if root[nxt] < 0:
-                        root[nxt] = start
-                        depth[nxt] = below
-                        up[nxt] = (node, e)
-                        stack.append(nxt)
+        keep, on = bytearray(len(endpoints)), bytearray(len(endpoints))
+        for e in a:
+            keep[e] = 1
+        order, parent, up = rooted_forest(incident, keep)
+        n = len(incident)
+        root, depth, size = list(range(n)), [0] * n, [0] * n
+        for v in order:
+            p = parent[v]
+            if p >= 0:
+                root[v] = root[p]
+                depth[v] = depth[p] + 1
+                on[up[v]] = 1
+            size[root[v]] += 1
         self._endpoints, self._incident = endpoints, incident
-        self._root, self._depth, self._up = root, depth, up
+        self._root, self._depth, self._size = root, depth, size
+        self._parent, self._up, self._on = parent, up, on
         self._base: frozenset[int] | None = None
-        self._tree: dict[int, dict[int, int]] | None = None
-        self._size: dict[int, int] | None = None
 
     @property
     def base(self) -> frozenset[int]:
         if self._base is None:
-            self._base = frozenset(e for _, e in self._up.values())
+            self._base = frozenset(e for e in self._up if e >= 0)
         return self._base
 
     def extends(self, x: int) -> bool:
         u, v = self._endpoints[x]
-        root = self._root
-        return root[u] != root[v] or (root[u] < 0 and u != v)
+        return self._root[u] != self._root[v]
 
     def circuit(self, x: int) -> frozenset[int]:
         u, v = self._endpoints[x]
-        depth, up = self._depth, self._up
+        depth, parent, up = self._depth, self._parent, self._up
         path = [x]
         while depth[u] > depth[v]:
-            u, e = up[u]
-            path.append(e)
+            path.append(up[u])
+            u = parent[u]
         while depth[v] > depth[u]:
-            v, e = up[v]
-            path.append(e)
+            path.append(up[v])
+            v = parent[v]
         while u != v:
-            u, e = up[u]
-            path.append(e)
-            v, e = up[v]
-            path.append(e)
+            path.append(up[u])
+            path.append(up[v])
+            u, v = parent[u], parent[v]
         return frozenset(path)
 
     def cocircuit(self, y: int) -> frozenset[int]:
@@ -252,57 +250,40 @@ class ForestAnchor:
 
         These are the edges that leave the subtree below tree edge ``y``,
         which spans the rest of its component once the forest spans the
-        graph, read from ``incident``, the graph's ``graphs.incidence``
-        lists; a loop is skipped because its far end is already below."""
+        graph; a loop is skipped because its far end is already below."""
         u, v = self._endpoints[y]
         top = u if self._depth[u] > self._depth[v] else v
-        tree, incident = self._edges(), self._incident
+        on, incident = self._on, self._incident
         below = {top}
-        stack = [(top, y)]
+        stack = [top]
         while stack:
-            node, came = stack.pop()
-            for e, nxt in tree[node].items():
-                if e != came:
+            for e, nxt in incident[stack.pop()]:
+                if on[e] and e != y and nxt not in below:
                     below.add(nxt)
-                    stack.append((nxt, e))
+                    stack.append(nxt)
         return frozenset(e for w in below for e, far in incident[w] if far not in below)
-
-    def _edges(self) -> dict[int, dict[int, int]]:
-        """Each forest vertex's tree edges, mapped to their far ends; the
-        first call also counts the vertices of each tree."""
-        if self._tree is None:
-            tree: dict[int, dict[int, int]] = {}
-            for v, (p, e) in self._up.items():
-                tree.setdefault(v, {})[e] = p
-                tree.setdefault(p, {})[e] = v
-            size: dict[int, int] = {}
-            for r in self._root:
-                if r >= 0:
-                    size[r] = size.get(r, 0) + 1
-            self._tree, self._size = tree, size
-        return self._tree
 
     def _hang(self, top: int, parent: int, edge: int) -> None:
         """Link ``top`` to ``parent`` by tree edge ``edge`` and re-root the
         tree hanging from ``top`` below it: parent, depth and tree name.
         A walk that reaches ``parent`` went round a cycle that ``edge``
         closed, an update outside the anchor contract."""
-        tree, root, depth, up = self._edges(), self._root, self._depth, self._up
-        tree.setdefault(top, {})[edge] = parent
-        tree.setdefault(parent, {})[edge] = top
+        on, root, depth, up, above = self._on, self._root, self._depth, self._up, self._parent
+        incident = self._incident
+        on[edge] = 1
         name = root[parent]
-        up[top] = (parent, edge)
+        above[top], up[top] = parent, edge
         depth[top] = depth[parent] + 1
         root[top] = name
         stack = [(top, edge)]
         while stack:
             node, came = stack.pop()
             below = depth[node] + 1
-            for e, nxt in tree[node].items():
-                if e != came:
+            for e, nxt in incident[node]:
+                if on[e] and e != came:
                     if nxt == parent:
                         raise InternalInvariantError("a forest update closed a cycle")
-                    up[nxt] = (node, e)
+                    above[nxt], up[nxt] = node, e
                     depth[nxt] = below
                     root[nxt] = name
                     stack.append((nxt, e))
@@ -311,33 +292,27 @@ class ForestAnchor:
         u, v = self._endpoints[x]
         if u == v:  # a loop closes its cycle without a walk for _hang to see
             raise InternalInvariantError("a forest update closed a cycle")
-        self._edges()
         root, size = self._root, self._size
-        for w in (u, v):
-            if root[w] < 0:  # off the forest: a tree of its own
-                root[w] = w
-                size[w] = 1
         if size[root[u]] < size[root[v]]:
             u, v = v, u
-        size[root[u]] += size.pop(root[v])
+        size[root[u]] += size[root[v]]
         self._hang(v, u, x)
         if self._base is not None:
             self._base = self._base | {x}
         return self
 
     def exchange(self, y: int, z: int) -> "ForestAnchor":
-        depth, up = self._depth, self._up
+        depth, parent = self._depth, self._parent
         a, b = self._endpoints[z]
         cut = a if depth[a] > depth[b] else b  # the lower end of z
-        tree = self._edges()
-        del tree[a][z], tree[b][z]
-        top, parent = self._endpoints[y]
+        self._on[z] = 0
+        top, far = self._endpoints[y]
         w = top
         while depth[w] > depth[cut]:
-            w = up[w][0]
+            w = parent[w]
         if w != cut:  # exactly one end of y lies below the cut; hang it from the other
-            top, parent = parent, top
-        self._hang(top, parent, y)
+            top, far = far, top
+        self._hang(top, far, y)
         if self._base is not None:
             self._base = self._base - {z} | {y}
         return self
@@ -366,8 +341,8 @@ class CotreeAnchor:
     For any other edge it is the column, its fundamental circuit C(B0, e):
     ``e`` and the tree path between its ends.  A loop's column is the loop
     alone, and a loop lies on no row.  The build is linear: one
-    breadth-first search over E - b lists the forest's vertices parents
-    first; each tree edge's row is one bottom-up XOR, over the subtree
+    ``graphs.rooted_forest`` search over E - b lists the forest's vertices
+    parents first; each tree edge's row is one bottom-up XOR, over the subtree
     below it, of each vertex's mask of the non-tree edges at it; each other
     edge's column is the XOR of the root-path masks of its two ends.
     ``rank`` is |B0|, the rank of E - b, so ``b`` is co-independent exactly
@@ -389,31 +364,17 @@ class CotreeAnchor:
 
     def __init__(self, endpoints, incident, b: frozenset[int]):
         size, n = len(endpoints), len(incident)
-        cut, packed = bytearray(size), bytearray((size >> 3) + 1)
+        keep, packed = bytearray(b"\x01") * size, bytearray((size >> 3) + 1)
         for e in b:
-            cut[e] = 1
+            keep[e] = 0
             packed[e >> 3] |= 1 << (e & 7)
-        tree = bytearray(size)
-        parent, up = [-1] * n, [-1] * n
-        order, seen, done = [], bytearray(n), 0
-        for root in range(n):
-            if seen[root]:
-                continue
-            seen[root] = 1
-            order.append(root)
-            while done < len(order):
-                node = order[done]
-                done += 1
-                for e, far in incident[node]:
-                    if not seen[far] and not cut[e]:
-                        seen[far] = 1
-                        parent[far], up[far] = node, e
-                        tree[e] = 1
-                        order.append(far)
-        path = [0] * n
+        order, parent, up = rooted_forest(incident, keep)
+        tree, path = bytearray(size), [0] * n
         for v in order:
-            if up[v] >= 0:
-                path[v] = path[parent[v]] | 1 << up[v]
+            e = up[v]
+            if e >= 0:
+                tree[e] = 1
+                path[v] = path[parent[v]] | 1 << e
         leaving, fund = [0] * n, [0] * size
         for e, (u, v) in enumerate(endpoints):
             if not tree[e]:

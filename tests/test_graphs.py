@@ -1,7 +1,8 @@
 """The breadth-first helper every chain, digraph and forest search runs
-on, and the incidence lists every graph walk reads."""
+on, the incidence lists every graph walk reads, and the forest search
+both graphic anchors are built by."""
 
-from matroidkit.graphs import breadth_first, incidence, path_to
+from matroidkit.graphs import breadth_first, incidence, path_to, rooted_forest
 
 # 5 -> 3 and 4 -> 3 race for 3; 5 -> 2 comes before 5 -> 0 on purpose.
 ARCS = {5: [2, 0, 3], 4: [3, 1], 3: [6], 2: [6], 0: [7], 1: [], 6: [], 7: []}
@@ -68,3 +69,23 @@ def test_incidence_lists_edges_in_the_order_given_and_a_loop_once():
     ]
     assert incidence(ENDPOINTS, 5, [2]) == [[], [], [(2, 2)], [], []]
     assert incidence(ENDPOINTS, 5, []) == [[], [], [], [], []]
+
+
+def test_rooted_forest_roots_in_id_order_and_lists_parents_first():
+    incident = incidence(ENDPOINTS, 5, [3, 2, 0, 4, 1])
+    # All kept: one breadth-first search from 0 reaches 1 and 3 before 2,
+    # takes e3 before its parallel e1 because it is listed first, and never
+    # takes the loop e2; the isolated vertex 4 is a root of its own.
+    order, parent, up = rooted_forest(incident, [1] * 5)
+    assert order == [0, 1, 3, 2, 4]
+    assert parent == [-1, 0, 1, 0, -1]
+    assert up == [-1, 0, 3, 4, -1]
+    # Dropping e0 splits {0, 3} from {1, 2}: the roots come as 0, 1, 4, and
+    # each tree follows its root.
+    order, parent, up = rooted_forest(incident, [0, 1, 1, 1, 1])
+    assert order == [0, 3, 1, 2, 4]
+    assert parent == [-1, -1, 1, 0, -1]
+    assert up == [-1, -1, 3, 4, -1]
+    for v in order:
+        if parent[v] >= 0:
+            assert order.index(parent[v]) < order.index(v)

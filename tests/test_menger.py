@@ -1,5 +1,6 @@
 import dataclasses
 import random
+import sys
 from collections import Counter
 
 import pytest
@@ -12,6 +13,7 @@ from matroidkit import (
     MengerInstance,
     Multigraph,
     graphic_components,
+    graphs,
     identify_vertices,
     menger,
     solve,
@@ -416,11 +418,10 @@ class TestSolve:
         assert cert.count == 2 == brute_max_disjoint_paths(g, inst.s, inst.t)
         assert verify(inst, cert)
 
-    @pytest.mark.parametrize("k,w", [(3, 3), (4, 5)])
-    def test_hub_peeling_leaves_one_component_per_grid(self, k, w):
+    @staticmethod
+    def _hub_grids(k, w):
         """k w x w grids from left to right column, plus a hub in S and T
-        joined to each grid's centre: once the hub is peeled, every grid is a
-        component of its own carrying w paths, so k * w + 1 in all."""
+        joined to each grid's centre."""
 
         def v(i, r, c):
             return f"g{i}r{r}c{c}"
@@ -436,11 +437,18 @@ class TestSolve:
                     if r + 1 < w:
                         edges.append((f"g{i}v{r}.{c}", v(i, r, c), v(i, r + 1, c)))
         g = Multigraph.from_labels(vertices, edges)
-        inst = MengerInstance.from_labels(
+        return MengerInstance.from_labels(
             g,
             ["h"] + [v(i, r, 0) for i in range(k) for r in range(w)],
             ["h"] + [v(i, r, w - 1) for i in range(k) for r in range(w)],
         )
+
+    @pytest.mark.parametrize("k,w", [(3, 3), (4, 5)])
+    def test_hub_peeling_leaves_one_component_per_grid(self, k, w):
+        """Once the hub is peeled, every grid is a component of its own
+        carrying w paths, so k * w + 1 in all."""
+        inst = self._hub_grids(k, w)
+        g = inst.graph
         cert = solve(inst)
         assert cert.count == k * w + 1
         assert verify(inst, cert)
@@ -474,6 +482,26 @@ class TestSolve:
         cert = solve(inst)
         assert cert.count == 3
         assert built == {"GroundSet": 2}
+
+    def test_incidence_lists_are_built_per_handle_not_per_anchor(self, monkeypatch):
+        """``graphs.incidence`` runs three times per solve, for the components
+        of the graph and of the certificate forest and for the forest's
+        paths, and twice per certified component, once for each of its two
+        graphic handles; no anchor build or update runs it."""
+        calls = []
+        incidence = graphs.incidence
+
+        def counting(*args):
+            calls.append(args)
+            return incidence(*args)
+
+        for name, module in list(sys.modules.items()):
+            if name.startswith("matroidkit") and getattr(module, "incidence", None) is incidence:
+                monkeypatch.setattr(module, "incidence", counting)
+        k = 3
+        cert = solve(self._hub_grids(k, 3))
+        assert cert.count == k * 3 + 1
+        assert len(calls) == 3 + 2 * k
 
     def test_unreachable_terminals_give_empty_certificate(self):
         g = Multigraph.from_labels(["a", "b", "c"], [("e0", "a", "b")])

@@ -65,9 +65,9 @@ from conftest import (
 )
 
 # Each ceiling is the peak measured on the current code plus about 3%.
-GRID_12_PEAK_BYTES = 591_000  # measured 0.574 MB
-GRID_16_PEAK_BYTES = 1_257_000  # measured 1.220 MB
-RANDOM_400_PEAK_BYTES = 3_397_000  # measured 3.298 MB (3.10), 3.267 MB (3.11)
+GRID_12_PEAK_BYTES = 358_000  # measured 0.348 MB (3.10), 0.345 MB (3.11)
+GRID_16_PEAK_BYTES = 862_000  # measured 0.834 MB (3.10), 0.836 MB (3.11)
+RANDOM_400_PEAK_BYTES = 2_823_000  # measured 2.719 MB (3.10), 2.740 MB (3.11)
 
 
 def _peak_of(run, warm_up):

@@ -306,10 +306,29 @@ class TestForestAnchorContract:
         anchor = g._anchor(g.ground.subset_from_labels(["ab"]))
         loop = g.ground.index("cc")
         assert not anchor.extends(loop)
-        up, base = dict(anchor._up), anchor.base
+        forest, base = self._forest(anchor), anchor.base
         with pytest.raises(InternalInvariantError, match="closed a cycle"):
             anchor.grow(loop)
-        assert anchor._up == up and anchor.base == base
+        assert self._forest(anchor) == forest and anchor.base == base
+
+    @staticmethod
+    def _forest(anchor):
+        lists = (anchor._root, anchor._depth, anchor._size, anchor._parent, anchor._up)
+        return tuple(map(list, lists)), bytes(anchor._on)
+
+    def test_a_path_grown_from_one_end_keeps_its_root(self):
+        """Each grow joins the tree of vertex 0 to a lone vertex, so union
+        by size hangs the lone vertex and the tree keeps its root; hanging
+        the larger tree instead would move the root to the far end."""
+        n = 8
+        edges = [(f"e{i}", f"v{i}", f"v{i + 1}") for i in range(n - 1)]
+        g = build(Graphic(Multigraph.from_labels([f"v{i}" for i in range(n)], edges)))
+        anchor = g._anchor(frozenset())
+        for i in range(n - 1):
+            assert anchor.extends(i)
+            anchor = anchor.grow(i)
+            assert anchor._root[: i + 2] == [0] * (i + 2)
+        assert anchor.base == frozenset(range(n - 1))
 
 
 class TestCotreeAnchorContract:
