@@ -10,10 +10,11 @@ through rank identities,
 
 so each level of composition costs a constant number of rank queries one
 level down, with r(E) computed once per handle.  A family that knows its
-dual supplies a native ``dual=`` hook instead: the dual of a partition or
-uniform matroid is again one, whose rank of X reads X alone rather than
-E - X, and the graphic family builds its cographic handle, which keeps the
-dual rank identity but anchors through a standard form over a forest.
+dual supplies a native ``dual=`` hook instead, which receives the handle
+it is the dual of: the dual of a partition or uniform matroid is again
+one, whose rank of X reads X alone rather than E - X, and the graphic
+family builds its cographic handle, which keeps the dual rank identity but
+anchors through a standard form over a forest.
 Both the wrapper and the cographic handle come out of one constructor,
 ``dual_matroid``, which takes the cographic hooks as keyword arguments.
 The dual of any dual is the original handle (M** = M): the dual of a
@@ -32,10 +33,12 @@ Graphic, partition and uniform matroids supply a native ``anchor=`` hook,
 which always returns an anchor: a rooted spanning forest, or block lookups
 with no build step; the graphic family's dual anchors through the
 fundamental cocircuits of a spanning forest of the complement, where it
-spans, and one search, ``graphs.rooted_forest``, roots both forests.  Every other handle, the dual wrapper included, gets the
-rank-derived anchor, which has no build step.  Every anchor can also be
-grown or exchanged by one element, so a caller whose set changes one
-element at a time need not build a new one.
+spans, and declines elsewhere.  One search, ``graphs.rooted_forest``,
+roots both forests.  Every other handle, the dual wrapper included, and
+every set a hook declines, gets the rank-derived anchor, which has no
+build step.  Every anchor can also be grown or exchanged by one element,
+so a caller whose set changes one element at a time need not build a new
+one.
 
 The union's chain re-check asks two more questions, which a family that
 can answer them exactly in one pass supplies as hooks of their own:
@@ -156,7 +159,9 @@ class Anchor(Protocol):
     whether ``x`` raises the rank of ``a``, which for independent ``a`` is
     "``a + x`` is independent".  For ``x`` outside ``base`` but inside the
     closure of ``a``, ``circuit(x)`` is the fundamental circuit of ``x`` in
-    ``base``.  Other arguments are outside the contract.
+    ``base``.  Other arguments are outside the contract.  No query needs
+    ``base`` itself, so a native anchor works it out each time it is read;
+    ``RankAnchor`` keeps the one it found, since all its queries read it.
 
     Two updates carry the build over to a neighbouring set, and each
     returns the updated anchor:
@@ -233,11 +238,12 @@ class Matroid:
     oracle.
 
     A handle may also take a native ``anchor(a)`` hook that returns an
-    ``Anchor`` for the set ``a``; without one, it anchors with
-    ``RankAnchor``.  Closure and fundamental circuits are answered through
-    the anchor, so its answers must agree with the rank function; there is
-    no separate closure or fundamental-circuit hook.  Chains built from
-    anchored circuits are still re-checked before they are applied.
+    ``Anchor`` for the set ``a``, or None to decline; without one, or where
+    it declines, the handle anchors with ``RankAnchor``.  Closure and
+    fundamental circuits are answered through the anchor, so its answers
+    must agree with the rank function; there is no separate closure or
+    fundamental-circuit hook.  Chains built from anchored circuits are
+    still re-checked before they are applied.
 
     Two optional hooks answer the re-check's questions exactly, where the
     family can do so in one pass: ``is_circuit(c, known)``, for a ``c``
@@ -249,9 +255,12 @@ class Matroid:
     rank (``union._is_circuit``, ``union._extended``).
 
     A family that knows its dual may take a native ``dual=`` hook, a
-    callable that builds that handle; its rank must agree with the rank
-    identity of the dual wrapper, which every other handle gets.  The
-    wrapper takes the same hook, returning the handle it wraps.
+    callable that receives the handle and builds its dual; the dual's rank
+    must agree with the rank identity of the dual wrapper, which every
+    other handle gets.  The wrapper takes the same hook, returning the
+    handle it wraps.  Since the hook is handed the handle, no family's
+    hooks hold their own handle, and the library's handles make no
+    reference cycle.
 
     The public methods validate their input once with ``GroundSet.subset``.
     The underscore members ``_independent``, ``_rank`` and ``_anchor`` skip
@@ -277,8 +286,8 @@ class Matroid:
         provenance: str = "oracle",
         *,
         rank: Callable[[frozenset[int]], int],
-        anchor: Callable[[frozenset[int]], Anchor] | None = None,
-        dual: Callable[[], "Matroid"] | None = None,
+        anchor: Callable[[frozenset[int]], Anchor | None] | None = None,
+        dual: Callable[["Matroid"], "Matroid"] | None = None,
         is_circuit: Callable[[frozenset[int], int], bool] | None = None,
         extends: Callable[[frozenset[int], int], bool] | None = None,
     ):
@@ -326,10 +335,10 @@ class Matroid:
         return current
 
     def _anchor(self, a: frozenset[int]) -> Anchor:
-        """The native anchor of ``a`` when the handle has one, else ``RankAnchor``."""
-        if self._anchor_fn is not None:
-            return self._anchor_fn(a)
-        return RankAnchor(self, a)
+        """The native anchor of ``a`` when the handle has one that does not
+        decline ``a``, else ``RankAnchor``."""
+        anchor = None if self._anchor_fn is None else self._anchor_fn(a)
+        return RankAnchor(self, a) if anchor is None else anchor
 
     # -- public services: each validates its input once --------------------
 
@@ -391,7 +400,7 @@ class Matroid:
         this very handle as its dual.
         """
         if self._dual_fn is not None:
-            return self._dual_fn()
+            return self._dual_fn(self)
         return dual_matroid(self)
 
     def minor(self, contract: Iterable[int] = (), delete: Iterable[int] = ()) -> "Matroid":
@@ -438,7 +447,7 @@ class Matroid:
 def dual_matroid(
     primal: Matroid,
     *,
-    anchor: Callable[[frozenset[int]], Anchor] | None = None,
+    anchor: Callable[[frozenset[int]], Anchor | None] | None = None,
     is_circuit: Callable[[frozenset[int], int], bool] | None = None,
     extends: Callable[[frozenset[int], int], bool] | None = None,
 ) -> Matroid:
@@ -446,7 +455,8 @@ def dual_matroid(
     r*(X) = |X| + r(E - X) - r(E), asked of the primal handle's own oracle.
 
     It carries the ``dual(...)`` provenance, and its own dual is ``primal``
-    itself.  ``anchor``, ``is_circuit`` and ``extends`` are its hooks, as in
+    itself: its ``dual=`` hook returns ``primal`` whatever handle it
+    receives.  ``anchor``, ``is_circuit`` and ``extends`` are its hooks, as in
     ``Matroid``; the graphic family passes its cographic ones, and the
     rank-only wrapper of ``Matroid.dual`` passes none.
     """
@@ -460,7 +470,7 @@ def dual_matroid(
         provenance=f"dual({primal.provenance})",
         rank=rank,
         anchor=anchor,
-        dual=lambda: primal,
+        dual=lambda _: primal,
         is_circuit=is_circuit,
         extends=extends,
     )

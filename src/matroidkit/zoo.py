@@ -10,10 +10,9 @@ native anchor, which answers closure and fundamental circuits against one
 fixed set and follows that set through one-element updates; the graphic
 and the cographic anchor both root their spanning forest with one search,
 ``graphs.rooted_forest``, over the incidence lists the graphic handle
-builds once.  U(n, k) is
-built as the partition with one block of cap k, under its own provenance;
-a one-block partition ranks by min(|X|, cap) and any other counts each
-block down.
+builds once.  U(n, k) is built as the partition with one block of cap k,
+under its own provenance, and ranks as every partition does, counting
+each block's cap down.
 
 Partition, uniform, graphic and cographic handles also supply exact
 one-pass tests for the union's chain re-check (``Matroid``'s
@@ -29,15 +28,19 @@ Each keeps the ``dual(...)`` provenance, and its own dual is an equal
 handle of the original family.  The graphic family builds its cographic
 dual with the core's ``dual_matroid``, which also builds the rank-only
 wrapper: rank by the dual identity, the graphic handle as its dual, and
-this module's hooks.  Its anchor at a co-independent ``b`` is
+this module's hooks.  Every hook is a module function bound with
+``partial`` over the family's plain data, and the cographic ones over the
+graphic handle too, so no handle holds a reference back to itself.  The
+cographic anchor at a co-independent ``b`` is
 ``CotreeAnchor``: the graphic matroid's standard form [I | D] over a
 spanning forest B0 of E - b, whose rows are the fundamental cocircuits
 and whose columns are the fundamental circuits, kept as int bitmasks over
 E.  Both queries read one row, and a change of B0 is a pivot, which XORs
 one row into the rows on a circuit and one column into the columns on a
-cocircuit.  Where ``b`` is dependent, so B0 does not span, the anchor is
-``RankAnchor``.  Every other family's dual is the core's rank-only
-wrapper, whose own dual is the very handle it wraps.
+cocircuit.  Where ``b`` is dependent, so B0 does not span, the hook
+declines and the core anchors ``b`` with ``RankAnchor``.  Every other
+family's dual is the core's rank-only wrapper, whose own dual is the very
+handle it wraps.
 """
 
 from __future__ import annotations
@@ -47,7 +50,7 @@ from functools import partial
 from typing import Union
 
 from .axioms import ExplicitSystem, check_downward_closure
-from .core import Anchor, GroundSet, Matroid, RankAnchor, default_labels, dual_matroid
+from .core import GroundSet, Matroid, default_labels, dual_matroid
 from .errors import InputError, InternalInvariantError
 from .graphs import Multigraph, incidence, rooted_forest
 
@@ -110,34 +113,31 @@ class BlockAnchor:
     """Partition anchor: answers from how many elements of ``a`` the block
     of ``x`` holds, counted on the first query of that block.
 
-    Where ``a`` overfills a block, its base keeps the least ids there.  The
-    updates work in place: they keep a base already found, and advance
-    the counts taken so far.
+    Where ``a`` overfills a block, its base keeps the least ids there, and
+    so does a circuit in that block.  The updates work in place: they
+    advance the counts taken so far.
     """
 
-    __slots__ = ("_members", "_block_of", "_caps", "_anchored", "_base", "_held")
+    __slots__ = ("_members", "_block_of", "_caps", "_anchored", "_held")
 
     def __init__(self, members, block_of, caps, a: frozenset[int]):
         self._members = members
         self._block_of = block_of
         self._caps = caps
         self._anchored = a
-        self._base: frozenset[int] | None = None
         self._held: list[int | None] = [None] * len(caps)
 
     @property
     def base(self) -> frozenset[int]:
-        if self._base is None:
-            caps, block_of = self._caps, self._block_of
-            kept = [0] * len(caps)
-            base = []
-            for e in sorted(self._anchored):
-                bi = block_of[e]
-                if kept[bi] < caps[bi]:
-                    kept[bi] += 1
-                    base.append(e)
-            self._base = frozenset(base)
-        return self._base
+        caps, block_of = self._caps, self._block_of
+        kept = [0] * len(caps)
+        base = []
+        for e in sorted(self._anchored):
+            bi = block_of[e]
+            if kept[bi] < caps[bi]:
+                kept[bi] += 1
+                base.append(e)
+        return frozenset(base)
 
     def extends(self, x: int) -> bool:
         bi = self._block_of[x]
@@ -149,20 +149,17 @@ class BlockAnchor:
     def circuit(self, x: int) -> frozenset[int]:
         bi = self._block_of[x]
         inside = self._anchored & self._members[bi]
-        if len(inside) > self._caps[bi]:
-            inside = inside & self.base
+        cap = self._caps[bi]
+        if len(inside) > cap:
+            inside = frozenset(sorted(inside)[:cap])
         return inside | {x}
 
     def grow(self, x: int) -> "BlockAnchor":
-        if self._base is not None:
-            self._base = self._base | {x}
         self._anchored = self._anchored | {x}
         self._advance(x, 1)
         return self
 
     def exchange(self, y: int, z: int) -> "BlockAnchor":
-        if self._base is not None:
-            self._base = self._base - {z} | {y}
         self._anchored = self._anchored - {z} | {y}
         self._advance(z, -1)
         self._advance(y, 1)
@@ -190,13 +187,10 @@ class ForestAnchor:
     ``grow`` hangs the smaller of the two trees it joins from the other
     one; ``exchange`` cuts ``z`` and hangs the part that falls off back on
     through ``y``.  Either way only the re-hung vertices change their
-    parent and depth, and a base already read is carried along as
-    ``base + x`` or ``base - z + y``.
+    parent and depth.  ``base`` is read off the tree edges in ``_up``.
     """
 
-    __slots__ = (
-        "_endpoints", "_incident", "_root", "_depth", "_size", "_parent", "_up", "_on", "_base"
-    )
+    __slots__ = ("_endpoints", "_incident", "_root", "_depth", "_size", "_parent", "_up", "_on")
 
     def __init__(self, endpoints, incident, a: frozenset[int]):
         keep, on = bytearray(len(endpoints)), bytearray(len(endpoints))
@@ -215,13 +209,10 @@ class ForestAnchor:
         self._endpoints, self._incident = endpoints, incident
         self._root, self._depth, self._size = root, depth, size
         self._parent, self._up, self._on = parent, up, on
-        self._base: frozenset[int] | None = None
 
     @property
     def base(self) -> frozenset[int]:
-        if self._base is None:
-            self._base = frozenset(e for e in self._up if e >= 0)
-        return self._base
+        return frozenset(e for e in self._up if e >= 0)
 
     def extends(self, x: int) -> bool:
         u, v = self._endpoints[x]
@@ -242,26 +233,6 @@ class ForestAnchor:
             path.append(up[v])
             u, v = parent[u], parent[v]
         return frozenset(path)
-
-    def cocircuit(self, y: int) -> frozenset[int]:
-        """The fundamental cocircuit of ``y`` on a ``base`` that spans the
-        matroid: ``y`` and every ``g`` off ``base`` with ``base - y + g``
-        independent.
-
-        These are the edges that leave the subtree below tree edge ``y``,
-        which spans the rest of its component once the forest spans the
-        graph; a loop is skipped because its far end is already below."""
-        u, v = self._endpoints[y]
-        top = u if self._depth[u] > self._depth[v] else v
-        on, incident = self._on, self._incident
-        below = {top}
-        stack = [top]
-        while stack:
-            for e, nxt in incident[stack.pop()]:
-                if on[e] and e != y and nxt not in below:
-                    below.add(nxt)
-                    stack.append(nxt)
-        return frozenset(e for w in below for e, far in incident[w] if far not in below)
 
     def _hang(self, top: int, parent: int, edge: int) -> None:
         """Link ``top`` to ``parent`` by tree edge ``edge`` and re-root the
@@ -297,8 +268,6 @@ class ForestAnchor:
             u, v = v, u
         size[root[u]] += size[root[v]]
         self._hang(v, u, x)
-        if self._base is not None:
-            self._base = self._base | {x}
         return self
 
     def exchange(self, y: int, z: int) -> "ForestAnchor":
@@ -313,8 +282,6 @@ class ForestAnchor:
         if w != cut:  # exactly one end of y lies below the cut; hang it from the other
             top, far = far, top
         self._hang(top, far, y)
-        if self._base is not None:
-            self._base = self._base - {z} | {y}
         return self
 
 
@@ -360,7 +327,7 @@ class CotreeAnchor:
     InternalInvariantError and leaves the anchor as it was.
     """
 
-    __slots__ = ("rank", "_fund", "_tree", "_b", "_base", "_sets")
+    __slots__ = ("rank", "_fund", "_tree", "_b", "_sets")
 
     def __init__(self, endpoints, incident, b: frozenset[int]):
         size, n = len(endpoints), len(incident)
@@ -390,14 +357,12 @@ class CotreeAnchor:
                 leaving[parent[v]] ^= leaving[v]
         self.rank = sum(tree)
         self._fund, self._tree = fund, tree
-        self._b, self._base = int.from_bytes(packed, "little"), b
+        self._b = int.from_bytes(packed, "little")
         self._sets: dict[int, frozenset[int]] = {}
 
     @property
     def base(self) -> frozenset[int]:
-        if self._base is None:
-            self._base = frozenset(_ids(self._b))
-        return self._base
+        return frozenset(_ids(self._b))
 
     def extends(self, x: int) -> bool:
         return not self._tree[x] or self._fund[x] & ~self._b != 1 << x
@@ -415,7 +380,6 @@ class CotreeAnchor:
                 raise InternalInvariantError("a cotree grow took a bridge of E - b")
             self._pivot(z, (free & -free).bit_length() - 1)
         self._b |= 1 << z
-        self._base = None
         return self
 
     def exchange(self, y: int, z: int) -> "CotreeAnchor":
@@ -423,7 +387,6 @@ class CotreeAnchor:
             raise InternalInvariantError("a cotree exchange took z off the cocircuit of y")
         self._pivot(y, z)
         self._b ^= 1 << y | 1 << z
-        self._base = None
         return self
 
     def _pivot(self, out: int, into: int) -> None:
@@ -588,41 +551,38 @@ def _partition_matroid(
     provenance: str,
     dual_provenance: str,
 ) -> Matroid:
-    """The partition handle; its dual is the partition on the same blocks
-    with caps ``co_caps``, built from the same plain data with the two cap
-    tuples and the two provenances swapped.  One block, as in U(n, k), has
-    the O(1) kernel min(|X|, cap); more blocks count each block's capacity
-    down over X."""
-    if len(caps) == 1:
-        (cap,) = caps
+    """The partition handle, whose rank counts each block's capacity down
+    over X.  Its dual is the partition on the same blocks with caps
+    ``co_caps``, built from the same plain data with the two cap tuples and
+    the two provenances swapped."""
 
-        def rank(xs: frozenset[int]) -> int:
-            return min(len(xs), cap)
+    def rank(xs: frozenset[int]) -> int:
+        left = list(caps)
+        taken = 0
+        for e in xs:
+            bi = block_of[e]
+            if left[bi]:
+                left[bi] -= 1
+                taken += 1
+        return taken
 
-    else:
-
-        def rank(xs: frozenset[int]) -> int:
-            left = list(caps)
-            taken = 0
-            for e in xs:
-                bi = block_of[e]
-                if left[bi]:
-                    left[bi] -= 1
-                    taken += 1
-            return taken
-
-    dual = partial(
-        _partition_matroid, ground, members, block_of, co_caps, caps, dual_provenance, provenance
-    )
+    dual_data = (ground, members, block_of, co_caps, caps, dual_provenance, provenance)
     return Matroid(
         ground,
         provenance=provenance,
         rank=rank,
         anchor=partial(BlockAnchor, members, block_of, caps),
-        dual=dual,
+        dual=partial(_partition_dual, dual_data),
         is_circuit=partial(_is_block_circuit, members, block_of, caps),
         extends=partial(_block_has_room, members, block_of, caps),
     )
+
+
+def _partition_dual(dual_data: tuple, primal: Matroid) -> Matroid:
+    """The ``dual=`` hook of a partition handle: the partition that
+    ``_partition_matroid`` builds from ``dual_data``, which needs nothing
+    of the handle ``primal`` it receives."""
+    return _partition_matroid(*dual_data)
 
 
 def graphic_matroid(
@@ -652,34 +612,36 @@ def graphic_matroid(
                 merged += 1
         return merged
 
-    def cographic() -> Matroid:
-        """The dual, which asks every rank of ``graphic`` itself and anchors a
-        co-independent ``b`` with ``CotreeAnchor``, or with ``RankAnchor``
-        when the forest of E - b that the anchor built does not span."""
-
-        def anchor(b: frozenset[int]) -> Anchor:
-            cotree = CotreeAnchor(endpoints, incident, b)
-            if cotree.rank < graphic._ground_rank():
-                return RankAnchor(cographic, b)
-            return cotree
-
-        cographic = dual_matroid(
-            graphic,
-            anchor=anchor,
-            is_circuit=partial(_is_bond, endpoints, incident),
-            extends=partial(_is_no_bridge, endpoints, incident),
-        )
-        return cographic
-
-    graphic = Matroid(
+    return Matroid(
         ground,
         provenance=f"graphic(V={n},E={len(endpoints)})",
         rank=rank,
         anchor=partial(ForestAnchor, endpoints, incident),
-        dual=cographic,
+        dual=partial(_cographic, endpoints, incident),
         is_circuit=partial(_is_cycle, endpoints),
     )
-    return graphic
+
+
+def _cographic(endpoints, incident, graphic: Matroid) -> Matroid:
+    """The ``dual=`` hook of a graphic handle: the cographic handle, which
+    asks every rank of ``graphic`` itself and anchors through
+    ``_cotree_anchor``."""
+    return dual_matroid(
+        graphic,
+        anchor=partial(_cotree_anchor, endpoints, incident, graphic),
+        is_circuit=partial(_is_bond, endpoints, incident),
+        extends=partial(_is_no_bridge, endpoints, incident),
+    )
+
+
+def _cotree_anchor(
+    endpoints, incident, graphic: Matroid, b: frozenset[int]
+) -> CotreeAnchor | None:
+    """The cographic anchor of a co-independent ``b``; None, which leaves
+    ``b`` to ``RankAnchor``, where the forest of E - b that the anchor built
+    does not span ``graphic``."""
+    cotree = CotreeAnchor(endpoints, incident, b)
+    return None if cotree.rank < graphic._ground_rank() else cotree
 
 
 def _build_binary(spec: Binary) -> Matroid:

@@ -394,52 +394,19 @@ _BINARY = Binary(((1, 0, 1, 1, 0, 1, 0), (0, 1, 1, 0, 1, 1, 0), (0, 0, 0, 1, 1, 
 
 _ISOLATED = next(case[1] for case in _RANK_CASES if case[0] == "graphic-two-components-isolated")
 
-# Every handle whose anchors answer ``cocircuit``: only the graphic forest
-# does, and the dual of a graphic dual is the graphic handle itself.
-_COCIRCUIT_CASES = [
-    (name, spec)
-    for name, spec in _ORACLE_CASES + [("graphic-two-components-isolated", _ISOLATED)]
-    if hasattr(build(spec)._anchor(frozenset()), "cocircuit")
-]
-
-
-def test_only_the_forest_answers_cocircuits():
-    """The filter above keeps exactly the graphic handles, so a case that
-    drops out of the cocircuit test does not go unnoticed."""
-    assert [name for name, _ in _COCIRCUIT_CASES] == [
-        "graphic",
-        "dual-dual-graphic",
-        "graphic-two-components-isolated",
-    ]
-
-
-@pytest.mark.parametrize(
-    "spec", [case[1] for case in _COCIRCUIT_CASES], ids=[case[0] for case in _COCIRCUIT_CASES]
-)
-def test_cocircuits_match_their_rank_definition(spec):
-    """At every base B, the cocircuit of each y on B is y and every g off B
-    for which B - y + g is independent."""
-    m = build(spec)
-    for b in _all_subsets(m.elements()):
-        if len(b) != m.rank() or not m.is_independent(b):
-            continue
-        anchor = m._anchor(b)
-        for y in b:
-            rest = b - {y}
-            expected = {y} | {g for g in m.elements() if g not in b and m.is_independent(rest | {g})}
-            assert anchor.cocircuit(y) == expected, (sorted(b), y)
-
 
 def test_cographic_handles_anchor_through_cocircuits_exactly_at_co_independent_sets():
-    """A cographic handle's own hook anchors ``b`` with ``CotreeAnchor`` exactly
-    when E - b spans the graphic matroid, and with ``RankAnchor`` otherwise;
-    every answer equals its rank definition on both branches."""
+    """A cographic handle anchors ``b`` with ``CotreeAnchor`` exactly when
+    E - b spans the graphic matroid, and with ``RankAnchor`` otherwise, where
+    its own hook declines; every answer equals its rank definition on both
+    branches."""
     for spec in (_ORACLE_CASES[0][1], _ISOLATED):
         d = build(spec).dual()
         kinds = set()
         for b in _all_subsets(d.elements()):
-            anchor = d._anchor_fn(b)
+            anchor = d._anchor(b)
             native = d.is_independent(b)
+            assert (d._anchor_fn(b) is None) == (not native), sorted(b)
             assert type(anchor) is (CotreeAnchor if native else RankAnchor), sorted(b)
             kinds.add(native)
             _assert_anchor_matches_rank(d, b, anchor)

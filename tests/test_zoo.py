@@ -1,4 +1,5 @@
 import faulthandler
+import gc
 
 import pytest
 
@@ -13,15 +14,17 @@ from matroidkit import (
     Sum,
     Uniform,
     build,
+    certify,
     check_axioms,
     graphic_components,
     identify_vertices,
     materialize,
+    solve,
 )
 from matroidkit.core import subsets_by_size
 from matroidkit.zoo import explicit_system
 
-from conftest import k4_graph, path3_graph, triangle_graph
+from conftest import grid_instance, k4_graph, path3_graph, random_menger_instance, triangle_graph
 
 
 def gf2_rank(matrix, columns):
@@ -371,3 +374,32 @@ class TestCotreeAnchorContract:
         # an exchange inside the contract still goes through afterwards
         e0 = d.ground.index("e0")
         assert anchor.exchange(e2, e0).base == d.ground.subset_from_labels(["e1", "e2", "e3"])
+
+
+def _certify_grid_graphic_against_its_dual():
+    g = build(Graphic(grid_instance(5).graph))
+    certify(g, g.dual())
+
+
+@pytest.mark.parametrize(
+    "run",
+    [
+        lambda: solve(grid_instance(6)),
+        lambda: solve(random_menger_instance(200)),
+        _certify_grid_graphic_against_its_dual,
+    ],
+    ids=["solve-grid-6", "solve-random-graph-200", "certify-grid-5-graphic-dual"],
+)
+def test_handles_leave_no_garbage_for_the_cycle_collector(run):
+    """No hook holds a reference back to its own handle, so every handle,
+    anchor and hook a run builds is freed by reference counting alone, and
+    nothing is left for the cycle collector."""
+    gc.collect()
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        run()
+        assert gc.collect() == 0
+    finally:
+        if enabled:
+            gc.enable()
